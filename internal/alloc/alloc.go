@@ -7,6 +7,10 @@
 // reproducible: Bump models a naive system allocator that never reuses
 // freed memory (larger footprint, worse locality), FreeList is the
 // dlmalloc-like first-fit allocator with coalescing that ConfLLVM ships.
+//
+// The FreeList free list is kept sorted by address and fully coalesced, so
+// Free costs a binary search plus at most one slice move (O(log n + n-move))
+// and can only ever merge the freed chunk with its two neighbours.
 package alloc
 
 import (
@@ -53,6 +57,11 @@ func (a *Allocator) Alloc(size uint64) (uint64, error) {
 	if size == 0 {
 		size = 1
 	}
+	// Reject before rounding: (size + 15) &^ 15 wraps for huge sizes. A
+	// size within the region's 16-aligned span cannot wrap.
+	if size > (a.end-a.base)&^(chunkAlign-1) {
+		return 0, fmt.Errorf("alloc: out of region memory (%d bytes requested)", size)
+	}
 	size = (size + chunkAlign - 1) &^ (chunkAlign - 1)
 	if a.mode == FreeList {
 		for i, s := range a.free {
@@ -68,7 +77,7 @@ func (a *Allocator) Alloc(size uint64) (uint64, error) {
 			}
 		}
 	}
-	if a.cursor+size > a.end {
+	if size > a.end-a.cursor {
 		return 0, fmt.Errorf("alloc: out of region memory (%d bytes requested)", size)
 	}
 	addr := a.cursor
@@ -88,18 +97,24 @@ func (a *Allocator) Free(addr uint64) error {
 	if a.mode == Bump {
 		return nil
 	}
-	a.free = append(a.free, span{addr, size})
-	sort.Slice(a.free, func(i, j int) bool { return a.free[i].addr < a.free[j].addr })
-	// Coalesce adjacent spans.
-	out := a.free[:0]
-	for _, s := range a.free {
-		if n := len(out); n > 0 && out[n-1].addr+out[n-1].size == s.addr {
-			out[n-1].size += s.size
-		} else {
-			out = append(out, s)
-		}
+	// The list is sorted and fully coalesced, so the chunk can only merge
+	// with the spans just below and just above it.
+	i := sort.Search(len(a.free), func(i int) bool { return a.free[i].addr > addr })
+	prev := i > 0 && a.free[i-1].addr+a.free[i-1].size == addr
+	next := i < len(a.free) && addr+size == a.free[i].addr
+	switch {
+	case prev && next:
+		a.free[i-1].size += size + a.free[i].size
+		a.free = append(a.free[:i], a.free[i+1:]...)
+	case prev:
+		a.free[i-1].size += size
+	case next:
+		a.free[i] = span{addr, size + a.free[i].size}
+	default:
+		a.free = append(a.free, span{})
+		copy(a.free[i+1:], a.free[i:])
+		a.free[i] = span{addr, size}
 	}
-	a.free = out
 	return nil
 }
 

@@ -6,14 +6,18 @@ package machine
 // like the extra cache pressure of split public/private stacks (paper
 // Fig. 6, OurMPX vs OurMPX-Sep) are observable.
 type cache struct {
-	// lines is the whole cache as one flat array, set-major: set s owns
-	// lines[s*cacheWays : (s+1)*cacheWays]. One allocation and no
-	// per-access pointer chase through a slice-of-slices header.
-	lines    []cacheLine
-	setMask  uint64
-	lineBits uint
-	hits     uint64
-	misses   uint64
+	// sets is the whole cache as one flat array. A set keeps its keys and
+	// its LRU stamps in two parallel arrays, so the hit scan reads only
+	// the 64-byte key array.
+	sets   []cacheSet
+	hits   uint64
+	misses uint64
+
+	// last is the key of the previous access (0 before the first). That
+	// line is resident and already holds its set's newest stamp, so a
+	// repeat touch changes no set's contents or LRU order: it is counted
+	// as a hit without a scan or a clock tick.
+	last uint64
 
 	// clock is the per-cache LRU timestamp source. It is per instance (not
 	// a process global) so that a machine's replacement decisions depend
@@ -25,10 +29,11 @@ type cache struct {
 	clock uint64
 }
 
-type cacheLine struct {
-	tag   uint64
-	valid bool
-	lru   uint64
+// cacheSet holds one set. keys[i] is the resident line number plus one,
+// so 0 marks an invalid way; lru[i] is the way's last-touch stamp.
+type cacheSet struct {
+	keys [cacheWays]uint64
+	lru  [cacheWays]uint64
 }
 
 // cache geometry: 32 KB, 64-byte lines, 8-way (Skylake-like L1D).
@@ -39,42 +44,41 @@ const (
 )
 
 func newCache() *cache {
-	return &cache{
-		lines:    make([]cacheLine, cacheSets*cacheWays),
-		setMask:  cacheSets - 1,
-		lineBits: cacheLineBits,
-	}
+	return &cache{sets: make([]cacheSet, cacheSets)}
 }
 
-// access touches addr and reports whether it hit. The hit scan and the
-// LRU victim scan share one pass; the replacement policy (first invalid
-// way by index, else the least-recently-used way) is unchanged, so miss
-// counts — and therefore simulated cycles — are identical.
+// access touches addr and reports whether it hit. On a miss the victim is
+// the first invalid way by index, else the least-recently-used way.
+// Comparing whole line numbers within a set is the same as comparing tags,
+// because every line in a set shares the set-index bits.
 func (c *cache) access(addr uint64) bool {
+	key := addr>>cacheLineBits + 1
+	if key == c.last {
+		c.hits++
+		return true
+	}
+	c.last = key
 	c.clock++
-	line := addr >> c.lineBits
-	si := (line & c.setMask) * cacheWays
-	set := c.lines[si : si+cacheWays : si+cacheWays]
-	tag := line >> 5 // bits above the set index
-	victim, invalid := 0, -1
-	for i := range set {
-		if set[i].valid {
-			if set[i].tag == tag {
-				set[i].lru = c.clock
-				c.hits++
-				return true
-			}
-			if set[i].lru < set[victim].lru {
-				victim = i
-			}
-		} else if invalid < 0 {
-			invalid = i
+	s := &c.sets[(key-1)&(cacheSets-1)]
+	for i, k := range s.keys {
+		if k == key {
+			s.lru[i] = c.clock
+			c.hits++
+			return true
 		}
 	}
 	c.misses++
-	if invalid >= 0 {
-		victim = invalid
+	victim := 0
+	for i, k := range s.keys {
+		if k == 0 {
+			victim = i
+			break
+		}
+		if s.lru[i] < s.lru[victim] {
+			victim = i
+		}
 	}
-	set[victim] = cacheLine{tag: tag, valid: true, lru: c.clock}
+	s.keys[victim] = key
+	s.lru[victim] = c.clock
 	return false
 }

@@ -55,12 +55,18 @@ func (r *Region) End() uint64 { return r.Lo + r.Size }
 const pageShift = 12
 const pageSize = 1 << pageShift
 
-// tlbBits sizes the direct-mapped page-lookup cache. 64 entries cover the
-// working set of code + both stacks + a few heap pages with no search.
+// tlbBits sizes the direct-mapped page-lookup cache, indexed by the low
+// page-number bits. The layouts' hot pages are not spread over those bits:
+// the code base, PubBase, the externals table and PrivBase are all
+// multiples of 256 KiB, so they share slot 0. A slot
+// conflict therefore does not go back to the region search: the displaced
+// entry moves to a small fully-associative victim buffer (tlbVictims
+// entries, round-robin) that the slow path probes before check.
 const (
-	tlbBits = 6
-	tlbSize = 1 << tlbBits
-	tlbMask = tlbSize - 1
+	tlbBits    = 6
+	tlbSize    = 1 << tlbBits
+	tlbMask    = tlbSize - 1
+	tlbVictims = 4
 )
 
 // tlbEntry caches one fully-validated page: the page is allocated, and a
@@ -84,6 +90,11 @@ type Memory struct {
 	// Only positive lookups are cached, and mapped regions are never
 	// removed or re-permissioned, so entries never go stale.
 	tlb [tlbSize]tlbEntry
+	// victims holds entries displaced from tlb by a conflicting fill;
+	// victimNext is the round-robin slot the next displaced entry takes.
+	victims    [tlbVictims]tlbEntry
+	victimNext int
+	tlbStats   TLBStats
 
 	// lastRegion and lastPage memoize the most recent lookups (execution
 	// is single-goroutine; accesses are highly local).
@@ -163,16 +174,55 @@ func (mem *Memory) check(addr uint64, size uint64, need Perm) (*Region, *Fault) 
 	return r, nil
 }
 
+// TLBStats counts the page TLB's slow-path work. Both counters move only
+// on the slow path; a TLB hit touches neither.
+type TLBStats struct {
+	Refills    uint64 // entries installed after a region check
+	VictimHits uint64 // slow-path lookups served by the victim buffer
+}
+
+// TLBStats returns the page TLB's counters.
+func (mem *Memory) TLBStats() TLBStats { return mem.tlbStats }
+
 // fillTLB caches the page containing addr if region r wholly covers it
 // (a partially-covered page must keep taking the slow path, because an
-// access inside the page could still escape the region).
+// access inside the page could still escape the region). A valid entry
+// for another page in the slot moves to the victim buffer.
 func (mem *Memory) fillTLB(addr uint64, r *Region) {
 	pn := addr >> pageShift
 	lo := pn << pageShift
 	if lo < r.Lo || r.End()-lo < pageSize {
 		return
 	}
-	mem.tlb[pn&tlbMask] = tlbEntry{pn: pn, page: mem.page(addr), perm: r.Perm}
+	e := &mem.tlb[pn&tlbMask]
+	if e.page != nil {
+		if e.pn == pn {
+			return // cached already: the access failed the fast path on perm or a straddle
+		}
+		mem.victims[mem.victimNext] = *e
+		mem.victimNext = (mem.victimNext + 1) % tlbVictims
+	}
+	*e = tlbEntry{pn: pn, page: mem.page(addr), perm: r.Perm}
+	mem.tlbStats.Refills++
+}
+
+// fromVictim swaps page pn back from the victim buffer into its TLB slot
+// and reports whether it did. The slot's entry takes the freed victim
+// place. Nothing is swapped when the slot already holds pn: the fast path
+// then failed on perm or a page straddle, and only check can decide.
+func (mem *Memory) fromVictim(pn uint64) bool {
+	e := &mem.tlb[pn&tlbMask]
+	if e.page != nil && e.pn == pn {
+		return false
+	}
+	for i := range mem.victims {
+		if v := &mem.victims[i]; v.page != nil && v.pn == pn {
+			*e, *v = *v, *e
+			mem.tlbStats.VictimHits++
+			return true
+		}
+	}
+	return false
 }
 
 // Read reads size (1/2/4/8) bytes at addr, zero-extended.
@@ -196,6 +246,11 @@ func (mem *Memory) Read(addr uint64, size uint8) (uint64, *Fault) {
 }
 
 func (mem *Memory) readSlow(addr uint64, size uint8) (uint64, *Fault) {
+	if mem.fromVictim(addr >> pageShift) {
+		// The slot now holds the page: retry the fast path. A retry that
+		// fails again finds the page in its slot and goes to check.
+		return mem.Read(addr, size)
+	}
 	r, f := mem.check(addr, uint64(size), PermR)
 	if f != nil {
 		return 0, f
@@ -241,6 +296,9 @@ func (mem *Memory) Write(addr uint64, size uint8, val uint64) *Fault {
 }
 
 func (mem *Memory) writeSlow(addr uint64, size uint8, val uint64) *Fault {
+	if mem.fromVictim(addr >> pageShift) {
+		return mem.Write(addr, size, val)
+	}
 	r, f := mem.check(addr, uint64(size), PermW)
 	if f != nil {
 		return f

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"testing"
+
+	"confllvm/internal/link"
 )
 
 // mapped returns a memory with one RW data region at base covering pages
@@ -173,5 +175,71 @@ func TestDigestIgnoresUntouchedPages(t *testing.T) {
 	}
 	if d2 := mem.Digest(); d2 == d0 {
 		t.Fatal("digest did not change after a real write")
+	}
+}
+
+// TestTLBConflictVictims: under the MPX layout the code base, PubBase, the
+// externals table and PrivBase all index TLB slot 0. Alternating reads
+// across the four pages must be served by the slot and the victim buffer,
+// with no region check after warm-up, and must still read the right
+// bytes. A denied write to a page parked in the victim buffer must fault
+// exactly as on a cold memory.
+func TestTLBConflictVictims(t *testing.T) {
+	l := link.MPXLayout()
+	pages := []struct {
+		name string
+		base uint64
+		perm Perm
+	}{
+		{"code", l.CodeBase, PermR | PermX},
+		{"pub", l.PubBase, PermR | PermW},
+		{"exttab", l.ExtTableBase(), PermR},
+		{"priv", l.PrivBase, PermR | PermW},
+	}
+	newMem := func() *Memory {
+		mem := NewMemory()
+		for i, p := range pages {
+			if (p.base>>pageShift)&tlbMask != 0 {
+				t.Fatalf("%s base %#x no longer aliases TLB slot 0", p.name, p.base)
+			}
+			if _, err := mem.Map(p.name, p.base, 0x10000, p.perm); err != nil {
+				t.Fatal(err)
+			}
+			var b [8]byte
+			b[0] = byte(i + 1)
+			if f := mem.WriteBytesUnchecked(p.base+8, b[:]); f != nil {
+				t.Fatal(f)
+			}
+		}
+		return mem
+	}
+	mem := newMem()
+	for _, p := range pages { // warm-up: one region check per page
+		if _, f := mem.Read(p.base+8, 8); f != nil {
+			t.Fatal(f)
+		}
+	}
+	warm := mem.TLBStats()
+	const rounds = 1000
+	for r := 0; r < rounds; r++ {
+		for i, p := range pages {
+			if v, f := mem.Read(p.base+8, 8); f != nil || v != uint64(i+1) {
+				t.Fatalf("round %d %s: read %#x (%v), want %d", r, p.name, v, f, i+1)
+			}
+		}
+	}
+	st := mem.TLBStats()
+	if st.Refills != warm.Refills {
+		t.Errorf("%d region-check refills after warm-up, want 0", st.Refills-warm.Refills)
+	}
+	if got := st.VictimHits - warm.VictimHits; got != rounds*uint64(len(pages)) {
+		t.Errorf("victim hits = %d, want %d", got, rounds*len(pages))
+	}
+
+	// The exttab page now sits in the victim buffer (priv holds slot 0).
+	fWarm := mem.Write(l.ExtTableBase()+8, 8, 1)
+	fCold := newMem().Write(l.ExtTableBase()+8, 8, 1)
+	if fWarm == nil || fCold == nil || *fWarm != *fCold || fWarm.Kind != FaultPerm {
+		t.Fatalf("exttab write: warm fault %v, cold fault %v, want identical perm faults", fWarm, fCold)
 	}
 }

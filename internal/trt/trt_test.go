@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"confllvm"
+	"confllvm/internal/machine"
 	"confllvm/internal/trt"
 )
 
@@ -101,5 +102,35 @@ int main() {
 	one := run(confllvm.VariantOneMem)
 	if sep <= one {
 		t.Fatalf("memory separation must cost more per T call: sep=%d one=%d", sep, one)
+	}
+}
+
+// TestMallocPrivHugeSizeFaults: a size that used to wrap the private
+// allocator (2^64-1 rounds to a zero-size chunk; 2^64-1GiB+1 pulls the
+// cursor down into the public region) must be rejected by the malloc_priv
+// wrapper as a trusted-wrapper fault.
+func TestMallocPrivHugeSizeFaults(t *testing.T) {
+	for _, size := range []string{"-1", "-1073741823"} {
+		src := `
+extern private void *malloc_priv(long size);
+int main() {
+	private char *p = (private char*)malloc_priv(` + size + `);
+	private char *q = (private char*)malloc_priv(16);
+	return 0;
+}
+`
+		art, err := confllvm.Compile(confllvm.Program{Sources: []confllvm.Source{
+			{Name: "m.c", Code: src},
+		}}, confllvm.VariantMPX)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := confllvm.Run(art, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fault == nil || res.Fault.Kind != machine.FaultTrusted {
+			t.Fatalf("malloc_priv(%s): fault = %v, want a trusted-wrapper fault", size, res.Fault)
+		}
 	}
 }
