@@ -215,6 +215,38 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileMatrix is one pass of the repository benchmark's
+// compile workload: every benchmark program under Base, OurMPX and OurSeg,
+// with the verify gate on the checked variants.
+func BenchmarkCompileMatrix(b *testing.B) {
+	variants := []confllvm.Variant{confllvm.VariantBase, confllvm.VariantMPX, confllvm.VariantSeg}
+	var progs [][]confllvm.Program
+	for _, wl := range bench.Workloads(false) {
+		var row []confllvm.Program
+		for _, v := range variants {
+			row = append(row, wl.Prog(v))
+		}
+		progs = append(progs, row)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, row := range progs {
+			for j, v := range variants {
+				art, err := confllvm.Compile(row[j], v)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if v.Checked() {
+					if err := confllvm.Verify(art); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkVerify(b *testing.B) {
 	prog := confllvm.Program{Sources: []confllvm.Source{
 		{Name: "web.c", Code: bench.WebServerSrc},

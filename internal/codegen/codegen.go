@@ -241,9 +241,16 @@ func genFunc(mod *ir.Module, f *ir.Func, a *taint.Assignment, conf Config) (*Fun
 	}
 	ra := regalloc.Allocate(f, isPrivate, isFloat)
 
+	// Lowering emits about two items per IR instruction (more under
+	// bounds checking), plus the prologue, epilogues and magic words.
+	irInsts := 0
+	for _, blk := range f.Blocks {
+		irInsts += len(blk.Insts)
+	}
 	c := &ctx{
 		mod: mod, f: f, a: a, conf: conf, ra: ra,
-		fc:           &FuncCode{Name: f.Name, Variadic: f.Variadic},
+		fc: &FuncCode{Name: f.Name, Variadic: f.Variadic,
+			Items: make([]Item, 0, 2*irInsts+16)},
 		pubAllocaOff: map[*ir.Alloca]int{},
 		checked:      map[checkKey]bool{},
 	}
@@ -259,7 +266,7 @@ func genFunc(mod *ir.Module, f *ir.Func, a *taint.Assignment, conf Config) (*Fun
 	}
 	c.prologue()
 	for _, blk := range f.Blocks {
-		c.checked = map[checkKey]bool{}
+		clear(c.checked)
 		first := len(c.fc.Items)
 		for _, in := range blk.Insts {
 			if err := c.lower(in); err != nil {

@@ -604,7 +604,7 @@ func (c *ctx) lowerCall(in *ir.Inst) error {
 	}
 	// The callee clobbered caller-saved registers and any coalesced
 	// check state.
-	c.checked = map[checkKey]bool{}
+	clear(c.checked)
 
 	// 5. Result.
 	if in.Res != ir.NoValue {

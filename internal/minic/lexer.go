@@ -3,10 +3,23 @@
 // descent parser supporting the features the paper's applications exercise —
 // pointers, casts, arrays, structs/unions, function pointers, varargs and
 // the `private` type qualifier.
+//
+// Integer literals follow C:
+//
+//   - decimal: a nonzero digit followed by digits; the value must fit in a
+//     signed 64-bit integer;
+//   - octal: a 0 followed by digits 0-7 (so 010 is 8, and 09 is an error);
+//   - hex: 0x or 0X followed by at least one hex digit.
+//
+// Octal and hex literals may use all 64 bits (0xFFFFFFFFFFFFFFFF is -1);
+// any literal needing more is rejected, never wrapped. The suffixes u, U,
+// l and L are accepted after decimal and octal literals and ignored.
 package minic
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -95,7 +108,8 @@ type lexer struct {
 func Lex(file, src string) ([]Token, error) {
 	l := &lexer{src: src, file: file, line: 1, col: 1}
 	macros := map[string][]Token{}
-	var out []Token
+	// Sources average about three bytes per token.
+	out := make([]Token, 0, len(src)/2+16)
 	for {
 		tok, err := l.next()
 		if err != nil {
@@ -233,6 +247,10 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isIdentCont(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
+func isHexDigit(c byte) bool {
+	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+}
+
 // punctuation, longest first.
 var puncts = []string{
 	"<<=", ">>=", "...",
@@ -240,6 +258,16 @@ var puncts = []string{
 	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "->",
 	"+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
 	"(", ")", "[", "]", "{", "}", ",", ";", ":", "?", ".", "#",
+}
+
+// punctsByFirst lists, for each first byte, the puncts starting with it in
+// puncts order (longest first), so the first prefix match is the longest.
+var punctsByFirst [256][]string
+
+func init() {
+	for _, p := range puncts {
+		punctsByFirst[p[0]] = append(punctsByFirst[p[0]], p)
+	}
 }
 
 func (l *lexer) next() (Token, error) {
@@ -298,11 +326,11 @@ func (l *lexer) next() (Token, error) {
 		return Token{Kind: TokStr, Str: b.String(), Pos: pos}, nil
 	}
 
-	for _, p := range puncts {
+	for _, p := range punctsByFirst[c] {
 		if strings.HasPrefix(l.src[l.off:], p) {
-			for range p {
-				l.advance()
-			}
+			// Puncts never contain a newline.
+			l.off += len(p)
+			l.col += len(p)
 			return Token{Kind: TokPunct, Text: p, Pos: pos}, nil
 		}
 	}
@@ -362,29 +390,14 @@ func (l *lexer) number(pos Pos) (Token, error) {
 	if l.peekByte() == '0' && (l.peekByte2() == 'x' || l.peekByte2() == 'X') {
 		l.advance()
 		l.advance()
-		v := int64(0)
-		n := 0
-		for l.off < len(l.src) {
-			c := l.peekByte()
-			var d int64
-			switch {
-			case c >= '0' && c <= '9':
-				d = int64(c - '0')
-			case c >= 'a' && c <= 'f':
-				d = int64(c-'a') + 10
-			case c >= 'A' && c <= 'F':
-				d = int64(c-'A') + 10
-			default:
-				if n == 0 {
-					return Token{}, &Error{pos, "malformed hex literal"}
-				}
-				return Token{Kind: TokInt, Int: v, Pos: pos}, nil
-			}
-			v = v*16 + d
-			n++
+		for l.off < len(l.src) && isHexDigit(l.peekByte()) {
 			l.advance()
 		}
-		return Token{Kind: TokInt, Int: v, Pos: pos}, nil
+		text := l.src[start:l.off]
+		if len(text) == 2 {
+			return Token{}, &Error{pos, "malformed hex literal"}
+		}
+		return intLiteral(pos, text, text[2:], 16)
 	}
 	isFloat := false
 	for l.off < len(l.src) {
@@ -424,9 +437,26 @@ func (l *lexer) number(pos Pos) (Token, error) {
 		}
 		return Token{Kind: TokFloat, Flt: f, Pos: pos}, nil
 	}
-	var v int64
-	if _, err := fmt.Sscanf(text, "%d", &v); err != nil {
+	if len(text) > 1 && text[0] == '0' {
+		return intLiteral(pos, text, text[1:], 8)
+	}
+	v, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
 		return Token{}, &Error{pos, "malformed integer literal " + text}
 	}
 	return Token{Kind: TokInt, Int: v, Pos: pos}, nil
+}
+
+// intLiteral converts the digits of a hex or octal literal, which may use
+// all 64 bits; text is the whole literal, for diagnostics. Only octal
+// digits can be malformed: the hex scan stops at the first non-hex digit.
+func intLiteral(pos Pos, text, digits string, base int) (Token, error) {
+	v, err := strconv.ParseUint(digits, base, 64)
+	switch {
+	case errors.Is(err, strconv.ErrRange):
+		return Token{}, &Error{pos, "malformed integer literal " + text}
+	case err != nil:
+		return Token{}, &Error{pos, "malformed octal literal " + text}
+	}
+	return Token{Kind: TokInt, Int: int64(v), Pos: pos}, nil
 }

@@ -192,3 +192,42 @@ func TestPositionsInErrors(t *testing.T) {
 		t.Errorf("error lacks line info: %v", err)
 	}
 }
+
+// TestIntegerLiterals pins the literal rules of the package doc: C octal
+// for a leading zero, and no silent wrap past 64 bits in any base.
+func TestIntegerLiterals(t *testing.T) {
+	values := map[string]int64{
+		"0":                       0,
+		"00":                      0,
+		"010":                     8,
+		"0777":                    511,
+		"010u":                    8,
+		"42":                      42,
+		"42UL":                    42,
+		"0x1F":                    31,
+		"0XffFFffFFffFFffFF":      -1,
+		"01777777777777777777777": -1, // all 64 bits in octal
+		"9223372036854775807":     9223372036854775807,
+	}
+	for lit, want := range values {
+		f := parse(t, "long x = "+lit+";")
+		got, ok := FoldConst(f.Globals[0].Init)
+		if !ok || got != want {
+			t.Errorf("%s = %d (ok=%v), want %d", lit, got, ok, want)
+		}
+	}
+	errs := map[string]string{
+		"09":                      "malformed octal literal 09",
+		"0x1FFFFFFFFFFFFFFFF":     "malformed integer literal 0x1FFFFFFFFFFFFFFFF",
+		"02000000000000000000000": "malformed integer literal 02000000000000000000000",
+		"9223372036854775808":     "malformed integer literal 9223372036854775808",
+		"0x;":                     "malformed hex literal",
+		"0x":                      "malformed hex literal", // at end of file
+	}
+	for lit, want := range errs {
+		err := parseErr(t, "long x = "+lit)
+		if !strings.HasSuffix(err.Error(), ": "+want) {
+			t.Errorf("%s: error %q, want %q", lit, err, want)
+		}
+	}
+}

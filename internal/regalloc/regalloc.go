@@ -15,6 +15,7 @@
 package regalloc
 
 import (
+	"math/bits"
 	"sort"
 
 	"confllvm/internal/asm"
@@ -80,26 +81,43 @@ type interval struct {
 	isFloat     bool
 }
 
+// defaultPool serves public values that do not cross a call: caller-saved
+// first, to keep callee-saved pushes rare.
+var defaultPool = append(append([]asm.Reg{}, callerSavedPool...), calleeSavedPool...)
+
 // Allocate runs linear scan on f. isPrivate reports the resolved taint of a
 // vreg; isFloat reports whether the vreg holds a float64.
+//
+// Per-block state lives in slices indexed by block ID, sized by the
+// largest ID. That relies on IDs being dense: the IR hands them out in
+// creation order from 0 (ir.Func.NewBlock), and CFG simplification only
+// removes blocks, so no ID exceeds the number of blocks ever created.
+//
+// Intervals are sorted with sort.Slice by (start, end) from ascending
+// vreg order. Intervals with equal (start, end) exist, and sort.Slice is
+// not stable: which of two tied intervals is scanned first decides their
+// registers. Every emitted image depends on that order, so the call, its
+// comparator and its input order must stay exactly as they are; a stable
+// or hand-written sort would reorder ties and change register assignment.
 func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) bool) *Result {
 	n := f.NumValues()
 	res := &Result{Locs: make([]Loc, n)}
 
-	// Linearize instructions and record positions.
-	type placed struct {
-		in  *ir.Inst
-		pos int
+	// Linearize instructions: each block covers positions
+	// [blockStart, blockEnd] in layout order.
+	numIDs := 0
+	for _, blk := range f.Blocks {
+		if blk.ID >= numIDs {
+			numIDs = blk.ID + 1
+		}
 	}
-	var order []placed
-	blockStart := map[int]int{}
-	blockEnd := map[int]int{}
+	blockStart := make([]int, numIDs)
+	blockEnd := make([]int, numIDs)
 	pos := 0
-	var callPos []int
+	var callPos []int // ascending
 	for _, blk := range f.Blocks {
 		blockStart[blk.ID] = pos
 		for _, in := range blk.Insts {
-			order = append(order, placed{in, pos})
 			if in.Op == ir.OpCall || in.Op == ir.OpICall {
 				callPos = append(callPos, pos)
 				res.HasCall = true
@@ -119,17 +137,24 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 		return res
 	}
 
-	// Liveness analysis (backwards dataflow over blocks).
+	// Liveness analysis (backwards dataflow over blocks). The four bit
+	// sets of every block share one backing array.
 	words := (n + 63) / 64
-	newSet := func() []uint64 { return make([]uint64, words) }
+	backing := make([]uint64, 4*words*len(f.Blocks))
+	newSet := func() []uint64 {
+		s := backing[:words:words]
+		backing = backing[words:]
+		return s
+	}
 	set := func(s []uint64, v ir.Value) { s[v/64] |= 1 << (uint(v) % 64) }
 	get := func(s []uint64, v ir.Value) bool { return s[v/64]&(1<<(uint(v)%64)) != 0 }
 
-	use := map[int][]uint64{}
-	def := map[int][]uint64{}
-	liveIn := map[int][]uint64{}
-	liveOut := map[int][]uint64{}
-	for _, blk := range f.Blocks {
+	use := make([][]uint64, numIDs)
+	def := make([][]uint64, numIDs)
+	liveIn := make([][]uint64, numIDs)
+	liveOut := make([][]uint64, numIDs)
+	succs := make([][]int, len(f.Blocks))
+	for i, blk := range f.Blocks {
 		u, d := newSet(), newSet()
 		for _, in := range blk.Insts {
 			for _, a := range in.Args {
@@ -143,26 +168,28 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 		}
 		use[blk.ID], def[blk.ID] = u, d
 		liveIn[blk.ID], liveOut[blk.ID] = newSet(), newSet()
+		succs[i] = blk.Succs()
 	}
 	// Parameters are defined at entry.
 	changed := true
 	for changed {
 		changed = false
 		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			blk := f.Blocks[i]
-			out := liveOut[blk.ID]
-			for _, s := range blk.Succs() {
-				for w := 0; w < words; w++ {
-					nv := out[w] | liveIn[s][w]
+			id := f.Blocks[i].ID
+			out := liveOut[id]
+			for _, s := range succs[i] {
+				sIn := liveIn[s]
+				for w := range out {
+					nv := out[w] | sIn[w]
 					if nv != out[w] {
 						out[w] = nv
 						changed = true
 					}
 				}
 			}
-			in := liveIn[blk.ID]
-			for w := 0; w < words; w++ {
-				nv := use[blk.ID][w] | (out[w] &^ def[blk.ID][w])
+			in, u, d := liveIn[id], use[id], def[id]
+			for w := range in {
+				nv := u[w] | (out[w] &^ d[w])
 				if nv != in[w] {
 					in[w] = nv
 					changed = true
@@ -177,7 +204,7 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 	for i := range starts {
 		starts[i] = -1
 	}
-	touch := func(v ir.Value, p int) {
+	touch := func(v, p int) {
 		if starts[v] == -1 || p < starts[v] {
 			starts[v] = p
 		}
@@ -185,44 +212,55 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 			ends[v] = p
 		}
 	}
-	for _, pl := range order {
-		for _, a := range pl.in.Args {
-			if a != ir.NoValue {
-				touch(a, pl.pos)
+	// touchSet touches every value in bit set s at p.
+	touchSet := func(s []uint64, p int) {
+		for w, word := range s {
+			for word != 0 {
+				touch(w*64+bits.TrailingZeros64(word), p)
+				word &= word - 1
 			}
 		}
-		if pl.in.Res != ir.NoValue {
-			touch(pl.in.Res, pl.pos)
+	}
+	pos = 0
+	for _, blk := range f.Blocks {
+		for _, in := range blk.Insts {
+			for _, a := range in.Args {
+				if a != ir.NoValue {
+					touch(int(a), pos)
+				}
+			}
+			if in.Res != ir.NoValue {
+				touch(int(in.Res), pos)
+			}
+			pos++
 		}
 	}
 	for _, blk := range f.Blocks {
-		for v := ir.Value(0); int(v) < n; v++ {
-			if get(liveIn[blk.ID], v) {
-				touch(v, blockStart[blk.ID])
-			}
-			if get(liveOut[blk.ID], v) {
-				touch(v, blockEnd[blk.ID])
-			}
-		}
+		touchSet(liveIn[blk.ID], blockStart[blk.ID])
+		touchSet(liveOut[blk.ID], blockEnd[blk.ID])
 	}
 	for _, pv := range f.ParamRegs {
-		touch(pv, 0)
+		touch(int(pv), 0)
 	}
 
-	var ivs []*interval
+	live := 0
+	for _, s := range starts {
+		if s != -1 {
+			live++
+		}
+	}
+	store := make([]interval, 0, live)
+	ivs := make([]*interval, 0, live)
 	for v := 0; v < n; v++ {
 		if starts[v] == -1 {
 			continue
 		}
-		iv := &interval{v: ir.Value(v), start: starts[v], end: ends[v],
-			private: isPrivate(ir.Value(v)), isFloat: isFloat(ir.Value(v))}
-		for _, cp := range callPos {
-			if cp >= iv.start && cp < iv.end {
-				iv.crossesCall = true
-				break
-			}
-		}
-		ivs = append(ivs, iv)
+		// The interval crosses a call iff some call sits in [start, end).
+		c := sort.SearchInts(callPos, starts[v])
+		store = append(store, interval{v: ir.Value(v), start: starts[v], end: ends[v],
+			crossesCall: c < len(callPos) && callPos[c] < ends[v],
+			private:     isPrivate(ir.Value(v)), isFloat: isFloat(ir.Value(v))})
+		ivs = append(ivs, &store[len(store)-1])
 	}
 	sort.Slice(ivs, func(i, j int) bool {
 		if ivs[i].start != ivs[j].start {
@@ -237,19 +275,15 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 		reg asm.Reg
 		fr  asm.FReg
 	}
-	var act []active
-	freeGPR := map[asm.Reg]bool{}
-	for _, r := range calleeSavedPool {
+	act := make([]active, 0, len(defaultPool)+len(fregPool))
+	var freeGPR, usedCS [asm.NumRegs]bool
+	var freeFP [asm.NumFRegs]bool
+	for _, r := range defaultPool {
 		freeGPR[r] = true
 	}
-	for _, r := range callerSavedPool {
-		freeGPR[r] = true
-	}
-	freeFP := map[asm.FReg]bool{}
 	for _, r := range fregPool {
 		freeFP[r] = true
 	}
-	usedCS := map[asm.Reg]bool{}
 
 	expire := func(p int) {
 		out := act[:0]
@@ -311,8 +345,7 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 		case iv.crossesCall:
 			pool = calleeSavedPool
 		default:
-			// Prefer caller-saved to keep callee-saved pushes rare.
-			pool = append(append([]asm.Reg{}, callerSavedPool...), calleeSavedPool...)
+			pool = defaultPool
 		}
 		assigned := false
 		for _, r := range pool {

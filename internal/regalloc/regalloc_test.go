@@ -1,6 +1,7 @@
 package regalloc
 
 import (
+	"sort"
 	"testing"
 
 	"confllvm/internal/asm"
@@ -225,4 +226,266 @@ func TestCalleeSavedReporting(t *testing.T) {
 	if !found {
 		t.Errorf("%v missing from UsedCalleeSaved %v", loc.Reg, res.UsedCalleeSaved)
 	}
+}
+
+// RefAllocate is the original map-based linear scan, kept verbatim as a
+// test-only oracle for Allocate: both must return identical Results on
+// every function (TestAllocateMatchesReference). Its block-ID maps and
+// register maps are the slow-but-obvious form of Allocate's slices.
+func RefAllocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) bool) *Result {
+	n := f.NumValues()
+	res := &Result{Locs: make([]Loc, n)}
+
+	// Linearize instructions and record positions.
+	type placed struct {
+		in  *ir.Inst
+		pos int
+	}
+	var order []placed
+	blockStart := map[int]int{}
+	blockEnd := map[int]int{}
+	pos := 0
+	var callPos []int
+	for _, blk := range f.Blocks {
+		blockStart[blk.ID] = pos
+		for _, in := range blk.Insts {
+			order = append(order, placed{in, pos})
+			if in.Op == ir.OpCall || in.Op == ir.OpICall {
+				callPos = append(callPos, pos)
+				res.HasCall = true
+				na := len(in.Args)
+				if in.Op == ir.OpICall {
+					na--
+				}
+				if na > res.MaxCallArgs {
+					res.MaxCallArgs = na
+				}
+			}
+			pos++
+		}
+		blockEnd[blk.ID] = pos - 1
+	}
+	if n == 0 {
+		return res
+	}
+
+	// Liveness analysis (backwards dataflow over blocks).
+	words := (n + 63) / 64
+	newSet := func() []uint64 { return make([]uint64, words) }
+	set := func(s []uint64, v ir.Value) { s[v/64] |= 1 << (uint(v) % 64) }
+	get := func(s []uint64, v ir.Value) bool { return s[v/64]&(1<<(uint(v)%64)) != 0 }
+
+	use := map[int][]uint64{}
+	def := map[int][]uint64{}
+	liveIn := map[int][]uint64{}
+	liveOut := map[int][]uint64{}
+	for _, blk := range f.Blocks {
+		u, d := newSet(), newSet()
+		for _, in := range blk.Insts {
+			for _, a := range in.Args {
+				if a != ir.NoValue && !get(d, a) {
+					set(u, a)
+				}
+			}
+			if in.Res != ir.NoValue && !get(u, in.Res) {
+				set(d, in.Res)
+			}
+		}
+		use[blk.ID], def[blk.ID] = u, d
+		liveIn[blk.ID], liveOut[blk.ID] = newSet(), newSet()
+	}
+	// Parameters are defined at entry.
+	changed := true
+	for changed {
+		changed = false
+		for i := len(f.Blocks) - 1; i >= 0; i-- {
+			blk := f.Blocks[i]
+			out := liveOut[blk.ID]
+			for _, s := range blk.Succs() {
+				for w := 0; w < words; w++ {
+					nv := out[w] | liveIn[s][w]
+					if nv != out[w] {
+						out[w] = nv
+						changed = true
+					}
+				}
+			}
+			in := liveIn[blk.ID]
+			for w := 0; w < words; w++ {
+				nv := use[blk.ID][w] | (out[w] &^ def[blk.ID][w])
+				if nv != in[w] {
+					in[w] = nv
+					changed = true
+				}
+			}
+		}
+	}
+
+	// Build single covering intervals.
+	starts := make([]int, n)
+	ends := make([]int, n)
+	for i := range starts {
+		starts[i] = -1
+	}
+	touch := func(v ir.Value, p int) {
+		if starts[v] == -1 || p < starts[v] {
+			starts[v] = p
+		}
+		if p > ends[v] {
+			ends[v] = p
+		}
+	}
+	for _, pl := range order {
+		for _, a := range pl.in.Args {
+			if a != ir.NoValue {
+				touch(a, pl.pos)
+			}
+		}
+		if pl.in.Res != ir.NoValue {
+			touch(pl.in.Res, pl.pos)
+		}
+	}
+	for _, blk := range f.Blocks {
+		for v := ir.Value(0); int(v) < n; v++ {
+			if get(liveIn[blk.ID], v) {
+				touch(v, blockStart[blk.ID])
+			}
+			if get(liveOut[blk.ID], v) {
+				touch(v, blockEnd[blk.ID])
+			}
+		}
+	}
+	for _, pv := range f.ParamRegs {
+		touch(pv, 0)
+	}
+
+	var ivs []*interval
+	for v := 0; v < n; v++ {
+		if starts[v] == -1 {
+			continue
+		}
+		iv := &interval{v: ir.Value(v), start: starts[v], end: ends[v],
+			private: isPrivate(ir.Value(v)), isFloat: isFloat(ir.Value(v))}
+		for _, cp := range callPos {
+			if cp >= iv.start && cp < iv.end {
+				iv.crossesCall = true
+				break
+			}
+		}
+		ivs = append(ivs, iv)
+	}
+	sort.Slice(ivs, func(i, j int) bool {
+		if ivs[i].start != ivs[j].start {
+			return ivs[i].start < ivs[j].start
+		}
+		return ivs[i].end < ivs[j].end
+	})
+
+	// Linear scan with three pools.
+	type active struct {
+		iv  *interval
+		reg asm.Reg
+		fr  asm.FReg
+	}
+	var act []active
+	freeGPR := map[asm.Reg]bool{}
+	for _, r := range calleeSavedPool {
+		freeGPR[r] = true
+	}
+	for _, r := range callerSavedPool {
+		freeGPR[r] = true
+	}
+	freeFP := map[asm.FReg]bool{}
+	for _, r := range fregPool {
+		freeFP[r] = true
+	}
+	usedCS := map[asm.Reg]bool{}
+
+	expire := func(p int) {
+		out := act[:0]
+		for _, a := range act {
+			if a.iv.end < p {
+				if a.iv.isFloat {
+					freeFP[a.fr] = true
+				} else {
+					freeGPR[a.reg] = true
+				}
+			} else {
+				out = append(out, a)
+			}
+		}
+		act = out
+	}
+
+	spill := func(iv *interval) {
+		var slot int
+		if iv.private {
+			slot = res.PrivSlots
+			res.PrivSlots++
+		} else {
+			slot = res.PubSlots
+			res.PubSlots++
+		}
+		res.Locs[iv.v] = Loc{Kind: LocSlot, Slot: slot, Private: iv.private, IsFloat: iv.isFloat}
+	}
+
+	for _, iv := range ivs {
+		expire(iv.start)
+		if iv.isFloat {
+			if iv.crossesCall {
+				spill(iv) // no callee-saved FP registers in our model
+				continue
+			}
+			assigned := false
+			for _, r := range fregPool {
+				if freeFP[r] {
+					freeFP[r] = false
+					res.Locs[iv.v] = Loc{Kind: LocFReg, FReg: r, Private: iv.private, IsFloat: true}
+					act = append(act, active{iv, 0, r})
+					assigned = true
+					break
+				}
+			}
+			if !assigned {
+				spill(iv)
+			}
+			continue
+		}
+		// Integer/pointer value: choose an allowed pool.
+		var pool []asm.Reg
+		switch {
+		case iv.private && iv.crossesCall:
+			pool = nil // private across a call: must be in private memory
+		case iv.private:
+			pool = callerSavedPool
+		case iv.crossesCall:
+			pool = calleeSavedPool
+		default:
+			// Prefer caller-saved to keep callee-saved pushes rare.
+			pool = append(append([]asm.Reg{}, callerSavedPool...), calleeSavedPool...)
+		}
+		assigned := false
+		for _, r := range pool {
+			if freeGPR[r] {
+				freeGPR[r] = false
+				res.Locs[iv.v] = Loc{Kind: LocReg, Reg: r, Private: iv.private}
+				if asm.IsCalleeSaved(r) {
+					usedCS[r] = true
+				}
+				act = append(act, active{iv, r, 0})
+				assigned = true
+				break
+			}
+		}
+		if !assigned {
+			spill(iv)
+		}
+	}
+
+	for _, r := range calleeSavedPool {
+		if usedCS[r] {
+			res.UsedCalleeSaved = append(res.UsedCalleeSaved, r)
+		}
+	}
+	return res
 }

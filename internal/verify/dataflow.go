@@ -60,8 +60,8 @@ func (v *verifier) checkProc(p *proc) error {
 	// (The MPX-requires-ChkStk configuration check happens once in
 	// VerifyStats, not per procedure.)
 	hasSub, hasChk := false, false
-	for _, off := range p.order {
-		in := p.insts[off]
+	for i := range p.insts {
+		in := &p.insts[i]
 		if in.Op == asm.OpSubRI && in.Dst == asm.RSP {
 			hasSub = true
 		}
@@ -132,22 +132,18 @@ func (v *verifier) checkProc(p *proc) error {
 // structural validates the CFI instruction idioms on the linear layout and
 // annotates the anchor instructions with their extracted taint bits.
 func (v *verifier) structural(p *proc) error {
-	idx := map[int]int{}
-	for i, off := range p.order {
-		idx[off] = i
-	}
 	adjacent := func(i int) bool { // inst i immediately precedes inst i+1
-		a := p.insts[p.order[i]]
-		return a.off+a.size == p.order[i+1]
+		a := &p.insts[i]
+		return a.off+a.size == p.insts[i+1].off
 	}
 	isTrap := func(addr uint64) bool {
-		o := int(addr - v.img.Layout.CodeBase)
-		t, ok := p.insts[o]
-		return ok && t.Op == asm.OpTrap
+		t := p.find(int(addr - v.img.Layout.CodeBase))
+		return t != nil && t.Op == asm.OpTrap
 	}
 
-	for i, off := range p.order {
-		in := p.insts[off]
+	for i := range p.insts {
+		in := &p.insts[i]
+		off := in.off
 		switch in.Op {
 		case asm.OpICall:
 			// [mov r11, imm] [not r11] [cmp [rt], r11] [jne trap]
@@ -155,11 +151,11 @@ func (v *verifier) structural(p *proc) error {
 			if i < 5 {
 				return &Error{off, "icall without CFI check sequence"}
 			}
-			i0 := p.insts[p.order[i-5]]
-			i1 := p.insts[p.order[i-4]]
-			i2 := p.insts[p.order[i-3]]
-			i3 := p.insts[p.order[i-2]]
-			i4 := p.insts[p.order[i-1]]
+			i0 := &p.insts[i-5]
+			i1 := &p.insts[i-4]
+			i2 := &p.insts[i-3]
+			i3 := &p.insts[i-2]
+			i4 := &p.insts[i-1]
 			ok := i0.Op == asm.OpMovRI && i1.Op == asm.OpNot && i1.Dst == i0.Dst &&
 				i2.Op == asm.OpCmpMR && i2.Src == i0.Dst && i2.M.Base == in.Src &&
 				i3.Op == asm.OpJcc && i3.Cond == asm.CondNE && isTrap(uint64(i3.Imm)) &&
@@ -183,12 +179,12 @@ func (v *verifier) structural(p *proc) error {
 			if i < 6 {
 				return &Error{off, "indirect jump without return idiom"}
 			}
-			i0 := p.insts[p.order[i-6]]
-			i1 := p.insts[p.order[i-5]]
-			i2 := p.insts[p.order[i-4]]
-			i3 := p.insts[p.order[i-3]]
-			i4 := p.insts[p.order[i-2]]
-			i5 := p.insts[p.order[i-1]]
+			i0 := &p.insts[i-6]
+			i1 := &p.insts[i-5]
+			i2 := &p.insts[i-4]
+			i3 := &p.insts[i-3]
+			i4 := &p.insts[i-2]
+			i5 := &p.insts[i-1]
 			r := in.Src
 			ok := i0.Op == asm.OpPop && i0.Dst == r &&
 				i1.Op == asm.OpMovRI && i2.Op == asm.OpNot && i2.Dst == i1.Dst &&
@@ -218,16 +214,16 @@ func (v *verifier) structural(p *proc) error {
 func (v *verifier) buildBlocks(p *proc) ([]*block, error) {
 	var blocks []*block
 	var cur *block
-	for i, off := range p.order {
-		if p.leaders[off] || cur == nil {
-			cur = &block{start: off}
+	for i := range p.insts {
+		in := &p.insts[i]
+		if in.leader || cur == nil {
+			cur = &block{start: in.off}
 			blocks = append(blocks, cur)
 		}
-		in := p.insts[off]
 		cur.insts = append(cur.insts, in)
-		next := -1
-		if i+1 < len(p.order) {
-			next = p.order[i+1]
+		var next *inst
+		if i+1 < len(p.insts) {
+			next = &p.insts[i+1]
 		}
 		terminated := true
 		switch in.Op {
@@ -241,11 +237,11 @@ func (v *verifier) buildBlocks(p *proc) ([]*block, error) {
 		case asm.OpJmpR, asm.OpTrap, asm.OpExit:
 		default:
 			terminated = false
-			if next >= 0 && p.leaders[next] {
-				if in.off+in.size != next {
+			if next != nil && next.leader {
+				if in.off+in.size != next.off {
 					return nil, &Error{in.off, "control falls into a gap"}
 				}
-				cur.succs = append(cur.succs, next)
+				cur.succs = append(cur.succs, next.off)
 				terminated = true
 			}
 		}

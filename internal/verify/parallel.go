@@ -168,7 +168,7 @@ func (v *verifier) checkOne(magicOff, spanEnd int) procResult {
 	}
 
 	r := procResult{}
-	p, err := v.disassemble(magicOff)
+	p, err := v.disassemble(magicOff, spanEnd)
 	if err == nil && !p.isStub {
 		err = v.checkProc(p)
 	}

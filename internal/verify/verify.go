@@ -142,6 +142,8 @@ type inst struct {
 	asm.Inst
 	off  int
 	size int
+	// leader marks the first instruction of a basic block.
+	leader bool
 	// retSite is set on calls: the code offset of the following MRet word.
 	retSite int
 	// Structural-pass annotations.
@@ -155,9 +157,7 @@ type inst struct {
 type proc struct {
 	entryOff int // offset of first instruction (magic+8)
 	bits     uint8
-	insts    map[int]*inst
-	order    []int // sorted instruction offsets
-	leaders  map[int]bool
+	insts    []inst // sorted by offset once disassembly completes
 	isStub   bool
 	// usedRets lists the return-site MRet magic offsets this procedure
 	// legitimized (collected per-proc so disassembly never mutates shared
@@ -167,6 +167,15 @@ type proc struct {
 	// checks read (its magic word, every decoded instruction). A verdict
 	// is only cacheable when the range stays inside the procedure's span.
 	lo, hi int
+}
+
+// find returns the instruction at code offset off, or nil.
+func (p *proc) find(off int) *inst {
+	i := sort.Search(len(p.insts), func(i int) bool { return p.insts[i].off >= off })
+	if i < len(p.insts) && p.insts[i].off == off {
+		return &p.insts[i]
+	}
+	return nil
 }
 
 // touch widens the procedure's read extent to cover [off, off+n).
@@ -193,16 +202,21 @@ func regsValid(in *asm.Inst) bool {
 }
 
 // disassemble decodes the procedure whose MCall magic word is at magicOff,
-// following intra-procedural control flow.
-func (v *verifier) disassemble(magicOff int) (*proc, error) {
+// following intra-procedural control flow. spanEnd, the end of the
+// procedure's span, only sizes the buffers.
+func (v *verifier) disassemble(magicOff, spanEnd int) (*proc, error) {
+	// Instructions average about six bytes; sizing for four-byte ones
+	// leaves room for denser code without regrowing.
+	hint := (spanEnd - magicOff) / 4
 	p := &proc{
 		entryOff: magicOff + 8,
 		bits:     uint8(v.mcallOffs[magicOff] & 31),
-		insts:    map[int]*inst{},
+		insts:    make([]inst, 0, hint),
 		lo:       magicOff,
 		hi:       magicOff + 8,
 	}
-	p.leaders = map[int]bool{p.entryOff: true}
+	seen := make(map[int]bool, hint)
+	leaders := []int{p.entryOff}
 
 	codeBase := v.img.Layout.CodeBase
 	toOff := func(addr uint64) (int, bool) {
@@ -217,17 +231,17 @@ func (v *verifier) disassemble(magicOff int) (*proc, error) {
 	for len(work) > 0 {
 		off := work[len(work)-1]
 		work = work[:len(work)-1]
-		if _, done := p.insts[off]; done {
+		if seen[off] {
 			continue
 		}
+		seen[off] = true
 		in, n, err := asm.Decode(v.code, off)
 		if err != nil {
 			p.touch(off, 1)
 			return p, &Error{off, "undecodable instruction: " + err.Error()}
 		}
 		p.touch(off, n)
-		pi := &inst{Inst: in, off: off, size: n, retSite: -1}
-		p.insts[off] = pi
+		p.insts = append(p.insts, inst{Inst: in, off: off, size: n, retSite: -1})
 
 		switch in.Op {
 		case asm.OpRet:
@@ -250,15 +264,14 @@ func (v *verifier) disassemble(magicOff int) (*proc, error) {
 			if !ok {
 				return p, &Error{off, "jump target outside code"}
 			}
-			p.leaders[t] = true
+			leaders = append(leaders, t)
 			work = append(work, t)
 		case asm.OpJcc:
 			t, ok := toOff(uint64(in.Imm))
 			if !ok {
 				return p, &Error{off, "jcc target outside code"}
 			}
-			p.leaders[t] = true
-			p.leaders[off+n] = true
+			leaders = append(leaders, t, off+n)
 			work = append(work, t, off+n)
 		case asm.OpCall, asm.OpICall:
 			// The next 8 bytes must be a valid MRet word; execution
@@ -269,8 +282,8 @@ func (v *verifier) disassemble(magicOff int) (*proc, error) {
 			}
 			p.usedRets = append(p.usedRets, rs)
 			p.touch(rs, 8)
-			pi.retSite = rs
-			p.leaders[rs+8] = true
+			p.insts[len(p.insts)-1].retSite = rs
+			leaders = append(leaders, rs+8)
 			work = append(work, rs+8)
 			if in.Op == asm.OpCall {
 				// Direct call target must be a magic-preceded entry.
@@ -290,17 +303,18 @@ func (v *verifier) disassemble(magicOff int) (*proc, error) {
 		}
 	}
 
-	for off := range p.insts {
-		p.order = append(p.order, off)
+	// The walk visits fall-through successors first, so the instructions
+	// are already nearly in offset order.
+	sort.Slice(p.insts, func(i, j int) bool { return p.insts[i].off < p.insts[j].off })
+	for _, off := range leaders {
+		// Every leader was pushed on the work list, so it was decoded.
+		p.find(off).leader = true
 	}
-	sort.Ints(p.order)
 
 	// Stub recognition: exactly mov r11, slot; load r11, [r11]; jmp r11
 	// with the slot inside the read-only externals table.
-	if len(p.order) == 3 {
-		i0 := p.insts[p.order[0]]
-		i1 := p.insts[p.order[1]]
-		i2 := p.insts[p.order[2]]
+	if len(p.insts) == 3 {
+		i0, i1, i2 := &p.insts[0], &p.insts[1], &p.insts[2]
 		if i0.Op == asm.OpMovRI && i1.Op == asm.OpLoad && i2.Op == asm.OpJmpR &&
 			i1.M.Base == i0.Dst && i2.Src == i1.Dst {
 			tbl := v.img.Layout.ExtTableBase()
