@@ -5,8 +5,7 @@
 //
 //	confbench [-figure all|5|6|7|8|ldap|throughput|scenarios|faults|verify|cluster|latency|interp]
 //	          [-superblocks=true|false] [-chain on|off] [-fuse on|off]
-//	          [-threaded on|off] [-parallel N]
-//	          [-seed N] [-short] [-list]
+//	          [-parallel N] [-seed N] [-short] [-list]
 //	          [-json] [-out BENCH_interp.json] [-profile FILE]
 //
 // Figures register in one place (figureRegistry); the -figure usage
@@ -75,11 +74,10 @@
 //
 // -superblocks=false replays everything with per-instruction stepping,
 // and -chain=off keeps superblock dispatch but disables direct block
-// chaining; -fuse=off disables superinstruction fusion and -threaded=on
-// swaps the opcode switch for the per-slot handler table. The figure
+// chaining; -fuse=off disables superinstruction fusion. The figure
 // tables must come out byte-identical under every combination (the
-// nightly CI job diffs stepwise-vs-superblock, chained-vs-unchained,
-// fused-vs-unfused and threaded-vs-switch). The "interp" figure runs
+// nightly CI job diffs stepwise, unchained, unfused and -parallel=1
+// renders against the default one). The "interp" figure runs
 // every workload in both dispatch modes back to back, verifies the
 // simulated cycles agree, and reports the dispatch speedup.
 package main
@@ -184,12 +182,11 @@ type benchReport struct {
 	// FigureFilter records the -figure selection so partial runs are never
 	// mistaken for a full-suite trajectory point.
 	FigureFilter string `json:"figure_filter"`
-	// Superblocks/Chain/Fuse/Threaded record the dispatch mode of the
+	// Superblocks/Chain/Fuse record the dispatch mode of the
 	// figure-table runs.
 	Superblocks bool `json:"superblocks"`
 	Chain       bool `json:"chain"`
 	Fuse        bool `json:"fuse"`
-	Threaded    bool `json:"threaded"`
 	// Parallel is the worker count the matrix ran with.
 	Parallel    int    `json:"parallel"`
 	TotalInstrs uint64 `json:"total_instrs"`
@@ -336,7 +333,6 @@ func main() {
 	superblocks := flag.Bool("superblocks", true, "dispatch basic blocks (false = per-instruction stepping)")
 	chainFlag := flag.String("chain", "on", "direct block chaining: on|off (escape hatch; only meaningful with -superblocks)")
 	fuseFlag := flag.String("fuse", "on", "superinstruction fusion: on|off (escape hatch; only meaningful with -superblocks)")
-	threadedFlag := flag.String("threaded", "off", "threaded per-slot handler dispatch: on|off (replaces the opcode switch; only meaningful with -superblocks)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the bench matrix (0 = GOMAXPROCS, 1 = serial)")
 	seed := flag.Uint64("seed", scenario.DefaultSeed, "base seed of the scenario traffic engine")
 	short := flag.Bool("short", false, "shrink the scenarios grid to a smoke size")
@@ -363,7 +359,6 @@ func main() {
 	}
 	mcfg.Chain = onOff("chain", *chainFlag)
 	mcfg.Fuse = onOff("fuse", *fuseFlag)
-	mcfg.Threaded = onOff("threaded", *threadedFlag)
 	scenarioSeed = *seed
 	shortGrid = *short
 
@@ -379,7 +374,6 @@ func main() {
 			Superblocks:  *superblocks,
 			Chain:        mcfg.Chain,
 			Fuse:         mcfg.Fuse,
-			Threaded:     mcfg.Threaded,
 			Parallel:     workers,
 		}
 		if *figure != "all" && *outPath == "BENCH_interp.json" {
@@ -873,12 +867,11 @@ func interp() ([]bench.Cell, renderFn) {
 	stepConf.Superblocks = false
 	blockConf := machine.DefaultConfig()
 	blockConf.Superblocks = true
-	// -chain=off / -fuse=off / -threaded=on measure the corresponding
-	// dispatch-stack variants; the stepwise lane stays fixed so the
-	// speedup column is always "this stack vs stepping".
+	// -chain=off / -fuse=off measure the corresponding dispatch-stack
+	// variants; the stepwise lane stays fixed so the speedup column is
+	// always "this stack vs stepping".
 	blockConf.Chain = mcfg.Chain
 	blockConf.Fuse = mcfg.Fuse
-	blockConf.Threaded = mcfg.Threaded
 	wls := bench.Workloads(false)
 	var cells []bench.Cell
 	for _, wl := range wls {

@@ -6,14 +6,12 @@
 //
 //	confrun [-param n]... [-file name=content]... [-privfile name=content]...
 //	        [-passwd user=pw]... [-stats] [-trace out.json] [-chrometrace out.json]
-//	        [-profile out.folded] [-fuse on|off] [-threaded on|off] prog.img
+//	        [-profile out.folded] [-fuse on|off] prog.img
 //
-// -fuse and -threaded are dispatch escape hatches mirroring confbench's:
-// fusion folds hot instruction idioms into superinstruction slots
-// (default on), threaded dispatch replaces the opcode switch with a
-// per-slot handler table (default off). Both are pure performance
-// switches — every simulated result and counter above is bit-identical
-// in any combination.
+// -fuse is a dispatch escape hatch mirroring confbench's: fusion folds
+// hot instruction idioms into superinstruction slots (default on). It
+// is a pure performance switch — every simulated result and counter
+// above is bit-identical either way.
 //
 // The observability flags surface the deterministic plane (internal/obs)
 // for one run: -stats prints the full simulated counter set, -trace
@@ -55,7 +53,6 @@ func main() {
 	chromePath := flag.String("chrometrace", "", "write the trace in Chrome trace-event format")
 	profilePath := flag.String("profile", "", "write a folded-stack per-function cycle profile")
 	fuseFlag := flag.String("fuse", "on", "superinstruction fusion: on|off")
-	threadedFlag := flag.String("threaded", "off", "threaded per-slot handler dispatch: on|off")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: confrun [flags] prog.img")
@@ -115,7 +112,6 @@ func main() {
 	c := machine.DefaultConfig()
 	c.Profile = *profilePath != ""
 	c.Fuse = onOff("fuse", *fuseFlag)
-	c.Threaded = onOff("threaded", *threadedFlag)
 	var mconf *machine.Config
 	if c != machine.DefaultConfig() {
 		mconf = &c

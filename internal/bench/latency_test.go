@@ -18,9 +18,9 @@ func latArr(seed uint64) scenario.Arrival {
 
 // TestLatencyDispatchInvariance pins the figure's core contract: the
 // latency report is a simulated quantity, so stepwise, unchained,
-// chained, fused and threaded dispatch must produce byte-identical
-// reports (architectural stats too; FusedSlots/Defuses are
-// observability counters and may differ, hence Arch()).
+// chained and fused dispatch must produce byte-identical reports
+// (architectural stats too; FusedSlots/Defuses are observability
+// counters and may differ, hence Arch()).
 func TestLatencyDispatchInvariance(t *testing.T) {
 	var reports []*LatencyReport
 	var stats []machine.Stats
@@ -29,19 +29,16 @@ func TestLatencyDispatchInvariance(t *testing.T) {
 		superblocks bool
 		chain       bool
 		fuse        bool
-		threaded    bool
 	}{
-		{"stepwise", false, false, false, false},
-		{"nochain", true, false, false, false},
-		{"chained", true, true, false, false},
-		{"fused", true, true, true, false},
-		{"threaded", true, true, true, true},
+		{"stepwise", false, false, false},
+		{"nochain", true, false, false},
+		{"chained", true, true, false},
+		{"fused", true, true, true},
 	} {
 		conf := machine.DefaultConfig()
 		conf.Superblocks = mode.superblocks
 		conf.Chain = mode.chain
 		conf.Fuse = mode.fuse
-		conf.Threaded = mode.threaded
 		m, err := RunLatency(latSpec(), latArr(7), confllvm.VariantMPX, &conf, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", mode.name, err)

@@ -91,11 +91,9 @@ func BenchmarkStepBnd(b *testing.B) {
 // The "superblock" sub-benchmark is the BENCH_interp.json /
 // BENCH_history.jsonl "BenchmarkRun" datapoint: it must hold a >= 1.5x
 // MIPS advantage over "stepwise". "nofuse" is chained dispatch with
-// fusion off — the superblock-vs-nofuse delta is the fusion win;
-// "threaded" swaps the opcode switch for the per-slot handler table on
-// top of fusion (its name deliberately does not start with "superblock":
-// benchhistory greps for that prefix to find the headline lane). The
-// "profiled" lane runs the default stack with cycle-attributed profiling
+// fusion off — the superblock-vs-nofuse delta is the fusion win. No
+// other lane name starts with "superblock": benchhistory greps for that
+// prefix to find the headline lane. The "profiled" lane runs the default stack with cycle-attributed profiling
 // on — its gap to "superblock" is the observability plane's enabled cost
 // (the disabled cost is zero: TestRunProfileDisabledZeroAlloc).
 func BenchmarkRun(b *testing.B) {
@@ -104,15 +102,13 @@ func BenchmarkRun(b *testing.B) {
 		superblocks bool
 		chain       bool
 		fuse        bool
-		threaded    bool
 		profile     bool
 	}{
-		{"superblock", true, true, true, false, false},
-		{"nofuse", true, true, false, false, false},
-		{"threaded", true, true, true, true, false},
-		{"nochain", true, false, false, false, false},
-		{"stepwise", false, false, false, false, false},
-		{"profiled", true, true, true, false, true},
+		{"superblock", true, true, true, false},
+		{"nofuse", true, true, false, false},
+		{"nochain", true, false, false, false},
+		{"stepwise", false, false, false, false},
+		{"profiled", true, true, true, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			const iters = 1000
@@ -120,7 +116,6 @@ func BenchmarkRun(b *testing.B) {
 			conf.Superblocks = mode.superblocks
 			conf.Chain = mode.chain
 			conf.Fuse = mode.fuse
-			conf.Threaded = mode.threaded
 			conf.Profile = mode.profile
 			m := New(conf)
 			var code []byte
@@ -169,18 +164,16 @@ func BenchmarkRun(b *testing.B) {
 // BenchmarkDispatchOnly isolates the dispatcher's constant factor from
 // memory traffic: a pure-ALU loop (no loads, stores or checks) where the
 // only per-instruction work besides the register arithmetic is fetching
-// the next slot and dispatching its opcode. The switch/fused/threaded
-// deltas here are the pure dispatch-overhead wins that BenchmarkRun
-// dilutes with the memory model.
+// the next slot and dispatching its opcode. The switch-vs-fused delta
+// here is the pure dispatch-overhead win that BenchmarkRun dilutes with
+// the memory model.
 func BenchmarkDispatchOnly(b *testing.B) {
 	for _, mode := range []struct {
-		name     string
-		fuse     bool
-		threaded bool
+		name string
+		fuse bool
 	}{
-		{"switch", false, false},
-		{"fused", true, false},
-		{"threaded", true, true},
+		{"switch", false},
+		{"fused", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			const iters = 1000
@@ -188,7 +181,6 @@ func BenchmarkDispatchOnly(b *testing.B) {
 			conf.Superblocks = true
 			conf.Chain = true
 			conf.Fuse = mode.fuse
-			conf.Threaded = mode.threaded
 			m := New(conf)
 			var code []byte
 			code = asm.Encode(code, asm.Inst{Op: asm.OpMovRI, Dst: asm.RCX, Imm: iters})

@@ -1,7 +1,7 @@
 // Differential-execution harness: every workload is run under every
 // dispatch mode — per-instruction stepping, unchained superblocks,
-// chained superblocks, superinstruction fusion, and threaded dispatch —
-// and the executions must be bit-identical in every observable: final
+// chained superblocks and superinstruction fusion — and the executions
+// must be bit-identical in every observable: final
 // registers and flags per thread, per-thread architectural stats
 // (instructions, cycles, loads, stores, bound checks, cache misses,
 // trusted calls; the dispatcher-observability counters are compared
@@ -23,19 +23,18 @@ import (
 	"confllvm/internal/machine"
 )
 
-// diffModes is the dispatch-mode matrix of the 5-way diff: stepping is
+// diffModes is the dispatch-mode matrix of the 4-way diff: stepping is
 // the reference, and every other mode must match it bit for bit. -short
-// trims to the two newest (and strictest) modes — fused and threaded —
-// both of which subsume chained dispatch.
+// trims to the newest (and strictest) mode, fused, which subsumes
+// chained dispatch.
 type diffMode struct {
-	name                  string
-	chain, fuse, threaded bool
+	name        string
+	chain, fuse bool
 }
 
 func diffModes() []diffMode {
 	modes := []diffMode{
 		{name: "fused", chain: true, fuse: true},
-		{name: "threaded", chain: true, fuse: true, threaded: true},
 	}
 	if !testing.Short() {
 		modes = append(modes,
@@ -62,7 +61,6 @@ func diffRun(t *testing.T, art *confllvm.Artifact, mkWorld func() *confllvm.Worl
 	}
 	mcStep.Superblocks = false
 	mcStep.Fuse = false
-	mcStep.Threaded = false
 
 	ref, err := confllvm.Run(art, mkWorld(), &mcStep)
 	if err != nil {
@@ -73,7 +71,6 @@ func diffRun(t *testing.T, art *confllvm.Artifact, mkWorld func() *confllvm.Worl
 		mc.Superblocks = true
 		mc.Chain = md.chain
 		mc.Fuse = md.fuse
-		mc.Threaded = md.threaded
 		got, err := confllvm.Run(art, mkWorld(), &mc)
 		if err != nil {
 			t.Fatalf("%s run: %v", md.name, err)

@@ -46,18 +46,28 @@ func profLoopMachine(t *testing.T, conf Config, iters int64, tail []asm.Inst) (*
 	return m, th
 }
 
-var profModes = []struct {
-	name        string
-	superblocks bool
-	chain       bool
-	fuse        bool
-	threaded    bool
-}{
-	{"stepwise", false, false, false, false},
-	{"superblock", true, false, false, false},
-	{"chained", true, true, false, false},
-	{"fused", true, true, true, false},
-	{"threaded", true, true, true, true},
+// modeConf is a named dispatch configuration.
+type modeConf struct {
+	name string
+	conf Config
+}
+
+// dispatchConfs returns the default config under per-instruction
+// stepping ("stepwise") followed by every superblock mode of
+// parityModes.
+func dispatchConfs() []modeConf {
+	step := DefaultConfig()
+	step.Superblocks = false
+	step.Fuse = false
+	confs := []modeConf{{"stepwise", step}}
+	for _, mode := range parityModes {
+		conf := DefaultConfig()
+		conf.Superblocks = true
+		conf.Chain = mode.chain
+		conf.Fuse = mode.fuse
+		confs = append(confs, modeConf{mode.name, conf})
+	}
+	return confs
 }
 
 // TestProfileConservation: with profiling on, the attributed cycle and
@@ -65,18 +75,14 @@ var profModes = []struct {
 // mode, on clean exits and on faulting runs (the fault path charges
 // cum[k-1]; its attribution must match).
 func TestProfileConservation(t *testing.T) {
-	for _, mode := range profModes {
+	for _, mode := range dispatchConfs() {
 		for _, faulting := range []bool{false, true} {
 			name := mode.name
 			if faulting {
 				name += "/fault"
 			}
 			t.Run(name, func(t *testing.T) {
-				conf := DefaultConfig()
-				conf.Superblocks = mode.superblocks
-				conf.Chain = mode.chain
-				conf.Fuse = mode.fuse
-				conf.Threaded = mode.threaded
+				conf := mode.conf
 				conf.Profile = true
 				var tail []asm.Inst
 				if faulting {
@@ -113,14 +119,10 @@ func TestProfileConservation(t *testing.T) {
 // TestProfileStatsUnchanged: profiling is purely observational — every
 // simulated result (Stats, registers, exit) is bit-identical with it on.
 func TestProfileStatsUnchanged(t *testing.T) {
-	for _, mode := range profModes {
+	for _, mode := range dispatchConfs() {
 		t.Run(mode.name, func(t *testing.T) {
 			run := func(profile bool) (*Machine, *Thread) {
-				conf := DefaultConfig()
-				conf.Superblocks = mode.superblocks
-				conf.Chain = mode.chain
-				conf.Fuse = mode.fuse
-				conf.Threaded = mode.threaded
+				conf := mode.conf
 				conf.Profile = profile
 				m, th := profLoopMachine(t, conf, 50, nil)
 				if f := m.Run(); f != nil {
@@ -145,13 +147,9 @@ func TestProfileStatsUnchanged(t *testing.T) {
 // zero instructions — matching Stats, which counts handlers in
 // TrustedCall but not Instrs.
 func TestProfileHandlerAttribution(t *testing.T) {
-	for _, mode := range profModes {
+	for _, mode := range dispatchConfs() {
 		t.Run(mode.name, func(t *testing.T) {
-			conf := DefaultConfig()
-			conf.Superblocks = mode.superblocks
-			conf.Chain = mode.chain
-			conf.Fuse = mode.fuse
-			conf.Threaded = mode.threaded
+			conf := mode.conf
 			conf.Profile = true
 			m := New(conf)
 			const hnd = uint64(0x9000)
@@ -205,19 +203,15 @@ func TestProfileHandlerAttribution(t *testing.T) {
 // profiling off performs zero allocations. This is the acceptance bar for
 // shipping the hooks inside the hot dispatch loop.
 func TestRunProfileDisabledZeroAlloc(t *testing.T) {
-	// The fused slot program and threaded op table are built once at
-	// flatten time, so the re-run path must stay allocation-free in every
-	// dispatch mode, fused and threaded included.
-	for _, mode := range profModes {
-		if !mode.superblocks {
+	// The fused slot program is built once at flatten time, so the
+	// re-run path must stay allocation-free in every dispatch mode, fused
+	// included.
+	for _, mode := range dispatchConfs() {
+		if !mode.conf.Superblocks {
 			continue // stepping re-dispatches per instruction; not the pinned path
 		}
 		t.Run(mode.name, func(t *testing.T) {
-			conf := DefaultConfig()
-			conf.Superblocks = mode.superblocks
-			conf.Chain = mode.chain
-			conf.Fuse = mode.fuse
-			conf.Threaded = mode.threaded
+			conf := mode.conf
 			m, th := profLoopMachine(t, conf, 200, nil)
 			reset := func() {
 				th.Halted = false

@@ -33,19 +33,18 @@ func buildFor(t *testing.T, conf Config, insts []asm.Inst) (*Machine, *Thread) {
 // matrix: every entry must be bit-identical to per-instruction stepping
 // in thread state, architectural stats and memory.
 var parityModes = []struct {
-	name                  string
-	chain, fuse, threaded bool
+	name        string
+	chain, fuse bool
 }{
-	{"nochain", false, false, false},
-	{"chained", true, false, false},
-	{"fused", true, true, false},
-	{"threaded", true, true, true},
+	{"superblock", false, false},
+	{"chained", true, false},
+	{"fused", true, true},
 }
 
 // runParity runs the same instruction stream under per-instruction
 // stepping and every superblock dispatch mode (unchained, chained,
-// fused, threaded), and requires identical thread state, architectural
-// stats and memory across all of them.
+// fused), and requires identical thread state, architectural stats and
+// memory across all of them.
 func runParity(t *testing.T, insts []asm.Inst) (*Thread, *Thread) {
 	t.Helper()
 	confA := DefaultConfig()
@@ -60,7 +59,6 @@ func runParity(t *testing.T, insts []asm.Inst) (*Thread, *Thread) {
 		confB.Superblocks = true
 		confB.Chain = mode.chain
 		confB.Fuse = mode.fuse
-		confB.Threaded = mode.threaded
 		mB, th := buildFor(t, confB, insts)
 		fB := mB.Run()
 		if (fA == nil) != (fB == nil) {
@@ -204,15 +202,14 @@ func TestRunFuelParity(t *testing.T) {
 		// The budget boundary must land identically whether blocks return
 		// to the dispatcher or chain run-to-run: the bite is capped and
 		// the remainder resumes at the interior slot PC in both cases.
-		// The loop tail sub/cmp/jcc is a fused idiom, so the fused and
-		// threaded modes also exercise de-fusing at every bite position
-		// the fuel sweep produces.
+		// The loop tail sub/cmp/jcc is a fused idiom, so the fused mode
+		// also exercises de-fusing at every bite position the fuel sweep
+		// produces.
 		for _, mode := range parityModes {
 			confB := confA
 			confB.Superblocks = true
 			confB.Chain = mode.chain
 			confB.Fuse = mode.fuse
-			confB.Threaded = mode.threaded
 			mB, thB := buildFor(t, confB, loop)
 			fB := mB.Run()
 			if fB == nil || fB.Kind != FaultFuel {

@@ -66,6 +66,18 @@ func (b *ib) image(v confllvm.Variant) *link.Image {
 	}
 }
 
+// immEndingIn returns a mov immediate whose top bytes encode in, so that
+// decoding from inside the mov yields in and then resynchronizes at the
+// mov's fall-through.
+func immEndingIn(in asm.Inst) int64 {
+	enc := asm.Encode(nil, in)
+	var imm uint64
+	for i, c := range enc {
+		imm |= uint64(c) << (8 * (8 - len(enc) + i))
+	}
+	return int64(imm)
+}
+
 // TestVerifyErrorPaths drives every structural, CFG and dataflow rejection
 // through hand-built images and pins the exact Error{Off, Msg} each one
 // must produce — under the serial and the parallel verifier alike.
@@ -147,6 +159,47 @@ func TestVerifyErrorPaths(t *testing.T) {
 			b.mcall(0)
 			off := b.emit(asm.Inst{Op: asm.OpJmpR, Src: asm.RAX})
 			return off, "indirect jump without return idiom"
+		}},
+		{"icall-idiom-not-adjacent", confllvm.VariantSeg, false, func(b *ib) (int, string) {
+			// Every constituent has the right opcode and operands, but the
+			// not is decoded from the last two immediate bytes of the mov
+			// (a jcc targets them): the two overlap instead of abutting.
+			// Each constituent falls through, so an overlapping decode is
+			// the only way two consecutive ones can fail to be adjacent.
+			b.mcall(0)
+			sz := func(op asm.Op) int { return asm.EncodedLen(op) }
+			movOff := b.off() + sz(asm.OpJcc)
+			notOff := movOff + sz(asm.OpMovRI) - sz(asm.OpNot)
+			trapOff := movOff + sz(asm.OpMovRI) + sz(asm.OpCmpMR) + sz(asm.OpJcc) +
+				sz(asm.OpAddRI) + sz(asm.OpICall) + 8
+			b.emit(asm.Inst{Op: asm.OpJcc, Cond: asm.CondE, Imm: int64(b.at(notOff))})
+			b.emit(asm.Inst{Op: asm.OpMovRI, Dst: asm.R11, Imm: immEndingIn(asm.Inst{Op: asm.OpNot, Dst: asm.R11})})
+			b.emit(asm.Inst{Op: asm.OpCmpMR, M: mem8(asm.RAX, asm.SegNone, false), Src: asm.R11})
+			b.emit(asm.Inst{Op: asm.OpJcc, Cond: asm.CondNE, Imm: int64(b.at(trapOff))})
+			b.emit(asm.Inst{Op: asm.OpAddRI, Dst: asm.RAX, Imm: 8})
+			off := b.emit(asm.Inst{Op: asm.OpICall, Src: asm.RAX})
+			b.mret(0)
+			b.emit(asm.Inst{Op: asm.OpTrap})
+			return off, "icall check idiom malformed"
+		}},
+		{"return-idiom-not-adjacent", confllvm.VariantSeg, false, func(b *ib) (int, string) {
+			// The return-idiom twin of icall-idiom-not-adjacent: the not
+			// overlaps the tail of the mov's immediate.
+			b.mcall(0)
+			sz := func(op asm.Op) int { return asm.EncodedLen(op) }
+			movOff := b.off() + sz(asm.OpJcc) + sz(asm.OpPop)
+			notOff := movOff + sz(asm.OpMovRI) - sz(asm.OpNot)
+			trapOff := movOff + sz(asm.OpMovRI) + sz(asm.OpCmpMR) + sz(asm.OpJcc) +
+				sz(asm.OpAddRI) + sz(asm.OpJmpR)
+			b.emit(asm.Inst{Op: asm.OpJcc, Cond: asm.CondE, Imm: int64(b.at(notOff))})
+			b.emit(asm.Inst{Op: asm.OpPop, Dst: asm.R10})
+			b.emit(asm.Inst{Op: asm.OpMovRI, Dst: asm.R11, Imm: immEndingIn(asm.Inst{Op: asm.OpNot, Dst: asm.R11})})
+			b.emit(asm.Inst{Op: asm.OpCmpMR, M: mem8(asm.R10, asm.SegNone, false), Src: asm.R11})
+			b.emit(asm.Inst{Op: asm.OpJcc, Cond: asm.CondNE, Imm: int64(b.at(trapOff))})
+			b.emit(asm.Inst{Op: asm.OpAddRI, Dst: asm.R10, Imm: 8})
+			off := b.emit(asm.Inst{Op: asm.OpJmpR, Src: asm.R10})
+			b.emit(asm.Inst{Op: asm.OpTrap})
+			return off, "return idiom malformed (stray indirect jump)"
 		}},
 		{"exit-inside-procedure", confllvm.VariantSeg, false, func(b *ib) (int, string) {
 			b.mcall(0)
