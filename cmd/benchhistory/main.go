@@ -9,33 +9,30 @@
 //
 // It reads artifacts the nightly CI job already produces — the
 // `go test -bench BenchmarkRun` output, the `confbench -figure interp
-// -json` report and (optionally) the `confbench -figure faults -json`
-// report — and distills them into a single JSON line:
+// -json` report and, optionally, one `confbench -figure F -json` report
+// per figure column — and distills them into a single JSON line:
 //
 //	{"commit": ..., "date": ..., "benchrun_mips": ...., "interp_geomean": ...,
-//	 "faults_avail_geomean": ...}
+//	 "faults_avail_geomean": ..., ...}
 //
 // benchrun_mips is the BenchmarkRun/superblock MIPS datapoint (raw
 // dispatch throughput on straight-line ALU blocks under the default
-// stack: chained superblocks with superinstruction fusion — the other
-// BenchmarkRun lanes deliberately do not start with "superblock" so the
-// prefix match below stays unambiguous); interp_geomean is
-// the geometric mean, over all workloads in the interp sweep, of the
-// superblock-vs-stepwise MIPS speedup (untimed cells are skipped, as in
-// the confbench table); faults_avail_geomean is the geometric mean of
-// the faults figure's availability percentages (zero-availability cells
-// are skipped, like every other geomean in the repo — present only when
-// -faults is given); verify_funcs_per_sec is the geometric mean of the
-// verify figure's per-binary checking throughput (present only when
-// -verify is given — it tracks the load gate's cost over time the same
-// way interp_geomean tracks the interpreter's); cluster_reqs_per_sec is
-// the geometric mean of the cluster figure's aggregate simulated req/s
-// across the shard/skew grid (present only when -cluster is given — a
-// deterministic quantity, so any drift is a real behavior change, not
-// host noise); latency_p99_cycles is the geometric mean of the latency
-// figure's p99 request latencies in simulated cycles (present only when
-// -latency is given — also fully deterministic, tracking tail-latency
-// regressions at the trusted boundary). -commit defaults to
+// dispatch, chained superblocks — the other BenchmarkRun lanes
+// deliberately do not start with "superblock" so the prefix match below
+// stays unambiguous); interp_geomean is the geometric mean, over all
+// workloads in the interp sweep, of the superblock-vs-stepwise MIPS
+// speedup (untimed cells are skipped, as in the confbench table).
+//
+// The optional columns come from figureColumns, one line each: the
+// geometric mean of one JSON field over one figure's rows, skipping
+// zero cells like every other geomean in the repo, and present only
+// when its flag is given. faults_avail_geomean is the faults figure's
+// availability percentage; verify_funcs_per_sec the verify figure's
+// per-binary checking throughput (host time, tracking the load gate's
+// cost); cluster_reqs_per_sec the cluster figure's aggregate simulated
+// req/s; latency_p99_cycles the latency figure's p99 request latency in
+// simulated cycles. The last two are fully deterministic, so any drift
+// is a real behavior change, not host noise. -commit defaults to
 // $GITHUB_SHA, then "local".
 // Appending (not rewriting) keeps the file a grep-able trajectory; rows
 // carry the commit so gaps and reruns are self-describing.
@@ -65,30 +62,19 @@ type interpReport struct {
 	} `json:"rows"`
 }
 
-type historyRow struct {
-	Commit        string  `json:"commit"`
-	Date          string  `json:"date"`
-	BenchRunMIPS  float64 `json:"benchrun_mips"`
-	InterpGeomean float64 `json:"interp_geomean"`
-	// FaultsAvailGeomean tracks the chaos figure: geometric mean of the
-	// supervised-serving availability percentages across the fault-rate
-	// sweep (0 when the faults report was not supplied).
-	FaultsAvailGeomean float64 `json:"faults_avail_geomean,omitempty"`
-	// VerifyFuncsPerSec tracks the verify figure: geometric mean of the
-	// per-binary parallel checking throughput in functions per host second
-	// (0 when the verify report was not supplied).
-	VerifyFuncsPerSec float64 `json:"verify_funcs_per_sec,omitempty"`
-	// ClusterReqsPerSec tracks the cluster figure: geometric mean of the
-	// aggregate simulated req/s across the shard/skew grid (0 when the
-	// cluster report was not supplied). Unlike the host-time columns this
-	// is fully deterministic — drift means behavior changed.
-	ClusterReqsPerSec float64 `json:"cluster_reqs_per_sec,omitempty"`
-	// LatencyP99Cycles tracks the latency figure: geometric mean of the
-	// per-row p99 request latencies in simulated cycles across the
-	// arrival-process/load grid (0 when the latency report was not
-	// supplied). Fully deterministic — a moving p99 is a real tail-latency
-	// change at the trusted boundary.
-	LatencyP99Cycles float64 `json:"latency_p99_cycles,omitempty"`
+// figureColumn is one optional history column: the geometric mean of
+// Field over the rows of Figure in the confbench -json report named by
+// the -Flag flag, written under Column.
+type figureColumn struct {
+	Flag, Figure, Field, Column string
+}
+
+// figureColumns lists the optional columns in output order.
+var figureColumns = []figureColumn{
+	{"faults", "faults", "avail_pct", "faults_avail_geomean"},
+	{"verify", "verify", "verify_funcs_per_sec", "verify_funcs_per_sec"},
+	{"cluster", "cluster", "agg_reqs_per_sec", "cluster_reqs_per_sec"},
+	{"latency", "latency", "latency_p99_cycles", "latency_p99_cycles"},
 }
 
 // benchRunMIPS extracts the MIPS metric of the BenchmarkRun/superblock
@@ -160,155 +146,87 @@ func interpGeomean(path string) (float64, error) {
 	return math.Exp(logSum / float64(n)), nil
 }
 
-// faultsReport mirrors the subset of the faults-figure JSON the history
-// row needs.
-type faultsReport struct {
-	Rows []struct {
-		Figure   string  `json:"figure"`
-		AvailPct float64 `json:"avail_pct"`
-	} `json:"rows"`
-}
-
-// faultsAvailGeomean returns the geometric mean of the faults figure's
-// availability percentages, skipping zero-availability cells (a fully
-// dead cell must never fold -Inf into the aggregate, matching the repo's
-// other geomeans).
-func faultsAvailGeomean(path string) (float64, error) {
+// figureGeomean returns the geometric mean of col.Field over the rows
+// of col.Figure in the report at path, skipping rows where the field is
+// missing or not positive (a dead cell must never fold -Inf into the
+// aggregate).
+func figureGeomean(path string, col figureColumn) (float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	var rep faultsReport
+	var rep struct {
+		Rows []map[string]any `json:"rows"`
+	}
 	if err := json.Unmarshal(data, &rep); err != nil {
 		return 0, fmt.Errorf("parse %s: %w", path, err)
 	}
 	var logSum float64
 	var n int
 	for _, r := range rep.Rows {
-		if r.Figure != "faults" || r.AvailPct <= 0 {
+		v, _ := r[col.Field].(float64)
+		if r["figure"] != col.Figure || v <= 0 {
 			continue
 		}
-		logSum += math.Log(r.AvailPct)
+		logSum += math.Log(v)
 		n++
 	}
 	if n == 0 {
-		return 0, fmt.Errorf("no faults rows with nonzero availability in %s", path)
+		return 0, fmt.Errorf("no %s rows with a positive %s in %s", col.Figure, col.Field, path)
 	}
 	return math.Exp(logSum / float64(n)), nil
 }
 
-// verifyReport mirrors the subset of the verify-figure JSON the history
-// row needs.
-type verifyReport struct {
-	Rows []struct {
-		Figure            string  `json:"figure"`
-		VerifyFuncsPerSec float64 `json:"verify_funcs_per_sec"`
-	} `json:"rows"`
-}
-
-// verifyFuncsGeomean returns the geometric mean of the verify figure's
-// per-binary funcs/s throughput, skipping untimed cells.
-func verifyFuncsGeomean(path string) (float64, error) {
-	data, err := os.ReadFile(path)
+// historyLine builds the JSON row. reports maps a figureColumn's Flag to
+// its report path; columns without a report are omitted.
+func historyLine(sha, date, benchPath, interpPath string, reports map[string]string) ([]byte, error) {
+	mips, err := benchRunMIPS(benchPath)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	var rep verifyReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return 0, fmt.Errorf("parse %s: %w", path, err)
-	}
-	var logSum float64
-	var n int
-	for _, r := range rep.Rows {
-		if r.Figure != "verify" || r.VerifyFuncsPerSec <= 0 {
-			continue
-		}
-		logSum += math.Log(r.VerifyFuncsPerSec)
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("no timed verify rows in %s", path)
-	}
-	return math.Exp(logSum / float64(n)), nil
-}
-
-// clusterReport mirrors the subset of the cluster-figure JSON the
-// history row needs.
-type clusterReport struct {
-	Rows []struct {
-		Figure        string `json:"figure"`
-		AggReqsPerSec uint64 `json:"agg_reqs_per_sec"`
-	} `json:"rows"`
-}
-
-// clusterReqsGeomean returns the geometric mean of the cluster figure's
-// aggregate simulated req/s across the grid, skipping empty cells.
-func clusterReqsGeomean(path string) (float64, error) {
-	data, err := os.ReadFile(path)
+	geo, err := interpGeomean(interpPath)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	var rep clusterReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return 0, fmt.Errorf("parse %s: %w", path, err)
+	type kv struct {
+		key string
+		val any
 	}
-	var logSum float64
-	var n int
-	for _, r := range rep.Rows {
-		if r.Figure != "cluster" || r.AggReqsPerSec == 0 {
+	fields := []kv{{"commit", sha}, {"date", date}, {"benchrun_mips", mips}, {"interp_geomean", geo}}
+	for _, col := range figureColumns {
+		path := reports[col.Flag]
+		if path == "" {
 			continue
 		}
-		logSum += math.Log(float64(r.AggReqsPerSec))
-		n++
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("no cluster rows with nonzero req/s in %s", path)
-	}
-	return math.Exp(logSum / float64(n)), nil
-}
-
-// latencyReport mirrors the subset of the latency-figure JSON the
-// history row needs.
-type latencyReport struct {
-	Rows []struct {
-		Figure       string `json:"figure"`
-		LatP99Cycles uint64 `json:"latency_p99_cycles"`
-	} `json:"rows"`
-}
-
-// latencyP99Geomean returns the geometric mean of the latency figure's
-// per-row p99 latencies in simulated cycles, skipping empty cells.
-func latencyP99Geomean(path string) (float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	var rep latencyReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return 0, fmt.Errorf("parse %s: %w", path, err)
-	}
-	var logSum float64
-	var n int
-	for _, r := range rep.Rows {
-		if r.Figure != "latency" || r.LatP99Cycles == 0 {
-			continue
+		v, err := figureGeomean(path, col)
+		if err != nil {
+			return nil, err
 		}
-		logSum += math.Log(float64(r.LatP99Cycles))
-		n++
+		fields = append(fields, kv{col.Column, v})
 	}
-	if n == 0 {
-		return 0, fmt.Errorf("no latency rows with nonzero p99 in %s", path)
+	line := []byte{'{'}
+	for i, f := range fields {
+		if i > 0 {
+			line = append(line, ',')
+		}
+		k, _ := json.Marshal(f.key)
+		v, err := json.Marshal(f.val)
+		if err != nil {
+			return nil, fmt.Errorf("marshal %s: %w", f.key, err)
+		}
+		line = append(append(append(line, k...), ':'), v...)
 	}
-	return math.Exp(logSum / float64(n)), nil
+	return append(line, '}'), nil
 }
 
 func main() {
 	bench := flag.String("bench", "benchrun.txt", "go test -bench BenchmarkRun output")
 	interp := flag.String("interp", "BENCH_interp.nightly.json", "confbench -figure interp -json report")
-	faults := flag.String("faults", "", "confbench -figure faults -json report (optional)")
-	verifyIn := flag.String("verify", "", "confbench -figure verify -json report (optional)")
-	clusterIn := flag.String("cluster", "", "confbench -figure cluster -json report (optional)")
-	latencyIn := flag.String("latency", "", "confbench -figure latency -json report (optional)")
+	reportFlags := map[string]*string{}
+	for _, col := range figureColumns {
+		reportFlags[col.Flag] = flag.String(col.Flag, "",
+			"confbench -figure "+col.Figure+" -json report (optional)")
+	}
 	out := flag.String("out", "BENCH_history.jsonl", "history file to append to")
 	commit := flag.String("commit", "", "commit SHA for the row (default: $GITHUB_SHA, then \"local\")")
 	flag.Parse()
@@ -320,59 +238,14 @@ func main() {
 	if sha == "" {
 		sha = "local"
 	}
-
-	mips, err := benchRunMIPS(*bench)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchhistory: %v\n", err)
-		os.Exit(1)
-	}
-	geo, err := interpGeomean(*interp)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchhistory: %v\n", err)
-		os.Exit(1)
+	reports := map[string]string{}
+	for name, p := range reportFlags {
+		reports[name] = *p
 	}
 
-	row := historyRow{
-		Commit:        sha,
-		Date:          time.Now().UTC().Format("2006-01-02"),
-		BenchRunMIPS:  mips,
-		InterpGeomean: geo,
-	}
-	if *faults != "" {
-		avail, err := faultsAvailGeomean(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchhistory: %v\n", err)
-			os.Exit(1)
-		}
-		row.FaultsAvailGeomean = avail
-	}
-	if *verifyIn != "" {
-		fps, err := verifyFuncsGeomean(*verifyIn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchhistory: %v\n", err)
-			os.Exit(1)
-		}
-		row.VerifyFuncsPerSec = fps
-	}
-	if *clusterIn != "" {
-		crps, err := clusterReqsGeomean(*clusterIn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchhistory: %v\n", err)
-			os.Exit(1)
-		}
-		row.ClusterReqsPerSec = crps
-	}
-	if *latencyIn != "" {
-		p99, err := latencyP99Geomean(*latencyIn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchhistory: %v\n", err)
-			os.Exit(1)
-		}
-		row.LatencyP99Cycles = p99
-	}
-	line, err := json.Marshal(row)
+	line, err := historyLine(sha, time.Now().UTC().Format("2006-01-02"), *bench, *interp, reports)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchhistory: marshal: %v\n", err)
+		fmt.Fprintf(os.Stderr, "benchhistory: %v\n", err)
 		os.Exit(1)
 	}
 	f, err := os.OpenFile(*out, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)

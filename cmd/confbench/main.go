@@ -4,7 +4,7 @@
 // Usage:
 //
 //	confbench [-figure all|5|6|7|8|ldap|throughput|scenarios|faults|verify|cluster|latency|interp]
-//	          [-superblocks=true|false] [-chain on|off] [-fuse on|off]
+//	          [-superblocks=true|false]
 //	          [-parallel N] [-seed N] [-short] [-list]
 //	          [-json] [-out BENCH_interp.json] [-profile FILE]
 //
@@ -52,7 +52,7 @@
 // FIFO queue fed by seeded open-loop arrival processes (uniform,
 // Poisson, bursty) at three offered loads, and the p50/p95/p99/max
 // latency plus queue-depth columns come out byte-identical across
-// -parallel, -superblocks and -chain. -profile FILE additionally turns
+// -parallel and -superblocks. -profile FILE additionally turns
 // on the machine's cycle-attribution profiler for every table cell and
 // writes one merged folded-stack profile (symbol + cycles per line,
 // flamegraph-ready); profile totals conserve the runs' cycle counters
@@ -72,14 +72,12 @@
 // host run time, interpreter MIPS) is also written to a JSON file so later
 // changes have a perf trajectory to compare against.
 //
-// -superblocks=false replays everything with per-instruction stepping,
-// and -chain=off keeps superblock dispatch but disables direct block
-// chaining; -fuse=off disables superinstruction fusion. The figure
-// tables must come out byte-identical under every combination (the
-// nightly CI job diffs stepwise, unchained, unfused and -parallel=1
-// renders against the default one). The "interp" figure runs
-// every workload in both dispatch modes back to back, verifies the
-// simulated cycles agree, and reports the dispatch speedup.
+// -superblocks=false replays everything with per-instruction stepping
+// instead of chained superblock dispatch. The figure tables must come
+// out byte-identical either way (the nightly CI job diffs the stepwise
+// and -parallel=1 renders against the default one). The "interp"
+// figure runs every workload in both dispatch modes back to back,
+// verifies the simulated cycles agree, and reports the dispatch speedup.
 package main
 
 import (
@@ -114,11 +112,6 @@ type benchRow struct {
 	Instrs     uint64  `json:"instrs"`
 	HostNS     int64   `json:"host_ns"`
 	MIPS       float64 `json:"mips"`
-	// FusedSlots counts fused superinstruction slots executed (an
-	// observability counter: zero when -fuse=off, excluded from the
-	// cross-mode determinism compares).
-	FusedSlots uint64 `json:"fused_slots,omitempty"`
-
 	// Availability columns, set only for supervised (faults-figure) rows.
 	// All simulated quantities; recovery latencies are simulated cycles.
 	TotalReqs          int     `json:"total_reqs,omitempty"`
@@ -182,11 +175,8 @@ type benchReport struct {
 	// FigureFilter records the -figure selection so partial runs are never
 	// mistaken for a full-suite trajectory point.
 	FigureFilter string `json:"figure_filter"`
-	// Superblocks/Chain/Fuse record the dispatch mode of the
-	// figure-table runs.
+	// Superblocks records the dispatch mode of the figure-table runs.
 	Superblocks bool `json:"superblocks"`
-	Chain       bool `json:"chain"`
-	Fuse        bool `json:"fuse"`
 	// Parallel is the worker count the matrix ran with.
 	Parallel    int    `json:"parallel"`
 	TotalInstrs uint64 `json:"total_instrs"`
@@ -228,7 +218,7 @@ func record(figure, workload, variant string, m *bench.Measurement) {
 	row := benchRow{
 		Figure: figure, Workload: workload, Variant: variant,
 		WallCycles: m.Wall, Instrs: m.Stats.Instrs, HostNS: m.HostNS,
-		MIPS: m.MIPS(), FusedSlots: m.Stats.FusedSlots,
+		MIPS: m.MIPS(),
 	}
 	if rep := m.Serve; rep != nil {
 		row.TotalReqs = rep.Total
@@ -331,8 +321,6 @@ func figuresFor(name string) ([]figureSpec, error) {
 func main() {
 	figure := flag.String("figure", "all", "which figure to regenerate: "+figureNames())
 	superblocks := flag.Bool("superblocks", true, "dispatch basic blocks (false = per-instruction stepping)")
-	chainFlag := flag.String("chain", "on", "direct block chaining: on|off (escape hatch; only meaningful with -superblocks)")
-	fuseFlag := flag.String("fuse", "on", "superinstruction fusion: on|off (escape hatch; only meaningful with -superblocks)")
 	parallel := flag.Int("parallel", 0, "worker goroutines for the bench matrix (0 = GOMAXPROCS, 1 = serial)")
 	seed := flag.Uint64("seed", scenario.DefaultSeed, "base seed of the scenario traffic engine")
 	short := flag.Bool("short", false, "shrink the scenarios grid to a smoke size")
@@ -345,20 +333,6 @@ func main() {
 	mcfg = machine.DefaultConfig()
 	mcfg.Superblocks = *superblocks
 	mcfg.Profile = *profilePath != ""
-	onOff := func(name, val string) bool {
-		switch val {
-		case "on", "true", "1":
-			return true
-		case "off", "false", "0":
-			return false
-		default:
-			fmt.Fprintf(os.Stderr, "confbench: bad -%s %q (want on or off)\n", name, val)
-			os.Exit(2)
-			panic("unreachable")
-		}
-	}
-	mcfg.Chain = onOff("chain", *chainFlag)
-	mcfg.Fuse = onOff("fuse", *fuseFlag)
 	scenarioSeed = *seed
 	shortGrid = *short
 
@@ -372,8 +346,6 @@ func main() {
 			GeneratedAt:  time.Now().UTC().Format(time.RFC3339),
 			FigureFilter: *figure,
 			Superblocks:  *superblocks,
-			Chain:        mcfg.Chain,
-			Fuse:         mcfg.Fuse,
 			Parallel:     workers,
 		}
 		if *figure != "all" && *outPath == "BENCH_interp.json" {
@@ -669,7 +641,7 @@ func scenarios() ([]bench.Cell, renderFn) {
 // applied to every mechanism) and reports availability, successful
 // throughput, restart counts, recovery latency and gate rejections —
 // every column a simulated quantity, so the table is byte-identical
-// across -parallel, -superblocks and -chain settings and joins the
+// across -parallel and -superblocks settings and joins the
 // nightly dispatch-mode diffs. The injector seeds derive from -seed, so
 // the figure is one deterministic function of the flag set.
 func faults() ([]bench.Cell, renderFn) {
@@ -707,7 +679,7 @@ func faults() ([]bench.Cell, renderFn) {
 // both deployable schemes is verified cold-serial, cold-parallel and
 // verdict-cached, then attacked with the seeded verifymut corpus. The
 // first table is deterministic (counters are pure functions of the bits
-// and -seed, identical under any -parallel/-superblocks/-chain setting);
+// and -seed, identical under any -parallel/-superblocks setting);
 // the following lines measure verifier throughput on the host and are
 // marked "(host)" so the nightly byte-diff can strip them. Any mutant the
 // verifier fails to kill by contract fails the whole figure.
@@ -758,7 +730,7 @@ func verifyFigure() ([]bench.Cell, renderFn) {
 // clock folds — aggregate req/s is client requests over the slowest
 // shard, and the min/max columns show routing balance. Every printed
 // value is a simulated quantity: the table is byte-identical across
-// -parallel, -superblocks and -chain settings.
+// -parallel and -superblocks settings.
 func cluster() ([]bench.Cell, renderFn) {
 	const v = confllvm.VariantMPX // the deployable, verifiable configuration
 	cts := bench.ClusterTraffics(scenario.ClusterGrid(shortGrid, scenarioSeed))
@@ -812,7 +784,7 @@ func cluster() ([]bench.Cell, renderFn) {
 // boundary in simulated cycles) replayed through a deterministic FIFO
 // queue fed by seeded uniform/Poisson/bursty arrival processes at three
 // offered loads. Every column is a simulated quantity — the table joins
-// the nightly byte-diffs across -parallel, -superblocks and -chain —
+// the nightly byte-diffs across -parallel and -superblocks —
 // and the arrival streams derive from -seed, so the figure is one
 // deterministic function of the flag set. The aggregate line merges
 // every row's metric registry commutatively (internal/obs), the same
@@ -867,11 +839,6 @@ func interp() ([]bench.Cell, renderFn) {
 	stepConf.Superblocks = false
 	blockConf := machine.DefaultConfig()
 	blockConf.Superblocks = true
-	// -chain=off / -fuse=off measure the corresponding dispatch-stack
-	// variants; the stepwise lane stays fixed so the speedup column is
-	// always "this stack vs stepping".
-	blockConf.Chain = mcfg.Chain
-	blockConf.Fuse = mcfg.Fuse
 	wls := bench.Workloads(false)
 	var cells []bench.Cell
 	for _, wl := range wls {

@@ -6,12 +6,7 @@
 //
 //	confrun [-param n]... [-file name=content]... [-privfile name=content]...
 //	        [-passwd user=pw]... [-stats] [-trace out.json] [-chrometrace out.json]
-//	        [-profile out.folded] [-fuse on|off] prog.img
-//
-// -fuse is a dispatch escape hatch mirroring confbench's: fusion folds
-// hot instruction idioms into superinstruction slots (default on). It
-// is a pure performance switch — every simulated result and counter
-// above is bit-identical either way.
+//	        [-profile out.folded] prog.img
 //
 // The observability flags surface the deterministic plane (internal/obs)
 // for one run: -stats prints the full simulated counter set, -trace
@@ -52,7 +47,6 @@ func main() {
 	tracePath := flag.String("trace", "", "write a span-tree JSON trace of trusted-handler calls")
 	chromePath := flag.String("chrometrace", "", "write the trace in Chrome trace-event format")
 	profilePath := flag.String("profile", "", "write a folded-stack per-function cycle profile")
-	fuseFlag := flag.String("fuse", "on", "superinstruction fusion: on|off")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: confrun [flags] prog.img")
@@ -96,24 +90,12 @@ func main() {
 			calls = append(calls, call{name, start, end})
 		}
 	}
-	onOff := func(name, val string) bool {
-		switch val {
-		case "on", "true", "1":
-			return true
-		case "off", "false", "0":
-			return false
-		default:
-			fatal(fmt.Errorf("bad -%s %q (want on or off)", name, val))
-			panic("unreachable")
-		}
-	}
-	// Build an explicit machine config when any dispatch or profiling
-	// flag departs from the defaults (nil means "library default").
-	c := machine.DefaultConfig()
-	c.Profile = *profilePath != ""
-	c.Fuse = onOff("fuse", *fuseFlag)
+	// Build an explicit machine config only when profiling is on (nil
+	// means "library default").
 	var mconf *machine.Config
-	if c != machine.DefaultConfig() {
+	if *profilePath != "" {
+		c := machine.DefaultConfig()
+		c.Profile = true
 		mconf = &c
 	}
 

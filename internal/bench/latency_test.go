@@ -17,42 +17,26 @@ func latArr(seed uint64) scenario.Arrival {
 }
 
 // TestLatencyDispatchInvariance pins the figure's core contract: the
-// latency report is a simulated quantity, so stepwise, unchained,
-// chained and fused dispatch must produce byte-identical reports
-// (architectural stats too; FusedSlots/Defuses are observability
-// counters and may differ, hence Arch()).
+// latency report is a simulated quantity, so per-instruction stepping
+// and block dispatch must produce byte-identical reports and stats.
 func TestLatencyDispatchInvariance(t *testing.T) {
 	var reports []*LatencyReport
 	var stats []machine.Stats
-	for _, mode := range []struct {
-		name        string
-		superblocks bool
-		chain       bool
-		fuse        bool
-	}{
-		{"stepwise", false, false, false},
-		{"nochain", true, false, false},
-		{"chained", true, true, false},
-		{"fused", true, true, true},
-	} {
+	for _, superblocks := range []bool{false, true} {
 		conf := machine.DefaultConfig()
-		conf.Superblocks = mode.superblocks
-		conf.Chain = mode.chain
-		conf.Fuse = mode.fuse
+		conf.Superblocks = superblocks
 		m, err := RunLatency(latSpec(), latArr(7), confllvm.VariantMPX, &conf, nil)
 		if err != nil {
-			t.Fatalf("%s: %v", mode.name, err)
+			t.Fatalf("superblocks=%v: %v", superblocks, err)
 		}
 		reports = append(reports, m.Latency)
 		stats = append(stats, m.Stats)
 	}
-	for i := 1; i < len(reports); i++ {
-		if !reflect.DeepEqual(reports[0], reports[i]) {
-			t.Errorf("latency report differs across dispatch modes:\n%+v\nvs\n%+v", reports[0], reports[i])
-		}
-		if stats[0].Arch() != stats[i].Arch() {
-			t.Errorf("stats differ across dispatch modes: %+v vs %+v", stats[0], stats[i])
-		}
+	if !reflect.DeepEqual(reports[0], reports[1]) {
+		t.Errorf("latency report differs across dispatch modes:\n%+v\nvs\n%+v", reports[0], reports[1])
+	}
+	if stats[0].Arch() != stats[1].Arch() {
+		t.Errorf("stats differ across dispatch modes: %+v vs %+v", stats[0], stats[1])
 	}
 	r := reports[0]
 	if r.Requests == 0 || r.SvcMean == 0 || r.P50 == 0 {

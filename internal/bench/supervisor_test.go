@@ -70,21 +70,16 @@ func TestSupervisedServingDegradesGracefully(t *testing.T) {
 }
 
 // TestSupervisedServingModeInvariant: the ServeReport is a simulated
-// quantity — byte-identical across per-instruction stepping, superblock
-// dispatch, and direct chaining, and across repeated runs.
+// quantity — byte-identical across per-instruction stepping and chained
+// superblock dispatch, and across repeated runs.
 func TestSupervisedServingModeInvariant(t *testing.T) {
 	step := machine.DefaultConfig()
 	step.Superblocks = false
-	blocks := machine.DefaultConfig()
-	blocks.Superblocks = true
-	blocks.Chain = false
 	chained := machine.DefaultConfig()
-	chained.Superblocks = true
-	chained.Chain = true
 
 	ref := superviseKV(t, 300, &step)
 	for name, mc := range map[string]*machine.Config{
-		"superblocks": &blocks, "chained": &chained, "stepping-again": &step,
+		"chained": &chained, "stepping-again": &step,
 	} {
 		if got := superviseKV(t, 300, mc); !reflect.DeepEqual(ref, got) {
 			t.Errorf("%s diverged from stepping:\n  ref %+v\n  got %+v", name, ref, got)

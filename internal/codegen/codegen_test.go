@@ -109,7 +109,7 @@ func TestCondBrLowering(t *testing.T) {
 
 // TestBlocksEndInTerminators: every labeled basic block must be closed by
 // an explicit terminator before the next label — the property that lets
-// the machine fuse block interiors without missing a dispatch point.
+// the machine group block interiors without missing a dispatch point.
 func TestBlocksEndInTerminators(t *testing.T) {
 	for _, conf := range []Config{{}, {CFI: true, Bounds: BoundsMPX,
 		SeparateStacks: true, SeparateUT: true, ChkStk: true}} {

@@ -85,37 +85,30 @@ func BenchmarkStepBnd(b *testing.B) {
 }
 
 // BenchmarkRun measures whole-Run dispatch throughput on a loopy program
-// (straight-line ALU blocks broken by a conditional branch), comparing
-// the default dispatch stack (chained superblocks with superinstruction
-// fusion), each layer peeled off in turn, and per-instruction stepping.
-// The "superblock" sub-benchmark is the BENCH_interp.json /
+// (straight-line ALU blocks broken by a conditional branch) under the
+// default dispatch (chained superblocks) and under per-instruction
+// stepping. The "superblock" sub-benchmark is the BENCH_interp.json /
 // BENCH_history.jsonl "BenchmarkRun" datapoint: it must hold a >= 1.5x
-// MIPS advantage over "stepwise". "nofuse" is chained dispatch with
-// fusion off — the superblock-vs-nofuse delta is the fusion win. No
-// other lane name starts with "superblock": benchhistory greps for that
-// prefix to find the headline lane. The "profiled" lane runs the default stack with cycle-attributed profiling
-// on — its gap to "superblock" is the observability plane's enabled cost
-// (the disabled cost is zero: TestRunProfileDisabledZeroAlloc).
+// MIPS advantage over "stepwise". No other lane name starts with
+// "superblock": benchhistory greps for that prefix to find the headline
+// lane. The "profiled" lane runs the default dispatch with
+// cycle-attributed profiling on — its gap to "superblock" is the
+// observability plane's enabled cost (the disabled cost is zero:
+// TestRunProfileDisabledZeroAlloc).
 func BenchmarkRun(b *testing.B) {
 	for _, mode := range []struct {
 		name        string
 		superblocks bool
-		chain       bool
-		fuse        bool
 		profile     bool
 	}{
-		{"superblock", true, true, true, false},
-		{"nofuse", true, true, false, false},
-		{"nochain", true, false, false, false},
-		{"stepwise", false, false, false, false},
-		{"profiled", true, true, true, true},
+		{"superblock", true, false},
+		{"stepwise", false, false},
+		{"profiled", true, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			const iters = 1000
 			conf := DefaultConfig()
 			conf.Superblocks = mode.superblocks
-			conf.Chain = mode.chain
-			conf.Fuse = mode.fuse
 			conf.Profile = mode.profile
 			m := New(conf)
 			var code []byte
@@ -130,65 +123,6 @@ func BenchmarkRun(b *testing.B) {
 				{Op: asm.OpShlRI, Dst: asm.RBX, Imm: 2},
 				{Op: asm.OpSubRR, Dst: asm.RBX, Src: asm.RAX},
 				{Op: asm.OpAddRR, Dst: asm.RSI, Src: asm.RBX},
-				{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1},
-				{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
-			} {
-				code = asm.Encode(code, in)
-			}
-			code = asm.Encode(code, asm.Inst{Op: asm.OpJcc, Cond: asm.CondNE, Imm: int64(loopStart)})
-			code = asm.Encode(code, asm.Inst{Op: asm.OpExit})
-			if _, err := m.Mem.Map("code", 0x1000, 0x1000, PermR|PermX); err != nil {
-				b.Fatal(err)
-			}
-			if f := m.Mem.WriteBytesUnchecked(0x1000, code); f != nil {
-				b.Fatal(f)
-			}
-			t := m.NewThread(0x1000, 0, 0, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t.Halted = false
-				t.Fault = nil
-				t.PC = 0x1000
-				if f := m.Run(); f != nil {
-					b.Fatal(f)
-				}
-			}
-			b.StopTimer()
-			mips := float64(t.Stats.Instrs) / 1e6 / b.Elapsed().Seconds()
-			b.ReportMetric(mips, "MIPS")
-		})
-	}
-}
-
-// BenchmarkDispatchOnly isolates the dispatcher's constant factor from
-// memory traffic: a pure-ALU loop (no loads, stores or checks) where the
-// only per-instruction work besides the register arithmetic is fetching
-// the next slot and dispatching its opcode. The switch-vs-fused delta
-// here is the pure dispatch-overhead win that BenchmarkRun dilutes with
-// the memory model.
-func BenchmarkDispatchOnly(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		fuse bool
-	}{
-		{"switch", false},
-		{"fused", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			const iters = 1000
-			conf := DefaultConfig()
-			conf.Superblocks = true
-			conf.Chain = true
-			conf.Fuse = mode.fuse
-			m := New(conf)
-			var code []byte
-			code = asm.Encode(code, asm.Inst{Op: asm.OpMovRI, Dst: asm.RCX, Imm: iters})
-			loopStart := 0x1000 + uint64(len(code))
-			for _, in := range []asm.Inst{
-				{Op: asm.OpAddRI, Dst: asm.RAX, Imm: 3},
-				{Op: asm.OpXorRR, Dst: asm.RDX, Src: asm.RAX},
-				{Op: asm.OpAddRR, Dst: asm.RSI, Src: asm.RAX},
 				{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1},
 				{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
 			} {

@@ -1,15 +1,13 @@
-// Differential-execution harness: every workload is run under every
-// dispatch mode — per-instruction stepping, unchained superblocks,
-// chained superblocks and superinstruction fusion — and the executions
-// must be bit-identical in every observable: final
-// registers and flags per thread, per-thread architectural stats
+// Differential-execution harness: every workload is run under
+// per-instruction stepping and under block dispatch (chained
+// superblocks), and the executions must be bit-identical in every
+// observable: final registers and flags per thread, per-thread stats
 // (instructions, cycles, loads, stores, bound checks, cache misses,
-// trusted calls; the dispatcher-observability counters are compared
-// through Stats.Arch), exit codes, memory digests, output channels, and
-// — for faulting programs — the fault kind, address, PC and formatted
-// message. This is the test that licenses enabling superblocks and
-// fusion by default: any dispatch-layer bug that perturbs a simulated
-// result fails here before it can silently skew a figure table.
+// trusted calls), exit codes, memory digests, output channels, and — for
+// faulting programs — the fault kind, address, PC and formatted message.
+// This is the test that licenses enabling superblocks by default: any
+// dispatch-layer bug that perturbs a simulated result fails here before
+// it can silently skew a figure table.
 package machine_test
 
 import (
@@ -23,35 +21,9 @@ import (
 	"confllvm/internal/machine"
 )
 
-// diffModes is the dispatch-mode matrix of the 4-way diff: stepping is
-// the reference, and every other mode must match it bit for bit. -short
-// trims to the newest (and strictest) mode, fused, which subsumes
-// chained dispatch.
-type diffMode struct {
-	name        string
-	chain, fuse bool
-}
-
-func diffModes() []diffMode {
-	modes := []diffMode{
-		{name: "fused", chain: true, fuse: true},
-	}
-	if !testing.Short() {
-		modes = append(modes,
-			// Unchained, unfused: divergence here isolates a bug to run
-			// flattening itself.
-			diffMode{name: "nochain"},
-			// Chained but unfused: isolates the chain layer.
-			diffMode{name: "chained", chain: true},
-		)
-	}
-	return modes
-}
-
 // diffRun executes one artifact+world under per-instruction stepping and
-// every superblock dispatch mode (see diffModes) and compares
-// everything. It returns the stepping-mode result for further
-// workload-specific assertions.
+// under block dispatch and compares everything. It returns the
+// stepping-mode result for further workload-specific assertions.
 func diffRun(t *testing.T, art *confllvm.Artifact, mkWorld func() *confllvm.World,
 	base *machine.Config) *confllvm.Result {
 	t.Helper()
@@ -60,46 +32,41 @@ func diffRun(t *testing.T, art *confllvm.Artifact, mkWorld func() *confllvm.Worl
 		mcStep = *base
 	}
 	mcStep.Superblocks = false
-	mcStep.Fuse = false
 
 	ref, err := confllvm.Run(art, mkWorld(), &mcStep)
 	if err != nil {
 		t.Fatalf("stepwise run: %v", err)
 	}
-	for _, md := range diffModes() {
-		mc := mcStep
-		mc.Superblocks = true
-		mc.Chain = md.chain
-		mc.Fuse = md.fuse
-		got, err := confllvm.Run(art, mkWorld(), &mc)
-		if err != nil {
-			t.Fatalf("%s run: %v", md.name, err)
-		}
-		compareResults(t, md.name, ref, got)
+	mc := mcStep
+	mc.Superblocks = true
+	got, err := confllvm.Run(art, mkWorld(), &mc)
+	if err != nil {
+		t.Fatalf("superblock run: %v", err)
 	}
+	compareResults(t, ref, got)
 	return ref
 }
 
-func compareResults(t *testing.T, mode string, ref, got *confllvm.Result) {
+func compareResults(t *testing.T, ref, got *confllvm.Result) {
 	t.Helper()
 	// Faults: kind, address, PC and message must all match.
 	if (ref.Fault == nil) != (got.Fault == nil) {
-		t.Fatalf("fault divergence: stepwise=%v %s=%v", ref.Fault, mode, got.Fault)
+		t.Fatalf("fault divergence: stepwise=%v superblock=%v", ref.Fault, got.Fault)
 	}
 	if ref.Fault != nil {
 		if *ref.Fault != *got.Fault {
-			t.Fatalf("fault mismatch:\nstepwise: %+v\n%s: %+v", *ref.Fault, mode, *got.Fault)
+			t.Fatalf("fault mismatch:\nstepwise: %+v\nsuperblock: %+v", *ref.Fault, *got.Fault)
 		}
 		if ref.Fault.Error() != got.Fault.Error() {
-			t.Fatalf("fault message mismatch:\nstepwise: %s\n%s: %s",
-				ref.Fault.Error(), mode, got.Fault.Error())
+			t.Fatalf("fault message mismatch:\nstepwise: %s\nsuperblock: %s",
+				ref.Fault.Error(), got.Fault.Error())
 		}
 	}
 	if ref.ExitCode != got.ExitCode {
 		t.Fatalf("exit code: %d vs %d", ref.ExitCode, got.ExitCode)
 	}
 	if ref.Stats.Arch() != got.Stats.Arch() {
-		t.Fatalf("aggregate stats mismatch:\nstepwise: %+v\n%s: %+v", ref.Stats, mode, got.Stats)
+		t.Fatalf("aggregate stats mismatch:\nstepwise: %+v\nsuperblock: %+v", ref.Stats, got.Stats)
 	}
 	if ref.WallCycles != got.WallCycles {
 		t.Fatalf("wall cycles: %d vs %d", ref.WallCycles, got.WallCycles)
@@ -133,7 +100,7 @@ func compareResults(t *testing.T, mode string, ref, got *confllvm.Result) {
 	for i := range ref.Machine.Threads {
 		a, b := ref.Machine.Threads[i], got.Machine.Threads[i]
 		if a.Regs != b.Regs {
-			t.Fatalf("thread %d registers:\nstepwise: %v\n%s: %v", i, a.Regs, mode, b.Regs)
+			t.Fatalf("thread %d registers:\nstepwise: %v\nsuperblock: %v", i, a.Regs, b.Regs)
 		}
 		for r := range a.FRegs {
 			if math.Float64bits(a.FRegs[r]) != math.Float64bits(b.FRegs[r]) {
@@ -153,7 +120,7 @@ func compareResults(t *testing.T, mode string, ref, got *confllvm.Result) {
 			t.Fatalf("thread %d halt state differs", i)
 		}
 		if a.Stats.Arch() != b.Stats.Arch() {
-			t.Fatalf("thread %d stats:\nstepwise: %+v\n%s: %+v", i, a.Stats, mode, b.Stats)
+			t.Fatalf("thread %d stats:\nstepwise: %+v\nsuperblock: %+v", i, a.Stats, b.Stats)
 		}
 	}
 

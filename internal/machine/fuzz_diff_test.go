@@ -1,8 +1,7 @@
 // Randomized differential fuzzing: seeded, deterministic miniC programs
 // are generated, compiled through the full pipeline, and executed under
-// every dispatch mode (per-instruction stepping, unchained superblocks,
-// chained superblocks and superinstruction fusion — see diffRun and
-// diffModes). The generator leans on control-flow shapes — nested
+// per-instruction stepping and chained superblock dispatch (see
+// diffRun). The generator leans on control-flow shapes — nested
 // ifs, bounded loops, calls — because block boundaries and branch edges
 // are exactly where superblock dispatch and direct block chaining can
 // diverge from per-instruction stepping; it also emits occasional
@@ -212,7 +211,7 @@ func TestFuzzDifferential(t *testing.T) {
 // the array on either side — through the MPX configuration: every run
 // must raise a bounds fault, and the fault's kind, address, PC, partial
 // state and memory digest must be identical across per-instruction
-// stepping, unchained superblocks and direct chaining. This is the
+// stepping and chained superblock dispatch. This is the
 // adversarial-input half of the fault-path diff: the instrumentation
 // itself is what faults, at a PC the dispatch layers reach differently.
 func TestFuzzDifferentialBoundsFaults(t *testing.T) {
@@ -277,15 +276,9 @@ func diffRunCorrupt(t *testing.T, art *confllvm.Artifact, addr uint64) *confllvm
 	}
 	mcStep := machine.DefaultConfig()
 	mcStep.Superblocks = false
-	mcStep.Fuse = false
 	ref := run(&mcStep)
-	for _, md := range diffModes() {
-		mc := mcStep
-		mc.Superblocks = true
-		mc.Chain = md.chain
-		mc.Fuse = md.fuse
-		compareResults(t, md.name, ref, run(&mc))
-	}
+	mc := machine.DefaultConfig()
+	compareResults(t, ref, run(&mc))
 	return ref
 }
 

@@ -24,13 +24,9 @@ type Stats struct {
 	CacheMisses uint64
 	TrustedCall uint64 // transitions into T handlers
 
-	// FusedSlots counts fused superinstruction slots executed to
-	// completion and Defuses counts the times a fused slot fell back to
-	// its constituent list (a fuel/quantum bite or a fault landing
-	// inside the slot; see fuse.go). They describe how the dispatcher
-	// executed, not what the program did: they legitimately differ
-	// across dispatch modes, so cross-mode comparisons go through
-	// Arch(), which zeroes them.
+	// FusedSlots and Defuses are always zero: the interpreter no longer
+	// fuses superinstructions. They are kept because perfbench/metrics.go
+	// reads them.
 	FusedSlots uint64
 	Defuses    uint64
 }
@@ -49,16 +45,11 @@ func (s *Stats) Add(other Stats) {
 	s.Defuses += other.Defuses
 }
 
-// Arch returns the architectural subset of s: the counters that must be
-// bit-identical across every dispatch mode (stepping, superblock,
-// chained, fused). The dispatcher-observability counters (FusedSlots,
-// Defuses) are zeroed — a stepping run fuses nothing, so whole-struct
-// equality across modes would be vacuously false.
-func (s Stats) Arch() Stats {
-	s.FusedSlots = 0
-	s.Defuses = 0
-	return s
-}
+// Arch returns the counters that must be bit-identical between
+// per-instruction stepping and block dispatch. Every field qualifies
+// (FusedSlots and Defuses are always zero), so Arch returns s unchanged;
+// it stays the name cross-mode comparisons use.
+func (s Stats) Arch() Stats { return s }
 
 // Thread is a hardware execution context (one per simulated core thread).
 type Thread struct {
@@ -108,8 +99,9 @@ type Config struct {
 	TrustedCost1 uint64 // same, when U and T share memory (Our1Mem)
 
 	// Superblocks makes Run dispatch once per basic block instead of once
-	// per instruction: straight-line decoded instructions are fused into
-	// superblocks (see superblock.go) executed by a tight handler loop.
+	// per instruction: straight-line decoded instructions are grouped into
+	// superblocks (see superblock.go) executed by a tight handler loop,
+	// and a block ending in a direct jmp or jcc chains to its successor.
 	// Architectural results — registers, memory, cycle counts, fault PCs
 	// and messages — are bit-identical to per-instruction stepping; the
 	// differential tests in diff_test.go enforce this. Thread.Step always
@@ -122,27 +114,6 @@ type Config struct {
 	// address. Purely observational — no simulated result changes — and
 	// free when off (one nil check per block, zero allocations).
 	Profile bool
-
-	// Chain links superblocks to their successors: a block ending in a
-	// direct jmp (and both edges of a jcc) caches a pointer to the
-	// successor's flattened run when the target lies in the same decode
-	// trace and outside the trusted-handler range, so hot loops execute
-	// run-to-run without returning through the dispatcher (see
-	// superblock.go). Only meaningful with Superblocks; bit-identical to
-	// unchained dispatch in every simulated result.
-	Chain bool
-
-	// Fuse enables superinstruction fusion at flatten time: buildBlock
-	// peephole-recognizes hot multi-instruction idioms — add/sub+cmp+jcc
-	// loop heads, load/op/store triples, cmp+jcc pairs, and MPX
-	// check+load / check+store pairs — into synthetic fused slots that
-	// the dispatcher executes with a single opcode dispatch (see
-	// fuse.go). A fuel or quantum bite, or a fault, landing inside a
-	// fused slot de-fuses: execution falls back to the constituent
-	// instruction list, so per-instruction PCs, cycle charges and fault
-	// messages are bit-identical to unfused dispatch. Only meaningful
-	// with Superblocks.
-	Fuse bool
 }
 
 // DefaultConfig returns the calibrated default cost model.
@@ -156,8 +127,6 @@ func DefaultConfig() Config {
 		TrustedCost:  40,
 		TrustedCost1: 8,
 		Superblocks:  true,
-		Chain:        true,
-		Fuse:         true,
 	}
 }
 
@@ -454,13 +423,13 @@ func (t *Thread) Step() *Fault {
 			return t.fault(f)
 		}
 	}
-	_, f := t.execRun(run, tr, 1, false)
+	_, f := t.execRun(run, tr, 1)
 	return f
 }
 
 // execRun executes up to max instructions starting at run's entry slot,
-// then — with chain set and budget remaining — follows the run's cached
-// successor links (resolving them on first use) so hot loops execute
+// then — with budget remaining — follows the run's cached successor
+// links (resolving them on first use) so hot loops execute
 // run-to-run without returning through the dispatcher. Every run is a
 // flattened superblock (see superblock.go): slot k's instruction is
 // insts[k], its PC is pcs[k] and its fall-through PC is pcs[k+1], so the
@@ -480,7 +449,7 @@ func (t *Thread) Step() *Fault {
 // instruction counts toward Instrs (but not Cycles), as it always has.
 //
 // Returns the number of instructions charged, including a faulting one.
-func (t *Thread) execRun(run *blockRun, tr *codeTrace, max int, chain bool) (int, *Fault) {
+func (t *Thread) execRun(run *blockRun, tr *codeTrace, max int) (int, *Fault) {
 	if max <= 0 {
 		return 0, nil
 	}
@@ -499,27 +468,11 @@ chained:
 		if rem := max - done; nb > rem {
 			nb = rem
 		}
+		insts := run.insts[:nb]
 		k = 0
-		// xs is the slot program: the fused program when the whole block
-		// runs (fused slots execute their idiom with one dispatch), the
-		// raw constituent list when a fuel or quantum bite truncates the
-		// block — a bite landing strictly inside a fused slot de-fuses it
-		// (Stats.Defuses) so the partial execution is constituent-exact.
-		// j indexes slots, k counts constituent instructions; pcs[] and
-		// cum[] stay constituent-indexed throughout.
-		xs := run.insts[:nb]
-		if run.xinsts != nil {
-			if nb == run.n {
-				xs = run.xinsts
-			} else if run.splitsFused(nb) {
-				t.Stats.Defuses++
-			}
-		}
-		j := 0
 	loop:
-		for j < len(xs) {
-			ip := &xs[j]
-			j++
+		for k < len(insts) {
+			ip := &insts[k]
 			k++
 			// Static per-op base costs are precomputed into run.cum (a
 			// prefix sum charged once per block below); the cases only add
@@ -778,49 +731,6 @@ chained:
 				fault = &Fault{Kind: FaultPerm, Msg: "syscall from untrusted code"}
 				break loop
 
-			case opFuseAluCmpJcc:
-				// Fused idioms (see fuse.go): one dispatch executes the
-				// whole constituent sequence. k advances by the constituent
-				// count so the cum[]/pcs[] contracts below keep holding; an
-				// interior fault advances k only past the clean constituents
-				// plus the faulting one, exactly as the unfused walk would.
-				fs := &run.fused[ip.Imm]
-				nextPC = t.fuseAluCmpJcc(fs)
-				t.Stats.FusedSlots++
-				k += len(fs.insts) - 1
-			case opFuseAluPack:
-				fs := &run.fused[ip.Imm]
-				t.packExec(fs.uops)
-				t.Stats.FusedSlots++
-				k += len(fs.insts) - 1
-			case opFuseCmpJcc:
-				fs := &run.fused[ip.Imm]
-				nextPC = t.fuseCmpJcc(fs)
-				t.Stats.FusedSlots++
-				k++
-			case opFuseLoadOpStore:
-				fs := &run.fused[ip.Imm]
-				nc, f := t.fuseLoadOpStore(fs)
-				if f != nil {
-					t.Stats.Defuses++
-					k += nc
-					fault = f
-					break loop
-				}
-				t.Stats.FusedSlots++
-				k += 2
-			case opFuseChkLoad, opFuseChkStore:
-				fs := &run.fused[ip.Imm]
-				nc, f := t.fuseChk(fs)
-				if f != nil {
-					t.Stats.Defuses++
-					k += nc
-					fault = f
-					break loop
-				}
-				t.Stats.FusedSlots++
-				k++
-
 			default:
 				fault = &Fault{Kind: FaultDecode, Msg: "unimplemented opcode " + ip.Op.String()}
 				break loop
@@ -848,7 +758,7 @@ chained:
 			// this conserves Stats exactly (see profile.go).
 			prof.add(run.pcs[0], t.Stats.Cycles-profC0, uint64(k))
 		}
-		if t.Halted || k < run.n || done >= max || !chain {
+		if t.Halted || k < run.n || done >= max {
 			break chained
 		}
 		// The whole block completed with budget left: follow (or resolve
@@ -903,6 +813,47 @@ chained:
 		}
 	}
 	return done, nil
+}
+
+// bndCheck executes a bndcl/bndcu instruction, including the FP-masking
+// credit and the masked check's static-cost refund.
+func (t *Thread) bndCheck(ip *asm.Inst) *Fault {
+	t.Stats.BndChecks++
+	masked := false
+	if t.fpCredit > 0 {
+		t.fpCredit--
+		t.Stats.BndMasked++
+		masked = true
+	}
+	var addr uint64
+	switch ip.Op {
+	case asm.OpBndCLMem, asm.OpBndCUMem:
+		// As with lea, the check is on the raw address (no segment).
+		addr = t.ea(&ip.M, false)
+	default:
+		addr = t.Regs[ip.Src]
+	}
+	b := t.Bnd[ip.Bnd]
+	switch ip.Op {
+	case asm.OpBndCLMem, asm.OpBndCLReg:
+		if addr < b.Lo {
+			return &Fault{Kind: FaultBounds, Addr: addr,
+				Msg: fmt.Sprintf("below %s.lower=%#x", ip.Bnd, b.Lo)}
+		}
+	default:
+		if addr > b.Hi {
+			return &Fault{Kind: FaultBounds, Addr: addr,
+				Msg: fmt.Sprintf("above %s.upper=%#x", ip.Bnd, b.Hi)}
+		}
+	}
+	if masked {
+		// The check hid behind FP work: refund the static unit cost
+		// charged by the block's prefix sum. A faulting masked check
+		// never gets here — its cost was never charged (the prefix sum
+		// excludes the faulting slot).
+		t.Stats.Cycles--
+	}
+	return nil
 }
 
 func (t *Thread) grantFPCredit() {

@@ -52,22 +52,11 @@ type modeConf struct {
 	conf Config
 }
 
-// dispatchConfs returns the default config under per-instruction
-// stepping ("stepwise") followed by every superblock mode of
-// parityModes.
+// dispatchConfs returns the two dispatch modes: per-instruction
+// stepping ("stepwise") and the default chained superblocks
+// ("chained").
 func dispatchConfs() []modeConf {
-	step := DefaultConfig()
-	step.Superblocks = false
-	step.Fuse = false
-	confs := []modeConf{{"stepwise", step}}
-	for _, mode := range parityModes {
-		conf := DefaultConfig()
-		conf.Superblocks = true
-		conf.Chain = mode.chain
-		conf.Fuse = mode.fuse
-		confs = append(confs, modeConf{mode.name, conf})
-	}
-	return confs
+	return []modeConf{{"stepwise", stepwiseConf()}, {"chained", DefaultConfig()}}
 }
 
 // TestProfileConservation: with profiling on, the attributed cycle and
@@ -203,9 +192,6 @@ func TestProfileHandlerAttribution(t *testing.T) {
 // profiling off performs zero allocations. This is the acceptance bar for
 // shipping the hooks inside the hot dispatch loop.
 func TestRunProfileDisabledZeroAlloc(t *testing.T) {
-	// The fused slot program is built once at flatten time, so the
-	// re-run path must stay allocation-free in every dispatch mode, fused
-	// included.
 	for _, mode := range dispatchConfs() {
 		if !mode.conf.Superblocks {
 			continue // stepping re-dispatches per instruction; not the pinned path

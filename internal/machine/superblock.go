@@ -20,7 +20,7 @@ import (
 // metadata — cached in codeTrace.runs[entryOff], so execRun iterates a
 // flat slice instead of re-walking lens[o] offsets per instruction.
 //
-// Direct block chaining (Conf.Chain): a run ending in a direct jmp, and
+// Direct block chaining: a run ending in a direct jmp, and
 // both edges of a jcc, cache a pointer to the successor run when the
 // target lies in the same trace and outside the trusted-handler range.
 // Hot loops then execute run-to-run inside execRun without returning
@@ -35,7 +35,7 @@ import (
 // links inside them die with the trace. In addition, blocks never span a
 // PC inside the registered trusted-handler address range [hndLo, hndHi]
 // and chain links never target one — per-instruction stepping probes the
-// handler map at every PC, so a block fused across (or chained into) a
+// handler map at every PC, so a block built across (or chained into) a
 // handler address would skip a dispatch. rebuildHandlerIndex flushes all
 // run and block metadata whenever that range changes.
 
@@ -98,14 +98,6 @@ type blockRun struct {
 	// a prior Step at a hot PC cannot degrade Run to one-instruction
 	// dispatches there.
 	short bool
-
-	// Superinstruction fusion (Conf.Fuse, see fuse.go): xinsts is the
-	// fused slot program — synthetic idiom slots (Imm indexing fused)
-	// interleaved with singleton copies — or nil when no idiom matched.
-	// insts/pcs/cum above stay constituent-indexed regardless, so fuel,
-	// fault PCs and cycle charges are computed identically either way.
-	xinsts []asm.Inst
-	fused  []fusedInst
 }
 
 // buildBlock decodes straight-line instructions from off up to and
@@ -175,15 +167,6 @@ func (tr *codeTrace) buildBlock(m *Machine, off uint64, limit int) (*blockRun, *
 	if term == asm.OpJmp || term == asm.OpJcc {
 		run.takenPC = uint64(run.insts[n-1].Imm)
 	}
-	// Fusion runs after the constituent arrays and the terminator
-	// metadata are final: it rewrites only the slot program the dispatch
-	// loop walks. Step's one-slot builds (limit 1) never fuse — fuseRun
-	// needs at least two constituents — so a prior Step at a hot PC
-	// cannot change the fusion of the full-length run block dispatch
-	// rebuilds.
-	if m.Conf.Fuse {
-		fuseRun(run)
-	}
 	tr.blocks[off] = uint16(n)
 	tr.runs[off] = run
 	return run, nil
@@ -241,7 +224,6 @@ func (tr *codeTrace) chainTarget(m *Machine, pc uint64) *blockRun {
 // the number of instructions charged, including a faulting one.
 func (t *Thread) stepBlocks(max int) (int, *Fault) {
 	m := t.m
-	chain := m.Conf.Chain
 	done := 0
 	for done < max && !t.Halted {
 		if t.PC >= m.hndLo && t.PC <= m.hndHi {
@@ -285,7 +267,7 @@ func (t *Thread) stepBlocks(max int) (int, *Fault) {
 				return done + 1, t.fault(f)
 			}
 		}
-		n, f := t.execRun(run, tr, max-done, chain)
+		n, f := t.execRun(run, tr, max-done)
 		done += n
 		if f != nil {
 			return done, f

@@ -1,7 +1,7 @@
 // Package obs is the deterministic observability plane: metrics,
 // request tracing and per-function profiles, all denominated in
 // *simulated* cycles so every observation is byte-identical across
-// dispatch modes (-superblocks, -chain) and across -parallel runs.
+// dispatch modes (-superblocks) and across -parallel runs.
 //
 // The package deliberately has no clock and no randomness of its own:
 // callers pass in simulated-cycle timestamps (machine Stats.Cycles) and
