@@ -52,11 +52,27 @@ type modeConf struct {
 	conf Config
 }
 
-// dispatchConfs returns the two dispatch modes: per-instruction
-// stepping ("stepwise") and the default chained superblocks
-// ("chained").
+// dispatchConfs returns per-instruction stepping ("stepwise") and the
+// default chained superblocks ("chained"), plus two block-dispatch
+// variants that take other paths through the block executor and Run's
+// bite loop. They keep the lane names of the dispatch modes they
+// replaced:
+//
+//   - "superblock": the flat cost model (CacheModel off), so threads
+//     carry no L1 and every block memory op takes memCost's no-cache path;
+//   - "fused": an unmetered Run (DefaultFuel 0), so runBlocks neither
+//     caps bites at the fuel tank nor counts it down.
 func dispatchConfs() []modeConf {
-	return []modeConf{{"stepwise", stepwiseConf()}, {"chained", DefaultConfig()}}
+	flat := DefaultConfig()
+	flat.CacheModel = false
+	unmetered := DefaultConfig()
+	unmetered.DefaultFuel = 0
+	return []modeConf{
+		{"stepwise", stepwiseConf()},
+		{"superblock", flat},
+		{"chained", DefaultConfig()},
+		{"fused", unmetered},
+	}
 }
 
 // TestProfileConservation: with profiling on, the attributed cycle and

@@ -734,3 +734,66 @@ func TestStepThenRunRebuildsFullBlocks(t *testing.T) {
 		t.Fatalf("loop computed %d, want 300", th.Regs[asm.RAX])
 	}
 }
+
+// TestStepNeverCachesFusedSlots: Step caches nothing but one-slot short
+// runs, and never replaces a full block that block dispatch built. (The
+// name predates the removal of superinstruction fusion, when Step also
+// had to keep fused slot programs out of its one-slot runs.) A second
+// thread single-stepped through an already-dispatched loop must execute
+// the cached full run's slot 0 in place — leaving it full-length and
+// chained to itself — and end in the same state as the first thread.
+func TestStepNeverCachesFusedSlots(t *testing.T) {
+	pre := []asm.Inst{{Op: asm.OpMovRI, Dst: asm.RCX, Imm: 200}}
+	loopStart := int64(0x1000) + encodeLen(pre[0])
+	insts := append(pre,
+		asm.Inst{Op: asm.OpAddRI, Dst: asm.RAX, Imm: 1},
+		asm.Inst{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1},
+		asm.Inst{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
+		asm.Inst{Op: asm.OpJcc, Cond: asm.CondNE, Imm: loopStart},
+	)
+	m, th := buildFor(t, DefaultConfig(), insts)
+
+	// Stepping a fresh trace caches exactly one slot per stepped PC.
+	pcs := make([]uint64, 0, 3)
+	for i := 0; i < 3; i++ {
+		pcs = append(pcs, th.PC)
+		if f := th.Step(); f != nil {
+			t.Fatal(f)
+		}
+	}
+	tr := m.traces[0]
+	for _, pc := range pcs {
+		if run := tr.runs[pc-tr.lo]; run == nil || !run.short || run.n != 1 {
+			t.Fatalf("Step at %#x cached %+v, want a one-slot short run", pc, run)
+		}
+	}
+
+	if f := m.Run(); f != nil {
+		t.Fatal(f)
+	}
+	off := uint64(loopStart) - tr.lo
+	full := tr.runs[off]
+	if full == nil || full.short || full.n < 4 || full.taken != full {
+		t.Fatalf("block dispatch did not build a full self-chained loop run: %+v", full)
+	}
+
+	// A second thread stepped all the way through must reuse that run.
+	th2 := m.NewThread(0x1000, 0x100000+0x4000, 0x100000, 0x100000+0x8000)
+	for steps := 0; !th2.Halted; steps++ {
+		if steps > 10_000 {
+			t.Fatal("second thread did not halt")
+		}
+		if f := th2.Step(); f != nil {
+			t.Fatal(f)
+		}
+		if tr.runs[off] != full || full.short || full.taken != full {
+			t.Fatalf("Step replaced or unchained the full loop run: %+v", tr.runs[off])
+		}
+	}
+	if th.Regs[asm.RAX] != 200 || th2.Regs[asm.RAX] != 200 {
+		t.Fatalf("loop computed %d and %d, want 200", th.Regs[asm.RAX], th2.Regs[asm.RAX])
+	}
+	if th.Stats != th2.Stats {
+		t.Fatalf("stepped thread stats %+v != block-dispatched thread stats %+v", th2.Stats, th.Stats)
+	}
+}
