@@ -1,46 +1,40 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 )
 
-// TestHistoryLine pins the exact JSON row built from the fixture reports
-// in testdata: column order, omitted columns, the zero-cell and
-// other-figure skips, and float formatting.
+// TestHistoryLine pins the exact JSON row built from the fixture report
+// in testdata: commit, date and benchrun_mips first, then the history
+// columns in key order (the fixture lists them unsorted), with the
+// report's rows ignored and float formatting unchanged.
 func TestHistoryLine(t *testing.T) {
-	td := func(name string) string { return filepath.Join("testdata", name) }
-	all := map[string]string{
-		"faults":  td("faults.json"),
-		"verify":  td("verify.json"),
-		"cluster": td("cluster.json"),
-		"latency": td("latency.json"),
+	line, err := historyLine("abc123", "2026-10-17", filepath.Join("testdata", "benchrun.txt"),
+		filepath.Join("testdata", "report.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name    string
-		reports map[string]string
-		want    string
-	}{
-		{"all", all, `{"commit":"abc123","date":"2026-10-17","benchrun_mips":171.3,"interp_geomean":2.7386127875258306,"faults_avail_geomean":90,"verify_funcs_per_sec":18974.06124160035,"cluster_reqs_per_sec":2846049.8941515405,"latency_p99_cycles":99914.99408682232}`},
-		{"faults-only", map[string]string{"faults": td("faults.json")}, `{"commit":"abc123","date":"2026-10-17","benchrun_mips":171.3,"interp_geomean":2.7386127875258306,"faults_avail_geomean":90}`},
-		{"required-only", nil, `{"commit":"abc123","date":"2026-10-17","benchrun_mips":171.3,"interp_geomean":2.7386127875258306}`},
-	} {
-		line, err := historyLine("abc123", "2026-10-17", td("benchrun.txt"), td("interp.json"), tc.reports)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if string(line) != tc.want {
-			t.Errorf("%s:\n got %s\nwant %s", tc.name, line, tc.want)
-		}
+	want := `{"commit":"abc123","date":"2026-10-17","benchrun_mips":171.3,"cluster_reqs_per_sec":2214515.188809093,"faults_avail_geomean":90,"interp_geomean":2.7386127875258306,"latency_p99_cycles":11750.956311632137,"verify_funcs_per_sec":18974.06124160035}`
+	if string(line) != want {
+		t.Errorf("\n got %s\nwant %s", line, want)
 	}
 }
 
-// TestHistoryLineNoRows: a report without a single positive cell of its
-// figure is an error, not a silent zero column.
+// TestHistoryLineNoRows: a report without a history object, or with an
+// empty one, produces no row — an error, not a row without columns.
 func TestHistoryLineNoRows(t *testing.T) {
-	_, err := historyLine("abc123", "2026-10-17", filepath.Join("testdata", "benchrun.txt"),
-		filepath.Join("testdata", "interp.json"), map[string]string{"cluster": filepath.Join("testdata", "faults.json")})
-	if err == nil {
-		t.Fatal("a faults report passed as -cluster produced a row")
+	for name, body := range map[string]string{
+		"missing": `{"figure_filter": "5", "rows": [{"figure": "fig5", "workload": "mcf"}]}`,
+		"empty":   `{"history": {}, "rows": []}`,
+	} {
+		path := filepath.Join(t.TempDir(), "report.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if line, err := historyLine("abc123", "2026-10-17", filepath.Join("testdata", "benchrun.txt"), path); err == nil {
+			t.Errorf("%s history produced a row: %s", name, line)
+		}
 	}
 }

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	confbench [-figure all|5|6|7|8|ldap|throughput|scenarios|faults|verify|cluster|latency|interp]
+//	confbench [-figure all|5|ablation|6|ldap|7|8|throughput|scenarios|faults|verify|cluster|latency|interp]
 //	          [-superblocks=true|false]
 //	          [-parallel N] [-seed N] [-short] [-list]
 //	          [-json] [-out BENCH_interp.json] [-profile FILE]
@@ -11,6 +11,11 @@
 // Figures register in one place (figureRegistry); the -figure usage
 // string and the -list output derive from it, so the line above and the
 // flag help cannot drift from the real set.
+//
+// The "ablation" figure reproduces the §5.1 claim that the MPX check
+// optimizations pay off: every SPEC kernel under Base, OurMPX and
+// OurMPX-Naive (OurMPX with those optimizations disabled), rendered like
+// Figure 5.
 //
 // The "scenarios" figure is the seeded traffic sweep: internal/scenario
 // expands a grid of (request multiplier x hit ratio) specs for the
@@ -70,7 +75,17 @@
 //
 // With -json, every measurement (simulated wall cycles, instruction count,
 // host run time, interpreter MIPS) is also written to a JSON file so later
-// changes have a perf trajectory to compare against.
+// changes have a perf trajectory to compare against. The report's
+// top-level "history" object holds the perf-history columns, each set by
+// the figure that owns it as it renders: interp_geomean (interp's
+// superblock-vs-stepwise MIPS speedup), faults_avail_geomean (faults'
+// availability %), verify_funcs_per_sec (verify's per-binary checking
+// throughput, host time), cluster_reqs_per_sec (cluster's aggregate
+// simulated req/s) and latency_p99_cycles (latency's p99 in simulated
+// cycles). Each is the geometric mean over the figure's rows, skipping
+// values <= 0; a column whose figure did not run, or had no positive
+// value, is absent. cmd/benchhistory copies this object into
+// BENCH_history.jsonl.
 //
 // -superblocks=false replays everything with per-instruction stepping
 // instead of chained superblock dispatch. The figure tables must come
@@ -169,7 +184,8 @@ type benchRow struct {
 	MaxQueue      uint64 `json:"max_queue,omitempty"`
 }
 
-// benchReport is the BENCH_interp.json schema.
+// benchReport is the -json report schema (BENCH_interp.json,
+// BENCH_nightly.json).
 type benchReport struct {
 	GeneratedAt string `json:"generated_at"`
 	// FigureFilter records the -figure selection so partial runs are never
@@ -186,9 +202,12 @@ type benchReport struct {
 	// throughput denominator is SuiteWallNS.
 	TotalHostNS int64 `json:"total_host_ns"`
 	// SuiteWallNS is the true elapsed time of the whole matrix run.
-	SuiteWallNS int64      `json:"suite_wall_ns"`
-	MIPS        float64    `json:"mips"` // TotalInstrs / SuiteWallNS, in millions/sec
-	Rows        []benchRow `json:"rows"`
+	SuiteWallNS int64   `json:"suite_wall_ns"`
+	MIPS        float64 `json:"mips"` // TotalInstrs / SuiteWallNS, in millions/sec
+	// History maps each perf-history column to its value (see the
+	// package doc); only figures that ran contribute.
+	History map[string]float64 `json:"history,omitempty"`
+	Rows    []benchRow         `json:"rows"`
 }
 
 var (
@@ -272,6 +291,40 @@ func record(figure, workload, variant string, m *bench.Measurement) {
 	report.Rows = append(report.Rows, row)
 }
 
+// geomean is the geometric mean of the positive values in vals; ok is
+// false when there are none. Values <= 0 (untimed or dead cells) are
+// skipped so they never fold -Inf or NaN into an aggregate.
+func geomean(vals []float64) (g float64, ok bool) {
+	var logSum float64
+	var n int
+	for _, v := range vals {
+		if v <= 0 {
+			continue
+		}
+		logSum += math.Log(v)
+		n++
+	}
+	if n == 0 {
+		return 0, false
+	}
+	return math.Exp(logSum / float64(n)), true
+}
+
+// recordHistory sets one history column of the JSON report to the
+// geomean of vals (no-op without -json, or when no value is positive).
+func recordHistory(column string, vals []float64) {
+	g, ok := geomean(vals)
+	reportMu.Lock()
+	defer reportMu.Unlock()
+	if report == nil || !ok {
+		return
+	}
+	if report.History == nil {
+		report.History = map[string]float64{}
+	}
+	report.History[column] = g
+}
+
 // renderFn consumes a figure's slice of the matrix results (in cell
 // order) and prints its table.
 type renderFn func([]bench.CellResult) error
@@ -289,7 +342,7 @@ type figureSpec struct {
 // test pins that every registered figure is listed and that unknown
 // names error with a pointer to -list.
 var figureRegistry = []figureSpec{
-	{"5", fig5}, {"6", fig6}, {"ldap", ldap}, {"7", fig7}, {"8", fig8},
+	{"5", fig5}, {"ablation", ablation}, {"6", fig6}, {"ldap", ldap}, {"7", fig7}, {"8", fig8},
 	{"throughput", throughput}, {"scenarios", scenarios}, {"faults", faults},
 	{"verify", verifyFigure}, {"cluster", cluster}, {"latency", latencyFigure},
 	{"interp", interp},
@@ -514,6 +567,28 @@ func fig5() ([]bench.Cell, renderFn) {
 	return tableCells("fig5", rows, cols), render
 }
 
+// ablation is the §5.1 MPX ablation: every SPEC kernel under OurMPX and
+// under OurMPX-Naive, which checks every access (no rsp-check elision and
+// no block-local check coalescing), both as % of Base.
+func ablation() ([]bench.Cell, renderFn) {
+	cols := []confllvm.Variant{confllvm.VariantBase, confllvm.VariantMPX, confllvm.VariantMPXNaive}
+	tbl := bench.NewTable("Ablation: §5.1 MPX check optimizations, SPEC execution time (% of Base)", cols, "cyc")
+	var rows []tableRow
+	for _, k := range bench.SPECKernels() {
+		rows = append(rows, tableRow{k.Name, bench.SPECWorkload(k, k.Params), 0})
+	}
+	render := func(results []bench.CellResult) error {
+		if err := renderTable("ablation", tbl, results, nil); err != nil {
+			return err
+		}
+		fmt.Printf("geomean overheads: OurMPX=%.1f%%  OurMPX-Naive=%.1f%%\n\n",
+			tbl.GeoMeanOverhead(confllvm.VariantMPX),
+			tbl.GeoMeanOverhead(confllvm.VariantMPXNaive))
+		return nil
+	}
+	return tableCells("ablation", rows, cols), render
+}
+
 func fig6() ([]bench.Cell, renderFn) {
 	cols := []confllvm.Variant{confllvm.VariantBase, confllvm.VariantOneMem,
 		confllvm.VariantBare, confllvm.VariantCFI, confllvm.VariantMPXSep, confllvm.VariantMPX}
@@ -657,6 +732,7 @@ func faults() ([]bench.Cell, renderFn) {
 		fmt.Printf("%-22s %7s %9s %11s %9s %12s %12s %7s %6s %6s\n",
 			"workload/rate", "avail%", "req/s", "served", "restarts",
 			"recov-mean", "recov-max", "gate✗", "shed", "rej")
+		var avail []float64
 		for _, r := range results {
 			if r.Err != nil {
 				return r.Err
@@ -668,7 +744,9 @@ func faults() ([]bench.Cell, renderFn) {
 				rep.RecoveryMean(), rep.RecoveryMax(),
 				rep.VerifyRejections, rep.Shed, rep.Rejected)
 			record("faults", r.Cell.Row, r.Cell.Variant.String(), r.M)
+			avail = append(avail, rep.AvailabilityPct())
 		}
+		recordHistory("faults_avail_geomean", avail)
 		fmt.Println()
 		return nil
 	}
@@ -703,13 +781,16 @@ func verifyFigure() ([]bench.Cell, renderFn) {
 			record("verify", r.Cell.Row, r.Cell.Variant.String(), r.M)
 		}
 		fmt.Println()
+		var funcsPerSec []float64
 		for _, r := range results {
 			rep := r.M.Verify
+			funcsPerSec = append(funcsPerSec, rep.FuncsPerSec())
 			fmt.Printf("%-16s %8v %10.0f funcs/s %12.0f insts/s %6.2fx par %6.1fx cached  (host, %d workers)\n",
 				r.Cell.Row, r.Cell.Variant, rep.FuncsPerSec(), rep.InstsPerSec(),
 				rep.Speedup(), float64(rep.ParallelNS)/float64(max64(rep.CachedNS, 1)),
 				rep.Workers)
 		}
+		recordHistory("verify_funcs_per_sec", funcsPerSec)
 		fmt.Println()
 		if surviving > 0 {
 			return fmt.Errorf("%d mutant(s) survived the verifier — kill rate below 100%%", surviving)
@@ -741,6 +822,7 @@ func cluster() ([]bench.Cell, renderFn) {
 		fmt.Printf("%-18s %3s %6s %10s %13s %23s %7s %7s\n",
 			"cluster", "sh", "reqs", "agg-req/s", "shard-reqs", "shard-cycles", "splits", "xscans")
 		idx := 0
+		var aggReqs []float64
 		for _, ct := range cts {
 			ms := make([]*bench.Measurement, ct.Spec.Shards)
 			var hostNS int64
@@ -772,7 +854,9 @@ func cluster() ([]bench.Cell, renderFn) {
 			}
 			m.Stats.Instrs = rep.Instrs
 			record("cluster", ct.Spec.Name, v.String(), m)
+			aggReqs = append(aggReqs, float64(rep.AggReqsPerSec()))
 		}
+		recordHistory("cluster_reqs_per_sec", aggReqs)
 		fmt.Println()
 		return nil
 	}
@@ -799,6 +883,7 @@ func latencyFigure() ([]bench.Cell, renderFn) {
 		fmt.Printf("%-28s %8s %10s %9s %9s %9s %9s %11s %5s\n",
 			"scenario/arrival", "gap", "offer-r/s", "svc-mean", "p50", "p95", "p99", "max", "maxq")
 		agg := obs.NewRegistry()
+		var p99s []float64
 		for _, r := range results {
 			if r.Err != nil {
 				return r.Err
@@ -809,7 +894,9 @@ func latencyFigure() ([]bench.Cell, renderFn) {
 				rep.P50, rep.P95, rep.P99, rep.Max, rep.MaxQueue)
 			agg.Merge(rep.Registry)
 			record("latency", r.Cell.Row, r.Cell.Variant.String(), r.M)
+			p99s = append(p99s, float64(rep.P99))
 		}
+		recordHistory("latency_p99_cycles", p99s)
 		lat := agg.Hist("latency")
 		fmt.Printf("aggregate: %d requests, latency p50=%d p99=%d max=%d cycles, %d trusted calls\n\n",
 			lat.Count, lat.Quantile(50), lat.Quantile(99), lat.Max,
@@ -829,7 +916,8 @@ func max64(a, b int64) int64 {
 // interp sweeps every workload with superblock dispatch on and off under
 // OurMPX: simulated cycles must agree exactly (a runtime re-check of the
 // determinism invariant) and the MIPS ratio is the dispatch speedup.
-// These rows are the BENCH_interp.json trajectory datapoints. The cells
+// These rows are the BENCH_interp.json trajectory datapoints, and their
+// speedup geomean is the interp_geomean history column. The cells
 // are Serial — MIPS is a host-time measurement — so they run one at a
 // time after the parallel lane drains; only their compilation shares the
 // pool.
@@ -852,8 +940,7 @@ func interp() ([]bench.Cell, renderFn) {
 	render := func(results []bench.CellResult) error {
 		fmt.Println("Interpreter dispatch: superblock vs per-instruction stepping (OurMPX)")
 		fmt.Printf("%-16s %12s %12s %9s\n", "workload", "step MIPS", "block MIPS", "speedup")
-		var geo float64
-		var n int
+		var speedups []float64
 		for i := 0; i+1 < len(results); i += 2 {
 			ms, mb := results[i], results[i+1]
 			if ms.Err != nil {
@@ -878,11 +965,11 @@ func interp() ([]bench.Cell, renderFn) {
 			}
 			speedup := mb.M.MIPS() / ms.M.MIPS()
 			fmt.Printf("%-16s %12.1f %12.1f %8.2fx\n", name, ms.M.MIPS(), mb.M.MIPS(), speedup)
-			geo += math.Log(speedup)
-			n++
+			speedups = append(speedups, speedup)
 		}
-		if n > 0 {
-			fmt.Printf("%-16s %25s %8.2fx\n\n", "geomean", "", math.Exp(geo/float64(n)))
+		if geo, ok := geomean(speedups); ok {
+			fmt.Printf("%-16s %25s %8.2fx\n\n", "geomean", "", geo)
+			recordHistory("interp_geomean", speedups)
 		} else {
 			fmt.Printf("%-16s %25s %9s\n\n", "geomean", "", "untimed")
 		}

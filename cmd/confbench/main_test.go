@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestFigureRegistryComplete(t *testing.T) {
 			t.Fatalf("figure %q missing from the derived usage string %q", f.name, names)
 		}
 	}
-	for _, required := range []string{"scenarios", "faults", "verify", "cluster", "latency", "interp"} {
+	for _, required := range []string{"ablation", "scenarios", "faults", "verify", "cluster", "latency", "interp"} {
 		if !seen[required] {
 			t.Fatalf("figure %q (driven by CI) is not registered", required)
 		}
@@ -56,5 +57,19 @@ func TestFiguresForUnknown(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "fig99") {
 		t.Fatalf("error %q does not name the bad figure", err)
+	}
+}
+
+// TestGeomean pins the one aggregate behind every history column and the
+// interp table's geomean line: values <= 0 are skipped, and no positive
+// value means no aggregate rather than a zero, -Inf or NaN.
+func TestGeomean(t *testing.T) {
+	if g, ok := geomean([]float64{2, 0, 8, -1}); !ok || math.Abs(g-4) > 1e-12 {
+		t.Fatalf("geomean(2, 0, 8, -1) = %v, %v; want 4, true", g, ok)
+	}
+	for _, vals := range [][]float64{nil, {0, -3}} {
+		if g, ok := geomean(vals); ok {
+			t.Fatalf("geomean(%v) = %v, true; want no aggregate", vals, g)
+		}
 	}
 }

@@ -19,9 +19,10 @@ func main() {
 		confllvm.VariantCFI, confllvm.VariantMPX}
 
 	fmt.Println("Privado-style private inference (all data in U marked private)")
+	wl := bench.ClassifierWorkload(images)
 	var base uint64
 	for _, v := range configs {
-		m, err := bench.RunClassifier(v, images)
+		m, err := wl.Run(v, nil)
 		if err != nil {
 			log.Fatalf("[%v] %v", v, err)
 		}

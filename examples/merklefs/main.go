@@ -17,10 +17,11 @@ func main() {
 	fmt.Printf("%-8s %12s %12s %12s\n", "threads", "Base", "OurSeg", "OurMPX")
 	for _, threads := range []int{1, 2, 3, 4, 5, 6} {
 		row := fmt.Sprintf("%-8d", threads)
+		wl := bench.MerkleWorkload(fileKB, threads)
 		var base uint64
 		for _, v := range []confllvm.Variant{confllvm.VariantBase,
 			confllvm.VariantSeg, confllvm.VariantMPX} {
-			m, err := bench.RunMerkle(v, fileKB, threads)
+			m, err := wl.Run(v, nil)
 			if err != nil {
 				log.Fatalf("[%v/%d] %v", v, threads, err)
 			}

@@ -26,9 +26,10 @@ func main() {
 
 	configs := []confllvm.Variant{confllvm.VariantBase, confllvm.VariantOneMem,
 		confllvm.VariantBare, confllvm.VariantCFI, confllvm.VariantMPXSep, confllvm.VariantMPX}
+	wl := bench.WebWorkload(reqs, sizeKB*1024)
 	var base float64
 	for _, v := range configs {
-		m, err := bench.RunWebServer(v, reqs, sizeKB*1024)
+		m, err := wl.Run(v, nil)
 		if err != nil {
 			log.Fatalf("[%v] %v", v, err)
 		}

@@ -3,9 +3,6 @@ package bench
 import (
 	"encoding/binary"
 	"math"
-
-	"confllvm"
-	"confllvm/internal/trt"
 )
 
 // ---- OpenLDAP analogue (§7.3) ----
@@ -97,13 +94,6 @@ int main() {
 }
 `
 
-// RunLDAP runs the directory server: missRate=100 reproduces the paper's
-// first experiment (queries for absent entries), missRate=0 the second.
-func RunLDAP(v confllvm.Variant, queries, missRate int) (*Measurement, error) {
-	wl := LDAPWorkload(queries, missRate)
-	return wl.Run(v, nil)
-}
-
 // ---- Privado / SGX image classifier (Fig. 7, §7.4) ----
 
 // ClassifierSrc is an 11-layer feed-forward network over float64s,
@@ -184,13 +174,6 @@ func packFloats(vals []float64) []byte {
 	return out
 }
 
-// RunClassifier classifies `images` private images and returns the
-// measurement; per-image latency is Wall/images.
-func RunClassifier(v confllvm.Variant, images int) (*Measurement, error) {
-	wl := ClassifierWorkload(images)
-	return wl.Run(v, nil)
-}
-
 // ---- Merkle integrity library (Fig. 8, §7.5) ----
 
 // MerkleSrc is the multi-threaded integrity-protected read library: all
@@ -261,12 +244,3 @@ int main() {
 	return 0;
 }
 `
-
-// RunMerkle reads a fileKB-kilobyte integrity-protected file with nThreads
-// parallel readers.
-func RunMerkle(v confllvm.Variant, fileKB, nThreads int) (*Measurement, error) {
-	wl := MerkleWorkload(fileKB, nThreads)
-	return wl.Run(v, nil)
-}
-
-var _ = trt.DefaultKey

@@ -11,8 +11,9 @@ func TestLDAPSmoke(t *testing.T) {
 	if testing.Short() {
 		queries = 40
 	}
+	wl := LDAPWorkload(queries, 50)
 	for _, v := range []confllvm.Variant{confllvm.VariantBase, confllvm.VariantMPX, confllvm.VariantSeg} {
-		m, err := RunLDAP(v, queries, 50)
+		m, err := wl.Run(v, nil)
 		if err != nil {
 			t.Fatalf("[%v] %v", v, err)
 		}
@@ -23,9 +24,10 @@ func TestLDAPSmoke(t *testing.T) {
 }
 
 func TestClassifierSmoke(t *testing.T) {
+	wl := ClassifierWorkload(2)
 	var golden []int64
 	for _, v := range []confllvm.Variant{confllvm.VariantBase, confllvm.VariantMPX} {
-		m, err := RunClassifier(v, 2)
+		m, err := wl.Run(v, nil)
 		if err != nil {
 			t.Fatalf("[%v] %v", v, err)
 		}
@@ -42,11 +44,10 @@ func TestMerkleSmoke(t *testing.T) {
 	if testing.Short() {
 		fileKB, threads = 16, 2
 	}
+	wl := MerkleWorkload(fileKB, threads)
 	for _, v := range []confllvm.Variant{confllvm.VariantBase, confllvm.VariantSeg, confllvm.VariantMPX} {
-		m, err := RunMerkle(v, fileKB, threads)
-		if err != nil {
+		if _, err := wl.Run(v, nil); err != nil {
 			t.Fatalf("[%v] %v", v, err)
 		}
-		_ = m
 	}
 }

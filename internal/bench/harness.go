@@ -165,12 +165,6 @@ func CompileCached(name string, v confllvm.Variant, prog confllvm.Program) (*con
 	return e.art, nil
 }
 
-// RunSPEC executes one SPEC-like kernel under a variant.
-func RunSPEC(k SPECKernel, v confllvm.Variant) (*Measurement, error) {
-	wl := SPECWorkload(k, k.Params)
-	return wl.Run(v, nil)
-}
-
 // Table renders a paper-style percent-of-base table: one row per workload,
 // one column per configuration, cells are execution metric as % of Base.
 // Set and the accessors are safe for concurrent use; row order in String

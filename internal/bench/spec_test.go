@@ -6,18 +6,19 @@ import (
 	"confllvm"
 )
 
-// TestSPECKernelsCrossVariant runs every kernel in every configuration and
-// requires bit-identical outputs: the instrumentation must never change
-// program semantics.
+// TestSPECKernelsCrossVariant runs every kernel in every configuration,
+// plus the §5.1 ablation's OurMPX-Naive, and requires bit-identical
+// outputs: the instrumentation must never change program semantics.
 func TestSPECKernelsCrossVariant(t *testing.T) {
 	for _, k := range SPECKernels() {
 		k := k
 		k.Params = k.EffectiveParams(testing.Short())
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel() // kernels are independent (workload, variant) cells
+			wl := SPECWorkload(k, k.Params)
 			var golden []int64
-			for _, v := range confllvm.AllVariants() {
-				m, err := RunSPEC(k, v)
+			for _, v := range append(confllvm.AllVariants(), confllvm.VariantMPXNaive) {
+				m, err := wl.Run(v, nil)
 				if err != nil {
 					t.Fatalf("[%v] %v", v, err)
 				}
@@ -70,19 +71,27 @@ func TestSPECKernelsPassVerifyGate(t *testing.T) {
 // TestSPECOverheadShape checks the headline shape of Fig. 5: the MPX
 // scheme costs more than the segmentation scheme, CFI adds a small
 // overhead over Bare, and everything instrumented is slower than Base.
+// It also checks the §5.1 ablation's direction: the MPX optimizations
+// only remove checks, so OurMPX-Naive is never faster than OurMPX.
 func TestSPECOverheadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-variant sweep is slow")
 	}
-	tbl := NewTable("Fig5", confllvm.AllVariants()[:6], "cycles")
+	tbl := NewTable("Fig5", append(confllvm.AllVariants()[:6:6], confllvm.VariantMPXNaive), "cycles")
 	for _, k := range SPECKernels() {
+		wl := SPECWorkload(k, k.Params)
 		for _, v := range []confllvm.Variant{confllvm.VariantBase, confllvm.VariantBare,
-			confllvm.VariantCFI, confllvm.VariantMPX, confllvm.VariantSeg} {
-			m, err := RunSPEC(k, v)
+			confllvm.VariantCFI, confllvm.VariantMPX, confllvm.VariantSeg, confllvm.VariantMPXNaive} {
+			m, err := wl.Run(v, nil)
 			if err != nil {
 				t.Fatalf("[%v/%s] %v", v, k.Name, err)
 			}
 			tbl.Set(k.Name, v, m.Wall)
+		}
+		naive, opt := tbl.Overhead(k.Name, confllvm.VariantMPXNaive), tbl.Overhead(k.Name, confllvm.VariantMPX)
+		if naive < opt {
+			t.Errorf("[%s] OurMPX-Naive (%.2f%%) beat OurMPX (%.2f%%): the §5.1 optimizations added work",
+				k.Name, naive, opt)
 		}
 	}
 	mpx := tbl.GeoMeanOverhead(confllvm.VariantMPX)

@@ -11,8 +11,9 @@ func TestWebSmoke(t *testing.T) {
 	if testing.Short() {
 		reqs, size = 3, 512
 	}
+	wl := WebWorkload(reqs, size)
 	for _, v := range confllvm.AllVariants() {
-		m, err := RunWebServer(v, reqs, size)
+		m, err := wl.Run(v, nil)
 		if err != nil {
 			t.Fatalf("[%v] %v", v, err)
 		}

@@ -118,10 +118,3 @@ func WebWorld(nReqs int, fileSize int) *confllvm.World {
 	}
 	return w
 }
-
-// RunWebServer serves nReqs requests of fileSize bytes under a variant and
-// returns the measurement (throughput = requests per wall cycle).
-func RunWebServer(v confllvm.Variant, nReqs, fileSize int) (*Measurement, error) {
-	wl := WebWorkload(nReqs, fileSize)
-	return wl.Run(v, nil)
-}
