@@ -342,6 +342,12 @@ func (c *ctx) lower(in *ir.Inst) error {
 					c.emit(asm.Inst{Op: asm.OpMovRR, Dst: asm.RetReg, Src: v})
 				}
 			}
+		} else if c.f.Ret != nil && c.f.Ret.Kind != types.Void {
+			// A bare return from a non-void function: the caller still
+			// reads rax, so return a public zero rather than whatever the
+			// body left there (ConfVerify rejects a possibly-private rax at
+			// a public return site).
+			c.emit(asm.Inst{Op: asm.OpMovRI, Dst: asm.RetReg, Imm: 0})
 		}
 		c.epilogue()
 	case ir.OpBr:
