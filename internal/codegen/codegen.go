@@ -8,6 +8,21 @@
 //   - segment-register addressing with the 32-bit operand constraint (§3);
 //   - taint-aware CFI magic sequences on entries, returns and indirect
 //     calls (§4).
+//
+// Every variant runs this one backend, which emits the code a simple -O2
+// backend would; the Base vs ConfLLVM difference lies only in the IR
+// pass set. Before register allocation, a pre-pass (prepass.go) folds
+// block-local constants into register-immediate operands (add r, imm;
+// cmp r, imm), folds t = op; d = copy t into d = op when t and d agree on
+// taint and float-ness, folds a trunc into the extension that consumes
+// it, drops constants left without uses, and fuses a compare whose only
+// use is the next condbr into cmp; jcc, keeping setcc only for booleans
+// used as values. Blocks keep their IR order and fall through: a jump to
+// the next block is never emitted, a condbr whose true target is next
+// branches on the inverted condition to the false target, and a block
+// that emits nothing lends its label to the code after it. The
+// instrumentation above is emitted around the rewritten instructions
+// exactly as before: never moved, merged or dropped.
 package codegen
 
 import (
@@ -220,6 +235,13 @@ type ctx struct {
 	// coalescing state for MPX checks: keys of checks already emitted in
 	// the current basic block.
 	checked map[checkKey]bool
+
+	// flags is the condition of the last flags-only compare, for the
+	// fused condbr that follows it; flagsFloat marks an fcmp.
+	flags      asm.Cond
+	flagsFloat bool
+	// term collects the current block's body range and terminator.
+	term blockCode
 }
 
 type checkKey struct {
@@ -239,6 +261,7 @@ func genFunc(mod *ir.Module, f *ir.Func, a *taint.Assignment, conf Config) (*Fun
 		t := f.ValueType(v)
 		return t != nil && t.Kind == types.Float
 	}
+	f = prepass(f, isPrivate, isFloat)
 	ra := regalloc.Allocate(f, isPrivate, isFloat)
 
 	// Lowering emits about two items per IR instruction (more under
@@ -265,21 +288,19 @@ func genFunc(mod *ir.Module, f *ir.Func, a *taint.Assignment, conf Config) (*Fun
 			MagicBits: c.fc.ArgBits, Label: -1})
 	}
 	c.prologue()
-	for _, blk := range f.Blocks {
+	blocks := make([]blockCode, len(f.Blocks))
+	for i, blk := range f.Blocks {
 		clear(c.checked)
-		first := len(c.fc.Items)
+		c.term = blockCode{start: len(c.fc.Items)}
 		for _, in := range blk.Insts {
 			if err := c.lower(in); err != nil {
 				return nil, fmt.Errorf("codegen %s: %w", f.Name, err)
 			}
 		}
-		// Attach the block label to the first emitted item (emit a nop
-		// for empty blocks so the label lands somewhere).
-		if first == len(c.fc.Items) {
-			c.emit(asm.Inst{Op: asm.OpNop})
-		}
-		c.fc.Items[first].Label = blk.ID
+		c.term.end = len(c.fc.Items)
+		blocks[i] = c.term
 	}
+	c.layoutBlocks(blocks)
 	if conf.CFI {
 		// Shared trap site.
 		trapIdx := len(c.fc.Items)
@@ -287,6 +308,103 @@ func genFunc(mod *ir.Module, f *ir.Func, a *taint.Assignment, conf Config) (*Fun
 		c.fc.Items[trapIdx].Label = trapLabel
 	}
 	return c.fc, nil
+}
+
+// blockCode is one lowered block awaiting layout: its body items, and the
+// branch that ends it when that is a br or condbr (a ret's epilogue is
+// part of the body).
+type blockCode struct {
+	start, end int      // body items in FuncCode.Items
+	br         *ir.Inst // OpBr / OpCondBr terminator, or nil
+	cond       asm.Cond // condbr: the condition that selects br.Blk
+	// invertible reports whether the condbr may branch on cond's negation
+	// instead; false only for a fused fcmp.
+	invertible bool
+}
+
+// layoutBlocks appends each block's branches to its body, in IR block
+// order, and labels the blocks. A branch to the code that follows is
+// left out: a br to the next block emits nothing, and a condbr whose
+// true target is next branches on the inverted condition to the false
+// target. A block that ends up with no items at all takes no label;
+// branches to it go to the block whose code follows it instead.
+//
+// The blocks are visited backwards, so when a block's branches are
+// chosen, every later block is already known to be empty or not.
+func (c *ctx) layoutBlocks(blocks []blockCode) {
+	if len(blocks) == 0 {
+		return
+	}
+	maxID := 0
+	for _, blk := range c.f.Blocks {
+		maxID = max(maxID, blk.ID)
+	}
+	alias := make([]int, maxID+1) // block id -> id of the block whose code it starts at
+	for i := range alias {
+		alias[i] = i
+	}
+	jumps := make([][]Item, len(blocks))
+	next := -1 // block whose code follows the current one
+	for i := len(blocks) - 1; i >= 0; i-- {
+		jumps[i] = c.branches(blocks[i], alias, next)
+		id := c.f.Blocks[i].ID
+		if blocks[i].end > blocks[i].start || len(jumps[i]) > 0 {
+			next = id
+		}
+		alias[id] = next
+	}
+
+	body := c.fc.Items
+	items := make([]Item, 0, len(body)+2*len(blocks)+1)
+	items = append(items, body[:blocks[0].start]...)
+	for i, bc := range blocks {
+		first := len(items)
+		items = append(items, body[bc.start:bc.end]...)
+		items = append(items, jumps[i]...)
+		if len(items) > first {
+			items[first].Label = c.f.Blocks[i].ID
+		}
+	}
+	for i := range items {
+		if items[i].Rel == RelBlock {
+			items[i].Blk = alias[items[i].Blk]
+		}
+	}
+	c.fc.Items = items
+}
+
+// branches returns the jump items that end block bc, given the block
+// whose code follows it. A target not yet laid out (a backward or self
+// branch) never follows bc, so its unresolved id is safe to compare.
+func (c *ctx) branches(bc blockCode, alias []int, next int) []Item {
+	if bc.br == nil {
+		return nil
+	}
+	jmp := func(blk int) Item {
+		return Item{Inst: asm.Inst{Op: asm.OpJmp}, Rel: RelBlock, Blk: blk, Label: -1}
+	}
+	jcc := func(cond asm.Cond, blk int) Item {
+		return Item{Inst: asm.Inst{Op: asm.OpJcc, Cond: cond}, Rel: RelBlock, Blk: blk, Label: -1}
+	}
+	t := alias[bc.br.Blk]
+	if bc.br.Op == ir.OpBr {
+		if t == next {
+			return nil
+		}
+		return []Item{jmp(t)}
+	}
+	f := alias[bc.br.Blk2]
+	switch {
+	case t == f && t == next:
+		return nil
+	case t == f:
+		return []Item{jmp(t)}
+	case f == next:
+		return []Item{jcc(bc.cond, t)}
+	case t == next && bc.invertible:
+		return []Item{jcc(bc.cond.Negate(), f)}
+	}
+	return []Item{jcc(bc.cond, t), jmp(f)}
 }
 
 // trapLabel is the pseudo block id of the function's trap site.

@@ -1,13 +1,14 @@
-// First unit tests for the lowering layer, focused on the instruction
-// shapes the superblock dispatcher depends on: every basic block must end
-// in an explicit terminator (jumps are never implicit fall-throughs), and
-// calls/branches must lower to the documented CFI sequences.
+// Unit tests for the lowering layer: compare-and-branch fusion and
+// fall-through block layout (a block only falls into a successor its
+// terminator targets), and calls/branches lowering to the documented CFI
+// sequences.
 package codegen
 
 import (
 	"testing"
 
 	"confllvm/internal/asm"
+	"confllvm/internal/ir"
 	"confllvm/internal/irgen"
 	"confllvm/internal/minic"
 	"confllvm/internal/taint"
@@ -18,6 +19,13 @@ import (
 // under the given configuration (no optimization passes, so the emitted
 // shapes are predictable).
 func genModule(t *testing.T, src string, conf Config) *Module {
+	t.Helper()
+	_, cm := genIR(t, src, conf)
+	return cm
+}
+
+// genIR is genModule that also returns the IR module Gen consumed.
+func genIR(t *testing.T, src string, conf Config) (*ir.Module, *Module) {
 	t.Helper()
 	gen := &minic.QualGen{}
 	structs := map[string]*types.Type{}
@@ -45,7 +53,7 @@ func genModule(t *testing.T, src string, conf Config) *Module {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cm
+	return mod, cm
 }
 
 func fnCode(t *testing.T, cm *Module, name string) *FuncCode {
@@ -82,65 +90,166 @@ int main() {
 }
 `
 
-// TestCondBrLowering: a conditional branch lowers to test + jcc(NE) +
-// jmp, both jump operands carrying block relocations — never an implicit
-// fall-through.
-func TestCondBrLowering(t *testing.T) {
-	cm := genModule(t, branchy, Config{})
-	fc := fnCode(t, cm, "pick")
-	found := false
-	for i := 0; i+2 < len(fc.Items); i++ {
-		a, b, c := fc.Items[i], fc.Items[i+1], fc.Items[i+2]
-		if a.Inst.Op == asm.OpTestRR && b.Inst.Op == asm.OpJcc && c.Inst.Op == asm.OpJmp {
-			if b.Inst.Cond != asm.CondNE {
-				t.Errorf("condbr jcc condition = %v, want ne", b.Inst.Cond)
-			}
-			if b.Rel != RelBlock || c.Rel != RelBlock {
-				t.Errorf("condbr jump relocations = %v/%v, want RelBlock", b.Rel, c.Rel)
-			}
-			found = true
-			break
+// branchFunc builds func f(long a, long b) long whose entry block ends in
+// "c = icmp slt a, b; condbr c, b<thenID>, b<elseID>", with blocks b1 and
+// b2 returning retVal(c, a) and b respectively.
+func branchFunc(thenID, elseID int, retVal func(c, a ir.Value) ir.Value) *ir.Func {
+	long := types.MakeInt(8, true, types.Public)
+	f := &ir.Func{Name: "f", Params: []*types.Type{long, long}, Ret: long}
+	a, b := f.NewValue(long), f.NewValue(long)
+	f.ParamRegs = []ir.Value{a, b}
+	c := f.NewValue(types.MakeInt(4, true, types.Public))
+	b0, b1, b2 := f.NewBlock(), f.NewBlock(), f.NewBlock()
+	b0.Insts = []*ir.Inst{
+		{Op: ir.OpICmp, Res: c, Args: []ir.Value{a, b}, Pred: ir.PredSLT},
+		{Op: ir.OpCondBr, Res: ir.NoValue, Args: []ir.Value{c}, Blk: thenID, Blk2: elseID},
+	}
+	b1.Insts = []*ir.Inst{{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{retVal(c, a)}}}
+	b2.Insts = []*ir.Inst{{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{b}}}
+	return f
+}
+
+// genFuncCode generates code for a single hand-built function.
+func genFuncCode(t *testing.T, f *ir.Func, conf Config) *FuncCode {
+	t.Helper()
+	mod := ir.NewModule()
+	mod.AddFunc(f)
+	cm, err := Gen(mod, &taint.Assignment{}, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fnCode(t, cm, f.Name)
+}
+
+// ops lists the non-magic instruction ops of fc.
+func ops(fc *FuncCode) []asm.Op {
+	var out []asm.Op
+	for _, it := range fc.Items {
+		if !it.Magic {
+			out = append(out, it.Inst.Op)
 		}
 	}
-	if !found {
-		t.Fatal("no test+jcc+jmp triple found for the conditional branch")
+	return out
+}
+
+// findBranch returns the index of the first jcc in fc.
+func findBranch(t *testing.T, fc *FuncCode) int {
+	t.Helper()
+	for i, it := range fc.Items {
+		if !it.Magic && it.Inst.Op == asm.OpJcc && it.Rel == RelBlock {
+			return i
+		}
+	}
+	t.Fatalf("no jcc with a block relocation in %v", ops(fc))
+	return -1
+}
+
+// TestCondBrLowering: a compare whose only use is the condbr after it
+// lowers to cmp + jcc on the compare's own condition, with a block
+// relocation and no setcc/test. Fall-through layout drops the jump to the
+// next block: with the false target next, jcc goes to the true target;
+// with the true target next, the inverted jcc goes to the false target.
+// When the boolean has another use, setcc materializes it and the branch
+// tests it.
+func TestCondBrLowering(t *testing.T) {
+	arg := func(_, a ir.Value) ir.Value { return a }
+	cases := []struct {
+		name             string
+		f                *ir.Func
+		cond             asm.Cond
+		target           int
+		wantSetCC, wantT bool
+	}{
+		{"false target next", branchFunc(2, 1, arg), asm.CondL, 2, false, false},
+		{"true target next", branchFunc(1, 2, arg), asm.CondGE, 2, false, false},
+		{"boolean used as a value", branchFunc(1, 2, func(c, _ ir.Value) ir.Value { return c }),
+			asm.CondE, 2, true, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fc := genFuncCode(t, tc.f, Config{IgnoreTaint: true})
+			i := findBranch(t, fc)
+			jcc, prev := fc.Items[i], fc.Items[i-1]
+			if jcc.Inst.Cond != tc.cond || jcc.Blk != tc.target {
+				t.Errorf("branch is j%v b%d, want j%v b%d", jcc.Inst.Cond, jcc.Blk, tc.cond, tc.target)
+			}
+			if next := fc.Items[i+1]; next.Label < 0 {
+				t.Errorf("jcc is followed by unlabeled %v, want the fall-through block", next.Inst.Op)
+			}
+			setcc := false
+			for _, op := range ops(fc) {
+				setcc = setcc || op == asm.OpSetCC
+			}
+			if setcc != tc.wantSetCC {
+				t.Errorf("setcc emitted = %v, want %v: %v", setcc, tc.wantSetCC, ops(fc))
+			}
+			wantPrev := asm.OpCmpRR
+			if tc.wantT {
+				wantPrev = asm.OpTestRR
+			}
+			if prev.Inst.Op != wantPrev {
+				t.Errorf("jcc preceded by %v, want %v", prev.Inst.Op, wantPrev)
+			}
+		})
 	}
 }
 
-// TestBlocksEndInTerminators: every labeled basic block must be closed by
-// an explicit terminator before the next label — the property that lets
-// the machine group block interiors without missing a dispatch point.
+// TestBlocksEndInTerminators: every labeled block either follows an
+// explicit terminator, or is the layout successor that its predecessor's
+// IR terminator targets (directly, or through blocks that emitted no
+// code) — so a fall-through never enters a block its predecessor does not
+// branch to. The function's final item is always a terminator.
 func TestBlocksEndInTerminators(t *testing.T) {
 	for _, conf := range []Config{{}, {CFI: true, Bounds: BoundsMPX,
 		SeparateStacks: true, SeparateUT: true, ChkStk: true}} {
-		cm := genModule(t, branchy, conf)
+		mod, cm := genIR(t, branchy, conf)
 		for _, fc := range cm.Funcs {
 			if fc.IsStub {
 				continue
 			}
-			firstLabel := true
-			for i, it := range fc.Items {
-				if it.Magic || it.Label < 0 {
-					continue
-				}
-				if firstLabel {
-					firstLabel = false // entry block follows the prologue
-					continue
-				}
-				prev := fc.Items[i-1]
-				if prev.Magic || !isTerminator(prev.Inst.Op) {
-					t.Errorf("%s: block label %d at item %d is preceded by %v, not a terminator",
-						fc.Name, it.Label, i, prev.Inst.Op)
-				}
+			f := mod.Func(fc.Name)
+			index := map[int]int{}
+			for i, blk := range f.Blocks {
+				index[blk.ID] = i
 			}
-			// The function's final item must also be a terminator (the
-			// epilogue's ret/jmp or the shared trap site).
+			prevLabel := -1
+			for i, it := range fc.Items {
+				if it.Magic || it.Label < 0 || it.Label == trapLabel {
+					continue
+				}
+				if prevLabel >= 0 {
+					prev := fc.Items[i-1]
+					if prev.Magic || !isTerminator(prev.Inst.Op) {
+						checkFallThrough(t, fc.Name, f, index, prevLabel, it.Label)
+					}
+				}
+				prevLabel = it.Label
+			}
 			last := fc.Items[len(fc.Items)-1]
 			if last.Magic || !isTerminator(last.Inst.Op) {
 				t.Errorf("%s: final item %v is not a terminator", fc.Name, last.Inst.Op)
 			}
 		}
 	}
+}
+
+// checkFallThrough requires that code falling from block from into block
+// to is allowed: every IR block laid out between them emitted nothing,
+// and from's terminator targets to or one of those blocks.
+func checkFallThrough(t *testing.T, fn string, f *ir.Func, index map[int]int, from, to int) {
+	t.Helper()
+	ok := map[int]bool{to: true}
+	for j := index[from] + 1; j < index[to]; j++ {
+		ok[f.Blocks[j].ID] = true
+	}
+	term := f.Blocks[index[from]].Insts
+	for _, s := range f.Blocks[index[from]].Succs() {
+		if ok[s] {
+			return
+		}
+	}
+	t.Errorf("%s: b%d falls through into b%d, but its terminator %v does not target it",
+		fn, from, to, term[len(term)-1])
 }
 
 const callers = `

@@ -173,18 +173,18 @@ func (c *ctx) lower(in *ir.Inst) error {
 
 	case ir.OpICmp:
 		a := c.readGPR(in.Args[0], regalloc.ScratchA)
-		b := c.readGPR(in.Args[1], regalloc.ScratchB)
-		c.emit(asm.Inst{Op: asm.OpCmpRR, Dst: a, Src: b})
-		d := c.destGPR(in.Res)
-		c.emit(asm.Inst{Op: asm.OpSetCC, Cond: icmpCond(in.Pred), Dst: d})
-		c.flushGPR(in.Res, d)
+		if len(in.Args) == 1 {
+			c.emit(asm.Inst{Op: asm.OpCmpRI, Dst: a, Imm: in.Imm})
+		} else {
+			b := c.readGPR(in.Args[1], regalloc.ScratchB)
+			c.emit(asm.Inst{Op: asm.OpCmpRR, Dst: a, Src: b})
+		}
+		c.setFlags(in.Res, icmpCond(in.Pred), false)
 	case ir.OpFCmp:
 		a := c.readFPR(in.Args[0], regalloc.ScratchFA)
 		b := c.readFPR(in.Args[1], regalloc.ScratchFB)
 		c.emit(asm.Inst{Op: asm.OpFCmp, FDst: a, FSrc: b})
-		d := c.destGPR(in.Res)
-		c.emit(asm.Inst{Op: asm.OpSetCC, Cond: fcmpCond(in.Pred), Dst: d})
-		c.flushGPR(in.Res, d)
+		c.setFlags(in.Res, fcmpCond(in.Pred), true)
 
 	case ir.OpLoad:
 		rb := c.readGPR(in.Args[0], regalloc.ScratchB)
@@ -273,8 +273,7 @@ func (c *ctx) lower(in *ir.Inst) error {
 		if d != v {
 			c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: v})
 		}
-		srcTy := c.f.ValueType(in.Args[0])
-		if s := srcTy.SizeOf(); s < 8 {
+		if s := c.extSourceSize(in); s < 8 {
 			c.emit(asm.Inst{Op: asm.OpAndRI, Dst: d, Imm: int64(1)<<(8*uint(s)) - 1})
 		}
 		c.flushGPR(in.Res, d)
@@ -284,8 +283,7 @@ func (c *ctx) lower(in *ir.Inst) error {
 		if d != v {
 			c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: v})
 		}
-		srcTy := c.f.ValueType(in.Args[0])
-		if s := srcTy.SizeOf(); s < 8 {
+		if s := c.extSourceSize(in); s < 8 {
 			sh := int64(64 - 8*s)
 			c.emit(asm.Inst{Op: asm.OpShlRI, Dst: d, Imm: sh})
 			c.emit(asm.Inst{Op: asm.OpSarRI, Dst: d, Imm: sh})
@@ -351,12 +349,17 @@ func (c *ctx) lower(in *ir.Inst) error {
 		}
 		c.epilogue()
 	case ir.OpBr:
-		c.emitRel(asm.Inst{Op: asm.OpJmp}, RelBlock, "", in.Blk)
+		c.term.br = in // the jump, if any, is chosen by layoutBlocks
 	case ir.OpCondBr:
+		c.term.br = in
+		if len(in.Args) == 0 {
+			// Fused with the compare right before it (see prepass).
+			c.term.cond, c.term.invertible = c.flags, !c.flagsFloat
+			break
+		}
 		v := c.readGPR(in.Args[0], regalloc.ScratchA)
 		c.emit(asm.Inst{Op: asm.OpTestRR, Dst: v, Src: v})
-		c.emitRel(asm.Inst{Op: asm.OpJcc, Cond: asm.CondNE}, RelBlock, "", in.Blk)
-		c.emitRel(asm.Inst{Op: asm.OpJmp}, RelBlock, "", in.Blk2)
+		c.term.cond, c.term.invertible = asm.CondNE, true
 	default:
 		return fmt.Errorf("unsupported IR op %s", in.Op)
 	}
@@ -378,8 +381,48 @@ func commutative(op ir.Op) bool {
 	return false
 }
 
+// intImmOps are the register-immediate forms of the ops in intBinOps
+// that have one.
+var intImmOps = map[ir.Op]asm.Op{
+	ir.OpAdd: asm.OpAddRI, ir.OpSub: asm.OpSubRI, ir.OpMul: asm.OpMulRI,
+	ir.OpAnd: asm.OpAndRI, ir.OpOr: asm.OpOrRI, ir.OpXor: asm.OpXorRI,
+	ir.OpShl: asm.OpShlRI, ir.OpShr: asm.OpShrRI, ir.OpSar: asm.OpSarRI,
+}
+
+// setFlags finishes a compare whose flags are set: a compare with a
+// result materializes it with setcc; one without (fused by the prepass)
+// leaves the condition for the condbr that follows.
+func (c *ctx) setFlags(res ir.Value, cond asm.Cond, float bool) {
+	if res == ir.NoValue {
+		c.flags, c.flagsFloat = cond, float
+		return
+	}
+	d := c.destGPR(res)
+	c.emit(asm.Inst{Op: asm.OpSetCC, Cond: cond, Dst: d})
+	c.flushGPR(res, d)
+}
+
+// extSourceSize is the byte width a zext/sext extends from: its operand's
+// width, or the width of a trunc the prepass folded into it.
+func (c *ctx) extSourceSize(in *ir.Inst) int {
+	if in.Imm != 0 {
+		return int(in.Imm)
+	}
+	return c.f.ValueType(in.Args[0]).SizeOf()
+}
+
 func (c *ctx) lowerIntBin(in *ir.Inst) {
 	a := c.readGPR(in.Args[0], regalloc.ScratchA)
+	if len(in.Args) == 1 {
+		// Register-immediate form (see prepass).
+		d := c.destGPR(in.Res)
+		if d != a {
+			c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: a})
+		}
+		c.emit(asm.Inst{Op: intImmOps[in.Op], Dst: d, Imm: in.Imm})
+		c.flushGPR(in.Res, d)
+		return
+	}
 	b := c.readGPR(in.Args[1], regalloc.ScratchB)
 	d := c.destGPR(in.Res)
 	op := intBinOps[in.Op]

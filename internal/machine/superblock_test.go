@@ -113,6 +113,45 @@ func TestSuperblockParityLoop(t *testing.T) {
 	}
 }
 
+// TestSuperblockParityFallThrough: straight-line code that falls into a
+// label which is also a jcc target, the shape fall-through block layout
+// emits. The label starts its own run for the jcc while the runs before
+// it run straight across it; every fuel cut must still match stepping.
+func TestSuperblockParityFallThrough(t *testing.T) {
+	pre := []asm.Inst{
+		{Op: asm.OpMovRI, Dst: asm.RCX, Imm: 10},
+		{Op: asm.OpMovRI, Dst: asm.RAX, Imm: 0},
+	}
+	head := int64(0x1000)
+	for _, in := range pre {
+		head += encodeLen(in)
+	}
+	top := []asm.Inst{ // head: falls in from pre, target of the back edge
+		{Op: asm.OpAddRR, Dst: asm.RAX, Src: asm.RCX},
+		{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1},
+		{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 5},
+	}
+	skip := head
+	for _, in := range top {
+		skip += encodeLen(in)
+	}
+	jge := asm.Inst{Op: asm.OpJcc, Cond: asm.CondGE}
+	add := asm.Inst{Op: asm.OpAddRI, Dst: asm.RAX, Imm: 100}
+	skip += encodeLen(jge) + encodeLen(add)
+	jge.Imm = skip
+	tail := []asm.Inst{ // skip: falls in from add, target of jge
+		{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
+		{Op: asm.OpJcc, Cond: asm.CondNE, Imm: head},
+	}
+	insts := append(append(append(pre, top...), jge, add), tail...)
+	for _, fuel := range []uint64{0, 3, 7, 11, 13, 29} {
+		th := runParity(t, insts, fuel, nil)
+		if fuel == 0 && th.Regs[asm.RAX] != 555 {
+			t.Fatalf("loop computed %d, want 555", th.Regs[asm.RAX])
+		}
+	}
+}
+
 func TestSuperblockParityFaults(t *testing.T) {
 	cases := []struct {
 		name  string

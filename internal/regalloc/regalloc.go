@@ -10,12 +10,22 @@
 //   - spilled private values go to the private stack, public ones to the
 //     public stack — the allocator labels each spill slot with its taint.
 //
+// Move hints (Wimmer & Mössenböck, "Optimized Interval Splitting in a
+// Linear Scan Register Allocator", VEE 2005): when a value is defined by
+// a non-call whose first operand's interval ends at that definition, the
+// value takes the operand's register, so copies and two-address ops need
+// no move. The hint is taken only when that register is in the value's
+// own pool, so it never carries a private value into a callee-saved
+// register, nor a public value live across a call into a caller-saved
+// one; the taint rule above is never traded for a saved move.
+//
 // R10 and R11 are reserved as instrumentation scratch registers and are
 // never allocated.
 package regalloc
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"confllvm/internal/asm"
@@ -114,10 +124,12 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 	blockStart := make([]int, numIDs)
 	blockEnd := make([]int, numIDs)
 	pos := 0
-	var callPos []int // ascending
+	var callPos []int    // ascending
+	var insts []*ir.Inst // by position
 	for _, blk := range f.Blocks {
 		blockStart[blk.ID] = pos
 		for _, in := range blk.Insts {
+			insts = append(insts, in)
 			if in.Op == ir.OpCall || in.Op == ir.OpICall {
 				callPos = append(callPos, pos)
 				res.HasCall = true
@@ -301,6 +313,28 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 		act = out
 	}
 
+	// hint finds the move-related register hint of iv (Wimmer &
+	// Mössenböck): when iv's value is defined at iv.start by a non-call
+	// whose first operand's interval ends there, the operand's register
+	// can carry the result with no move. It returns the operand's index in
+	// act, or -1.
+	hint := func(iv *interval) int {
+		in := insts[iv.start]
+		if in.Res != iv.v || in.Op == ir.OpCall || in.Op == ir.OpICall || len(in.Args) == 0 {
+			return -1
+		}
+		a := in.Args[0]
+		if a == ir.NoValue || a == iv.v || ends[a] != iv.start {
+			return -1
+		}
+		for i, e := range act {
+			if e.iv.v == a && e.iv.isFloat == iv.isFloat {
+				return i
+			}
+		}
+		return -1
+	}
+
 	spill := func(iv *interval) {
 		var slot int
 		if iv.private {
@@ -318,6 +352,12 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 		if iv.isFloat {
 			if iv.crossesCall {
 				spill(iv) // no callee-saved FP registers in our model
+				continue
+			}
+			if h := hint(iv); h >= 0 {
+				r := act[h].fr
+				res.Locs[iv.v] = Loc{Kind: LocFReg, FReg: r, Private: iv.private, IsFloat: true}
+				act[h] = active{iv, 0, r}
 				continue
 			}
 			assigned := false
@@ -346,6 +386,15 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 			pool = calleeSavedPool
 		default:
 			pool = defaultPool
+		}
+		// The hint is taken only inside the pool, so it never moves a
+		// private value into a callee-saved register, nor a public value
+		// that crosses a call into a caller-saved one.
+		if h := hint(iv); h >= 0 && slices.Contains(pool, act[h].reg) {
+			r := act[h].reg
+			res.Locs[iv.v] = Loc{Kind: LocReg, Reg: r, Private: iv.private}
+			act[h] = active{iv, r, 0}
+			continue
 		}
 		assigned := false
 		for _, r := range pool {

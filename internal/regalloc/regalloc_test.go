@@ -228,6 +228,107 @@ func TestCalleeSavedReporting(t *testing.T) {
 	}
 }
 
+// TestMoveHintTaken: a value defined by a non-call whose first operand
+// dies at the definition takes the operand's register, so codegen emits
+// the operation in place with no move.
+func TestMoveHintTaken(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	a := f.NewValue(longTy)
+	b := f.NewValue(longTy)
+	sum := f.NewValue(longTy)
+	cp := f.NewValue(longTy)
+	blk.Insts = []*ir.Inst{
+		{Op: ir.OpConst, Res: a, Imm: 1},
+		{Op: ir.OpConst, Res: b, Imm: 2},
+		{Op: ir.OpAdd, Res: sum, Args: []ir.Value{a, b}}, // a and b die here
+		{Op: ir.OpCopy, Res: cp, Args: []ir.Value{sum}},  // sum dies here
+		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{cp, b}},
+	}
+	res := allocate(f, nil)
+	if res.Locs[sum] != res.Locs[a] {
+		t.Errorf("add result %+v did not take its dying first operand's %+v", res.Locs[sum], res.Locs[a])
+	}
+	if res.Locs[cp] != res.Locs[sum] {
+		t.Errorf("copy %+v did not take its dying source's %+v", res.Locs[cp], res.Locs[sum])
+	}
+	// b is live past the copy: no hint may hand its register out.
+	if res.Locs[cp].Reg == res.Locs[b].Reg {
+		t.Errorf("copy shares live b's register %v", res.Locs[b].Reg)
+	}
+}
+
+// TestMoveHintRespectsPools: the hint is refused when the operand's
+// register is outside the new value's pool, in both directions — a
+// private result never inherits a callee-saved register, and a public
+// result that crosses a call never inherits a caller-saved one.
+func TestMoveHintRespectsPools(t *testing.T) {
+	t.Run("private result, callee-saved operand", func(t *testing.T) {
+		f := &ir.Func{Name: "t"}
+		blk := f.NewBlock()
+		pub := f.NewValue(longTy)
+		priv := f.NewValue(longTy)
+		blk.Insts = []*ir.Inst{
+			{Op: ir.OpConst, Res: pub, Imm: 1},
+			{Op: ir.OpCall, Res: ir.NoValue, Callee: "ext"}, // pub crosses it
+			{Op: ir.OpAdd, Res: priv, Args: []ir.Value{pub, pub}},
+			{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{priv}},
+		}
+		res := allocate(f, map[ir.Value]bool{priv: true})
+		if l := res.Locs[pub]; l.Kind != LocReg || !asm.IsCalleeSaved(l.Reg) {
+			t.Fatalf("public value across the call should be callee-saved, got %+v", l)
+		}
+		if l := res.Locs[priv]; l.Kind == LocReg && asm.IsCalleeSaved(l.Reg) {
+			t.Errorf("private result took the hint into callee-saved %v", l.Reg)
+		}
+	})
+	t.Run("public-across-call result, caller-saved operand", func(t *testing.T) {
+		f := &ir.Func{Name: "t"}
+		blk := f.NewBlock()
+		tmp := f.NewValue(longTy)
+		keep := f.NewValue(longTy)
+		blk.Insts = []*ir.Inst{
+			{Op: ir.OpConst, Res: tmp, Imm: 1},
+			{Op: ir.OpAdd, Res: keep, Args: []ir.Value{tmp, tmp}}, // tmp dies here
+			{Op: ir.OpCall, Res: ir.NoValue, Callee: "ext"},       // keep crosses it
+			{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{keep}},
+		}
+		res := allocate(f, nil)
+		if l := res.Locs[tmp]; l.Kind != LocReg || asm.IsCalleeSaved(l.Reg) {
+			t.Fatalf("short-lived public value should be caller-saved, got %+v", l)
+		}
+		if l := res.Locs[keep]; l.Kind != LocReg || !asm.IsCalleeSaved(l.Reg) {
+			t.Errorf("public value across the call took %+v, want a callee-saved register", l)
+		}
+	})
+}
+
+// TestMoveHintNotFromCall: a call's result never takes a hint, even when
+// an argument dies at the call in a register of the result's pool (its
+// value arrives in the return register, and the operands are argument
+// staging).
+func TestMoveHintNotFromCall(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	arg := f.NewValue(longTy)
+	r := f.NewValue(longTy)
+	blk.Insts = []*ir.Inst{
+		{Op: ir.OpConst, Res: arg, Imm: 1},
+		{Op: ir.OpCall, Res: ir.NoValue, Callee: "g"},               // arg crosses it: callee-saved
+		{Op: ir.OpCall, Res: r, Callee: "f", Args: []ir.Value{arg}}, // arg dies here
+		{Op: ir.OpCall, Res: ir.NoValue, Callee: "g"},               // r crosses it: callee-saved
+		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{r}},
+	}
+	res := allocate(f, nil)
+	al, rl := res.Locs[arg], res.Locs[r]
+	if al.Kind != LocReg || !asm.IsCalleeSaved(al.Reg) || rl.Kind != LocReg || !asm.IsCalleeSaved(rl.Reg) {
+		t.Fatalf("both values should be callee-saved: arg %+v, r %+v", al, rl)
+	}
+	if al.Reg == rl.Reg {
+		t.Errorf("call result took its argument's register %v", rl.Reg)
+	}
+}
+
 // RefAllocate is the original map-based linear scan, kept verbatim as a
 // test-only oracle for Allocate: both must return identical Results on
 // every function (TestAllocateMatchesReference). Its block-ID maps and
@@ -417,6 +518,26 @@ func RefAllocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Valu
 		act = out
 	}
 
+	// Move hint: a value defined by a non-call whose first operand's
+	// interval ends at the definition takes that operand's register when
+	// the register is in the value's pool.
+	hint := func(iv *interval) (active, int) {
+		in := order[iv.start].in
+		if in.Res != iv.v || in.Op == ir.OpCall || in.Op == ir.OpICall || len(in.Args) == 0 {
+			return active{}, -1
+		}
+		a := in.Args[0]
+		if a == ir.NoValue || a == iv.v || ends[a] != iv.start {
+			return active{}, -1
+		}
+		for i, e := range act {
+			if e.iv.v == a && e.iv.isFloat == iv.isFloat {
+				return e, i
+			}
+		}
+		return active{}, -1
+	}
+
 	spill := func(iv *interval) {
 		var slot int
 		if iv.private {
@@ -434,6 +555,11 @@ func RefAllocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Valu
 		if iv.isFloat {
 			if iv.crossesCall {
 				spill(iv) // no callee-saved FP registers in our model
+				continue
+			}
+			if e, i := hint(iv); i >= 0 {
+				res.Locs[iv.v] = Loc{Kind: LocFReg, FReg: e.fr, Private: iv.private, IsFloat: true}
+				act[i] = active{iv, 0, e.fr}
 				continue
 			}
 			assigned := false
@@ -463,6 +589,19 @@ func RefAllocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Valu
 		default:
 			// Prefer caller-saved to keep callee-saved pushes rare.
 			pool = append(append([]asm.Reg{}, callerSavedPool...), calleeSavedPool...)
+		}
+		if e, i := hint(iv); i >= 0 {
+			inPool := false
+			for _, r := range pool {
+				if r == e.reg {
+					inPool = true
+				}
+			}
+			if inPool {
+				res.Locs[iv.v] = Loc{Kind: LocReg, Reg: e.reg, Private: iv.private}
+				act[i] = active{iv, e.reg, 0}
+				continue
+			}
 		}
 		assigned := false
 		for _, r := range pool {
