@@ -78,7 +78,10 @@
 // changes have a perf trajectory to compare against. The report's
 // top-level "history" object holds the perf-history columns, each set by
 // the figure that owns it as it renders: interp_geomean (interp's
-// superblock-vs-stepwise MIPS speedup), faults_avail_geomean (faults'
+// superblock-vs-stepwise MIPS speedup), interp_block_ms (interp's host ms
+// per workload under superblock dispatch: real-workload wall time, the
+// column to read when a change removes cheap instructions and MIPS falls
+// while the work gets done sooner), faults_avail_geomean (faults'
 // availability %), verify_funcs_per_sec (verify's per-binary checking
 // throughput, host time), cluster_reqs_per_sec (cluster's aggregate
 // simulated req/s) and latency_p99_cycles (latency's p99 in simulated
@@ -940,7 +943,7 @@ func interp() ([]bench.Cell, renderFn) {
 	render := func(results []bench.CellResult) error {
 		fmt.Println("Interpreter dispatch: superblock vs per-instruction stepping (OurMPX)")
 		fmt.Printf("%-16s %12s %12s %9s\n", "workload", "step MIPS", "block MIPS", "speedup")
-		var speedups []float64
+		var speedups, blockMS []float64
 		for i := 0; i+1 < len(results); i += 2 {
 			ms, mb := results[i], results[i+1]
 			if ms.Err != nil {
@@ -956,6 +959,7 @@ func interp() ([]bench.Cell, renderFn) {
 			}
 			record("interp", name, "stepwise", ms.M)
 			record("interp", name, "superblock", mb.M)
+			blockMS = append(blockMS, float64(mb.M.HostNS)/1e6)
 			// A sub-clock-resolution run has HostNS == 0 and MIPS == 0;
 			// dividing would poison the geomean with +Inf/NaN. Skip
 			// untimed cells instead.
@@ -973,6 +977,7 @@ func interp() ([]bench.Cell, renderFn) {
 		} else {
 			fmt.Printf("%-16s %25s %9s\n\n", "geomean", "", "untimed")
 		}
+		recordHistory("interp_block_ms", blockMS)
 		return nil
 	}
 	return cells, render
