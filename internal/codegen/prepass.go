@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"confllvm/internal/asm"
 	"confllvm/internal/ir"
 	"confllvm/internal/types"
 )
@@ -105,12 +106,6 @@ type prepassState struct {
 	consts map[ir.Value]int64
 }
 
-// riOps are the integer ops with an x64 register-immediate form.
-var riOps = map[ir.Op]bool{
-	ir.OpAdd: true, ir.OpSub: true, ir.OpMul: true, ir.OpAnd: true, ir.OpOr: true,
-	ir.OpXor: true, ir.OpShl: true, ir.OpShr: true, ir.OpSar: true,
-}
-
 // foldConsts applies rewrite 1 to in, returning in itself or a copy.
 func (p *prepassState) foldConsts(in *ir.Inst) *ir.Inst {
 	switch {
@@ -121,7 +116,7 @@ func (p *prepassState) foldConsts(in *ir.Inst) *ir.Inst {
 		}
 		p.uses[in.Args[0]]--
 		return &ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: p.castConst(in, k), Ty: in.Ty, Pos: in.Pos}
-	case (riOps[in.Op] || in.Op == ir.OpICmp) && len(in.Args) == 2:
+	case (intImmOps[in.Op] != asm.OpInvalid || in.Op == ir.OpICmp) && len(in.Args) == 2:
 		reg, imm := in.Args[0], in.Args[1]
 		pred := in.Pred
 		k, ok := p.consts[imm]
