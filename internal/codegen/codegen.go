@@ -320,6 +320,9 @@ type blockCode struct {
 	// invertible reports whether the condbr may branch on cond's negation
 	// instead; false only for a fused fcmp.
 	invertible bool
+	// jumps are the branch items layoutBlocks chose, held in jumpBuf.
+	jumps   []Item
+	jumpBuf [2]Item
 }
 
 // layoutBlocks appends each block's branches to its body, in IR block
@@ -336,19 +339,22 @@ func (c *ctx) layoutBlocks(blocks []blockCode) {
 		return
 	}
 	maxID := 0
-	for _, blk := range c.f.Blocks {
+	for i, blk := range c.f.Blocks {
 		maxID = max(maxID, blk.ID)
+		if br := blocks[i].br; br != nil {
+			maxID = max(maxID, br.Blk, br.Blk2) // link reports a dangling target
+		}
 	}
 	alias := make([]int, maxID+1) // block id -> id of the block whose code it starts at
 	for i := range alias {
 		alias[i] = i
 	}
-	jumps := make([][]Item, len(blocks))
 	next := -1 // block whose code follows the current one
 	for i := len(blocks) - 1; i >= 0; i-- {
-		jumps[i] = c.branches(blocks[i], alias, next)
+		bc := &blocks[i]
+		bc.jumps = branches(bc, alias, next, bc.jumpBuf[:0])
 		id := c.f.Blocks[i].ID
-		if blocks[i].end > blocks[i].start || len(jumps[i]) > 0 {
+		if bc.end > bc.start || len(bc.jumps) > 0 {
 			next = id
 		}
 		alias[id] = next
@@ -360,7 +366,7 @@ func (c *ctx) layoutBlocks(blocks []blockCode) {
 	for i, bc := range blocks {
 		first := len(items)
 		items = append(items, body[bc.start:bc.end]...)
-		items = append(items, jumps[i]...)
+		items = append(items, bc.jumps...)
 		if len(items) > first {
 			items[first].Label = c.f.Blocks[i].ID
 		}
@@ -373,12 +379,12 @@ func (c *ctx) layoutBlocks(blocks []blockCode) {
 	c.fc.Items = items
 }
 
-// branches returns the jump items that end block bc, given the block
-// whose code follows it. A target not yet laid out (a backward or self
-// branch) never follows bc, so its unresolved id is safe to compare.
-func (c *ctx) branches(bc blockCode, alias []int, next int) []Item {
+// branches appends to buf the jump items that end block bc, given the
+// block whose code follows it. A target not yet laid out (a backward or
+// self branch) never follows bc, so its unresolved id is safe to compare.
+func branches(bc *blockCode, alias []int, next int, buf []Item) []Item {
 	if bc.br == nil {
-		return nil
+		return buf
 	}
 	jmp := func(blk int) Item {
 		return Item{Inst: asm.Inst{Op: asm.OpJmp}, Rel: RelBlock, Blk: blk, Label: -1}
@@ -389,22 +395,22 @@ func (c *ctx) branches(bc blockCode, alias []int, next int) []Item {
 	t := alias[bc.br.Blk]
 	if bc.br.Op == ir.OpBr {
 		if t == next {
-			return nil
+			return buf
 		}
-		return []Item{jmp(t)}
+		return append(buf, jmp(t))
 	}
 	f := alias[bc.br.Blk2]
 	switch {
 	case t == f && t == next:
-		return nil
+		return buf
 	case t == f:
-		return []Item{jmp(t)}
+		return append(buf, jmp(t))
 	case f == next:
-		return []Item{jcc(bc.cond, t)}
+		return append(buf, jcc(bc.cond, t))
 	case t == next && bc.invertible:
-		return []Item{jcc(bc.cond.Negate(), f)}
+		return append(buf, jcc(bc.cond.Negate(), f))
 	}
-	return []Item{jcc(bc.cond, t), jmp(f)}
+	return append(buf, jcc(bc.cond, t), jmp(f))
 }
 
 // trapLabel is the pseudo block id of the function's trap site.

@@ -62,13 +62,22 @@ func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool) *ir.Func {
 		}
 	}
 	p := &prepassState{f: f, isPrivate: isPrivate, isFloat: isFloat,
-		defs: defs, uses: uses, consts: map[ir.Value]int64{}}
+		defs: defs, uses: uses, constVal: make([]int64, n), constBlk: make([]int32, n)}
 
+	// Rewriting never lengthens a block, so the new blocks and their
+	// instruction lists are carved out of two allocations.
+	total := 0
+	for _, blk := range f.Blocks {
+		total += len(blk.Insts)
+	}
+	backing := make([]*ir.Inst, total)
+	blocks := make([]ir.Block, len(f.Blocks))
 	nf := *f
 	nf.Blocks = make([]*ir.Block, len(f.Blocks))
 	for i, blk := range f.Blocks {
-		clear(p.consts)
-		out := make([]*ir.Inst, 0, len(blk.Insts))
+		p.blk = int32(i + 1)
+		out := backing[:0:len(blk.Insts)]
+		backing = backing[len(blk.Insts):]
 		for _, in := range blk.Insts {
 			in = p.foldConsts(in)
 			if k := len(out); k > 0 {
@@ -79,10 +88,11 @@ func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool) *ir.Func {
 			}
 			out = append(out, in)
 			if in.Op == ir.OpConst && defs[in.Res] == 1 {
-				p.consts[in.Res] = in.Imm
+				p.constVal[in.Res], p.constBlk[in.Res] = in.Imm, p.blk
 			}
 		}
-		nf.Blocks[i] = &ir.Block{ID: blk.ID, Insts: out}
+		blocks[i] = ir.Block{ID: blk.ID, Insts: out}
+		nf.Blocks[i] = &blocks[i]
 	}
 	for _, blk := range nf.Blocks {
 		live := blk.Insts[:0]
@@ -101,27 +111,47 @@ type prepassState struct {
 	f                  *ir.Func
 	isPrivate, isFloat func(ir.Value) bool
 	defs, uses         []int32
-	// consts maps the block-local, single-definition constants seen so
-	// far in the current block to their values.
-	consts map[ir.Value]int64
+	// constVal[v] is the value of v when v is a single-definition
+	// constant already defined in the current block, which holds when
+	// constBlk[v] == blk (the block's index + 1).
+	constVal []int64
+	constBlk []int32
+	blk      int32
+	arena    []ir.Inst // see alloc
+}
+
+// alloc returns a heap copy of in for a rewritten instruction. Copies
+// are carved out of chunks, so a function's rewrites take few
+// allocations.
+func (p *prepassState) alloc(in ir.Inst) *ir.Inst {
+	if len(p.arena) == cap(p.arena) {
+		p.arena = make([]ir.Inst, 0, 32)
+	}
+	p.arena = append(p.arena, in)
+	return &p.arena[len(p.arena)-1]
+}
+
+// constant returns v's value when it is a block-local constant here.
+func (p *prepassState) constant(v ir.Value) (int64, bool) {
+	return p.constVal[v], p.constBlk[v] == p.blk
 }
 
 // foldConsts applies rewrite 1 to in, returning in itself or a copy.
 func (p *prepassState) foldConsts(in *ir.Inst) *ir.Inst {
 	switch {
 	case in.Op == ir.OpTrunc || in.Op == ir.OpZExt || in.Op == ir.OpSExt:
-		k, ok := p.consts[in.Args[0]]
+		k, ok := p.constant(in.Args[0])
 		if !ok {
 			return in
 		}
 		p.uses[in.Args[0]]--
-		return &ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: p.castConst(in, k), Ty: in.Ty, Pos: in.Pos}
+		return p.alloc(ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: p.castConst(in, k), Ty: in.Ty, Pos: in.Pos})
 	case (intImmOps[in.Op] != asm.OpInvalid || in.Op == ir.OpICmp) && len(in.Args) == 2:
 		reg, imm := in.Args[0], in.Args[1]
 		pred := in.Pred
-		k, ok := p.consts[imm]
+		k, ok := p.constant(imm)
 		if !ok && (commutative(in.Op) || in.Op == ir.OpICmp) {
-			if k, ok = p.consts[reg]; ok {
+			if k, ok = p.constant(reg); ok {
 				reg, imm = imm, reg
 				pred = mirror(pred)
 			}
@@ -130,13 +160,16 @@ func (p *prepassState) foldConsts(in *ir.Inst) *ir.Inst {
 			return in
 		}
 		p.uses[imm]--
-		ni := *in
-		ni.Args = []ir.Value{reg}
+		ni := p.alloc(*in)
+		ni.Args = in.Args[:1:1]
+		if reg != in.Args[0] {
+			ni.Args = in.Args[1:2:2]
+		}
 		ni.Imm = k
 		if in.Op == ir.OpICmp {
 			ni.Pred = pred
 		}
-		return &ni
+		return ni
 	}
 	return in
 }
@@ -194,20 +227,20 @@ func (p *prepassState) merge(prev, in *ir.Inst) *ir.Inst {
 		if p.isPrivate(t) != p.isPrivate(in.Res) || p.isFloat(t) != p.isFloat(in.Res) {
 			return nil
 		}
-		m := *prev
+		m := p.alloc(*prev)
 		m.Res = in.Res
 		p.uses[t] = 0
-		return &m
+		return m
 	case (in.Op == ir.OpSExt || in.Op == ir.OpZExt) && in.Imm == 0 && prev.Op == ir.OpTrunc:
 		w := prev.Ty.SizeOf()
 		if w >= 8 || p.f.ValueType(t).SizeOf() != w {
 			return nil
 		}
-		m := *in
-		m.Args = []ir.Value{prev.Args[0]}
+		m := p.alloc(*in)
+		m.Args = prev.Args[:1:1]
 		m.Imm = int64(w)
 		p.uses[t] = 0
-		return &m
+		return m
 	}
 	return nil
 }
@@ -217,16 +250,26 @@ func (p *prepassState) fuseBranches(nf *ir.Func) {
 	// rep[i] is the block whose code starts where block i's does: block i
 	// itself, or, when block i is a lone branch to its layout successor
 	// (which the lowering emits as nothing), rep[i+1].
-	index := map[int]int{}
+	maxID := 0
+	for _, blk := range nf.Blocks {
+		maxID = max(maxID, blk.ID)
+	}
+	index := make([]int, maxID+1) // block id -> layout position + 1
 	for i, blk := range nf.Blocks {
-		index[blk.ID] = i
+		index[blk.ID] = i + 1
+	}
+	pos := func(id int) (int, bool) {
+		if id < 0 || id > maxID || index[id] == 0 {
+			return 0, false
+		}
+		return index[id] - 1, true
 	}
 	rep := make([]int, len(nf.Blocks)+1)
 	rep[len(nf.Blocks)] = -1
 	for i := len(nf.Blocks) - 1; i >= 0; i-- {
 		rep[i] = nf.Blocks[i].ID
 		if ins := nf.Blocks[i].Insts; len(ins) == 1 && ins[0].Op == ir.OpBr {
-			if j, ok := index[ins[0].Blk]; ok && j > i && rep[j] == rep[i+1] {
+			if j, ok := pos(ins[0].Blk); ok && j > i && rep[j] == rep[i+1] {
 				rep[i] = rep[i+1]
 			}
 		}
@@ -245,15 +288,15 @@ func (p *prepassState) fuseBranches(nf *ir.Func) {
 		switch cmp.Op {
 		case ir.OpICmp:
 		case ir.OpFCmp:
-			if j, ok := index[br.Blk]; ok && rep[j] == rep[i+1] {
+			if j, ok := pos(br.Blk); ok && rep[j] == rep[i+1] {
 				continue
 			}
 		default:
 			continue
 		}
-		nc, nb := *cmp, *br
+		nc, nb := p.alloc(*cmp), p.alloc(*br)
 		nc.Res = ir.NoValue
 		nb.Args = nil
-		ins[k-2], ins[k-1] = &nc, &nb
+		ins[k-2], ins[k-1] = nc, nb
 	}
 }

@@ -123,9 +123,13 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 	}
 	blockStart := make([]int, numIDs)
 	blockEnd := make([]int, numIDs)
+	numInsts := 0
+	for _, blk := range f.Blocks {
+		numInsts += len(blk.Insts)
+	}
 	pos := 0
-	var callPos []int    // ascending
-	var insts []*ir.Inst // by position
+	var callPos []int                      // ascending
+	insts := make([]*ir.Inst, 0, numInsts) // by position
 	for _, blk := range f.Blocks {
 		blockStart[blk.ID] = pos
 		for _, in := range blk.Insts {
