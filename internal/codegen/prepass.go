@@ -49,7 +49,9 @@ func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool) *ir.Func {
 	n := f.NumValues()
 	defs := make([]int32, n)
 	uses := make([]int32, n)
+	total := 0
 	for _, blk := range f.Blocks {
+		total += len(blk.Insts)
 		for _, in := range blk.Insts {
 			if in.Res != ir.NoValue {
 				defs[in.Res]++
@@ -66,10 +68,6 @@ func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool) *ir.Func {
 
 	// Rewriting never lengthens a block, so the new blocks and their
 	// instruction lists are carved out of two allocations.
-	total := 0
-	for _, blk := range f.Blocks {
-		total += len(blk.Insts)
-	}
 	backing := make([]*ir.Inst, total)
 	blocks := make([]ir.Block, len(f.Blocks))
 	nf := *f
