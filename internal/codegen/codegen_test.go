@@ -154,16 +154,16 @@ func findBranch(t *testing.T, fc *FuncCode) int {
 func TestCondBrLowering(t *testing.T) {
 	arg := func(_, a ir.Value) ir.Value { return a }
 	cases := []struct {
-		name             string
-		f                *ir.Func
-		cond             asm.Cond
-		target           int
-		wantSetCC, wantT bool
+		name   string
+		f      *ir.Func
+		cond   asm.Cond
+		target int
+		setcc  bool // the boolean is materialized and the branch tests it
 	}{
-		{"false target next", branchFunc(2, 1, arg), asm.CondL, 2, false, false},
-		{"true target next", branchFunc(1, 2, arg), asm.CondGE, 2, false, false},
+		{"false target next", branchFunc(2, 1, arg), asm.CondL, 2, false},
+		{"true target next", branchFunc(1, 2, arg), asm.CondGE, 2, false},
 		{"boolean used as a value", branchFunc(1, 2, func(c, _ ir.Value) ir.Value { return c }),
-			asm.CondE, 2, true, true},
+			asm.CondE, 2, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -180,11 +180,11 @@ func TestCondBrLowering(t *testing.T) {
 			for _, op := range ops(fc) {
 				setcc = setcc || op == asm.OpSetCC
 			}
-			if setcc != tc.wantSetCC {
-				t.Errorf("setcc emitted = %v, want %v: %v", setcc, tc.wantSetCC, ops(fc))
+			if setcc != tc.setcc {
+				t.Errorf("setcc emitted = %v, want %v: %v", setcc, tc.setcc, ops(fc))
 			}
 			wantPrev := asm.OpCmpRR
-			if tc.wantT {
+			if tc.setcc {
 				wantPrev = asm.OpTestRR
 			}
 			if prev.Inst.Op != wantPrev {
