@@ -19,6 +19,22 @@
 // register, nor a public value live across a call into a caller-saved
 // one; the taint rule above is never traded for a saved move.
 //
+// Spill choice (Poletto & Sarkar, "Linear Scan Register Allocation",
+// TOPLAS 1999, weighted by loop depth): every value has a spill weight,
+// its uses plus its definitions, each counted as 8^depth. A position's
+// depth is the number of back edges whose layout range covers it — a
+// branch from block b to a block at or before b covers every position in
+// between — capped at 6. When no register of an interval's pool is free,
+// the cheapest of the interval itself and the active intervals of its
+// float-ness that hold a register of its pool is spilled for its whole
+// life, a tie going to the one that ends last; an evicted active
+// interval's register passes to the arriving one. Since only a register
+// of the arriving value's own pool is ever handed over, eviction keeps
+// the taint rule: a private value never takes a callee-saved register, a
+// public value live across a call never takes a caller-saved one, a
+// private value live across a call still goes straight to the private
+// stack, and an evicted value's slot takes that value's own taint.
+//
 // R10 and R11 are reserved as instrumentation scratch registers and are
 // never allocated.
 package regalloc
@@ -89,7 +105,12 @@ type interval struct {
 	crossesCall bool
 	private     bool
 	isFloat     bool
+	weight      int64 // spill weight: uses and defs, each 8^loop depth
 }
+
+// maxLoopDepth caps the loop depth of a position, so spill weights stay
+// far from overflow however deeply loops nest.
+const maxLoopDepth = 6
 
 // defaultPool serves public values that do not cross a call: caller-saved
 // first, to keep callee-saved pushes rare.
@@ -214,6 +235,42 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 		}
 	}
 
+	// Loop depth of each position: the number of back edges (a branch
+	// from a block to one at or before it in layout order) whose range
+	// [target start, source end] covers it, capped at maxLoopDepth.
+	// Spill weights count each use and def as 8^depth.
+	layoutIdx := make([]int, numIDs)
+	for i, blk := range f.Blocks {
+		layoutIdx[blk.ID] = i
+	}
+	depthDelta := make([]int, numInsts+1)
+	for i, blk := range f.Blocks {
+		for _, s := range succs[i] {
+			if layoutIdx[s] <= i {
+				depthDelta[blockStart[s]]++
+				depthDelta[blockEnd[blk.ID]+1]--
+			}
+		}
+	}
+	weights := make([]int64, n)
+	depth := 0
+	for p, in := range insts {
+		depth += depthDelta[p]
+		w := int64(1) << (3 * min(depth, maxLoopDepth))
+		for _, a := range in.Args {
+			if a != ir.NoValue {
+				weights[a] += w
+			}
+		}
+		if in.Res != ir.NoValue {
+			weights[in.Res] += w
+		}
+	}
+	entry := int64(1) << (3 * min(depthDelta[0], maxLoopDepth))
+	for _, pv := range f.ParamRegs {
+		weights[pv] += entry // defined by the prologue
+	}
+
 	// Build single covering intervals.
 	starts := make([]int, n)
 	ends := make([]int, n)
@@ -275,7 +332,8 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 		c := sort.SearchInts(callPos, starts[v])
 		store = append(store, interval{v: ir.Value(v), start: starts[v], end: ends[v],
 			crossesCall: c < len(callPos) && callPos[c] < ends[v],
-			private:     isPrivate(ir.Value(v)), isFloat: isFloat(ir.Value(v))})
+			private:     isPrivate(ir.Value(v)), isFloat: isFloat(ir.Value(v)),
+			weight: weights[v]})
 		ivs = append(ivs, &store[len(store)-1])
 	}
 	sort.Slice(ivs, func(i, j int) bool {
@@ -351,6 +409,32 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 		res.Locs[iv.v] = Loc{Kind: LocSlot, Slot: slot, Private: iv.private, IsFloat: iv.isFloat}
 	}
 
+	// evict runs when no register of iv's pool is free (Poletto & Sarkar,
+	// weighted by loop depth): the cheapest of iv and the active intervals
+	// of iv's float-ness whose register is in pool (ignored for floats)
+	// is spilled for its whole life, a tie going to the one that ends
+	// last. It returns the index in act whose register iv now takes, or
+	// -1 when iv itself was spilled. Only a register of iv's own pool is
+	// ever handed over, so the pool rules hold for iv, and the evicted
+	// value's slot takes its own taint.
+	evict := func(iv *interval, pool []asm.Reg) int {
+		victim, w, end := -1, iv.weight, iv.end
+		for i, a := range act {
+			if a.iv.isFloat != iv.isFloat || !iv.isFloat && !slices.Contains(pool, a.reg) {
+				continue
+			}
+			if a.iv.weight < w || a.iv.weight == w && a.iv.end > end {
+				victim, w, end = i, a.iv.weight, a.iv.end
+			}
+		}
+		if victim < 0 {
+			spill(iv)
+		} else {
+			spill(act[victim].iv)
+		}
+		return victim
+	}
+
 	for _, iv := range ivs {
 		expire(iv.start)
 		if iv.isFloat {
@@ -375,7 +459,11 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 				}
 			}
 			if !assigned {
-				spill(iv)
+				if k := evict(iv, nil); k >= 0 {
+					r := act[k].fr
+					res.Locs[iv.v] = Loc{Kind: LocFReg, FReg: r, Private: iv.private, IsFloat: true}
+					act[k] = active{iv, 0, r}
+				}
 			}
 			continue
 		}
@@ -414,7 +502,11 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 			}
 		}
 		if !assigned {
-			spill(iv)
+			if k := evict(iv, pool); k >= 0 {
+				r := act[k].reg
+				res.Locs[iv.v] = Loc{Kind: LocReg, Reg: r, Private: iv.private}
+				act[k] = active{iv, r, 0}
+			}
 		}
 	}
 
