@@ -17,10 +17,17 @@
 // taint and float-ness, folds a trunc into the extension that consumes
 // it, drops constants left without uses, and fuses a compare whose only
 // use is the next condbr into cmp; jcc, keeping setcc only for booleans
-// used as values. Blocks keep their IR order and fall through: a jump to
-// the next block is never emitted, a condbr whose true target is next
-// branches on the inverted condition to the false target, and a block
-// that emits nothing lends its label to the code after it. The
+// used as values. An add or sub of an immediate whose destination
+// register differs from its source lowers to a three-address
+// lea d, [a + imm] when the displacement fits in 32 bits; no jcc reads
+// the flags an add would have set, since every one follows its own cmp or
+// test. Blocks keep their IR order and fall through: a jump to the next
+// block is never emitted, a condbr whose true target is next branches on
+// the inverted condition to the false target, and a block that emits
+// nothing lends its label to the code after it. Loops are rotated by tail
+// duplication: a block whose only branch is a backward jmp to a loop test
+// of at most three plain instructions ends instead with a copy of that
+// test and its branches, so a loop's back edge is a single cmp; jcc. The
 // instrumentation above is emitted around the rewritten instructions
 // exactly as before: never moved, merged or dropped.
 package codegen
@@ -320,6 +327,9 @@ type blockCode struct {
 	// invertible reports whether the condbr may branch on cond's negation
 	// instead; false only for a fused fcmp.
 	invertible bool
+	// dup is the loop header's body that layoutBlocks copies in place of
+	// a backward jmp (loop rotation), ahead of jumps.
+	dup []Item
 	// jumps are the branch items layoutBlocks chose, held in jumpBuf.
 	jumps   []Item
 	jumpBuf [2]Item
@@ -331,6 +341,13 @@ type blockCode struct {
 // true target is next branches on the inverted condition to the false
 // target. A block that ends up with no items at all takes no label;
 // branches to it go to the block whose code follows it instead.
+//
+// Loops are rotated by tail duplication: when a block's only branch is a
+// backward jmp to a short loop test (rotatable), the jmp is replaced by a
+// copy of the test's body and the test's own branches, chosen against the
+// code after the jumping block. A for latch thus ends in cmp; jcc body and
+// falls into the exit, while the header stays where it is for the loop
+// entry. Forward jmps are never duplicated.
 //
 // The blocks are visited backwards, so when a block's branches are
 // chosen, every later block is already known to be empty or not.
@@ -349,23 +366,38 @@ func (c *ctx) layoutBlocks(blocks []blockCode) {
 	for i := range alias {
 		alias[i] = i
 	}
+	layoutIdx := make([]int, maxID+1) // block id -> index in blocks
+	for i := range layoutIdx {
+		layoutIdx[i] = len(blocks) // a dangling target is never backward
+	}
+	for i, blk := range c.f.Blocks {
+		layoutIdx[blk.ID] = i
+	}
+	body := c.fc.Items
 	next := -1 // block whose code follows the current one
 	for i := len(blocks) - 1; i >= 0; i-- {
 		bc := &blocks[i]
 		bc.jumps = branches(bc, alias, next, bc.jumpBuf[:0])
+		if len(bc.jumps) == 1 && bc.jumps[0].Inst.Op == asm.OpJmp && bc.jumps[0].Blk >= 0 {
+			// A target not yet laid out still has its own id.
+			if h := layoutIdx[bc.jumps[0].Blk]; h <= i && rotatable(&blocks[h], body) {
+				bc.dup = body[blocks[h].start:blocks[h].end]
+				bc.jumps = branches(&blocks[h], alias, next, bc.jumpBuf[:0])
+			}
+		}
 		id := c.f.Blocks[i].ID
-		if bc.end > bc.start || len(bc.jumps) > 0 {
+		if bc.end > bc.start || len(bc.dup) > 0 || len(bc.jumps) > 0 {
 			next = id
 		}
 		alias[id] = next
 	}
 
-	body := c.fc.Items
-	items := make([]Item, 0, len(body)+2*len(blocks)+1)
+	items := make([]Item, 0, len(body)+4*len(blocks)+1)
 	items = append(items, body[:blocks[0].start]...)
 	for i, bc := range blocks {
 		first := len(items)
 		items = append(items, body[bc.start:bc.end]...)
+		items = append(items, bc.dup...)
 		items = append(items, bc.jumps...)
 		if len(items) > first {
 			items[first].Label = c.f.Blocks[i].ID
@@ -377,6 +409,29 @@ func (c *ctx) layoutBlocks(blocks []blockCode) {
 		}
 	}
 	c.fc.Items = items
+}
+
+// maxRotateItems bounds the loop-test body that rotation duplicates.
+const maxRotateItems = 3
+
+// rotatable reports whether a backward jmp to block h may be replaced by a
+// copy of h: h ends in a condbr, and its body is a short run of plain
+// instructions with no magic word, label, call, return or jump, so the
+// copy needs no instrumentation of its own and leaves none out.
+func rotatable(h *blockCode, body []Item) bool {
+	if h.br == nil || h.br.Op != ir.OpCondBr || h.end-h.start > maxRotateItems {
+		return false
+	}
+	for _, it := range body[h.start:h.end] {
+		if it.Magic || it.Label != -1 {
+			return false
+		}
+		switch it.Inst.Op {
+		case asm.OpCall, asm.OpICall, asm.OpRet, asm.OpJmp, asm.OpJcc, asm.OpJmpR:
+			return false
+		}
+	}
+	return true
 }
 
 // branches appends to buf the jump items that end block bc, given the

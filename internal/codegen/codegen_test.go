@@ -5,6 +5,7 @@
 package codegen
 
 import (
+	"math"
 	"testing"
 
 	"confllvm/internal/asm"
@@ -469,6 +470,121 @@ func TestStubShape(t *testing.T) {
 		if !it.Magic && it.Inst.Op == asm.OpLoad {
 			if it.Inst.M.Seg != asm.SegFS || !it.Inst.M.Use32 {
 				t.Error("stub table load must go through fs with the 32-bit constraint")
+			}
+		}
+	}
+}
+
+// TestLeaThreeAddress: an add or sub of an immediate into a register
+// other than its source lowers to lea d, [a + disp] when the displacement
+// fits in 32 bits, and to mov d, a; op d, imm otherwise. Other ops never
+// become a lea.
+func TestLeaThreeAddress(t *testing.T) {
+	cases := []struct {
+		name string
+		op   ir.Op
+		imm  int64
+		lea  bool
+		disp int32
+	}{
+		{"add", ir.OpAdd, 5, true, 5},
+		{"sub", ir.OpSub, 5, true, -5},
+		{"add max int32", ir.OpAdd, math.MaxInt32, true, math.MaxInt32},
+		{"add min int32", ir.OpAdd, math.MinInt32, true, math.MinInt32},
+		{"add past int32", ir.OpAdd, math.MaxInt32 + 1, false, 0},
+		{"sub min int32", ir.OpSub, math.MinInt32, false, 0}, // -imm overflows int32
+		{"sub min int64", ir.OpSub, math.MinInt64, false, 0},
+		{"mul", ir.OpMul, 5, false, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			long := types.MakeInt(8, true, types.Public)
+			f := &ir.Func{Name: "f", Params: []*types.Type{long}, Ret: long}
+			a, k, d, r := f.NewValue(long), f.NewValue(long), f.NewValue(long), f.NewValue(long)
+			f.ParamRegs = []ir.Value{a}
+			f.NewBlock().Insts = []*ir.Inst{
+				{Op: ir.OpConst, Res: k, Imm: tc.imm},
+				{Op: tc.op, Res: d, Args: []ir.Value{a, k}},
+				{Op: ir.OpAdd, Res: r, Args: []ir.Value{d, a}}, // a stays live past d
+				{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{r}},
+			}
+			fc := genFuncCode(t, f, Config{IgnoreTaint: true})
+			var lea *asm.Inst
+			for i := range fc.Items {
+				if in := &fc.Items[i].Inst; in.Op == asm.OpLea {
+					lea = in
+				}
+			}
+			if (lea != nil) != tc.lea {
+				t.Fatalf("lea emitted = %v, want %v: %v", lea != nil, tc.lea, ops(fc))
+			}
+			if lea != nil && (lea.M.Disp != tc.disp || lea.M.Index != asm.NoReg || lea.M.Seg != asm.SegNone) {
+				t.Errorf("lea operand %+v, want [base + %d]", lea.M, tc.disp)
+			}
+		})
+	}
+}
+
+// TestLoopRotation: a loop whose test is a short run of plain
+// instructions ends each iteration with a copy of the test and a jcc
+// back to the body, so no jmp goes backward; a test with a call, or
+// longer than three items, is reached by a backward jmp as before. The
+// forward jmp from the if's then-branch into the loop test is never
+// replaced by a copy.
+func TestLoopRotation(t *testing.T) {
+	cases := []struct {
+		name, cond string
+		rotated    bool
+	}{
+		{"compare", "r > 10", true},
+		{"call in the test", "h() != 10", false}, // call; mov; cmp
+		{"long test", "r * 3 + r * 5 > 10", false},
+	}
+	for _, conf := range []Config{{IgnoreTaint: true}, {CFI: true, Bounds: BoundsMPX,
+		SeparateStacks: true, SeparateUT: true, ChkStk: true}} {
+		for _, tc := range cases {
+			src := "long n = 20;\nlong h() { n = n - 1; return n; }\nlong f(long r) {\n" +
+				"\tif (r > 5) { r = r + 1; } else { r = r - 1; }\n" +
+				"\twhile (" + tc.cond + ") { r = r - 3; }\n\treturn r;\n}\n" +
+				"int main() { return (int)f(40); }\n"
+			fc := fnCode(t, genModule(t, src, conf), "f")
+			at := map[int]int{} // block id -> item index of its label
+			for i, it := range fc.Items {
+				if it.Label >= 0 {
+					at[it.Label] = i
+				}
+			}
+			backJmp, backJcc, tests := 0, 0, 0
+			for i, it := range fc.Items {
+				if it.Magic {
+					continue
+				}
+				if it.Inst.Op == asm.OpCmpRI && it.Inst.Imm == 10 {
+					tests++
+				}
+				// Skip forward branches, and the else branch's jmp back to
+				// the if's join (laid out before the else, where it is a lone
+				// forward jmp into the loop test).
+				if it.Rel != RelBlock || at[it.Blk] > i || fc.Items[at[it.Blk]].Inst.Op == asm.OpJmp {
+					continue
+				}
+				switch it.Inst.Op {
+				case asm.OpJmp:
+					backJmp++
+				case asm.OpJcc:
+					backJcc++
+					if prev := fc.Items[i-1].Inst.Op; prev != asm.OpCmpRI {
+						t.Errorf("%s (CFI=%v): backward jcc follows %v, not the copied cmp", tc.name, conf.CFI, prev)
+					}
+				}
+			}
+			want := [3]int{1, 0, 1} // backward jmps, backward jccs, copies of the test
+			if tc.rotated {
+				want = [3]int{0, 1, 2}
+			}
+			if got := [3]int{backJmp, backJcc, tests}; got != want {
+				t.Errorf("%s (CFI=%v): backward jmps, backward jccs, loop tests = %v, want %v: %v",
+					tc.name, conf.CFI, got, want, ops(fc))
 			}
 		}
 	}

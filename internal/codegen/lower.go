@@ -417,6 +417,19 @@ func (c *ctx) lowerIntBin(in *ir.Inst) {
 		// Register-immediate form (see prepass).
 		d := c.destGPR(in.Res)
 		if d != a {
+			// Three-address add/sub: lea d, [a + disp] replaces
+			// mov d, a; op d, imm. No jcc reads flags from the add: every
+			// branch follows its own cmp or test.
+			disp := in.Imm
+			if in.Op == ir.OpSub {
+				disp = -disp
+			}
+			if (in.Op == ir.OpAdd || in.Op == ir.OpSub) && disp == int64(int32(disp)) {
+				c.emit(asm.Inst{Op: asm.OpLea, Dst: d,
+					M: asm.Mem{Base: a, Index: asm.NoReg, Disp: int32(disp), Size: 8}})
+				c.flushGPR(in.Res, d)
+				return
+			}
 			c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: a})
 		}
 		c.emit(asm.Inst{Op: intImmOps[in.Op], Dst: d, Imm: in.Imm})
