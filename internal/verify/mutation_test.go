@@ -15,7 +15,9 @@ import (
 // compiles into real linked images. Each exercises different
 // instrumentation: privateProg carries private scalars through argument
 // registers, an indirect call and the trusted externs (the crafted
-// program every mutator fires on); serverProg is a recv/send loop like
+// program every mutator fires on; its pw[2] = pw[3] is the GS load -> GS
+// store site seg-store-public needs once no private value spills);
+// serverProg is a recv/send loop like
 // the scenario servers (calls, frames, private buffers).
 var mutationCorpus = []struct {
 	name string
@@ -44,6 +46,7 @@ int main() {
 	char enc[32];
 	read_passwd(uname, pw, 32);
 	pw[1] = (char)sq(pw[0]);
+	pw[2] = pw[3];
 	encrypt(pw, enc, 32);
 	send(1, enc, 32);
 	output(fns[0](enc, 32));
