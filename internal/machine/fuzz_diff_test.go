@@ -1,17 +1,22 @@
 // Randomized differential fuzzing: seeded, deterministic miniC programs
-// are generated, compiled through the full pipeline, and executed under
-// per-instruction stepping and chained superblock dispatch (see
-// diffRun). The generator leans on control-flow shapes — nested
-// ifs, bounded loops, calls — because block boundaries and branch edges
-// are exactly where superblock dispatch and direct block chaining can
-// diverge from per-instruction stepping; it also emits occasional
-// unguarded divisions so divide-fault delivery is fuzzed too.
+// are generated, compiled through the full pipeline under every variant,
+// and executed under per-instruction stepping and chained superblock
+// dispatch (see diffRun); every variant must then agree on what the
+// program observably did. The generator leans on control-flow shapes —
+// nested ifs, bounded loops, calls — because block boundaries and branch
+// edges are exactly where superblock dispatch and direct block chaining
+// can diverge from per-instruction stepping; it keeps more locals live
+// across a loop than there are registers, so the allocator's eviction
+// runs; and it emits occasional unguarded divisions so divide-fault
+// delivery is fuzzed too.
 package machine_test
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"confllvm"
@@ -29,7 +34,7 @@ type progGen struct {
 
 const (
 	fuzzGlobals = 4
-	fuzzLocals  = 4
+	fuzzLocals  = 12 // with acc and the counters, more than the 12 allocatable GPRs
 	fuzzArrLen  = 32
 )
 
@@ -113,15 +118,31 @@ func (g *progGen) stmts(b *strings.Builder, n, depth, fn, lv int) {
 				fmt.Fprintf(b, "acc = acc + %s;\n", g.expr(depth, fn))
 				continue
 			}
-			// A bounded countdown loop with a dedicated counter.
-			fmt.Fprintf(b, "i%d = (%s) & 15;\n", lv, g.expr(1, fn))
-			fmt.Fprintf(b, "while (i%d > 0) {\n", lv)
-			g.stmts(b, 1+g.r.Intn(2), depth-1, fn, lv+1)
-			fmt.Fprintf(b, "i%d = i%d - 1;\n}\n", lv, lv)
+			g.loop(b, depth, fn, lv)
 		default:
 			fmt.Fprintf(b, "acc = acc + %s;\n", g.expr(depth, fn))
 		}
 	}
+}
+
+// loop emits a bounded countdown loop with a dedicated counter.
+func (g *progGen) loop(b *strings.Builder, depth, fn, lv int) {
+	fmt.Fprintf(b, "i%d = (%s) & 15;\n", lv, g.expr(1, fn))
+	fmt.Fprintf(b, "while (i%d > 0) {\n", lv)
+	g.stmts(b, 1+g.r.Intn(2), depth-1, fn, lv+1)
+	fmt.Fprintf(b, "i%d = i%d - 1;\n}\n", lv, lv)
+}
+
+// body emits a function body's statements: n random ones, then a loop,
+// then a sum of every local, so all of them are live across the loop.
+func (g *progGen) body(b *strings.Builder, n, depth, fn int) {
+	g.stmts(b, n, depth, fn, 0)
+	g.loop(b, depth, fn, 0)
+	b.WriteString("acc = acc")
+	for i := 0; i < fuzzLocals; i++ {
+		fmt.Fprintf(b, " + l%d", i)
+	}
+	b.WriteString(";\n")
 }
 
 func (g *progGen) fn(b *strings.Builder, idx int) {
@@ -130,7 +151,7 @@ func (g *progGen) fn(b *strings.Builder, idx int) {
 	for i := 0; i < fuzzLocals; i++ {
 		fmt.Fprintf(b, "long l%d = %d;\n", i, g.r.Int63n(100))
 	}
-	g.stmts(b, 2+g.r.Intn(3), 2, idx, 0)
+	g.body(b, 2+g.r.Intn(3), 2, idx)
 	b.WriteString("return acc;\n}\n\n")
 }
 
@@ -150,7 +171,7 @@ func (g *progGen) generate() string {
 	for i := 0; i < fuzzLocals; i++ {
 		fmt.Fprintf(&b, "long l%d = %d;\n", i, g.r.Int63n(50))
 	}
-	g.stmts(&b, 4+g.r.Intn(4), 3, g.nFuncs, 0)
+	g.body(&b, 4+g.r.Intn(4), 3, g.nFuncs)
 	b.WriteString("output(acc);\n")
 	for i := 0; i < fuzzGlobals; i++ {
 		fmt.Fprintf(&b, "output(g%d);\n", i)
@@ -159,52 +180,105 @@ func (g *progGen) generate() string {
 	return b.String()
 }
 
-// TestFuzzDifferential compiles seeded random programs across variants
-// and differentially executes both dispatch modes. Failures reproduce
-// from the seed in the subtest name.
+// TestFuzzDifferential compiles each seeded random program under every
+// variant and differentially executes both dispatch modes of each image.
+// The variants must agree on outputs, exit code and fault kind:
+// instrumentation never changes program semantics. The log counts the
+// images whose register pools overflowed (spill-slot traffic), which is
+// when the allocator's eviction rule runs. Failures reproduce from the
+// seed in the subtest name.
 func TestFuzzDifferential(t *testing.T) {
 	nProgs := 48
 	if testing.Short() {
 		nProgs = 10
 	}
-	variants := []confllvm.Variant{confllvm.VariantBase, confllvm.VariantCFI,
-		confllvm.VariantMPX, confllvm.VariantSeg}
+	var images, spilling atomic.Int64
+	t.Cleanup(func() {
+		t.Logf("%d of %d images spill under register pressure", spilling.Load(), images.Load())
+		if spilling.Load() == 0 && !t.Failed() {
+			t.Error("no generated image overflowed the register pools")
+		}
+	})
 	for seed := 0; seed < nProgs; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel() // each seed compiles and runs its own program end to end
 			g := &progGen{r: rand.New(rand.NewSource(int64(seed)*7919 + 17)), nFuncs: 1 + seed%3}
 			src := g.generate()
-			v := variants[seed%len(variants)]
-			art, err := confllvm.Compile(confllvm.Program{
-				Sources: []confllvm.Source{
-					{Name: "fuzz.c", Code: src},
-					{Name: "ulib.c", Code: bench.ULib},
-				},
-			}, v)
-			if err != nil {
-				t.Fatalf("generated program failed to compile:\n%s\nerror: %v", src, err)
-			}
-			res := diffRun(t, art, confllvm.NewWorld, nil)
-			t.Logf("seed %d [%v]: %d instrs, fault=%v", seed, v, res.Stats.Instrs, res.Fault)
-			if res.Fault != nil && res.Fault.Kind != machine.FaultDivide {
-				t.Fatalf("unexpected fault kind (still mode-identical): %v\nprogram:\n%s",
-					res.Fault, src)
-			}
-			// Every few seeds, re-run with the instruction budget cut to a
-			// point inside the program, so the fuel fault lands at a fuzzed
-			// position (often mid-superblock).
-			if seed%3 == 0 && res.Stats.Instrs > 20 {
-				c := machine.DefaultConfig()
-				c.DefaultFuel = res.Stats.Instrs/2 + uint64(seed%7)
-				cut := diffRun(t, art, confllvm.NewWorld, &c)
-				if cut.Fault == nil {
-					t.Fatalf("fuel cutoff at %d of %d instrs did not fault",
-						c.DefaultFuel, res.Stats.Instrs)
+			var ref *confllvm.Result
+			for i, v := range confllvm.AllVariants() {
+				art, err := confllvm.Compile(confllvm.Program{
+					Sources: []confllvm.Source{
+						{Name: "fuzz.c", Code: src},
+						{Name: "ulib.c", Code: bench.ULib},
+					},
+				}, v)
+				if err != nil {
+					t.Fatalf("generated program failed to compile under %v:\n%s\nerror: %v", v, src, err)
+				}
+				images.Add(1)
+				if spillOps(art.Image, g.nFuncs) > 0 {
+					spilling.Add(1)
+				}
+				res := diffRun(t, art, confllvm.NewWorld, nil)
+				t.Logf("seed %d [%v]: %d instrs, fault=%v", seed, v, res.Stats.Instrs, res.Fault)
+				if res.Fault != nil && res.Fault.Kind != machine.FaultDivide {
+					t.Fatalf("unexpected fault kind under %v (still mode-identical): %v\nprogram:\n%s",
+						v, res.Fault, src)
+				}
+				if ref == nil {
+					ref = res
+				} else if !slices.Equal(res.Outputs, ref.Outputs) || res.ExitCode != ref.ExitCode ||
+					(res.Fault == nil) != (ref.Fault == nil) || res.Fault != nil && res.Fault.Kind != ref.Fault.Kind {
+					t.Fatalf("%v diverges from %v: outputs %v vs %v, exit %d vs %d, fault %v vs %v\nprogram:\n%s",
+						v, confllvm.AllVariants()[0], res.Outputs, ref.Outputs, res.ExitCode, ref.ExitCode,
+						res.Fault, ref.Fault, src)
+				}
+				// Every few seeds, re-run one variant with the instruction
+				// budget cut to a point inside the program, so the fuel fault
+				// lands at a fuzzed position (often mid-superblock).
+				if seed%3 == 0 && i == seed%len(confllvm.AllVariants()) && res.Stats.Instrs > 20 {
+					c := machine.DefaultConfig()
+					c.DefaultFuel = res.Stats.Instrs/2 + uint64(seed%7)
+					cut := diffRun(t, art, confllvm.NewWorld, &c)
+					if cut.Fault == nil {
+						t.Fatalf("fuel cutoff at %d of %d instrs did not fault",
+							c.DefaultFuel, res.Stats.Instrs)
+					}
 				}
 			}
 		})
 	}
+}
+
+// spillOps counts the rsp-relative loads and stores in the generated
+// functions (f0..f<nFuncs-1> and main). Those take two or fewer
+// arguments and address locals through registers, so every such access
+// is spill-slot traffic.
+func spillOps(img *link.Image, nFuncs int) int {
+	gen := map[string]bool{"main": true}
+	for i := 0; i < nFuncs; i++ {
+		gen[fmt.Sprintf("f%d", i)] = true
+	}
+	n := 0
+	for _, fs := range img.Funcs {
+		if !gen[fs.Name] {
+			continue
+		}
+		for _, addr := range instAddrs(img, fs) {
+			in, _, err := asm.Decode(img.Code, int(addr-img.Layout.CodeBase))
+			if err != nil {
+				continue
+			}
+			switch in.Op {
+			case asm.OpLoad, asm.OpStore, asm.OpFLoad, asm.OpFStore:
+				if in.M.Base == asm.RSP {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // TestFuzzDifferentialBoundsFaults drives seeded wild accesses — far past
