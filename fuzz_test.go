@@ -17,8 +17,10 @@ import (
 //
 // Seed corpus entries live in testdata/fuzz/FuzzCompile: the SPEC kernels
 // (with the U-side library appended) and small programs covering i++,
-// nested compares, && and ||, casts of literals, private/public copies and
-// empty loop bodies.
+// nested compares, && and ||, casts of literals, private/public copies,
+// empty loop bodies, and register pressure (pressure: 15 public and
+// private locals live across a loop with a call inside it, where spill
+// eviction and the register pools' taint rules interact).
 func FuzzCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		// Nested macro bodies can multiply the token count by 2^n; bound n
