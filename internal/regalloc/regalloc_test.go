@@ -41,12 +41,11 @@ func uses(blk *ir.Block, times int, vs ...ir.Value) {
 	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpStore, Res: ir.NoValue, Args: args})
 }
 
-// loop returns an entry block, a loop block that branches back to itself
-// and an exit block; the caller fills them and ends the loop with
-// endLoop.
+// loop returns an entry block, a loop block and an exit block; the caller
+// fills them, then endLoop makes the entry fall into the loop block, which
+// branches back to itself on cond or on to the exit.
 func loop(f *ir.Func) (entry, body, exit *ir.Block) {
-	entry, body, exit = f.NewBlock(), f.NewBlock(), f.NewBlock()
-	return entry, body, exit
+	return f.NewBlock(), f.NewBlock(), f.NewBlock()
 }
 
 func endLoop(entry, body, exit *ir.Block, cond ir.Value) {
