@@ -8,14 +8,14 @@ import (
 	"confllvm/internal/bench"
 )
 
-// TestNoJmpToNext: fall-through block layout never emits an unconditional
-// jump to the instruction right after it, and loop rotation leaves no
-// backward jump onto a loop test (a compare right before a conditional
-// jump, which a block whose only branch is that jump ends with a copy of
-// instead), in any
-// image of any benchmark program under any variant. It also pins what
-// lets an add become a flag-less lea: every conditional jump directly
-// follows the compare or test that sets its flags.
+// TestNoJmpToNext: in any image of any benchmark program under any
+// variant, fall-through block layout never emits an unconditional jump
+// to the instruction right after it, and loop rotation leaves no backward
+// jump onto a loop test (a compare right before a conditional jump; a
+// block whose only branch is that jump ends with a copy of it instead).
+// It also pins what lets an add become a flag-less lea: every
+// conditional jump directly follows the compare or test that sets its
+// flags.
 func TestNoJmpToNext(t *testing.T) {
 	isCmp := func(op asm.Op) bool { return op == asm.OpCmpRR || op == asm.OpCmpRI || op == asm.OpFCmp }
 	setsFlags := func(op asm.Op) bool {
