@@ -62,6 +62,318 @@ func wantSlot(t *testing.T, res *Result, v ir.Value, private bool) {
 	}
 }
 
+// TestIntervalRegisterReuse checks interval construction through its
+// observable effect: values that are live simultaneously get distinct
+// registers, and a value whose interval has expired frees its register for
+// the next one.
+func TestIntervalRegisterReuse(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	v0 := f.NewValue(longTy)
+	v1 := f.NewValue(longTy)
+	v2 := f.NewValue(longTy)
+	v3 := f.NewValue(longTy)
+	blk.Insts = []*ir.Inst{
+		{Op: ir.OpConst, Res: v0, Imm: 1},
+		{Op: ir.OpConst, Res: v1, Imm: 2},
+		{Op: ir.OpAdd, Res: v2, Args: []ir.Value{v0, v1}}, // v0, v1 overlap
+		{Op: ir.OpAdd, Res: v3, Args: []ir.Value{v2, v2}}, // v0, v1 now dead
+		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{v3}},
+	}
+	res := allocate(f, nil)
+
+	for _, v := range []ir.Value{v0, v1, v2, v3} {
+		if res.Locs[v].Kind != LocReg {
+			t.Fatalf("v%d not in a register: %+v", v, res.Locs[v])
+		}
+	}
+	if res.Locs[v0].Reg == res.Locs[v1].Reg {
+		t.Errorf("v0 and v1 are live simultaneously but share %v", res.Locs[v0].Reg)
+	}
+	if res.Locs[v1].Reg == res.Locs[v2].Reg {
+		t.Errorf("v1 and v2 overlap at the add but share %v", res.Locs[v1].Reg)
+	}
+	// v3 starts after v0's interval ends, so the allocator must have at
+	// least reused some register; with a 12-register pool and only two
+	// values live at once, nothing may spill.
+	if res.PubSlots != 0 || res.PrivSlots != 0 {
+		t.Errorf("unexpected spills: pub=%d priv=%d", res.PubSlots, res.PrivSlots)
+	}
+}
+
+// TestPrivateNeverCalleeSaved checks the core taint invariant: a private
+// value must never be assigned a callee-saved register, whatever the
+// register pressure (callees compiled elsewhere would spill it to the
+// public stack).
+func TestPrivateNeverCalleeSaved(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	private := map[ir.Value]bool{}
+	// 12 private values all live at once: more than the caller-saved pool,
+	// so the allocator is under pressure to cheat.
+	var vals []ir.Value
+	for i := 0; i < 12; i++ {
+		v := f.NewValue(longTy)
+		vals = append(vals, v)
+		private[v] = true
+		blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpConst, Res: v, Imm: int64(i)})
+	}
+	sum := f.NewValue(longTy)
+	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpAdd, Res: sum, Args: vals})
+	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{sum}})
+
+	res := allocate(f, private)
+	for _, v := range vals {
+		loc := res.Locs[v]
+		switch loc.Kind {
+		case LocReg:
+			if asm.IsCalleeSaved(loc.Reg) {
+				t.Errorf("private v%d assigned callee-saved %v", v, loc.Reg)
+			}
+			if loc.Reg == ScratchA || loc.Reg == ScratchB {
+				t.Errorf("v%d assigned reserved scratch %v", v, loc.Reg)
+			}
+		case LocSlot:
+			if !loc.Private {
+				t.Errorf("private v%d spilled to a public slot", v)
+			}
+		default:
+			t.Errorf("v%d has no location", v)
+		}
+	}
+}
+
+// TestPrivateAcrossCallSpills checks that a private value live across a
+// call is never kept in any register at all: caller-saved registers die at
+// the call and callee-saved ones are forbidden, so it must live in a
+// private spill slot.
+func TestPrivateAcrossCallSpills(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	priv := f.NewValue(longTy)
+	pub := f.NewValue(longTy)
+	use := f.NewValue(longTy)
+	blk.Insts = []*ir.Inst{
+		{Op: ir.OpConst, Res: priv, Imm: 1},
+		{Op: ir.OpConst, Res: pub, Imm: 2},
+		{Op: ir.OpCall, Res: ir.NoValue, Callee: "ext"},
+		{Op: ir.OpAdd, Res: use, Args: []ir.Value{priv, pub}},
+		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{use}},
+	}
+	res := allocate(f, map[ir.Value]bool{priv: true})
+
+	if !res.HasCall {
+		t.Fatal("call not detected")
+	}
+	pl := res.Locs[priv]
+	if pl.Kind != LocSlot {
+		t.Fatalf("private value crossing a call must spill, got %+v", pl)
+	}
+	if !pl.Private {
+		t.Error("private spill slot labeled public")
+	}
+	if res.PrivSlots != 1 {
+		t.Errorf("PrivSlots = %d, want 1", res.PrivSlots)
+	}
+	// The public value may stay in a register, but only a callee-saved one
+	// survives the call.
+	if gl := res.Locs[pub]; gl.Kind == LocReg && !asm.IsCalleeSaved(gl.Reg) {
+		t.Errorf("public value crossing the call landed in caller-saved %v", gl.Reg)
+	}
+}
+
+// TestSpillSlotTaintLabeling forces both pools to overflow and checks that
+// public and private values spill to disjoint, independently-numbered slot
+// sequences on their respective stacks.
+func TestSpillSlotTaintLabeling(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	private := map[ir.Value]bool{}
+	var vals []ir.Value
+	// 24 values live at once, alternating taint: overflows the 5-register
+	// caller-saved pool (privates) and the 12-register combined pool.
+	for i := 0; i < 24; i++ {
+		v := f.NewValue(longTy)
+		vals = append(vals, v)
+		if i%2 == 1 {
+			private[v] = true
+		}
+		blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpConst, Res: v, Imm: int64(i)})
+	}
+	sum := f.NewValue(longTy)
+	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpAdd, Res: sum, Args: vals})
+	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{sum}})
+
+	res := allocate(f, private)
+	seenPub := map[int]bool{}
+	seenPriv := map[int]bool{}
+	for _, v := range append(append([]ir.Value{}, vals...), sum) {
+		loc := res.Locs[v]
+		if loc.Kind != LocSlot {
+			continue
+		}
+		if loc.Private != private[v] {
+			t.Errorf("v%d spill slot taint = %v, want %v", v, loc.Private, private[v])
+		}
+		seen := seenPub
+		if loc.Private {
+			seen = seenPriv
+		}
+		if seen[loc.Slot] {
+			t.Errorf("slot %d (private=%v) assigned twice", loc.Slot, loc.Private)
+		}
+		seen[loc.Slot] = true
+	}
+	if len(seenPub) == 0 || len(seenPriv) == 0 {
+		t.Fatalf("expected spills in both pools: pub=%d priv=%d", len(seenPub), len(seenPriv))
+	}
+	if res.PubSlots != len(seenPub) || res.PrivSlots != len(seenPriv) {
+		t.Errorf("slot counts pub=%d priv=%d, want %d/%d",
+			res.PubSlots, res.PrivSlots, len(seenPub), len(seenPriv))
+	}
+	// Slots must be numbered densely from 0 within each stack.
+	for i := 0; i < res.PubSlots; i++ {
+		if !seenPub[i] {
+			t.Errorf("public slot %d skipped", i)
+		}
+	}
+	for i := 0; i < res.PrivSlots; i++ {
+		if !seenPriv[i] {
+			t.Errorf("private slot %d skipped", i)
+		}
+	}
+}
+
+// TestCalleeSavedReporting checks that UsedCalleeSaved reports exactly the
+// callee-saved registers handed out.
+func TestCalleeSavedReporting(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	v0 := f.NewValue(longTy)
+	use := f.NewValue(longTy)
+	blk.Insts = []*ir.Inst{
+		{Op: ir.OpConst, Res: v0, Imm: 7},
+		{Op: ir.OpCall, Res: ir.NoValue, Callee: "ext"},
+		{Op: ir.OpAdd, Res: use, Args: []ir.Value{v0, v0}},
+		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{use}},
+	}
+	res := allocate(f, nil)
+	loc := res.Locs[v0]
+	if loc.Kind != LocReg || !asm.IsCalleeSaved(loc.Reg) {
+		t.Fatalf("public value across a call should get a callee-saved register, got %+v", loc)
+	}
+	found := false
+	for _, r := range res.UsedCalleeSaved {
+		if r == loc.Reg {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("%v missing from UsedCalleeSaved %v", loc.Reg, res.UsedCalleeSaved)
+	}
+}
+
+// TestMoveHintTaken: a value defined by a non-call whose first operand
+// dies at the definition takes the operand's register, so codegen emits
+// the operation in place with no move.
+func TestMoveHintTaken(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	a := f.NewValue(longTy)
+	b := f.NewValue(longTy)
+	sum := f.NewValue(longTy)
+	cp := f.NewValue(longTy)
+	blk.Insts = []*ir.Inst{
+		{Op: ir.OpConst, Res: a, Imm: 1},
+		{Op: ir.OpConst, Res: b, Imm: 2},
+		{Op: ir.OpAdd, Res: sum, Args: []ir.Value{a, b}}, // a and b die here
+		{Op: ir.OpCopy, Res: cp, Args: []ir.Value{sum}},  // sum dies here
+		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{cp, b}},
+	}
+	res := allocate(f, nil)
+	if res.Locs[sum] != res.Locs[a] {
+		t.Errorf("add result %+v did not take its dying first operand's %+v", res.Locs[sum], res.Locs[a])
+	}
+	if res.Locs[cp] != res.Locs[sum] {
+		t.Errorf("copy %+v did not take its dying source's %+v", res.Locs[cp], res.Locs[sum])
+	}
+	// b is live past the copy: no hint may hand its register out.
+	if res.Locs[cp].Reg == res.Locs[b].Reg {
+		t.Errorf("copy shares live b's register %v", res.Locs[b].Reg)
+	}
+}
+
+// TestMoveHintRespectsPools: the hint is refused when the operand's
+// register is outside the new value's pool, in both directions — a
+// private result never inherits a callee-saved register, and a public
+// result that crosses a call never inherits a caller-saved one.
+func TestMoveHintRespectsPools(t *testing.T) {
+	t.Run("private result, callee-saved operand", func(t *testing.T) {
+		f := &ir.Func{Name: "t"}
+		blk := f.NewBlock()
+		pub := f.NewValue(longTy)
+		priv := f.NewValue(longTy)
+		blk.Insts = []*ir.Inst{
+			{Op: ir.OpConst, Res: pub, Imm: 1},
+			{Op: ir.OpCall, Res: ir.NoValue, Callee: "ext"}, // pub crosses it
+			{Op: ir.OpAdd, Res: priv, Args: []ir.Value{pub, pub}},
+			{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{priv}},
+		}
+		res := allocate(f, map[ir.Value]bool{priv: true})
+		if l := res.Locs[pub]; l.Kind != LocReg || !asm.IsCalleeSaved(l.Reg) {
+			t.Fatalf("public value across the call should be callee-saved, got %+v", l)
+		}
+		if l := res.Locs[priv]; l.Kind == LocReg && asm.IsCalleeSaved(l.Reg) {
+			t.Errorf("private result took the hint into callee-saved %v", l.Reg)
+		}
+	})
+	t.Run("public-across-call result, caller-saved operand", func(t *testing.T) {
+		f := &ir.Func{Name: "t"}
+		blk := f.NewBlock()
+		tmp := f.NewValue(longTy)
+		keep := f.NewValue(longTy)
+		blk.Insts = []*ir.Inst{
+			{Op: ir.OpConst, Res: tmp, Imm: 1},
+			{Op: ir.OpAdd, Res: keep, Args: []ir.Value{tmp, tmp}}, // tmp dies here
+			{Op: ir.OpCall, Res: ir.NoValue, Callee: "ext"},       // keep crosses it
+			{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{keep}},
+		}
+		res := allocate(f, nil)
+		if l := res.Locs[tmp]; l.Kind != LocReg || asm.IsCalleeSaved(l.Reg) {
+			t.Fatalf("short-lived public value should be caller-saved, got %+v", l)
+		}
+		if l := res.Locs[keep]; l.Kind != LocReg || !asm.IsCalleeSaved(l.Reg) {
+			t.Errorf("public value across the call took %+v, want a callee-saved register", l)
+		}
+	})
+}
+
+// TestMoveHintNotFromCall: a call's result never takes a hint, even when
+// an argument dies at the call in a register of the result's pool (its
+// value arrives in the return register, and the operands are argument
+// staging).
+func TestMoveHintNotFromCall(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	arg := f.NewValue(longTy)
+	r := f.NewValue(longTy)
+	blk.Insts = []*ir.Inst{
+		{Op: ir.OpConst, Res: arg, Imm: 1},
+		{Op: ir.OpCall, Res: ir.NoValue, Callee: "g"},               // arg crosses it: callee-saved
+		{Op: ir.OpCall, Res: r, Callee: "f", Args: []ir.Value{arg}}, // arg dies here
+		{Op: ir.OpCall, Res: ir.NoValue, Callee: "g"},               // r crosses it: callee-saved
+		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{r}},
+	}
+	res := allocate(f, nil)
+	al, rl := res.Locs[arg], res.Locs[r]
+	if al.Kind != LocReg || !asm.IsCalleeSaved(al.Reg) || rl.Kind != LocReg || !asm.IsCalleeSaved(rl.Reg) {
+		t.Fatalf("both values should be callee-saved: arg %+v, r %+v", al, rl)
+	}
+	if al.Reg == rl.Reg {
+		t.Errorf("call result took its argument's register %v", rl.Reg)
+	}
+}
+
 // TestEvictOuterForInnerLoop: when every register holds a value used only
 // outside a loop, a temporary used inside the loop takes a register and
 // one outer value is spilled instead. Unweighted, the temporary (3 uses
