@@ -790,7 +790,7 @@ func verifyFigure() ([]bench.Cell, renderFn) {
 			funcsPerSec = append(funcsPerSec, rep.FuncsPerSec())
 			fmt.Printf("%-16s %8v %10.0f funcs/s %12.0f insts/s %6.2fx par %6.1fx cached  (host, %d workers)\n",
 				r.Cell.Row, r.Cell.Variant, rep.FuncsPerSec(), rep.InstsPerSec(),
-				rep.Speedup(), float64(rep.ParallelNS)/float64(max64(rep.CachedNS, 1)),
+				rep.Speedup(), float64(rep.ParallelNS)/float64(max(rep.CachedNS, 1)),
 				rep.Workers)
 		}
 		recordHistory("verify_funcs_per_sec", funcsPerSec)
@@ -907,13 +907,6 @@ func latencyFigure() ([]bench.Cell, renderFn) {
 		return nil
 	}
 	return cells, render
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // interp sweeps every workload with superblock dispatch on and off under

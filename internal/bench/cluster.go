@@ -10,10 +10,12 @@ import (
 
 // This file is the cluster layer: N machine.Machine instances serving one
 // scenario's key space behind a deterministic router (internal/scenario's
-// Cluster). Each shard is an ordinary matrix cell — the existing kv.go
-// program, the shared singleflight artifact (so every shard binary passes
-// the verify-before-load gate exactly once per variant), its own machine
-// — and RunMatrix schedules shards across its worker pool like any other
+// Cluster). Each shard is an ordinary matrix cell: a wireWorkload that
+// serves the shard's routed packets with the KV store program and checks
+// the router's per-shard output prediction. All shards share one
+// singleflight artifact per variant (so every shard binary passes the
+// verify-before-load gate exactly once), each runs on its own machine,
+// and RunMatrix schedules shards across its worker pool like any other
 // cells. What makes the result a *cluster* measurement is the merge:
 // shards run concurrently in the simulated world, so the cluster's wall
 // clock is the slowest shard's simulated cycles, and aggregate req/s is
@@ -102,45 +104,6 @@ func MergeShardClocks(ct *scenario.ClusterTraffic, ms []*Measurement) (*ClusterR
 	return rep, nil
 }
 
-// shardWorkload wraps one shard's routed slice of a cluster scenario as
-// an ordinary Workload: the existing KV server program (shared artifact
-// key "kv", so the whole grid compiles — and passes the verify load gate
-// — once per variant) serving the shard's packet stream, checked against
-// the router's per-shard output prediction.
-func shardWorkload(ct *scenario.ClusterTraffic, shard int) Workload {
-	wire, expect := ct.Wire[shard], ct.Expect[shard]
-	name := fmt.Sprintf("%s/s%02d", ct.Spec.Name, shard)
-	return Workload{
-		Key:  "kv",
-		Name: name,
-		Prog: func(confllvm.Variant) confllvm.Program {
-			return confllvm.Program{Sources: []confllvm.Source{
-				{Name: "kv.c", Code: KVStoreSrc},
-				{Name: "ulib.c", Code: ULib},
-			}}
-		},
-		World: func() *confllvm.World {
-			w := confllvm.NewWorld()
-			w.Params = []int64{int64(len(wire))}
-			w.NetIn = wire
-			return w
-		},
-		Check: func(res *confllvm.Result) error {
-			if len(res.Outputs) != len(expect) {
-				return fmt.Errorf("shard %s: got %d outputs %v, want %d %v",
-					name, len(res.Outputs), res.Outputs, len(expect), expect)
-			}
-			for i := range expect {
-				if res.Outputs[i] != expect[i] {
-					return fmt.Errorf("shard %s: output[%d] = %d, router predicted %d (%v vs %v)",
-						name, i, res.Outputs[i], expect[i], res.Outputs, expect)
-				}
-			}
-			return nil
-		},
-	}
-}
-
 // ClusterTraffics routes every spec of a cluster grid (panicking on a
 // non-clusterable spec — grids are built from the KV family only).
 func ClusterTraffics(specs []scenario.Spec) []*scenario.ClusterTraffic {
@@ -166,11 +129,12 @@ func ClusterCells(figure string, cts []*scenario.ClusterTraffic,
 	var cells []Cell
 	for _, ct := range cts {
 		for sh := 0; sh < ct.Spec.Shards; sh++ {
+			label := fmt.Sprintf("s%02d", sh)
 			cells = append(cells, Cell{
 				Figure:   figure,
 				Row:      ct.Spec.Name,
-				Label:    fmt.Sprintf("s%02d", sh),
-				Workload: shardWorkload(ct, sh),
+				Label:    label,
+				Workload: wireWorkload("kv", ct.Spec.Name+"/"+label, kvSources, ct.Wire[sh], ct.Expect[sh]),
 				Variant:  v,
 				Conf:     conf,
 				Scale:    uint64(len(ct.Wire[sh])),
@@ -178,82 +142,4 @@ func ClusterCells(figure string, cts []*scenario.ClusterTraffic,
 		}
 	}
 	return cells
-}
-
-// ClusterServeReport is the supervised-cluster outcome: every shard runs
-// its own crash-only Supervise loop — its own queue, restart backoff,
-// replay budget and verify-gate rolls — so one shard tripping a fault
-// restarts independently while the others keep serving and the cluster
-// degrades instead of stopping. All fields are simulated quantities.
-type ClusterServeReport struct {
-	// PerShard holds each shard's own supervision report, index = shard.
-	PerShard []*ServeReport
-
-	Total    int // requests offered across shards
-	Served   int
-	Rejected int
-	Shed     int
-
-	Restarts         int
-	VerifyRejections int
-
-	// WallCycles is the cluster clock: the slowest shard's serving time
-	// (execution + backoff) — a restarting shard stalls only itself.
-	WallCycles uint64
-	// RunCycles/BackoffCycles/Instrs are summed across shards.
-	RunCycles     uint64
-	BackoffCycles uint64
-	Instrs        uint64
-}
-
-// AvailabilityPct is the percentage of offered requests the cluster
-// served — the degraded-service headline.
-func (r *ClusterServeReport) AvailabilityPct() float64 {
-	if r.Total == 0 {
-		return 0
-	}
-	return float64(r.Served) / float64(r.Total) * 100
-}
-
-// ServedPerSec converts cluster-served requests over the merged clock
-// into req/s at SimClockHz.
-func (r *ClusterServeReport) ServedPerSec() uint64 {
-	return ReqsPerSec(uint64(r.Served), r.WallCycles)
-}
-
-// SuperviseCluster generalizes Supervise to a sharded cluster: shard i
-// serves ct.Wire[i] under pols[i] through its own independent supervision
-// loop (faults, restarts and backoffs on one shard never touch another's
-// queue), and the per-shard reports merge with the same commutative
-// clock discipline as MergeShardClocks — max for the cluster wall clock,
-// sums for counters — so the report is a pure function of
-// (traffic, policies) like every other simulated quantity.
-func SuperviseCluster(key string, prog confllvm.Program, v confllvm.Variant,
-	ct *scenario.ClusterTraffic, mconf *machine.Config, pols []FaultPolicy) (*ClusterServeReport, error) {
-
-	if len(pols) != ct.Spec.Shards {
-		return nil, fmt.Errorf("cluster %s: %d fault policies for %d shards",
-			ct.Spec.Name, len(pols), ct.Spec.Shards)
-	}
-	rep := &ClusterServeReport{PerShard: make([]*ServeReport, ct.Spec.Shards)}
-	for sh := 0; sh < ct.Spec.Shards; sh++ {
-		sr, err := Supervise(key, prog, v, ct.Wire[sh], mconf, pols[sh])
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", sh, err)
-		}
-		rep.PerShard[sh] = sr
-		rep.Total += sr.Total
-		rep.Served += sr.Served
-		rep.Rejected += sr.Rejected
-		rep.Shed += sr.Shed
-		rep.Restarts += sr.Restarts
-		rep.VerifyRejections += sr.VerifyRejections
-		rep.RunCycles += sr.RunCycles
-		rep.BackoffCycles += sr.BackoffCycles
-		rep.Instrs += sr.Instrs
-		if wall := sr.RunCycles + sr.BackoffCycles; wall > rep.WallCycles {
-			rep.WallCycles = wall
-		}
-	}
-	return rep, nil
 }

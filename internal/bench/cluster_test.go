@@ -159,94 +159,3 @@ func TestMergeShardClocksArityCheck(t *testing.T) {
 		t.Fatal("nil measurements must error")
 	}
 }
-
-// TestSuperviseClusterFaultIsolation: a fault-ridden shard restarts and
-// degrades alone — every other shard serves 100% — and the cluster's
-// merged availability sits strictly between the two. This is the
-// degraded-service property the cluster supervisor exists for.
-func TestSuperviseClusterFaultIsolation(t *testing.T) {
-	spec := clusterBenchSpec(404)
-	spec.Multiplier = 2 // enough per-shard traffic for faults to land
-	ct, err := scenario.Cluster(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := KVWorkload(spec)
-	const faulty = 1
-	pols := make([]FaultPolicy, ct.Spec.Shards)
-	for i := range pols {
-		rate := uint64(0)
-		if i == faulty {
-			rate = 500
-		}
-		pols[i] = DefaultFaultPolicy(777, rate)
-	}
-	rep, err := SuperviseCluster(wl.Key, wl.Prog(confllvm.VariantMPX), confllvm.VariantMPX,
-		ct, nil, pols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for sh, sr := range rep.PerShard {
-		if sh == faulty {
-			if sr.AvailabilityPct() >= 100 || sr.Restarts == 0 {
-				t.Fatalf("faulty shard did not degrade: %+v", sr)
-			}
-			continue
-		}
-		if sr.AvailabilityPct() != 100 || sr.Restarts != 0 {
-			t.Fatalf("healthy shard %d was disturbed by shard %d's faults: %+v", sh, faulty, sr)
-		}
-	}
-	if a := rep.AvailabilityPct(); a <= 0 || a >= 100 {
-		t.Fatalf("cluster availability %v, want strictly degraded", a)
-	}
-	// The merged clock is the slowest shard's serving time.
-	var maxWall uint64
-	for _, sr := range rep.PerShard {
-		if w := sr.RunCycles + sr.BackoffCycles; w > maxWall {
-			maxWall = w
-		}
-	}
-	if rep.WallCycles != maxWall {
-		t.Fatalf("cluster wall %d != slowest shard %d", rep.WallCycles, maxWall)
-	}
-	if rep.Restarts != rep.PerShard[faulty].Restarts {
-		t.Fatalf("restarts %d not isolated to the faulty shard's %d",
-			rep.Restarts, rep.PerShard[faulty].Restarts)
-	}
-}
-
-// TestSuperviseClusterCleanRun: with no faults anywhere the cluster
-// supervisor is transparent — full availability, no restarts, and
-// per-shard totals matching the router's request counts.
-func TestSuperviseClusterCleanRun(t *testing.T) {
-	ct, err := scenario.Cluster(clusterBenchSpec(505))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := KVWorkload(ct.Spec)
-	pols := make([]FaultPolicy, ct.Spec.Shards)
-	for i := range pols {
-		pols[i] = DefaultFaultPolicy(0, 0)
-	}
-	rep, err := SuperviseCluster(wl.Key, wl.Prog(confllvm.VariantMPX), confllvm.VariantMPX,
-		ct, nil, pols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.AvailabilityPct() != 100 || rep.Restarts != 0 {
-		t.Fatalf("clean cluster run not transparent: %+v", rep)
-	}
-	for sh, sr := range rep.PerShard {
-		if sr.Total != ct.Requests[sh] {
-			t.Fatalf("shard %d offered %d requests, router routed %d", sh, sr.Total, ct.Requests[sh])
-		}
-	}
-	if rep.ServedPerSec() == 0 {
-		t.Fatal("throughput column empty on a served cluster")
-	}
-	if _, err := SuperviseCluster(wl.Key, wl.Prog(confllvm.VariantMPX), confllvm.VariantMPX,
-		ct, nil, pols[:1]); err == nil {
-		t.Fatal("policy arity mismatch must error")
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"confllvm"
-	"confllvm/internal/chaos"
 	"confllvm/internal/machine"
 	"confllvm/internal/scenario"
 )
@@ -23,12 +22,9 @@ func FaultCells(figure string, specs []scenario.Spec, rates []uint64,
 	var cells []Cell
 	for si, spec := range specs {
 		wl := ScenarioWorkload(spec)
-		wire, _, err := scenario.Traffic(spec)
-		if err != nil {
-			panic(err)
-		}
+		wire := wl.World().NetIn
 		for _, rate := range rates {
-			pol := DefaultFaultPolicy(chaos.DeriveSeed(seed, uint64(si), rate), rate)
+			pol := DefaultFaultPolicy(scenario.MixSeed(seed, uint64(si), rate), rate)
 			cells = append(cells, Cell{
 				Figure: figure,
 				Row:    fmt.Sprintf("%s/r%03d", spec.Name, rate),

@@ -142,11 +142,15 @@ int main() {
 }
 `
 
+// kvSources is the KV store program: every scenario and every cluster
+// shard shares one artifact per variant (Key "kv").
+var kvSources = []confllvm.Source{
+	{Name: "kv.c", Code: KVStoreSrc},
+	{Name: "ulib.c", Code: ULib},
+}
+
 // KVWorkload wraps the confidential KV store serving one scenario's
-// traffic. All scenarios share one artifact per variant (Key "kv").
+// traffic.
 func KVWorkload(spec scenario.Spec) Workload {
-	return scenarioWorkload("kv", []confllvm.Source{
-		{Name: "kv.c", Code: KVStoreSrc},
-		{Name: "ulib.c", Code: ULib},
-	}, spec)
+	return scenarioWorkload("kv", kvSources, spec)
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"confllvm"
 	"confllvm/internal/machine"
@@ -52,38 +51,29 @@ type LatencyReport struct {
 func RunLatency(spec scenario.Spec, arr scenario.Arrival, v confllvm.Variant,
 	conf *machine.Config, tracer *obs.Tracer) (*Measurement, error) {
 	wl := ScenarioWorkload(spec)
-	art, err := CompileCached(wl.Key, v, wl.Prog(v))
-	if err != nil {
-		return nil, err
-	}
-	w := wl.World()
-	reqs := len(w.NetIn)
 	reg := obs.NewRegistry()
+	var reqs int
 	var recv []uint64
-	w.Observe = func(name string, start, end uint64) {
-		reg.Counter("trusted-calls", 1)
-		reg.Hist("handler:" + name).Observe(end - start)
-		if name == "recv" {
-			recv = append(recv, start)
+	world := wl.World
+	wl.World = func() *confllvm.World {
+		w := world()
+		reqs = len(w.NetIn)
+		w.Observe = func(name string, start, end uint64) {
+			reg.Counter("trusted-calls", 1)
+			reg.Hist("handler:" + name).Observe(end - start)
+			if name == "recv" {
+				recv = append(recv, start)
+			}
 		}
+		return w
 	}
-	start := time.Now()
-	res, err := confllvm.Run(art, w, conf)
+	m, err := wl.Run(v, conf)
 	if err != nil {
 		return nil, err
 	}
-	hostNS := time.Since(start).Nanoseconds()
-	if res.Fault != nil {
-		return nil, fmt.Errorf("%s [%v]: %v", wl.Name, v, res.Fault)
-	}
-	if wl.Check != nil {
-		if err := wl.Check(res); err != nil {
-			return nil, fmt.Errorf("%s [%v]: %w", wl.Name, v, err)
-		}
-	}
-	if len(res.Machine.Threads) != 1 {
+	if len(m.Res.Machine.Threads) != 1 {
 		return nil, fmt.Errorf("%s: latency model needs a single serving thread, got %d",
-			wl.Name, len(res.Machine.Threads))
+			wl.Name, len(m.Res.Machine.Threads))
 	}
 	n := len(recv)
 	if n == 0 || n != reqs {
@@ -98,7 +88,7 @@ func RunLatency(spec scenario.Spec, arr scenario.Arrival, v confllvm.Variant,
 	for i := 0; i < n-1; i++ {
 		svc[i] = recv[i+1] - recv[i]
 	}
-	svc[n-1] = res.Stats.Cycles - recv[n-1]
+	svc[n-1] = m.Stats.Cycles - recv[n-1]
 	for _, s := range svc {
 		reg.Hist("service").Observe(s)
 	}
@@ -152,11 +142,7 @@ func RunLatency(spec scenario.Spec, arr scenario.Arrival, v confllvm.Variant,
 		Max: lat.Max, MaxQueue: maxQ,
 		Registry: reg,
 	}
-	m := &Measurement{Variant: v, Wall: res.WallCycles, Stats: res.Stats,
-		Outputs: res.Outputs, HostNS: hostNS, Latency: rep}
-	if res.Profile != nil {
-		m.Profile = obs.FlattenProfile(res.Profile, art.Image)
-	}
+	m.Latency = rep
 	return m, nil
 }
 

@@ -8,26 +8,28 @@ import (
 	"confllvm/internal/scenario"
 )
 
-// scenarioWorkload wires one spec into a Workload. The traffic is
-// generated once up front for the expected-output vector (this also
-// validates the spec's family — our grids never fail it, hence the
-// panic); each World call regenerates the deterministic packets, since
-// worlds are consumed by runs. The check compares the program's output
-// counters against the generator's predictions, so a scenario run is
-// validated end to end, not just fault-free.
-func scenarioWorkload(key string, sources []confllvm.Source, spec scenario.Spec) Workload {
-	_, expect, err := scenario.Traffic(spec)
-	if err != nil {
-		panic(err)
-	}
+// This file is the one serving path for wire traces. wireWorkload turns
+// a fixed packet stream and its predicted output counters into an
+// ordinary Workload; the scenario families (KV, TLS-ish, Merkle-FS), each
+// cluster shard, the latency figure and the faults figure all serve
+// their traffic through it.
+
+// wireWorkload serves a fixed wire trace: the program built from sources
+// receives wire through the trusted recv and must report exactly expect.
+// Every World shares the same packets — recv copies each one into
+// simulated memory and chaos.CorruptPacket returns a corrupted copy — so
+// no run mutates them and the trace is generated once per Workload
+// (pinned by TestWireTraceReusable). Check compares the program's output
+// counters against the prediction, so a served trace is validated end to
+// end, not just fault-free.
+func wireWorkload(key, name string, sources []confllvm.Source, wire [][]byte, expect []int64) Workload {
 	return Workload{
 		Key:  key,
-		Name: spec.Name,
+		Name: name,
 		Prog: func(confllvm.Variant) confllvm.Program {
 			return confllvm.Program{Sources: sources}
 		},
 		World: func() *confllvm.World {
-			wire, _, _ := scenario.Traffic(spec)
 			w := confllvm.NewWorld()
 			w.Params = []int64{int64(len(wire))}
 			w.NetIn = wire
@@ -35,18 +37,29 @@ func scenarioWorkload(key string, sources []confllvm.Source, spec scenario.Spec)
 		},
 		Check: func(res *confllvm.Result) error {
 			if len(res.Outputs) != len(expect) {
-				return fmt.Errorf("scenario %s: got %d outputs %v, want %d %v",
-					spec.Name, len(res.Outputs), res.Outputs, len(expect), expect)
+				return fmt.Errorf("%s: got %d outputs %v, want %d %v",
+					name, len(res.Outputs), res.Outputs, len(expect), expect)
 			}
 			for i := range expect {
 				if res.Outputs[i] != expect[i] {
-					return fmt.Errorf("scenario %s: output[%d] = %d, generator predicted %d (%v vs %v)",
-						spec.Name, i, res.Outputs[i], expect[i], res.Outputs, expect)
+					return fmt.Errorf("%s: output[%d] = %d, predicted %d (%v vs %v)",
+						name, i, res.Outputs[i], expect[i], res.Outputs, expect)
 				}
 			}
 			return nil
 		},
 	}
+}
+
+// scenarioWorkload generates one spec's traffic and serves it with
+// wireWorkload. Our grids never fail generation (it validates the spec's
+// family), hence the panic.
+func scenarioWorkload(key string, sources []confllvm.Source, spec scenario.Spec) Workload {
+	wire, expect, err := scenario.Traffic(spec)
+	if err != nil {
+		panic(err)
+	}
+	return wireWorkload(key, spec.Name, sources, wire, expect)
 }
 
 // ScenarioWorkload maps a spec to its workload family.

@@ -1,7 +1,10 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -155,5 +158,38 @@ func TestScenarioCellsShareArtifacts(t *testing.T) {
 	}
 	if len(keys) != 2 {
 		t.Fatalf("scenario grid uses %d artifact keys %v, want exactly {kv, tlsh}", len(keys), keys)
+	}
+}
+
+// TestWireTraceReusable pins what wireWorkload relies on: every World of
+// one Workload shares the same packets, and serving them never mutates
+// them, so two runs produce the same outputs and leave the trace
+// byte-identical.
+func TestWireTraceReusable(t *testing.T) {
+	wl := KVWorkload(scenario.DefaultKV(true))
+	digest := func() [sha256.Size]byte {
+		h := sha256.New()
+		for _, pkt := range wl.World().NetIn {
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(pkt))))
+			h.Write(pkt)
+		}
+		var sum [sha256.Size]byte
+		copy(sum[:], h.Sum(nil))
+		return sum
+	}
+	before := digest()
+	var outs [2][]int64
+	for i := range outs {
+		m, err := wl.Run(confllvm.VariantMPX, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs[i] = m.Outputs
+		if digest() != before {
+			t.Fatalf("run %d mutated the wire trace's packets", i+1)
+		}
+	}
+	if !reflect.DeepEqual(outs[0], outs[1]) {
+		t.Errorf("outputs differ across runs: %v vs %v", outs[0], outs[1])
 	}
 }

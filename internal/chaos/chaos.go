@@ -7,10 +7,10 @@
 // Determinism contract: every decision is a pure function of (Seed, tag,
 // index). The injector carries no mutable state, so the same seed yields
 // the same fault schedule no matter how many times, in which order, or on
-// how many goroutines decisions are queried. Randomness comes from a
-// private splitmix64 stream (the same frozen algorithm as
-// internal/scenario), never math/rand: Go is free to change math/rand
-// between releases, which would silently re-roll every nightly figure.
+// how many goroutines decisions are queried. Randomness comes from the
+// frozen splitmix64 stream in internal/rng, never math/rand: Go is free
+// to change math/rand between releases, which would silently re-roll
+// every nightly figure.
 package chaos
 
 import (
@@ -18,6 +18,7 @@ import (
 
 	"confllvm/internal/asm"
 	"confllvm/internal/link"
+	"confllvm/internal/rng"
 )
 
 // Stream tags partition the seed space so each fault mechanism draws from
@@ -77,11 +78,6 @@ const (
 	defaultFuelMax = 300_000
 )
 
-// DeriveSeed folds a tag path into a base seed with the package's frozen
-// mixer — how a figure derives one independent injector seed per sweep
-// cell from a single -seed flag.
-func DeriveSeed(vals ...uint64) uint64 { return mix(vals...) }
-
 // NewInjector builds an injector applying one rate to every mechanism —
 // the knob the faults figure sweeps.
 func NewInjector(seed, ratePermille uint64) Injector {
@@ -100,7 +96,7 @@ func (in Injector) roll(tag, idx, permille uint64) bool {
 	if permille == 0 {
 		return false
 	}
-	return newRNG(mix(in.Seed, tag, idx)).next()%1000 < permille
+	return rng.New(rng.Mix(in.Seed, tag, idx)).Next()%1000 < permille
 }
 
 // CorruptWire reports whether the request at absolute index req has its
@@ -123,13 +119,13 @@ func (in Injector) CorruptWire(req uint64) bool {
 // fuel mechanisms.
 func (in Injector) CorruptPacket(req uint64, pkt []byte) []byte {
 	out := append([]byte(nil), pkt...)
-	r := newRNG(mix(in.Seed, tagWirePayload, req))
+	r := rng.New(rng.Mix(in.Seed, tagWirePayload, req))
 	if len(out) >= 24 {
 		binary.LittleEndian.PutUint64(out[0:8], 2) // op = put
 		out[19] |= 0x80                            // (int)len < 0
-		out[8+r.intn(8)] ^= byte(1 + r.intn(255))  // scramble the key too
+		out[8+r.Intn(8)] ^= byte(1 + r.Intn(255))  // scramble the key too
 	} else if len(out) > 0 {
-		out[r.intn(uint64(len(out)))] ^= byte(1 + r.intn(255))
+		out[r.Intn(uint64(len(out)))] ^= byte(1 + r.Intn(255))
 	}
 	return out
 }
@@ -147,7 +143,7 @@ func (in Injector) CodeBomb(slot uint64) bool {
 // corruption of an unexecuted page, which is also a real outcome. ok is
 // false when the image has no eligible target.
 func (in Injector) CodeBombSite(slot uint64, img *link.Image) (addr uint64, ok bool) {
-	fs := pickFunc(mix(in.Seed, tagCodeTarget, slot), img)
+	fs := pickFunc(rng.Mix(in.Seed, tagCodeTarget, slot), img)
 	if fs == nil {
 		return 0, false
 	}
@@ -174,7 +170,7 @@ func (in Injector) FuelBudget(slot uint64) uint64 {
 	if hi <= lo {
 		hi = lo + (defaultFuelMax - defaultFuelMin)
 	}
-	return lo + newRNG(mix(in.Seed, tagFuelBudget, slot)).intn(hi-lo)
+	return lo + rng.New(rng.Mix(in.Seed, tagFuelBudget, slot)).Intn(hi-lo)
 }
 
 // Tamper reports whether this epoch presents a tampered image to the
@@ -192,7 +188,7 @@ func (in Injector) Tamper(epoch uint64) bool {
 // image is not modified — only the code bytes are copied; all metadata is
 // shared read-only. Returns nil when the image has no eligible target.
 func TamperImage(seed, epoch uint64, img *link.Image) *link.Image {
-	fs := pickFunc(mix(seed, tagTamperSite, epoch), img)
+	fs := pickFunc(rng.Mix(seed, tagTamperSite, epoch), img)
 	if fs == nil {
 		return nil
 	}
@@ -214,43 +210,5 @@ func pickFunc(seed uint64, img *link.Image) *link.FuncSym {
 	if len(elig) == 0 {
 		return nil
 	}
-	return elig[newRNG(seed).intn(uint64(len(elig)))]
-}
-
-// ---- Frozen randomness (mirrors internal/scenario) ----
-
-// rng is a splitmix64 stream — a frozen algorithm, so fault schedules can
-// never drift across Go releases.
-type rng struct{ s uint64 }
-
-func newRNG(seed uint64) *rng { return &rng{s: seed} }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	return r.next() % n
-}
-
-// mix derives a child seed from a seed and a tag path (same construction
-// as internal/scenario.mix; duplicated because the streams are part of
-// each package's frozen output contract, not shared infrastructure).
-func mix(vals ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		h ^= v
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-		h *= 0xc4ceb9fe1a85ec53
-		h ^= h >> 29
-	}
-	return h
+	return elig[rng.New(seed).Intn(uint64(len(elig)))]
 }

@@ -18,11 +18,6 @@ func (c *ctx) qualPrivate(q types.Qual) bool {
 	return c.a.IsPrivate(q)
 }
 
-func (c *ctx) valPrivate(v ir.Value) bool {
-	t := c.f.ValueType(v)
-	return t != nil && c.qualPrivate(t.Qual)
-}
-
 // readGPR materializes v into a general-purpose register, using scratch
 // when v lives in memory or an FP register.
 func (c *ctx) readGPR(v ir.Value, scratch asm.Reg) asm.Reg {

@@ -76,7 +76,6 @@ func (img *Image) ExternalSlotAddr(i int) uint64 {
 type placedFunc struct {
 	fc       *codegen.FuncCode
 	base     uint64
-	itemOff  []uint64 // offset of each item within the function
 	size     uint64
 	blockOff map[int]uint64
 	trapOff  uint64
@@ -103,7 +102,6 @@ func Link(m *codegen.Module, layout Layout, seed int64) (*Image, error) {
 		p.base = cursor
 		off := uint64(0)
 		for _, it := range fc.Items {
-			p.itemOff = append(p.itemOff, off)
 			if it.Label >= 0 {
 				p.blockOff[it.Label] = off
 			}

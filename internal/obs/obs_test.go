@@ -6,19 +6,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"confllvm/internal/rng"
 )
-
-// sm64 is a splitmix64 stream — the same integer-only seeded generator
-// the scenario package uses, inlined so obs stays dependency-free.
-type sm64 struct{ s uint64 }
-
-func (r *sm64) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
 
 func TestBucketRoundTrip(t *testing.T) {
 	// Every value maps to a bucket whose upper bound is >= the value,
@@ -75,9 +65,9 @@ func TestHistogramExactSmallQuantiles(t *testing.T) {
 func TestHistogramDeterminismAndSeedSensitivity(t *testing.T) {
 	fill := func(seed uint64) *Histogram {
 		var h Histogram
-		r := &sm64{s: seed}
+		r := rng.New(seed)
 		for i := 0; i < 5000; i++ {
-			h.Observe(r.next() % 1_000_000)
+			h.Observe(r.Next() % 1_000_000)
 		}
 		return &h
 	}
@@ -98,10 +88,10 @@ func TestHistogramDeterminismAndSeedSensitivity(t *testing.T) {
 func TestHistogramMergeEqualsSingle(t *testing.T) {
 	// Observing a stream into one histogram == splitting it across
 	// shards and merging in any order.
-	r := &sm64{s: 42}
+	r := rng.New(42)
 	vals := make([]uint64, 999)
 	for i := range vals {
-		vals[i] = r.next() % (1 << 40)
+		vals[i] = r.Next() % (1 << 40)
 	}
 	var whole Histogram
 	for _, v := range vals {
@@ -128,11 +118,11 @@ func TestHistogramMergeEqualsSingle(t *testing.T) {
 func TestRegistryMergeOrderInvariance(t *testing.T) {
 	mk := func(seed uint64) *Registry {
 		r := NewRegistry()
-		g := &sm64{s: seed}
+		g := rng.New(seed)
 		for i := 0; i < 200; i++ {
 			r.Counter("reqs", 1)
-			r.Gauge("queue-depth", g.next()%64)
-			r.Hist("latency").Observe(g.next() % 100_000)
+			r.Gauge("queue-depth", g.Next()%64)
+			r.Hist("latency").Observe(g.Next() % 100_000)
 		}
 		r.Counter("shards", 1)
 		return r

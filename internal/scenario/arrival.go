@@ -1,6 +1,10 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+
+	"confllvm/internal/rng"
+)
 
 // Arrival kinds understood by Times.
 const (
@@ -28,7 +32,7 @@ type Arrival struct {
 	// ArrivalUniform). Empty means ArrivalPoisson.
 	Kind string
 	// Seed drives every random choice, independent of the traffic
-	// Spec's seed (derive with mix so figures can't alias streams).
+	// Spec's seed (derive with MixSeed so figures can't alias streams).
 	Seed uint64
 	// MeanGap is the mean inter-arrival gap in simulated cycles; the
 	// offered load is SimClockHz/MeanGap requests per simulated
@@ -43,10 +47,10 @@ type Arrival struct {
 }
 
 // MixSeed derives an independent stream seed from a base seed plus
-// coordinates (grid indices, figure tags): the exported face of the
-// generator's internal mixer, so figure grids outside this package can
-// derive per-row arrival seeds with the same avalanche guarantees.
-func MixSeed(vals ...uint64) uint64 { return mix(vals...) }
+// coordinates (grid indices, figure tags) with internal/rng's mixer, the
+// one the generator derives its own streams with, so figure grids outside
+// this package get the same avalanche guarantees.
+func MixSeed(vals ...uint64) uint64 { return rng.Mix(vals...) }
 
 // arrivalTick quantizes geometric draws: gaps are multiples of
 // MeanGap/arrivalTicks (min 1 cycle), giving a discrete exponential
@@ -57,13 +61,13 @@ const arrivalTicks = 32
 // count Bernoulli(1/arrivalTicks) failures in tick units. Mean of the
 // geometric (number of trials to first success) is arrivalTicks ticks
 // = ~mean cycles; integer-only, so streams cannot drift across hosts.
-func geometricGap(r *rng, mean uint64) uint64 {
+func geometricGap(r *rng.Stream, mean uint64) uint64 {
 	tick := mean / arrivalTicks
 	if tick == 0 {
 		tick = 1
 	}
 	k := uint64(1)
-	for r.intn(arrivalTicks) != 0 {
+	for r.Intn(arrivalTicks) != 0 {
 		k++
 	}
 	return k * tick
@@ -90,14 +94,14 @@ func (a Arrival) Times(n int) ([]uint64, error) {
 			out = append(out, now)
 		}
 	case ArrivalPoisson:
-		r := newRNG(mix(a.Seed, 0xa441))
+		r := rng.New(rng.Mix(a.Seed, 0xa441))
 		for i := 0; i < n; i++ {
 			now += geometricGap(r, mean)
 			out = append(out, now)
 		}
 	case ArrivalBursty:
-		r := newRNG(mix(a.Seed, 0xa442))
-		phase := newRNG(mix(a.Seed, 0xa443))
+		r := rng.New(rng.Mix(a.Seed, 0xa442))
+		phase := rng.New(rng.Mix(a.Seed, 0xa443))
 		on, off := a.BurstOn, a.BurstOff
 		if on == 0 {
 			on = 8 * mean

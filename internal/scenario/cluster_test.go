@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"confllvm/internal/rng"
 )
 
 // clusterTestSpec is a 4-shard parameterization with enough traffic for
@@ -12,7 +14,7 @@ func clusterTestSpec() Spec {
 	return Spec{
 		Name:     "kv-cluster-test",
 		Workload: WorkloadKV,
-		Seed:     mix(DefaultSeed, 0xc1),
+		Seed:     rng.Mix(DefaultSeed, 0xc1),
 		Requests: 50, Multiplier: 2, Clients: 2,
 		KeySpace: 256, Preload: 32, HitPct: 50,
 		GetPct: 55, PutPct: 25, DelPct: 5,

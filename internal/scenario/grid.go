@@ -1,6 +1,10 @@
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+
+	"confllvm/internal/rng"
+)
 
 // DefaultSeed is the base seed used when the caller does not pick one
 // (confbench's -seed flag overrides it).
@@ -13,7 +17,7 @@ func DefaultKV(short bool) Spec {
 	s := Spec{
 		Name:     "kv-default",
 		Workload: WorkloadKV,
-		Seed:     mix(DefaultSeed, 0x6b76),
+		Seed:     rng.Mix(DefaultSeed, 0x6b76),
 		Requests: 60, Multiplier: 1, Clients: 2,
 		KeySpace: 256, Preload: 32, HitPct: 50,
 		GetPct: 60, PutPct: 25, DelPct: 5,
@@ -33,7 +37,7 @@ func DefaultTLSH(short bool) Spec {
 	s := Spec{
 		Name:     "tlsh-default",
 		Workload: WorkloadTLSH,
-		Seed:     mix(DefaultSeed, 0x7151),
+		Seed:     rng.Mix(DefaultSeed, 0x7151),
 		Requests: 12, Multiplier: 1, Clients: 2,
 		HitPct: 50,
 	}
@@ -50,7 +54,7 @@ func DefaultMerkleFS(short bool) Spec {
 	s := Spec{
 		Name:     "merklefs-default",
 		Workload: WorkloadMerkleFS,
-		Seed:     mix(DefaultSeed, 0x6d66),
+		Seed:     rng.Mix(DefaultSeed, 0x6d66),
 		Requests: 40, Multiplier: 1, Clients: 2,
 		KeySpace: 64, Preload: 16, HitPct: 60,
 		PutPct: 30, ValueMin: 8, ValueMax: 96,
@@ -86,7 +90,7 @@ func ClusterGrid(short bool, seed uint64) []Spec {
 				specs = append(specs, Spec{
 					Name:     fmt.Sprintf("kv-x%03d-s%02d-%s", m, sh, skew[:3]),
 					Workload: WorkloadKV,
-					Seed:     mix(seed, 0x636c, uint64(m), uint64(sh), uint64(si)),
+					Seed:     rng.Mix(seed, 0x636c, uint64(m), uint64(sh), uint64(si)),
 					Requests: kvReqs, Multiplier: m, Clients: 2,
 					KeySpace: 256, Preload: 32, HitPct: 50,
 					GetPct: 55, PutPct: 25, DelPct: 5,
@@ -120,7 +124,7 @@ func FigureGrid(short bool, seed uint64) []Spec {
 			specs = append(specs, Spec{
 				Name:     fmt.Sprintf("kv-x%03d-h%02d", m, h),
 				Workload: WorkloadKV,
-				Seed:     mix(seed, 0x6b76, uint64(m), uint64(h)),
+				Seed:     rng.Mix(seed, 0x6b76, uint64(m), uint64(h)),
 				Requests: kvReqs, Multiplier: m, Clients: 2,
 				KeySpace: 256, Preload: 32, HitPct: h,
 				GetPct: 60, PutPct: 25, DelPct: 5,
@@ -133,7 +137,7 @@ func FigureGrid(short bool, seed uint64) []Spec {
 			specs = append(specs, Spec{
 				Name:     fmt.Sprintf("tlsh-x%03d-r%02d", m, h),
 				Workload: WorkloadTLSH,
-				Seed:     mix(seed, 0x7151, uint64(m), uint64(h)),
+				Seed:     rng.Mix(seed, 0x7151, uint64(m), uint64(h)),
 				Requests: tlshReqs, Multiplier: m, Clients: 2,
 				HitPct: h,
 			})

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/binary"
 
+	"confllvm/internal/rng"
 	"confllvm/internal/trt"
 )
 
@@ -78,11 +79,11 @@ func kvTraffic(s Spec) ([][]byte, []int64) {
 	var wire [][]byte
 	var processed, hits, misses, puts, delhits, scanhits int64
 
-	emitPut := func(r *rng, key uint64) {
-		vlen := s.ValueMin + int(r.intn(uint64(s.ValueMax-s.ValueMin+1)))
+	emitPut := func(r *rng.Stream, key uint64) {
+		vlen := s.ValueMin + int(r.Intn(uint64(s.ValueMax-s.ValueMin+1)))
 		val := make([]byte, vlen)
 		for i := range val {
-			val[i] = byte(r.next())
+			val[i] = byte(r.Next())
 		}
 		pkt := make([]byte, 24+vlen)
 		le(pkt, 0, OpPut)
@@ -106,9 +107,9 @@ func kvTraffic(s Spec) ([][]byte, []int64) {
 	// Preload: distinct keys via linear probing (Preload <= KeySpace/2,
 	// so the probe always terminates). The fill is always uniform — skew
 	// shapes the measured mix, not the warm store.
-	pr := newRNG(mix(s.Seed, 2))
+	pr := rng.New(rng.Mix(s.Seed, 2))
 	for i := 0; i < s.Preload; i++ {
-		key := pr.intn(s.KeySpace)
+		key := pr.Intn(s.KeySpace)
 		for _, ok := model.index[key]; ok; _, ok = model.index[key] {
 			key = (key + 1) % s.KeySpace
 		}
@@ -119,14 +120,14 @@ func kvTraffic(s Spec) ([][]byte, []int64) {
 	total := s.Requests * s.Multiplier * s.Clients
 	for n := 0; n < total; n++ {
 		r := rngs[n%s.Clients]
-		roll := int(r.intn(100))
+		roll := int(r.Intn(100))
 		switch {
 		case roll < s.GetPct:
 			// Target the hit ratio: hits draw from the present set, misses
 			// from missKey — absent by construction but hashing into the
 			// same buckets, so misses still walk chains before failing.
-			if int(r.intn(100)) < s.HitPct && len(model.keys) > 0 {
-				key := model.keys[r.intn(uint64(len(model.keys)))]
+			if int(r.Intn(100)) < s.HitPct && len(model.keys) > 0 {
+				key := model.keys[r.Intn(uint64(len(model.keys)))]
 				emit2(OpGet, key, 0)
 				hits++
 			} else {
@@ -137,7 +138,7 @@ func kvTraffic(s Spec) ([][]byte, []int64) {
 			emitPut(r, s.drawKey(r))
 		case roll < s.GetPct+s.PutPct+s.DelPct:
 			if len(model.keys) > 0 {
-				key := model.keys[r.intn(uint64(len(model.keys)))]
+				key := model.keys[r.Intn(uint64(len(model.keys)))]
 				model.del(key)
 				emit2(OpDel, key, 0)
 				delhits++

@@ -1,6 +1,9 @@
 package scenario
 
-import "confllvm/internal/trt"
+import (
+	"confllvm/internal/rng"
+	"confllvm/internal/trt"
+)
 
 // MerkleFS wire protocol: every header field is an 8-byte little-endian
 // word, so the miniC server parses packets with aligned *(long*) reads.
@@ -52,11 +55,11 @@ func mfsTraffic(s Spec) ([][]byte, []int64) {
 	var root, readAcc int64
 	hash := make([]int64, s.KeySpace)
 
-	emitWrite := func(r *rng, blk uint64) {
-		vlen := s.ValueMin + int(r.intn(uint64(s.ValueMax-s.ValueMin+1)))
+	emitWrite := func(r *rng.Stream, blk uint64) {
+		vlen := s.ValueMin + int(r.Intn(uint64(s.ValueMax-s.ValueMin+1)))
 		val := make([]byte, vlen)
 		for i := range val {
-			val[i] = byte(r.next())
+			val[i] = byte(r.Next())
 		}
 		ct := trt.EncryptWithDefaultKey(val)
 		pkt := make([]byte, 24+vlen)
@@ -90,9 +93,9 @@ func mfsTraffic(s Spec) ([][]byte, []int64) {
 
 	// Preload: distinct blocks via linear probing (Preload <= KeySpace/2,
 	// so the probe always terminates); uniform like the KV fill.
-	pr := newRNG(mix(s.Seed, 2))
+	pr := rng.New(rng.Mix(s.Seed, 2))
 	for i := 0; i < s.Preload; i++ {
-		blk := pr.intn(s.KeySpace)
+		blk := pr.Intn(s.KeySpace)
 		for written[blk] {
 			blk = (blk + 1) % s.KeySpace
 		}
@@ -103,15 +106,15 @@ func mfsTraffic(s Spec) ([][]byte, []int64) {
 	total := s.Requests * s.Multiplier * s.Clients
 	for n := 0; n < total; n++ {
 		r := rngs[n%s.Clients]
-		if int(r.intn(100)) < s.PutPct {
+		if int(r.Intn(100)) < s.PutPct {
 			emitWrite(r, s.drawKey(r))
 			continue
 		}
 		// Target the hit ratio: hits draw from the written set, misses
 		// probe for a still-unwritten block. When every block is written
 		// a miss is impossible; the draw degrades to a hit.
-		if int(r.intn(100)) < s.HitPct && len(order) > 0 {
-			emitRead(order[r.intn(uint64(len(order)))])
+		if int(r.Intn(100)) < s.HitPct && len(order) > 0 {
+			emitRead(order[r.Intn(uint64(len(order)))])
 		} else if len(order) < int(s.KeySpace) {
 			blk := s.drawKey(r)
 			for written[blk] {
@@ -119,7 +122,7 @@ func mfsTraffic(s Spec) ([][]byte, []int64) {
 			}
 			emitRead(blk)
 		} else if len(order) > 0 {
-			emitRead(order[r.intn(uint64(len(order)))])
+			emitRead(order[r.Intn(uint64(len(order)))])
 		}
 	}
 	return wire, []int64{processed, writes, readhits, readmisses, root, readAcc}

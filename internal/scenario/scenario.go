@@ -9,9 +9,10 @@
 // Determinism is the contract the whole bench story rests on: the same
 // Spec (including Seed) always yields byte-identical wire packets and the
 // same expected outputs, on any host, under any matrix scheduling. The
-// generator therefore uses its own splitmix64 streams (one per simulated
-// client, derived from Spec.Seed) and never touches math/rand, time, or
-// any global state. Distinct seeds yield distinct streams.
+// generator therefore draws from internal/rng's splitmix64 streams (one
+// per simulated client, derived from Spec.Seed) and never touches
+// math/rand, time, or any global state. Distinct seeds yield distinct
+// streams.
 //
 // The engine also predicts the workload's observable outcome: while
 // emitting requests it simulates the server's state (which keys are
@@ -20,7 +21,11 @@
 // run end to end, not just fault-freedom.
 package scenario
 
-import "fmt"
+import (
+	"fmt"
+
+	"confllvm/internal/rng"
+)
 
 // Workload family names understood by Traffic.
 const (
@@ -263,10 +268,10 @@ func (s Spec) validSkew() error {
 // uniform path consumes exactly one RNG value — the same draw the
 // pre-skew engine made — so Skew's zero value leaves every existing
 // stream byte-identical.
-func (s Spec) drawKey(r *rng) uint64 {
+func (s Spec) drawKey(r *rng.Stream) uint64 {
 	switch s.Skew {
 	case SkewZipf:
-		l := trailingZeros(r.next())
+		l := trailingZeros(r.Next())
 		if l > zipfMaxLevel {
 			l = zipfMaxLevel
 		}
@@ -274,18 +279,18 @@ func (s Spec) drawKey(r *rng) uint64 {
 		if space == 0 {
 			space = 1
 		}
-		return r.intn(space)
+		return r.Intn(space)
 	case SkewHot:
 		hot := uint64(hotSetSize)
 		if hot > s.KeySpace {
 			hot = s.KeySpace
 		}
-		if r.intn(100) < hotTrafficPct {
-			return r.intn(hot)
+		if r.Intn(100) < hotTrafficPct {
+			return r.Intn(hot)
 		}
-		return r.intn(s.KeySpace)
+		return r.Intn(s.KeySpace)
 	default:
-		return r.intn(s.KeySpace)
+		return r.Intn(s.KeySpace)
 	}
 }
 
@@ -303,51 +308,11 @@ func trailingZeros(v uint64) int {
 	return n
 }
 
-// ---- Deterministic randomness ----
-
-// rng is a splitmix64 stream: tiny, fast, and — unlike math/rand — a
-// frozen algorithm, so streams can never drift across Go releases.
-type rng struct{ s uint64 }
-
-func newRNG(seed uint64) *rng { return &rng{s: seed} }
-
-func (r *rng) next() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// intn returns a value in [0, n). The modulo bias is irrelevant for
-// traffic shaping and keeps the stream definition trivial.
-func (r *rng) intn(n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
-	return r.next() % n
-}
-
-// mix derives a child seed from a parent seed and a tag path, so every
-// client stream and every grid cell gets an independent stream while
-// remaining a pure function of the base seed.
-func mix(vals ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, v := range vals {
-		h ^= v
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-		h *= 0xc4ceb9fe1a85ec53
-		h ^= h >> 29
-	}
-	return h
-}
-
 // clientRNGs builds one derived stream per simulated client.
-func clientRNGs(s Spec) []*rng {
-	rs := make([]*rng, s.Clients)
+func clientRNGs(s Spec) []*rng.Stream {
+	rs := make([]*rng.Stream, s.Clients)
 	for i := range rs {
-		rs[i] = newRNG(mix(s.Seed, 1, uint64(i)))
+		rs[i] = rng.New(rng.Mix(s.Seed, 1, uint64(i)))
 	}
 	return rs
 }

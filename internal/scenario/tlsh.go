@@ -41,16 +41,16 @@ func tlshTraffic(s Spec) ([][]byte, []int64) {
 	for n := 0; n < total; n++ {
 		r := rngs[n%s.Clients]
 		typ := HelloFull
-		if int(r.intn(100)) < s.HitPct {
+		if int(r.Intn(100)) < s.HitPct {
 			typ = HelloResume
 		}
 		nonce := make([]byte, NonceLen)
 		for i := range nonce {
-			nonce[i] = byte(r.next())
+			nonce[i] = byte(r.Next())
 		}
 		secret := make([]byte, NonceLen)
 		for i := range secret {
-			secret[i] = byte(r.next())
+			secret[i] = byte(r.Next())
 		}
 		pkt := make([]byte, 8+NonceLen+NonceLen)
 		le(pkt, 0, typ)

@@ -30,6 +30,7 @@ import (
 
 	"confllvm/internal/asm"
 	"confllvm/internal/link"
+	"confllvm/internal/rng"
 )
 
 // Mutant is one corrupted image plus the rejection contract the verifier
@@ -62,21 +63,13 @@ type Mutator struct {
 	Apply func(img *link.Image, seed uint64) *Mutant
 }
 
-// splitmix64 is the repo-wide seeding primitive (same constants as
-// internal/chaos and internal/scenario): a pure function of its input,
-// so a (seed, image) pair always picks the same site.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
+// pick draws a site index in [0, n) from the frozen seeded stream, so a
+// (seed, image) pair always picks the same site.
 func pick(seed uint64, n int) int {
 	if n <= 0 {
 		return -1
 	}
-	return int(splitmix64(seed) % uint64(n))
+	return int(rng.New(seed).Intn(uint64(n)))
 }
 
 // site is one linearly decoded instruction inside a non-stub function.
@@ -205,7 +198,7 @@ func Mutators() []Mutator {
 func Generate(img *link.Image, seed uint64) []*Mutant {
 	var out []*Mutant
 	for i, m := range Mutators() {
-		if mut := m.Apply(img, splitmix64(seed+uint64(i))); mut != nil {
+		if mut := m.Apply(img, rng.New(seed+uint64(i)).Next()); mut != nil {
 			mut.Mutator = m.Name
 			mut.Name = fmt.Sprintf("%s@%#x", m.Name, mut.MutOff)
 			out = append(out, mut)
