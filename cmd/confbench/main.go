@@ -32,15 +32,14 @@
 //
 // The "verify" figure turns the load gate itself into an evaluation
 // target: every workload's binary under both deployable schemes is
-// checked cold-serial, cold-parallel and verdict-cached, and the seeded
-// verifymut mutation corpus is run against it. The per-binary counters
-// (functions, stubs, instructions, mutants tried/killed) are pure
-// functions of the bits and -seed, so that part of the table is
-// byte-identical across -parallel settings — the nightly job diffs it —
-// while the throughput lines (funcs/s, insts/s, dispatch speedup) are
-// host time and carry a "(host)" marker so diffs can strip them. A
-// mutation kill rate below 100% fails the figure: a surviving mutant is
-// a verifier soundness hole.
+// checked serially and in parallel, and the seeded verifymut mutation
+// corpus is run against it. The per-binary counters (functions, stubs,
+// instructions, mutants tried/killed) are pure functions of the bits and
+// -seed, so that part of the table is byte-identical across -parallel
+// settings — the nightly job diffs it — while the throughput lines
+// (funcs/s, insts/s, dispatch speedup) are host time and carry a "(host)"
+// marker so diffs can strip them. A mutation kill rate below 100% fails
+// the figure: a surviving mutant is a verifier soundness hole.
 //
 // The "cluster" figure lifts the single-machine assumption: a
 // deterministic router partitions the KV key space across 1/4/16 shard
@@ -153,7 +152,6 @@ type benchRow struct {
 	VerifyWorkers     int     `json:"verify_workers,omitempty"`
 	VerifySerialNS    int64   `json:"verify_serial_ns,omitempty"`
 	VerifyParallelNS  int64   `json:"verify_parallel_ns,omitempty"`
-	VerifyCachedNS    int64   `json:"verify_cached_ns,omitempty"`
 	VerifyFuncsPerSec float64 `json:"verify_funcs_per_sec,omitempty"`
 	VerifyInstsPerSec float64 `json:"verify_insts_per_sec,omitempty"`
 	MutantsTried      int     `json:"mutants_tried,omitempty"`
@@ -262,7 +260,6 @@ func record(figure, workload, variant string, m *bench.Measurement) {
 		row.VerifyWorkers = rep.Workers
 		row.VerifySerialNS = rep.SerialNS
 		row.VerifyParallelNS = rep.ParallelNS
-		row.VerifyCachedNS = rep.CachedNS
 		row.VerifyFuncsPerSec = rep.FuncsPerSec()
 		row.VerifyInstsPerSec = rep.InstsPerSec()
 		row.MutantsTried = rep.MutantsTried
@@ -757,13 +754,13 @@ func faults() ([]bench.Cell, renderFn) {
 }
 
 // verifyFigure is the load-gate evaluation: every workload's binary under
-// both deployable schemes is verified cold-serial, cold-parallel and
-// verdict-cached, then attacked with the seeded verifymut corpus. The
-// first table is deterministic (counters are pure functions of the bits
-// and -seed, identical under any -parallel/-superblocks setting);
-// the following lines measure verifier throughput on the host and are
-// marked "(host)" so the nightly byte-diff can strip them. Any mutant the
-// verifier fails to kill by contract fails the whole figure.
+// both deployable schemes is verified serially and in parallel, then
+// attacked with the seeded verifymut corpus. The first table is
+// deterministic (counters are pure functions of the bits and -seed,
+// identical under any -parallel/-superblocks setting); the following
+// lines measure verifier throughput on the host and are marked "(host)"
+// so the nightly byte-diff can strip them. Any mutant the verifier fails
+// to kill by contract fails the whole figure.
 func verifyFigure() ([]bench.Cell, renderFn) {
 	vs := []confllvm.Variant{confllvm.VariantMPX, confllvm.VariantSeg}
 	cells := bench.VerifyCells("verify", bench.Workloads(shortGrid), vs, scenarioSeed)
@@ -788,10 +785,9 @@ func verifyFigure() ([]bench.Cell, renderFn) {
 		for _, r := range results {
 			rep := r.M.Verify
 			funcsPerSec = append(funcsPerSec, rep.FuncsPerSec())
-			fmt.Printf("%-16s %8v %10.0f funcs/s %12.0f insts/s %6.2fx par %6.1fx cached  (host, %d workers)\n",
+			fmt.Printf("%-16s %8v %10.0f funcs/s %12.0f insts/s %6.2fx par  (host, %d workers)\n",
 				r.Cell.Row, r.Cell.Variant, rep.FuncsPerSec(), rep.InstsPerSec(),
-				rep.Speedup(), float64(rep.ParallelNS)/float64(max(rep.CachedNS, 1)),
-				rep.Workers)
+				rep.Speedup(), rep.Workers)
 		}
 		recordHistory("verify_funcs_per_sec", funcsPerSec)
 		fmt.Println()

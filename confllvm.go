@@ -176,11 +176,11 @@ func Verify(art *Artifact) error {
 	return verify.Verify(art.Image, verify.Options{Strict: art.Strict})
 }
 
-// VerifyArtifact is Verify with explicit verifier options — per-function
-// parallelism and a verdict cache — returning throughput stats alongside
-// the verdict. Strict is always taken from the artifact (the binary was
-// compiled under that contract); the verdict, error and stats are
-// byte-identical for every Parallel setting.
+// VerifyArtifact is Verify with explicit verifier options (per-function
+// parallelism), returning throughput stats alongside the verdict. Strict
+// is always taken from the artifact (the binary was compiled under that
+// contract); the verdict, error and stats are byte-identical for every
+// Parallel setting.
 func VerifyArtifact(art *Artifact, opts verify.Options) (verify.Stats, error) {
 	opts.Strict = art.Strict
 	return verify.VerifyStats(art.Image, opts)

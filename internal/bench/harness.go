@@ -79,21 +79,13 @@ func timedRun(art *confllvm.Artifact, w *confllvm.World, mc *machine.Config) (*c
 // swap it to count or fail compilations.
 var compileFn = confllvm.Compile
 
-// gateCache memoizes per-function verify verdicts across every gate
-// check in the process. Workloads share library functions (the trusted
-// shims, the allocator glue), and the chaos supervisor re-verifies
-// near-identical tampered images every epoch — the cache turns those
-// into re-checks of only the functions whose bytes differ.
-var gateCache = verify.NewCache()
-
 // gateVerify is the verify-before-load gate's entry point: the parallel
-// verifier with the process-wide verdict cache. The verdict is
-// byte-identical to serial, uncached verification.
+// verifier, which checks every procedure's bytes on every call. The
+// verdict is byte-identical to serial verification.
 func gateVerify(img *link.Image, strict bool) (verify.Stats, error) {
 	return verify.VerifyStats(img, verify.Options{
 		Strict:   strict,
 		Parallel: runtime.GOMAXPROCS(0),
-		Cache:    gateCache,
 	})
 }
 
@@ -141,8 +133,7 @@ func CompileCached(name string, v confllvm.Variant, prog confllvm.Program) (*con
 			// deployable-configuration artifact the harness will ever
 			// load is machine-checked first. A rejected binary never
 			// reaches the loader — the artifact is discarded and the
-			// error propagates to every caller of this key. The gate runs
-			// the parallel verifier with the shared verdict cache.
+			// error propagates to every caller of this key.
 			if _, verr := gateVerify(e.art.Image, e.art.Strict); verr != nil {
 				e.art, e.err = nil, fmt.Errorf("verify-before-load gate rejected binary: %w", verr)
 			}

@@ -9,39 +9,48 @@ import (
 	"confllvm/internal/obs"
 )
 
-// FaultPolicy configures a supervised serving run: the fault schedule and
-// the recovery discipline. Every quantity is simulated (cycles, requests)
-// — a policy plus a wire trace fully determines the ServeReport, bit for
-// bit, on any host, under any scheduling, in any dispatch mode.
-type FaultPolicy struct {
-	Injector chaos.Injector
-	// MaxRestarts bounds *consecutive fruitless* restarts — epochs that
+// The supervisor's recovery discipline. Every quantity is simulated
+// (cycles, requests).
+const (
+	// maxRestarts bounds *consecutive fruitless* restarts — epochs that
 	// fault before consuming a single request. Once exhausted, the
 	// remaining queue is rejected (a persistent crash loop, not a stream
 	// of per-request faults, is what makes a supervisor give up).
-	MaxRestarts int
-	// MaxReplays bounds how often one request may be replayed after
+	maxRestarts = 8
+	// maxReplays bounds how often one request may be replayed after
 	// transient faults before it is rejected as a poison pill. Together
-	// with MaxRestarts this makes termination unconditional: every epoch
+	// with maxRestarts this makes termination unconditional: every epoch
 	// either serves requests, burns a replay, or extends a bounded
 	// streak.
-	MaxReplays int
-	// BackoffBase is the simulated-cycle pause before a restart; each
-	// consecutive fruitless restart doubles it, capped at BackoffCap, and
+	maxReplays = 3
+	// backoffBase is the simulated-cycle pause before a restart; each
+	// consecutive fruitless restart doubles it, capped at backoffCap, and
 	// any progress resets it to the base.
-	BackoffBase uint64
-	BackoffCap  uint64
-	// QueueDepth bounds the request queue during a backoff pause:
+	backoffBase uint64 = 1_000_000  // 0.5 ms at SimClockHz
+	backoffCap  uint64 = 16_000_000 // 8 ms
+	// queueDepth bounds the request queue during a backoff pause:
 	// arrivals beyond it are shed (graceful degradation, not collapse).
-	QueueDepth int
-	// ArrivalEveryCycles models the client arrival rate during backoff —
-	// one request per this many simulated cycles (0 disables shedding).
-	ArrivalEveryCycles uint64
-	// BatchRequests caps the requests served per machine epoch (planned
+	queueDepth = 32
+	// arrivalEveryCycles models the client arrival rate during backoff —
+	// one request per this many simulated cycles. A minimum-length
+	// (1M-cycle) backoff brings 20 arrivals — absorbed by the 32-deep
+	// queue — but an escalated (2M+) backoff brings 40+, so crash loops
+	// shed while isolated restarts do not. The bounded queue is exercised
+	// by the figure, not just available in principle.
+	arrivalEveryCycles uint64 = 50_000
+	// batchRequests caps the requests served per machine epoch (planned
 	// recycling, crash-only style): smaller batches bound the blast
 	// radius of one fault and give the per-epoch fault mechanisms more
-	// injection points. 0 serves the whole queue in one epoch.
-	BatchRequests int
+	// injection points.
+	batchRequests = 4
+)
+
+// FaultPolicy configures a supervised serving run: the fault schedule
+// and an optional trace. With the fixed recovery discipline above, a
+// policy plus a wire trace fully determines the ServeReport, bit for
+// bit, on any host, under any scheduling, in any dispatch mode.
+type FaultPolicy struct {
+	Injector chaos.Injector
 	// Trace, when non-nil, receives one span tree per epoch on the
 	// supervisor's simulated clock (RunCycles + BackoffCycles): an
 	// "epoch" root spanning the whole lifecycle with a "run" child (the
@@ -52,7 +61,7 @@ type FaultPolicy struct {
 }
 
 // DefaultFaultPolicy is the faults figure's policy: one knob (the fault
-// rate) on top of fixed recovery parameters.
+// rate) on top of the fixed recovery discipline.
 func DefaultFaultPolicy(seed, ratePermille uint64) FaultPolicy {
 	in := chaos.NewInjector(seed, ratePermille)
 	// One absolute fuel window must make sense for every workload in the
@@ -62,21 +71,7 @@ func DefaultFaultPolicy(seed, ratePermille uint64) FaultPolicy {
 	// thousand), so fuel exhaustion is the handshake's main fault source
 	// while the KV store's is wire corruption.
 	in.FuelMin, in.FuelMax = 2_000, 200_000
-	return FaultPolicy{
-		Injector:    in,
-		MaxRestarts: 8,
-		MaxReplays:  3,
-		BackoffBase: 1_000_000,  // 0.5 ms at SimClockHz
-		BackoffCap:  16_000_000, // 8 ms
-		QueueDepth:  32,
-		// One arrival per 50k cycles: a minimum-length (1M-cycle) backoff
-		// brings 20 arrivals — absorbed by the 32-deep queue — but an
-		// escalated (2M+) backoff brings 40+, so crash loops shed while
-		// isolated restarts do not. The bounded queue is exercised by the
-		// figure, not just available in principle.
-		ArrivalEveryCycles: 50_000,
-		BatchRequests:      4,
-	}
+	return FaultPolicy{Injector: in}
 }
 
 // ServeReport is the outcome of one supervised serving run. All fields
@@ -213,14 +208,11 @@ func Supervise(key string, prog confllvm.Program, v confllvm.Variant,
 		}
 
 		// One epoch serves a bounded batch off the head of the queue.
-		batch := len(queue)
-		if pol.BatchRequests > 0 && batch > pol.BatchRequests {
-			batch = pol.BatchRequests
-		}
+		batch := min(len(queue), batchRequests)
 
 		// Code and fuel bombs roll once per request slot, not per epoch:
-		// fault exposure then scales with offered load, independent of the
-		// BatchRequests knob. The first fuel hit in the batch sets the
+		// fault exposure then scales with offered load, independent of
+		// batchRequests. The first fuel hit in the batch sets the
 		// epoch's budget (one machine, one budget).
 		mc := baseConf
 		for j := 0; j < batch; j++ {
@@ -285,13 +277,13 @@ func Supervise(key string, prog confllvm.Program, v confllvm.Variant,
 			// restart. Every other kind is the instrumentation convicting
 			// the request itself (the trusted runtime refusing a poisoned
 			// payload, MPX/CFI tripped by adversarial input), so replaying
-			// it would fault identically forever; reject it. MaxReplays
+			// it would fault identically forever; reject it. maxReplays
 			// additionally caps replays, so even a misclassified poison
 			// pill cannot wedge the supervisor.
 			transient := res.Fault.Kind == machine.FaultDecode ||
 				res.Fault.Kind == machine.FaultFuel
 			inflight.tries++
-			if transient && inflight.tries <= pol.MaxReplays {
+			if transient && inflight.tries <= maxReplays {
 				queue = append([]pending{inflight}, queue...)
 			} else {
 				rep.Rejected++
@@ -301,7 +293,7 @@ func Supervise(key string, prog confllvm.Program, v confllvm.Variant,
 		}
 
 		rep.Restarts++
-		if streak > pol.MaxRestarts {
+		if streak > maxRestarts {
 			if tr := pol.Trace; tr != nil {
 				ep := tr.Span("epoch", 0, c0, runEnd)
 				tr.Span("run:"+res.Fault.Kind.String(), ep, c0, runEnd)
@@ -313,13 +305,11 @@ func Supervise(key string, prog confllvm.Program, v confllvm.Variant,
 
 		// Exponential backoff in simulated cycles, escalating with the
 		// fruitless streak.
-		backoff := pol.BackoffBase
-		for i := 0; i < streak && backoff < pol.BackoffCap; i++ {
+		backoff := backoffBase
+		for i := 0; i < streak && backoff < backoffCap; i++ {
 			backoff *= 2
 		}
-		if pol.BackoffCap > 0 && backoff > pol.BackoffCap {
-			backoff = pol.BackoffCap
-		}
+		backoff = min(backoff, backoffCap)
 		rep.BackoffCycles += backoff
 		rep.Recoveries = append(rep.Recoveries, backoff)
 		if tr := pol.Trace; tr != nil {
@@ -329,19 +319,14 @@ func Supervise(key string, prog confllvm.Program, v confllvm.Variant,
 		}
 
 		// Bounded queue: of the requests arriving during the pause (the
-		// next arrivals in the trace), the queue absorbs QueueDepth; the
+		// next arrivals in the trace), the queue absorbs queueDepth; the
 		// rest find it full and are shed. Requests arriving after the
 		// pause are untouched, so shedding never empties the queue below
 		// its own capacity — degradation, not collapse.
-		if pol.ArrivalEveryCycles > 0 {
-			arrivals := int(backoff / pol.ArrivalEveryCycles)
-			if arrivals > len(queue) {
-				arrivals = len(queue)
-			}
-			if shed := arrivals - pol.QueueDepth; shed > 0 {
-				queue = append(queue[:pol.QueueDepth:pol.QueueDepth], queue[arrivals:]...)
-				rep.Shed += shed
-			}
+		arrivals := min(int(backoff/arrivalEveryCycles), len(queue))
+		if shed := arrivals - queueDepth; shed > 0 {
+			queue = append(queue[:queueDepth:queueDepth], queue[arrivals:]...)
+			rep.Shed += shed
 		}
 	}
 	return rep, nil

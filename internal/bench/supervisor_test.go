@@ -37,8 +37,7 @@ func superviseKV(t *testing.T, rate uint64, mconf *machine.Config) *ServeReport 
 // epochs, no restarts, no backoff.
 func TestSupervisedServingCleanRun(t *testing.T) {
 	rep := superviseKV(t, 0, nil)
-	batch := DefaultFaultPolicy(0, 0).BatchRequests
-	wantEpochs := (rep.Total + batch - 1) / batch
+	wantEpochs := (rep.Total + batchRequests - 1) / batchRequests
 	if rep.Served != rep.Total || rep.Restarts != 0 || rep.Epochs != wantEpochs || rep.BackoffCycles != 0 {
 		t.Fatalf("clean run not transparent (want %d epochs): %+v", wantEpochs, rep)
 	}

@@ -23,9 +23,9 @@ type VerifyReport struct {
 	CodeBytes           int
 	// Workers is the parallel lane's worker count (host property).
 	Workers int
-	// SerialNS / ParallelNS time a cold full check; CachedNS times a
-	// re-check against a warm verdict cache (the load-gate steady state).
-	SerialNS, ParallelNS, CachedNS int64
+	// SerialNS / ParallelNS time a full check on one and on Workers
+	// goroutines.
+	SerialNS, ParallelNS int64
 	// MutantsTried counts the seeded verifymut mutants applicable to this
 	// binary; MutantsKilled counts those the verifier rejected with the
 	// structured error the mutator's contract demands (offset and message).
@@ -34,7 +34,7 @@ type VerifyReport struct {
 	MutantsTried, MutantsKilled int
 }
 
-// FuncsPerSec is parallel cold-check throughput (0 if untimed).
+// FuncsPerSec is parallel check throughput (0 if untimed).
 func (r *VerifyReport) FuncsPerSec() float64 {
 	if r.ParallelNS <= 0 {
 		return 0
@@ -42,7 +42,7 @@ func (r *VerifyReport) FuncsPerSec() float64 {
 	return float64(r.Funcs) / (float64(r.ParallelNS) / 1e9)
 }
 
-// InstsPerSec is parallel cold-check instruction throughput.
+// InstsPerSec is parallel check instruction throughput.
 func (r *VerifyReport) InstsPerSec() float64 {
 	if r.ParallelNS <= 0 {
 		return 0
@@ -69,10 +69,10 @@ func verifySeed(seed uint64, key string, v confllvm.Variant) uint64 {
 
 // VerifyCells expands the verify figure into matrix cells: every workload
 // under both deployable schemes, each cell checking the workload's binary
-// cold-serial, cold-parallel and verdict-cached, then running the seeded
-// mutation corpus against it. Cells are Serial — the host-time throughput
-// numbers are the measurement, so they must not share the host with
-// concurrently running cells.
+// serially and in parallel, then running the seeded mutation corpus
+// against it. Cells are Serial — the host-time throughput numbers are the
+// measurement, so they must not share the host with concurrently running
+// cells.
 func VerifyCells(figure string, wls []Workload, vs []confllvm.Variant, seed uint64) []Cell {
 	var cells []Cell
 	for _, wl := range wls {
@@ -103,8 +103,8 @@ func VerifyCells(figure string, wls []Workload, vs []confllvm.Variant, seed uint
 }
 
 // verifyCell measures one (workload, variant) verify cell. It re-checks
-// the parallel and cached verdicts against the serial one and fails the
-// cell on any divergence — the figure is also a determinism test.
+// the parallel verdict against the serial one and fails the cell on any
+// divergence — the figure is also a determinism test.
 func verifyCell(wl Workload, v confllvm.Variant, seed uint64) (*VerifyReport, error) {
 	art, err := CompileCached(wl.Key, v, wl.Prog(v))
 	if err != nil {
@@ -134,22 +134,6 @@ func verifyCell(wl Workload, v confllvm.Variant, seed uint64) (*VerifyReport, er
 			wl.Name, v, par, serial)
 	}
 
-	copts := popts
-	copts.Cache = verify.NewCache()
-	if _, err := verify.VerifyStats(img, copts); err != nil {
-		return nil, fmt.Errorf("cache-priming verify %s [%v]: %w", wl.Name, v, err)
-	}
-	t0 = time.Now()
-	warm, err := verify.VerifyStats(img, copts)
-	cachedNS := time.Since(t0).Nanoseconds()
-	if err != nil {
-		return nil, fmt.Errorf("cached verify %s [%v]: %w", wl.Name, v, err)
-	}
-	if warm.CacheHits != warm.Funcs {
-		return nil, fmt.Errorf("verify %s [%v]: warm run served %d/%d verdicts from cache",
-			wl.Name, v, warm.CacheHits, warm.Funcs)
-	}
-
 	rep := &VerifyReport{
 		Funcs:      serial.Funcs,
 		Stubs:      serial.Stubs,
@@ -158,7 +142,6 @@ func verifyCell(wl Workload, v confllvm.Variant, seed uint64) (*VerifyReport, er
 		Workers:    workers,
 		SerialNS:   serialNS,
 		ParallelNS: parallelNS,
-		CachedNS:   cachedNS,
 	}
 
 	// The gate-rejection column: every seeded mutant must be killed with

@@ -34,7 +34,7 @@ func TestVerifyCells(t *testing.T) {
 			t.Errorf("[%v] mutation kill rate %d/%d, want 100%%",
 				res.Cell.Variant, rep.MutantsKilled, rep.MutantsTried)
 		}
-		if rep.SerialNS <= 0 || rep.ParallelNS <= 0 || rep.CachedNS <= 0 {
+		if rep.SerialNS <= 0 || rep.ParallelNS <= 0 {
 			t.Errorf("[%v] untimed lanes: %+v", res.Cell.Variant, rep)
 		}
 		if rep.FuncsPerSec() <= 0 || rep.InstsPerSec() <= 0 {

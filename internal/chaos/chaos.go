@@ -40,7 +40,7 @@ const (
 // instead of to the batching knob — a workload served in 6 big epochs sees
 // the same expected fault count as one served in 24 small ones. Frozen:
 // changing the stride re-rolls every figure. (Batches are bounded well
-// below the stride by FaultPolicy; the constant exists so the slot spaces
+// below the stride by the supervisor; the constant exists so the slot spaces
 // of distinct epochs can never collide.)
 const EpochStride = 4096
 

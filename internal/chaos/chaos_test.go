@@ -2,6 +2,8 @@ package chaos_test
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 
 	"confllvm"
@@ -125,7 +127,11 @@ func TestCorruptPacketPoisonsLengthWord(t *testing.T) {
 
 // TestTamperImageRejectedByVerifier: the tampered image must fail
 // verification for every epoch seed, and the original image must stay
-// byte-identical (metadata shared, code copied).
+// byte-identical (metadata shared, code copied). The rejection must be
+// about the planted byte: a *verify.Error, identical serial and parallel,
+// at the tampered byte (the syscall now at a procedure entry) — or, when
+// the seeded function is an exit shim, 8 bytes before it: overwriting the
+// shim's exit leaves its MRet word unlegitimized.
 func TestTamperImageRejectedByVerifier(t *testing.T) {
 	art := compile(t)
 	img := art.Image
@@ -133,17 +139,50 @@ func TestTamperImageRejectedByVerifier(t *testing.T) {
 	if err := verify.Verify(img, verify.Options{}); err != nil {
 		t.Fatalf("pristine image rejected: %v", err)
 	}
-	for epoch := uint64(0); epoch < 8; epoch++ {
+	var shims, entries int
+	for epoch := uint64(0); epoch < 64; epoch++ {
 		mut := chaos.TamperImage(99, epoch, img)
 		if mut == nil {
 			t.Fatalf("epoch %d: no tamper target", epoch)
 		}
-		if err := verify.Verify(mut, verify.Options{}); err == nil {
-			t.Errorf("epoch %d: tampered image passed verification", epoch)
-		}
 		if !bytes.Equal(img.Code, origCode) {
 			t.Fatalf("epoch %d: TamperImage mutated the original image", epoch)
 		}
+		off := -1
+		for i := range mut.Code {
+			if mut.Code[i] != origCode[i] {
+				if off >= 0 {
+					t.Fatalf("epoch %d: more than one byte tampered", epoch)
+				}
+				off = i
+			}
+		}
+		if off < 0 {
+			t.Fatalf("epoch %d: no byte tampered", epoch)
+		}
+
+		serr := verify.Verify(mut, verify.Options{})
+		var sv *verify.Error
+		if !errors.As(serr, &sv) {
+			t.Fatalf("epoch %d: want a *verify.Error, got %v", epoch, serr)
+		}
+		perr := verify.Verify(mut, verify.Options{Parallel: 8})
+		var pv *verify.Error
+		if !errors.As(perr, &pv) || *pv != *sv {
+			t.Fatalf("epoch %d: parallel verdict %v differs from serial %v", epoch, perr, serr)
+		}
+		switch {
+		case sv.Off == off && strings.Contains(sv.Msg, "syscall"):
+			entries++
+		case sv.Off == off-8 && sv.Msg == "stray MRet magic word":
+			shims++
+		default:
+			t.Errorf("epoch %d: tampered byte %#x, rejected for %v", epoch, off, sv)
+		}
+	}
+	// Both rejection paths must be exercised, or the test pins only one.
+	if shims == 0 || entries == 0 {
+		t.Errorf("%d entry and %d exit-shim rejections, want both kinds", entries, shims)
 	}
 }
 

@@ -88,15 +88,19 @@ type Thread struct {
 // performing the return sequence of the active configuration).
 type Handler func(m *Machine, t *Thread) *Fault
 
+// The calibrated cost model's fixed parameters.
+const (
+	MissPenalty  = 14 // cycles per L1D miss (when Config.CacheModel is set)
+	FPMaskDepth  = 2  // bound checks maskable behind each FP op window
+	TrustedCost  = 40 // cycles charged for a U->T->U transition (wrapper)
+	TrustedCost1 = 8  // same, when U and T share memory (Our1Mem)
+)
+
 // Config tunes the cost model.
 type Config struct {
-	Cores        int    // hardware cores for wall-clock estimation
-	CacheModel   bool   // model L1D hit/miss
-	MissPenalty  uint64 // cycles per L1D miss
-	FPMaskDepth  int    // bound checks maskable behind each FP op window
-	DefaultFuel  uint64 // instruction budget per Run call (0 = no limit)
-	TrustedCost  uint64 // cycles charged for a U->T->U transition (wrapper)
-	TrustedCost1 uint64 // same, when U and T share memory (Our1Mem)
+	Cores       int    // hardware cores for wall-clock estimation
+	CacheModel  bool   // model L1D hit/miss
+	DefaultFuel uint64 // instruction budget per Run call (0 = no limit)
 
 	// Superblocks makes Run dispatch once per basic block instead of once
 	// per instruction: straight-line decoded instructions are grouped into
@@ -119,14 +123,10 @@ type Config struct {
 // DefaultConfig returns the calibrated default cost model.
 func DefaultConfig() Config {
 	return Config{
-		Cores:        4,
-		CacheModel:   true,
-		MissPenalty:  14,
-		FPMaskDepth:  2,
-		DefaultFuel:  2_000_000_000,
-		TrustedCost:  40,
-		TrustedCost1: 8,
-		Superblocks:  true,
+		Cores:       4,
+		CacheModel:  true,
+		DefaultFuel: 2_000_000_000,
+		Superblocks: true,
 	}
 }
 
@@ -296,7 +296,7 @@ func (t *Thread) memCost(addr uint64) uint64 {
 		return 0
 	}
 	t.Stats.CacheMisses++
-	return t.m.Conf.MissPenalty
+	return MissPenalty
 }
 
 func (t *Thread) setCmpFlags(a, b uint64) {
@@ -857,7 +857,7 @@ func (t *Thread) bndCheck(ip *asm.Inst) *Fault {
 }
 
 func (t *Thread) grantFPCredit() {
-	if t.fpCredit < t.m.Conf.FPMaskDepth {
+	if t.fpCredit < FPMaskDepth {
 		t.fpCredit++
 	}
 }

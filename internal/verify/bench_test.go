@@ -9,9 +9,8 @@ import (
 	"confllvm/internal/verify"
 )
 
-// benchImage compiles the benchmark corpus once; benchmarks verify copies
-// of the same image so verdict-cache sub-benchmarks can't contaminate the
-// cold ones.
+// benchImage compiles the benchmark corpus once; every sub-benchmark
+// verifies the same image.
 var benchImage = func() func(b *testing.B) *link.Image {
 	var img *link.Image
 	return func(b *testing.B) *link.Image {
@@ -29,7 +28,7 @@ var benchImage = func() func(b *testing.B) *link.Image {
 	}
 }()
 
-func benchVerify(b *testing.B, opts verify.Options, freshCache bool) {
+func benchVerify(b *testing.B, opts verify.Options) {
 	img := benchImage(b)
 	stats, err := verify.VerifyStats(img, opts)
 	if err != nil {
@@ -37,11 +36,7 @@ func benchVerify(b *testing.B, opts verify.Options, freshCache bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := opts
-		if freshCache {
-			o.Cache = verify.NewCache()
-		}
-		if _, err := verify.VerifyStats(img, o); err != nil {
+		if _, err := verify.VerifyStats(img, opts); err != nil {
 			b.Fatalf("verify: %v", err)
 		}
 	}
@@ -54,22 +49,14 @@ func benchVerify(b *testing.B, opts verify.Options, freshCache bool) {
 }
 
 // BenchmarkVerify measures the verifier end to end: serial vs parallel
-// worker pools, and a cold full check vs a warm verdict-cached re-check
-// (the CompileCached load-gate path). funcs/s and insts/s are reported as
-// custom metrics; confbench's verify figure reports the same quantities
-// from the harness side.
+// worker pools. funcs/s and insts/s are reported as custom metrics;
+// confbench's verify figure reports the same quantities from the harness
+// side.
 func BenchmarkVerify(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
-		benchVerify(b, verify.Options{}, false)
+		benchVerify(b, verify.Options{})
 	})
 	b.Run("parallel", func(b *testing.B) {
-		benchVerify(b, verify.Options{Parallel: runtime.NumCPU()}, false)
-	})
-	b.Run("cache-cold", func(b *testing.B) {
-		benchVerify(b, verify.Options{}, true)
-	})
-	b.Run("cache-warm", func(b *testing.B) {
-		cache := verify.NewCache()
-		benchVerify(b, verify.Options{Cache: cache}, false)
+		benchVerify(b, verify.Options{Parallel: runtime.NumCPU()})
 	})
 }

@@ -14,7 +14,6 @@ type procResult struct {
 	stub     bool
 	usedRets []int
 	err      *Error
-	hit      bool // served from the verdict cache
 }
 
 // run drives the per-procedure checks — serially or over a worker pool —
@@ -35,10 +34,6 @@ func (v *verifier) run() (Stats, error) {
 		entries = append(entries, off)
 	}
 	sort.Ints(entries)
-
-	if v.opts.Cache != nil {
-		v.ctxHash = v.contextHash(entries)
-	}
 
 	// spanEnd(i) is the end of entry i's span: the next entry's magic
 	// word, or the end of code for the last procedure.
@@ -113,9 +108,6 @@ func (v *verifier) run() (Stats, error) {
 		if r.stub {
 			stats.Stubs++
 		}
-		if r.hit {
-			stats.CacheHits++
-		}
 		for _, rs := range r.usedRets {
 			used[rs] = true
 		}
@@ -154,48 +146,21 @@ func (v *verifier) run() (Stats, error) {
 
 // checkOne disassembles and checks the procedure whose MCall magic word
 // is at magicOff. It reads only the immutable verifier context, so any
-// number of checkOne calls may run concurrently. spanEnd bounds the
-// procedure's span for verdict caching.
+// number of checkOne calls may run concurrently. spanEnd, the next
+// procedure's magic word (or the end of code), sizes the decode buffers.
 func (v *verifier) checkOne(magicOff, spanEnd int) procResult {
-	c := v.opts.Cache
-	var key cacheKey
-	if c != nil {
-		key = cacheKey{ctx: v.ctxHash, span: hashBytes(v.code[magicOff:spanEnd]), start: magicOff}
-		if verd, ok := c.get(key); ok {
-			return procResult{insts: verd.insts, stub: verd.stub,
-				usedRets: verd.usedRets, err: verd.err(), hit: true}
-		}
-	}
-
-	r := procResult{}
 	p, err := v.disassemble(magicOff, spanEnd)
 	if err == nil && !p.isStub {
 		err = v.checkProc(p)
 	}
-	r.insts = len(p.insts)
-	r.stub = p.isStub
-	r.usedRets = p.usedRets
+	r := procResult{insts: len(p.insts), stub: p.isStub, usedRets: p.usedRets}
 	if err != nil {
 		verr, ok := err.(*Error)
 		if !ok {
-			// Should not happen (every rejection is an *Error), but never
-			// lose an error to the cache path.
+			// Should not happen: every rejection is an *Error.
 			verr = &Error{magicOff, err.Error()}
 		}
 		r.err = verr
-	}
-
-	// Cacheable only if every byte the checks read lies inside this
-	// procedure's span: a verdict that peeked at another function's bytes
-	// would go stale when *that* function is patched.
-	if c != nil && p.lo >= magicOff && p.hi <= spanEnd {
-		verd := &verdict{insts: r.insts, stub: r.stub, usedRets: r.usedRets}
-		if r.err != nil {
-			verd.hasErr = true
-			verd.errOff = r.err.Off
-			verd.errMsg = r.err.Msg
-		}
-		c.put(key, verd)
 	}
 	return r
 }

@@ -96,69 +96,3 @@ func TestParallelFirstErrorDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// TestVerifyStatsCache pins the verdict cache's accounting: a cold run
-// caches every procedure, a warm run serves all of them as hits with
-// otherwise identical stats — serial and parallel alike.
-func TestVerifyStatsCache(t *testing.T) {
-	art := compile(t, confllvm.VariantSeg)
-	cache := verify.NewCache()
-	opts := verify.Options{Cache: cache}
-
-	cold, err := verify.VerifyStats(art.Image, opts)
-	if err != nil {
-		t.Fatalf("cold: %v", err)
-	}
-	if cold.CacheHits != 0 {
-		t.Fatalf("cold run reported %d cache hits", cold.CacheHits)
-	}
-	if cache.Len() != cold.Funcs {
-		t.Fatalf("cached %d verdicts, want one per function (%d)", cache.Len(), cold.Funcs)
-	}
-
-	warm, err := verify.VerifyStats(art.Image, opts)
-	if err != nil {
-		t.Fatalf("warm: %v", err)
-	}
-	if warm.CacheHits != warm.Funcs {
-		t.Errorf("warm run: %d hits, want all %d functions", warm.CacheHits, warm.Funcs)
-	}
-	if warm.Funcs != cold.Funcs || warm.Stubs != cold.Stubs || warm.Insts != cold.Insts {
-		t.Errorf("warm stats %+v differ from cold %+v", warm, cold)
-	}
-
-	pwarm, err := verify.VerifyStats(art.Image, verify.Options{Parallel: 8, Cache: cache})
-	if err != nil {
-		t.Fatalf("parallel warm: %v", err)
-	}
-	if pwarm != warm {
-		t.Errorf("parallel warm stats %+v differ from serial warm %+v", pwarm, warm)
-	}
-}
-
-// TestCacheInvalidatesOnContext pins the context-hash invariant: the same
-// code bytes under a *different* image context (here: strictness) must not
-// share verdicts.
-func TestCacheInvalidatesOnContext(t *testing.T) {
-	art := compile(t, confllvm.VariantSeg)
-	cache := verify.NewCache()
-
-	if _, err := verify.VerifyStats(art.Image, verify.Options{Cache: cache}); err != nil {
-		t.Fatalf("lenient: %v", err)
-	}
-	n := cache.Len()
-	if n == 0 {
-		t.Fatal("nothing cached")
-	}
-	// Strict mode changes the checks, so it must miss every cached verdict
-	// (testProg branches on private data, so strict mode also rejects —
-	// from a fresh check, not a stale lenient verdict).
-	strictStats, strictErr := verify.VerifyStats(art.Image, verify.Options{Strict: true, Cache: cache})
-	if strictErr == nil && strictStats.CacheHits != 0 {
-		t.Errorf("strict run served %d verdicts cached by the lenient run", strictStats.CacheHits)
-	}
-	freshErr := verify.Verify(art.Image, verify.Options{Strict: true})
-	if (strictErr == nil) != (freshErr == nil) {
-		t.Errorf("cached strict verdict %v differs from fresh %v", strictErr, freshErr)
-	}
-}

@@ -24,10 +24,10 @@
 // table, layout, config), never against another procedure's in-progress
 // state. That makes checking streamable — Options.Parallel fans
 // procedures over a worker pool with byte-identical output (the reported
-// error is always the one the serial verifier would hit first), and
-// Options.Cache memoizes per-function verdicts so re-verifying a patched
-// image only re-checks the functions whose bytes changed. See README.md
-// in this package for the invariants.
+// error is always the one the serial verifier would hit first). Every
+// Verify call decodes and checks every procedure's bytes: no verdict is
+// ever reused from an earlier call. See README.md in this package for the
+// invariants.
 package verify
 
 import (
@@ -49,10 +49,6 @@ type Options struct {
 	// <= 1 select the serial path. The accept/reject verdict, the
 	// reported error and Stats are byte-identical for every value.
 	Parallel int
-	// Cache, when non-nil, memoizes per-function verdicts across Verify
-	// calls keyed by the function's code bytes and the image context, so
-	// re-verifying a patched image only re-checks changed functions.
-	Cache *Cache
 }
 
 // Stats summarizes one verification run (all simulated-input quantities,
@@ -64,8 +60,6 @@ type Stats struct {
 	Stubs int
 	// Insts is the total number of instructions decoded and checked.
 	Insts int
-	// CacheHits counts verdicts served from Options.Cache.
-	CacheHits int
 }
 
 // Error is a verification rejection.
@@ -115,10 +109,6 @@ type verifier struct {
 
 	mcallOffs map[int]uint64 // offset -> magic word
 	mretOffs  map[int]uint64
-
-	// ctxHash fingerprints everything a procedure verdict depends on
-	// besides its own span bytes (only computed when Options.Cache is set).
-	ctxHash uint64
 }
 
 // scanMagic finds every occurrence of the two prefixes at every byte
@@ -163,10 +153,6 @@ type proc struct {
 	// legitimized (collected per-proc so disassembly never mutates shared
 	// verifier state; merged after all procedures pass).
 	usedRets []int
-	// lo/hi is the half-open range of code offsets this procedure's
-	// checks read (its magic word, every decoded instruction). A verdict
-	// is only cacheable when the range stays inside the procedure's span.
-	lo, hi int
 }
 
 // find returns the instruction at code offset off, or nil.
@@ -176,16 +162,6 @@ func (p *proc) find(off int) *inst {
 		return &p.insts[i]
 	}
 	return nil
-}
-
-// touch widens the procedure's read extent to cover [off, off+n).
-func (p *proc) touch(off, n int) {
-	if off < p.lo {
-		p.lo = off
-	}
-	if off+n > p.hi {
-		p.hi = off + n
-	}
 }
 
 // regsValid reports whether every register field of a decoded instruction
@@ -212,8 +188,6 @@ func (v *verifier) disassemble(magicOff, spanEnd int) (*proc, error) {
 		entryOff: magicOff + 8,
 		bits:     uint8(v.mcallOffs[magicOff] & 31),
 		insts:    make([]inst, 0, hint),
-		lo:       magicOff,
-		hi:       magicOff + 8,
 	}
 	seen := make(map[int]bool, hint)
 	leaders := []int{p.entryOff}
@@ -237,10 +211,8 @@ func (v *verifier) disassemble(magicOff, spanEnd int) (*proc, error) {
 		seen[off] = true
 		in, n, err := asm.Decode(v.code, off)
 		if err != nil {
-			p.touch(off, 1)
 			return p, &Error{off, "undecodable instruction: " + err.Error()}
 		}
-		p.touch(off, n)
 		p.insts = append(p.insts, inst{Inst: in, off: off, size: n, retSite: -1})
 
 		switch in.Op {
@@ -281,7 +253,6 @@ func (v *verifier) disassemble(magicOff, spanEnd int) (*proc, error) {
 				return p, &Error{off, "call without a return-site MRet magic word"}
 			}
 			p.usedRets = append(p.usedRets, rs)
-			p.touch(rs, 8)
 			p.insts[len(p.insts)-1].retSite = rs
 			leaders = append(leaders, rs+8)
 			work = append(work, rs+8)

@@ -42,7 +42,7 @@ func VerifyImageFile(path string, strict bool) error {
 }
 
 // VerifyImageFileStats is VerifyImageFile with explicit verifier options
-// (parallelism, verdict cache) and throughput stats — the entry point
+// (parallelism) and throughput stats — the entry point
 // behind confverify's -par and -bench flags.
 func VerifyImageFileStats(path string, opts verify.Options) (verify.Stats, error) {
 	img, err := link.LoadFile(path)
