@@ -758,7 +758,8 @@ func faults() ([]bench.Cell, renderFn) {
 // attacked with the seeded verifymut corpus. The first table is
 // deterministic (counters are pure functions of the bits and -seed,
 // identical under any -parallel/-superblocks setting); the following
-// lines measure verifier throughput on the host and are marked "(host)"
+// lines measure verifier throughput on the host, from the median of 5
+// interleaved serial/parallel checks per cell, and are marked "(host)"
 // so the nightly byte-diff can strip them. Any mutant the verifier fails
 // to kill by contract fails the whole figure.
 func verifyFigure() ([]bench.Cell, renderFn) {

@@ -118,15 +118,11 @@ func (v Variant) AllocMode() alloc.Mode {
 	return alloc.FreeList
 }
 
-// OptPasses returns the optimization pipeline of the variant: the vanilla
-// baseline runs full O2; ConfLLVM disables the passes it has not ported.
-func (v Variant) OptPasses() opt.Passes {
-	switch v {
-	case VariantBase, VariantBaseOA:
-		return opt.O2()
-	}
-	return opt.ConfLLVM()
-}
+// OptPasses returns the IR pipeline, O2 for every variant. The paper's
+// prototype disables the LLVM passes that drop its taint metadata; here
+// taint inference runs after opt, and local CSE merges constants only of
+// the same qualified type, so no variant needs a reduced pipeline.
+func (v Variant) OptPasses() opt.Passes { return opt.O2() }
 
 // Checked reports whether the variant enforces confidentiality at runtime.
 func (v Variant) Checked() bool { return v == VariantMPX || v == VariantSeg }

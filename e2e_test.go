@@ -2,6 +2,7 @@ package confllvm
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -166,6 +167,82 @@ int main() {
 			if bytes.Contains(pkt, secret[:16]) {
 				t.Errorf("[%v] cleartext secret leaked to the network", v)
 			}
+		}
+	}
+}
+
+// TestE2EQualifiedConstantsStayApart pins the local CSE constant key.
+// main is one block that opens with uninitialized locals, so its first
+// zeros are typed by their declarations: a private and a public 0, then
+// NULLs to a private and a public pointee. Each first zero's local is
+// redefined before the second is read, so a merged copy would survive
+// copy propagation and inference would unify the two types: n would turn
+// private and leak to output, and qp's pointee would turn private and,
+// through keep, so would the uname buffer. The program must compile
+// strict with no implicit-flow warnings under both checked schemes, pass
+// ConfVerify, and print what Base prints.
+func TestE2EQualifiedConstantsStayApart(t *testing.T) {
+	src := Source{"zeros.c", `
+extern void read_passwd(char *uname, private char *pass, int size);
+extern long hash_declass(private char *buf, int size);
+extern void output(long v);
+
+char *keep(char *p) { return p; }
+
+int main() {
+	private char pw[16];
+	private long s;
+	long n;
+	s = 7;
+	private char *pp;
+	char *qp;
+	pp = pw;
+	keep(qp);
+	char u[8] = "bob";
+	keep(u);
+	read_passwd(u, pw, 16);
+	s = s + pw[0] + pp[1];
+	n = n + u[0] + u[1];
+	pp[2] = (char)s;
+	output(n);
+	output(hash_declass(pp, 3));
+	return 0;
+}
+`}
+	run := func(v Variant) *Result {
+		art, err := Compile(Program{Sources: []Source{src}, Strict: true}, v)
+		if err != nil {
+			t.Fatalf("[%v] compile: %v", v, err)
+		}
+		if len(art.Warnings) != 0 {
+			t.Errorf("[%v] warnings %q, want none", v, art.Warnings)
+		}
+		if main := art.IR.Func("main"); len(main.Blocks) != 1 {
+			t.Fatalf("[%v] main has %d blocks, want 1:\n%s", v, len(main.Blocks), main)
+		}
+		if v.Checked() {
+			if err := Verify(art); err != nil {
+				t.Fatalf("[%v] verify: %v", v, err)
+			}
+		}
+		w := NewWorld()
+		w.Passwords["bob"] = []byte("hunter2")
+		res, err := Run(art, w, nil)
+		if err != nil {
+			t.Fatalf("[%v] run: %v", v, err)
+		}
+		if res.Fault != nil {
+			t.Fatalf("[%v] fault: %v", v, res.Fault)
+		}
+		return res
+	}
+	want := run(VariantBase).Outputs
+	if len(want) != 2 || want[0] != 'b'+'o' {
+		t.Fatalf("Base outputs %v, want [%d <hash>]", want, 'b'+'o')
+	}
+	for _, v := range []Variant{VariantMPX, VariantSeg} {
+		if got := run(v).Outputs; !reflect.DeepEqual(got, want) {
+			t.Errorf("[%v] outputs %v, Base printed %v", v, got, want)
 		}
 	}
 }

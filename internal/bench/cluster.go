@@ -130,14 +130,16 @@ func ClusterCells(figure string, cts []*scenario.ClusterTraffic,
 	for _, ct := range cts {
 		for sh := 0; sh < ct.Spec.Shards; sh++ {
 			label := fmt.Sprintf("s%02d", sh)
+			wire, expect := ct.Wire[sh], ct.Expect[sh]
+			traffic := func() ([][]byte, []int64) { return wire, expect }
 			cells = append(cells, Cell{
 				Figure:   figure,
 				Row:      ct.Spec.Name,
 				Label:    label,
-				Workload: wireWorkload("kv", ct.Spec.Name+"/"+label, kvSources, ct.Wire[sh], ct.Expect[sh]),
+				Workload: wireWorkload("kv", ct.Spec.Name+"/"+label, kvSources, traffic),
 				Variant:  v,
 				Conf:     conf,
-				Scale:    uint64(len(ct.Wire[sh])),
+				Scale:    uint64(len(wire)),
 			})
 		}
 	}

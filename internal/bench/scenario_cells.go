@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"confllvm"
 	"confllvm/internal/machine"
@@ -16,13 +17,15 @@ import (
 
 // wireWorkload serves a fixed wire trace: the program built from sources
 // receives wire through the trusted recv and must report exactly expect.
-// Every World shares the same packets — recv copies each one into
+// traffic returns the packets and the prediction; the first World or
+// Check calls it, so a caller that only reads Prog never generates the
+// trace. Every World shares the same packets — recv copies each one into
 // simulated memory and chaos.CorruptPacket returns a corrupted copy — so
-// no run mutates them and the trace is generated once per Workload
+// no run mutates them and one trace serves every run of the Workload
 // (pinned by TestWireTraceReusable). Check compares the program's output
 // counters against the prediction, so a served trace is validated end to
 // end, not just fault-free.
-func wireWorkload(key, name string, sources []confllvm.Source, wire [][]byte, expect []int64) Workload {
+func wireWorkload(key, name string, sources []confllvm.Source, traffic func() ([][]byte, []int64)) Workload {
 	return Workload{
 		Key:  key,
 		Name: name,
@@ -30,12 +33,14 @@ func wireWorkload(key, name string, sources []confllvm.Source, wire [][]byte, ex
 			return confllvm.Program{Sources: sources}
 		},
 		World: func() *confllvm.World {
+			wire, _ := traffic()
 			w := confllvm.NewWorld()
 			w.Params = []int64{int64(len(wire))}
 			w.NetIn = wire
 			return w
 		},
 		Check: func(res *confllvm.Result) error {
+			_, expect := traffic()
 			if len(res.Outputs) != len(expect) {
 				return fmt.Errorf("%s: got %d outputs %v, want %d %v",
 					name, len(res.Outputs), res.Outputs, len(expect), expect)
@@ -51,15 +56,18 @@ func wireWorkload(key, name string, sources []confllvm.Source, wire [][]byte, ex
 	}
 }
 
-// scenarioWorkload generates one spec's traffic and serves it with
-// wireWorkload. Our grids never fail generation (it validates the spec's
-// family), hence the panic.
+// scenarioWorkload serves one spec's traffic with wireWorkload,
+// generating it once, on first use; sync.OnceValues makes that safe for
+// concurrent matrix cells. Our grids never fail generation (it validates
+// the spec's family), hence the panic.
 func scenarioWorkload(key string, sources []confllvm.Source, spec scenario.Spec) Workload {
-	wire, expect, err := scenario.Traffic(spec)
-	if err != nil {
-		panic(err)
-	}
-	return wireWorkload(key, spec.Name, sources, wire, expect)
+	return wireWorkload(key, spec.Name, sources, sync.OnceValues(func() ([][]byte, []int64) {
+		wire, expect, err := scenario.Traffic(spec)
+		if err != nil {
+			panic(err)
+		}
+		return wire, expect
+	}))
 }
 
 // ScenarioWorkload maps a spec to its workload family.

@@ -167,6 +167,9 @@ func TestScenarioCellsShareArtifacts(t *testing.T) {
 // byte-identical.
 func TestWireTraceReusable(t *testing.T) {
 	wl := KVWorkload(scenario.DefaultKV(true))
+	if a, b := wl.World().NetIn, wl.World().NetIn; &a[0][0] != &b[0][0] {
+		t.Fatal("two Worlds of one Workload got separately generated traces")
+	}
 	digest := func() [sha256.Size]byte {
 		h := sha256.New()
 		for _, pkt := range wl.World().NetIn {

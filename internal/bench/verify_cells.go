@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,7 +25,9 @@ type VerifyReport struct {
 	// Workers is the parallel lane's worker count (host property).
 	Workers int
 	// SerialNS / ParallelNS time a full check on one and on Workers
-	// goroutines.
+	// goroutines: each is the median of verifyTimingPairs interleaved
+	// serial/parallel pairs, so one descheduled call cannot swing the
+	// ratio.
 	SerialNS, ParallelNS int64
 	// MutantsTried counts the seeded verifymut mutants applicable to this
 	// binary; MutantsKilled counts those the verifier rejected with the
@@ -50,7 +53,8 @@ func (r *VerifyReport) InstsPerSec() float64 {
 	return float64(r.Insts) / (float64(r.ParallelNS) / 1e9)
 }
 
-// Speedup is serial time over parallel time (1.0 on a single-core host).
+// Speedup is median serial time over median parallel time (about 1.0 on
+// a single-core host).
 func (r *VerifyReport) Speedup() float64 {
 	if r.ParallelNS <= 0 {
 		return 0
@@ -102,6 +106,16 @@ func VerifyCells(figure string, wls []Workload, vs []confllvm.Variant, seed uint
 	return cells
 }
 
+// verifyTimingPairs is how many interleaved serial/parallel checks a
+// verify cell times; it reports the median of each lane.
+const verifyTimingPairs = 5
+
+// median returns the median of an odd-length sample, sorting it in place.
+func median(ns []int64) int64 {
+	slices.Sort(ns)
+	return ns[len(ns)/2]
+}
+
 // verifyCell measures one (workload, variant) verify cell. It re-checks
 // the parallel verdict against the serial one and fails the cell on any
 // divergence — the figure is also a determinism test.
@@ -114,24 +128,28 @@ func verifyCell(wl Workload, v confllvm.Variant, seed uint64) (*VerifyReport, er
 	opts := verify.Options{Strict: art.Strict}
 	workers := runtime.GOMAXPROCS(0)
 
-	t0 := time.Now()
-	serial, err := verify.VerifyStats(img, opts)
-	serialNS := time.Since(t0).Nanoseconds()
-	if err != nil {
-		return nil, fmt.Errorf("verify %s [%v]: %w", wl.Name, v, err)
-	}
-
 	popts := opts
 	popts.Parallel = workers
-	t0 = time.Now()
-	par, err := verify.VerifyStats(img, popts)
-	parallelNS := time.Since(t0).Nanoseconds()
-	if err != nil {
-		return nil, fmt.Errorf("parallel verify %s [%v]: %w", wl.Name, v, err)
-	}
-	if par != serial {
-		return nil, fmt.Errorf("verify %s [%v]: parallel stats %+v diverge from serial %+v",
-			wl.Name, v, par, serial)
+	var serial verify.Stats
+	var serialNS, parallelNS [verifyTimingPairs]int64
+	for i := range serialNS {
+		t0 := time.Now()
+		st, err := verify.VerifyStats(img, opts)
+		serialNS[i] = time.Since(t0).Nanoseconds()
+		if err != nil {
+			return nil, fmt.Errorf("verify %s [%v]: %w", wl.Name, v, err)
+		}
+		t0 = time.Now()
+		par, err := verify.VerifyStats(img, popts)
+		parallelNS[i] = time.Since(t0).Nanoseconds()
+		if err != nil {
+			return nil, fmt.Errorf("parallel verify %s [%v]: %w", wl.Name, v, err)
+		}
+		if par != st {
+			return nil, fmt.Errorf("verify %s [%v]: parallel stats %+v diverge from serial %+v",
+				wl.Name, v, par, st)
+		}
+		serial = st
 	}
 
 	rep := &VerifyReport{
@@ -140,8 +158,8 @@ func verifyCell(wl Workload, v confllvm.Variant, seed uint64) (*VerifyReport, er
 		Insts:      serial.Insts,
 		CodeBytes:  len(img.Code),
 		Workers:    workers,
-		SerialNS:   serialNS,
-		ParallelNS: parallelNS,
+		SerialNS:   median(serialNS[:]),
+		ParallelNS: median(parallelNS[:]),
 	}
 
 	// The gate-rejection column: every seeded mutant must be killed with

@@ -72,7 +72,7 @@ void handleReq(char *uname, private char *upasswd, char *fname,
 	if err != nil {
 		t.Fatalf("irgen: %v", err)
 	}
-	opt.Run(mod, opt.ConfLLVM())
+	opt.Run(mod, opt.O2())
 	// Not strict: authenticate branches on private data (the password
 	// comparison), which is intentional declassification-free auth logic
 	// in this toy; strict mode must flag it.

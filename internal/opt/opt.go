@@ -1,34 +1,31 @@
-// Package opt implements the IR optimization pipeline. The paper compiles
-// the baseline with full -O2 and ConfLLVM with the subset of passes whose
-// metadata handling was ported (§5.1: "We disable the remaining
-// optimizations in our prototype"). Passes here are selectable so both
-// pipelines can be reproduced: the ConfLLVM pipeline drops the
-// aggressive block-local value-numbering pass.
+// Package opt implements the IR optimization pipeline, and every variant
+// runs the same one, O2. The paper's prototype disables the LLVM passes
+// that drop its taint metadata (§5.1: "We disable the remaining
+// optimizations in our prototype"). Here no pass has metadata to drop:
+// taint inference runs after opt, on the optimized IR, so a rewritten
+// instruction is one more flow edge for inference to check, and local CSE
+// merges a constant only with one of the same qualified type, so it never
+// unifies a private 0 or NULL with a public one. None (-O0) remains for
+// the NoOpt build.
 package opt
 
 import (
 	"confllvm/internal/ir"
+	"confllvm/internal/types"
 )
 
 // Passes selects which optimizations run.
 type Passes struct {
 	ConstFold   bool
 	CopyProp    bool
-	LocalCSE    bool // block-local value numbering (a "vanilla-only" pass)
+	LocalCSE    bool // block-local value numbering
 	DCE         bool
 	SimplifyCFG bool
 }
 
-// O2 is the full pipeline (vanilla LLVM baseline).
+// O2 is the full pipeline, run by every variant.
 func O2() Passes {
 	return Passes{ConstFold: true, CopyProp: true, LocalCSE: true, DCE: true, SimplifyCFG: true}
-}
-
-// ConfLLVM is the reduced pipeline: the local CSE pass mutates value
-// metadata in ways the instrumenting backend does not support, so it is
-// disabled (mirroring the paper's disabled optimizations).
-func ConfLLVM() Passes {
-	return Passes{ConstFold: true, CopyProp: true, LocalCSE: false, DCE: true, SimplifyCFG: true}
 }
 
 // None disables all optimization (-O0).
@@ -37,26 +34,28 @@ func None() Passes { return Passes{} }
 // Run applies the selected passes to every function until a fixpoint
 // (bounded at 4 rounds).
 func Run(mod *ir.Module, p Passes) {
+	var s scratch
 	for _, f := range mod.Funcs {
 		if f.Blocks == nil {
 			continue
 		}
+		s.fit(f)
 		for round := 0; round < 4; round++ {
 			changed := false
 			if p.SimplifyCFG {
-				changed = simplifyCFG(f) || changed
+				changed = s.simplifyCFG(f) || changed
 			}
 			if p.ConstFold {
-				changed = constFold(f) || changed
+				changed = s.constFold(f) || changed
 			}
 			if p.CopyProp {
-				changed = copyProp(f) || changed
+				changed = s.copyProp(f) || changed
 			}
 			if p.LocalCSE {
-				changed = localCSE(f) || changed
+				changed = s.localCSE(f) || changed
 			}
 			if p.DCE {
-				changed = dce(f) || changed
+				changed = s.dce(f) || changed
 			}
 			if !changed {
 				break
@@ -65,26 +64,81 @@ func Run(mod *ir.Module, p Passes) {
 	}
 }
 
+// scratch is Run's working state. Every function and round shares it, so
+// no pass allocates per block or per call once it has grown to the
+// largest function.
+//
+// The block-local passes (constant folding, copy propagation and CSE)
+// work over mutable vregs, so a fact dies when a value it names is
+// redefined or control leaves its block. Rather than delete facts, they
+// stamp every def from one clock that only moves forward. A fact records
+// the stamps of the values it names, and it holds only while those stamps
+// are current and its own stamp is later than the start of its block. A
+// stale fact simply never matches, so each instruction costs O(1) and no
+// table is ever cleared. (A uint32 clock covers 4G defs per Run.)
+type scratch struct {
+	clock   uint32
+	stamp   []uint32 // per value: the stamp of its latest def; 0 before any
+	consts  []constFact
+	aliases []alias
+	avail   []cseSlot // open-addressing table; the length is a power of two
+	used    []bool
+	blocks  []*ir.Block // by block id
+	reached []bool      // by block id
+	work    []int
+}
+
+// fit grows the per-value tables to f. Entries left by earlier functions
+// need no reset: their stamps are older than any block of f.
+func (s *scratch) fit(f *ir.Func) {
+	if n := f.NumValues(); len(s.stamp) < n {
+		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
+		s.consts = append(s.consts, make([]constFact, n-len(s.consts))...)
+		s.aliases = append(s.aliases, make([]alias, n-len(s.aliases))...)
+		s.used = append(s.used, make([]bool, n-len(s.used))...)
+	}
+}
+
+// def stamps a (re)definition of v and returns the stamp.
+func (s *scratch) def(v ir.Value) uint32 {
+	s.clock++
+	s.stamp[v] = s.clock
+	return s.clock
+}
+
 // ---- Constant folding ----
+
+// constFact is the fact v = const imm, stamped with that def of v.
+type constFact struct {
+	imm int64
+	ver uint32
+}
+
+// constOf returns v's constant if a def in the current block (begun at
+// start) set one and v has not been redefined since.
+func (s *scratch) constOf(v ir.Value, start uint32) (int64, bool) {
+	c := s.consts[v]
+	return c.imm, c.ver > start && c.ver == s.stamp[v]
+}
 
 // constFold folds arithmetic over constants, block-locally. A vreg is known
 // constant within a block from the point of a Const def until reassigned.
-func constFold(f *ir.Func) bool {
+func (s *scratch) constFold(f *ir.Func) bool {
 	changed := false
 	for _, blk := range f.Blocks {
-		consts := map[ir.Value]int64{}
+		start := s.clock
 		for _, in := range blk.Insts {
+			var ver uint32
 			if in.Op.HasResult() && in.Res != ir.NoValue {
-				delete(consts, in.Res)
+				ver = s.def(in.Res)
 			}
 			switch in.Op {
 			case ir.OpConst:
-				consts[in.Res] = in.Imm
-				continue
+				s.consts[in.Res] = constFact{imm: in.Imm, ver: ver}
 			case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMod,
 				ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr, ir.OpSar:
-				a, okA := consts[in.Args[0]]
-				b, okB := consts[in.Args[1]]
+				a, okA := s.constOf(in.Args[0], start)
+				b, okB := s.constOf(in.Args[1], start)
 				if !okA || !okB {
 					continue
 				}
@@ -94,21 +148,21 @@ func constFold(f *ir.Func) bool {
 				}
 				ty := f.ValueType(in.Res)
 				*in = ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: v, Ty: ty, Pos: in.Pos}
-				consts[in.Res] = v
+				s.consts[in.Res] = constFact{imm: v, ver: ver}
 				changed = true
 			case ir.OpICmp:
-				a, okA := consts[in.Args[0]]
-				b, okB := consts[in.Args[1]]
+				a, okA := s.constOf(in.Args[0], start)
+				b, okB := s.constOf(in.Args[1], start)
 				if !okA || !okB {
 					continue
 				}
 				v := foldICmp(in.Pred, a, b)
 				ty := f.ValueType(in.Res)
 				*in = ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: v, Ty: ty, Pos: in.Pos}
-				consts[in.Res] = v
+				s.consts[in.Res] = constFact{imm: v, ver: ver}
 				changed = true
 			case ir.OpCondBr:
-				if v, ok := consts[in.Args[0]]; ok {
+				if v, ok := s.constOf(in.Args[0], start); ok {
 					target := in.Blk
 					if v == 0 {
 						target = in.Blk2
@@ -188,33 +242,36 @@ func foldICmp(p ir.Pred, a, b int64) int64 {
 
 // ---- Copy propagation ----
 
+// alias is the fact dst = copy src, stamped with that def of dst and with
+// src's stamp at the copy.
+type alias struct {
+	src         ir.Value
+	ver, srcVer uint32
+}
+
 // copyProp replaces uses of a Copy destination with its source, block-
 // locally, while neither is reassigned.
-func copyProp(f *ir.Func) bool {
+func (s *scratch) copyProp(f *ir.Func) bool {
 	changed := false
 	for _, blk := range f.Blocks {
-		alias := map[ir.Value]ir.Value{}
-		invalidate := func(v ir.Value) {
-			delete(alias, v)
-			for k, a := range alias {
-				if a == v {
-					delete(alias, k)
-				}
-			}
-		}
+		start := s.clock
 		for _, in := range blk.Insts {
 			for i, a := range in.Args {
-				if s, ok := alias[a]; ok {
-					in.Args[i] = s
+				if a == ir.NoValue {
+					continue
+				}
+				if al := s.aliases[a]; al.ver > start && al.ver == s.stamp[a] && al.srcVer == s.stamp[al.src] {
+					in.Args[i] = al.src
 					changed = true
 				}
 			}
 			if in.Res == ir.NoValue {
 				continue
 			}
-			invalidate(in.Res)
+			ver := s.def(in.Res)
 			if in.Op == ir.OpCopy && in.Args[0] != in.Res {
-				alias[in.Res] = in.Args[0]
+				src := in.Args[0]
+				s.aliases[in.Res] = alias{src: src, ver: ver, srcVer: s.stamp[src]}
 			}
 		}
 	}
@@ -223,55 +280,101 @@ func copyProp(f *ir.Func) bool {
 
 // ---- Local CSE ----
 
+// cseKey names a pure expression: an operation over operand values at
+// given stamps, or a constant. A constant is keyed by its value and its
+// result's declared type, so a 0 or NULL whose qualifier or pointee may
+// resolve private never merges with a public one; its operand fields are
+// NoValue.
 type cseKey struct {
-	op   ir.Op
-	a, b ir.Value
-	imm  int64
-	pred ir.Pred
+	op     ir.Op
+	pred   ir.Pred
+	a, b   ir.Value
+	av, bv uint32
+	imm    int64
+	ty     *types.Type
+}
+
+// hash mixes every field but the type pointer; its qualifier stands in,
+// since distinct declarations carry distinct qualifier variables.
+func (k *cseKey) hash() uint64 {
+	h := uint64(k.op) | uint64(k.pred)<<8 | uint64(uint32(k.a))<<32
+	h = mix(h ^ uint64(k.av)<<32 ^ uint64(uint32(k.b)))
+	h = mix(h ^ uint64(k.bv) ^ uint64(k.imm))
+	if k.ty != nil {
+		h = mix(h ^ uint64(uint32(k.ty.Qual)))
+	}
+	return h
+}
+
+// mix is the splitmix64 finalizer.
+func mix(h uint64) uint64 {
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
+// cseSlot is one entry of the CSE table: res computed key at stamp ver.
+// A slot whose stamp is not later than the current block's start is
+// empty, so the table never needs clearing.
+type cseSlot struct {
+	key cseKey
+	res ir.Value
+	ver uint32
+}
+
+// slot returns key's slot in the table: the one holding key, or the empty
+// one where it would go. The table is kept at least twice the size of the
+// block, so the probe always ends.
+func (s *scratch) slot(key *cseKey, start uint32) *cseSlot {
+	mask := uint64(len(s.avail) - 1)
+	for i := key.hash() & mask; ; i = (i + 1) & mask {
+		sl := &s.avail[i]
+		if sl.ver <= start || sl.key == *key {
+			return sl
+		}
+	}
 }
 
 // localCSE reuses block-local recomputations of pure expressions.
-func localCSE(f *ir.Func) bool {
+func (s *scratch) localCSE(f *ir.Func) bool {
 	changed := false
 	for _, blk := range f.Blocks {
-		avail := map[cseKey]ir.Value{}
-		invalidate := func(v ir.Value) {
-			for k, r := range avail {
-				if r == v || k.a == v || k.b == v {
-					delete(avail, k)
-				}
+		if n := 2 * len(blk.Insts); len(s.avail) < n {
+			size := 16
+			for size < n {
+				size *= 2
 			}
+			s.avail = make([]cseSlot, size)
 		}
+		start := s.clock
 		for _, in := range blk.Insts {
-			pure := false
 			var key cseKey
 			switch in.Op {
 			case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
 				ir.OpShl, ir.OpShr, ir.OpSar:
-				key = cseKey{op: in.Op, a: in.Args[0], b: in.Args[1]}
-				pure = true
+				a, b := in.Args[0], in.Args[1]
+				key = cseKey{op: in.Op, a: a, av: s.stamp[a], b: b, bv: s.stamp[b]}
 			case ir.OpICmp:
-				key = cseKey{op: in.Op, a: in.Args[0], b: in.Args[1], pred: in.Pred}
-				pure = true
+				a, b := in.Args[0], in.Args[1]
+				key = cseKey{op: in.Op, pred: in.Pred, a: a, av: s.stamp[a], b: b, bv: s.stamp[b]}
 			case ir.OpConst:
-				key = cseKey{op: in.Op, imm: in.Imm}
-				pure = true
-			}
-			if pure {
-				if prev, ok := avail[key]; ok {
-					ty := f.ValueType(in.Res)
-					res := in.Res
-					*in = ir.Inst{Op: ir.OpCopy, Res: res, Args: []ir.Value{prev}, Ty: ty, Pos: in.Pos}
-					invalidate(res)
-					changed = true
-					continue
+				key = cseKey{op: in.Op, a: ir.NoValue, b: ir.NoValue, imm: in.Imm, ty: f.ValueType(in.Res)}
+			default:
+				if in.Res != ir.NoValue {
+					s.def(in.Res)
 				}
+				continue
+			}
+			sl := s.slot(&key, start)
+			if sl.ver > start && sl.ver == s.stamp[sl.res] {
+				res := in.Res
+				*in = ir.Inst{Op: ir.OpCopy, Res: res, Args: []ir.Value{sl.res}, Ty: f.ValueType(res), Pos: in.Pos}
+				s.def(res)
+				changed = true
+				continue
 			}
 			if in.Res != ir.NoValue {
-				invalidate(in.Res)
-				if pure {
-					avail[key] = in.Res
-				}
+				*sl = cseSlot{key: key, res: in.Res, ver: s.def(in.Res)}
 			}
 		}
 	}
@@ -292,8 +395,9 @@ func hasSideEffects(in *ir.Inst) bool {
 
 // dce removes pure instructions whose results are never used anywhere and
 // Copy instructions to dead vregs.
-func dce(f *ir.Func) bool {
-	used := make([]bool, f.NumValues())
+func (s *scratch) dce(f *ir.Func) bool {
+	used := s.used[:f.NumValues()]
+	clear(used)
 	for _, blk := range f.Blocks {
 		for _, in := range blk.Insts {
 			for _, a := range in.Args {
@@ -321,36 +425,54 @@ func dce(f *ir.Func) bool {
 // ---- CFG simplification ----
 
 // simplifyCFG removes blocks unreachable from the entry.
-func simplifyCFG(f *ir.Func) bool {
+func (s *scratch) simplifyCFG(f *ir.Func) bool {
 	if len(f.Blocks) == 0 {
 		return false
 	}
-	byID := map[int]*ir.Block{}
+	n := 0
 	for _, b := range f.Blocks {
-		byID[b.ID] = b
+		n = max(n, b.ID+1)
 	}
-	reach := map[int]bool{f.Blocks[0].ID: true}
-	work := []int{f.Blocks[0].ID}
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		b := byID[id]
-		if b == nil {
+	if len(s.blocks) < n {
+		s.blocks = make([]*ir.Block, n)
+		s.reached = make([]bool, n)
+	}
+	blocks, reached := s.blocks[:n], s.reached[:n]
+	clear(blocks)
+	clear(reached)
+	for _, b := range f.Blocks {
+		blocks[b.ID] = b
+	}
+	visit := func(id int) {
+		if id >= 0 && id < n && blocks[id] != nil && !reached[id] {
+			reached[id] = true
+			s.work = append(s.work, id)
+		}
+	}
+	s.work = s.work[:0]
+	visit(f.Blocks[0].ID)
+	count := 0
+	for len(s.work) > 0 {
+		b := blocks[s.work[len(s.work)-1]]
+		s.work = s.work[:len(s.work)-1]
+		count++
+		if len(b.Insts) == 0 {
 			continue
 		}
-		for _, s := range b.Succs() {
-			if !reach[s] {
-				reach[s] = true
-				work = append(work, s)
-			}
+		switch t := b.Insts[len(b.Insts)-1]; t.Op {
+		case ir.OpBr:
+			visit(t.Blk)
+		case ir.OpCondBr:
+			visit(t.Blk)
+			visit(t.Blk2)
 		}
 	}
-	if len(reach) == len(f.Blocks) {
+	if count == len(f.Blocks) {
 		return false
 	}
 	out := f.Blocks[:0]
 	for _, b := range f.Blocks {
-		if reach[b.ID] {
+		if reached[b.ID] {
 			out = append(out, b)
 		}
 	}
