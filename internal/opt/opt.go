@@ -11,21 +11,24 @@ package opt
 
 import (
 	"confllvm/internal/ir"
+	"confllvm/internal/rng"
 	"confllvm/internal/types"
 )
 
-// Passes selects which optimizations run.
+// Passes selects which optimizations run. Callers outside this package
+// pick one of the two pipelines, O2 or None; only the package's own tests
+// select single passes.
 type Passes struct {
-	ConstFold   bool
-	CopyProp    bool
-	LocalCSE    bool // block-local value numbering
-	DCE         bool
-	SimplifyCFG bool
+	constFold   bool
+	copyProp    bool
+	localCSE    bool // block-local value numbering
+	dce         bool
+	simplifyCFG bool
 }
 
 // O2 is the full pipeline, run by every variant.
 func O2() Passes {
-	return Passes{ConstFold: true, CopyProp: true, LocalCSE: true, DCE: true, SimplifyCFG: true}
+	return Passes{constFold: true, copyProp: true, localCSE: true, dce: true, simplifyCFG: true}
 }
 
 // None disables all optimization (-O0).
@@ -42,19 +45,19 @@ func Run(mod *ir.Module, p Passes) {
 		s.fit(f)
 		for round := 0; round < 4; round++ {
 			changed := false
-			if p.SimplifyCFG {
+			if p.simplifyCFG {
 				changed = s.simplifyCFG(f) || changed
 			}
-			if p.ConstFold {
+			if p.constFold {
 				changed = s.constFold(f) || changed
 			}
-			if p.CopyProp {
+			if p.copyProp {
 				changed = s.copyProp(f) || changed
 			}
-			if p.LocalCSE {
+			if p.localCSE {
 				changed = s.localCSE(f) || changed
 			}
-			if p.DCE {
+			if p.dce {
 				changed = s.dce(f) || changed
 			}
 			if !changed {
@@ -99,6 +102,16 @@ func (s *scratch) fit(f *ir.Func) {
 	}
 }
 
+// stampOf returns the stamp of v's latest def. NoValue, which irgen leaves
+// as the operand where a void call's result is used, is never defined, so
+// its stamp stays 0 and a fact naming it lasts as long as its other stamps.
+func (s *scratch) stampOf(v ir.Value) uint32 {
+	if v == ir.NoValue {
+		return 0
+	}
+	return s.stamp[v]
+}
+
 // def stamps a (re)definition of v and returns the stamp.
 func (s *scratch) def(v ir.Value) uint32 {
 	s.clock++
@@ -117,6 +130,9 @@ type constFact struct {
 // constOf returns v's constant if a def in the current block (begun at
 // start) set one and v has not been redefined since.
 func (s *scratch) constOf(v ir.Value, start uint32) (int64, bool) {
+	if v == ir.NoValue {
+		return 0, false
+	}
 	c := s.consts[v]
 	return c.imm, c.ver > start && c.ver == s.stamp[v]
 }
@@ -260,7 +276,7 @@ func (s *scratch) copyProp(f *ir.Func) bool {
 				if a == ir.NoValue {
 					continue
 				}
-				if al := s.aliases[a]; al.ver > start && al.ver == s.stamp[a] && al.srcVer == s.stamp[al.src] {
+				if al := s.aliases[a]; al.ver > start && al.ver == s.stamp[a] && al.srcVer == s.stampOf(al.src) {
 					in.Args[i] = al.src
 					changed = true
 				}
@@ -271,7 +287,7 @@ func (s *scratch) copyProp(f *ir.Func) bool {
 			ver := s.def(in.Res)
 			if in.Op == ir.OpCopy && in.Args[0] != in.Res {
 				src := in.Args[0]
-				s.aliases[in.Res] = alias{src: src, ver: ver, srcVer: s.stamp[src]}
+				s.aliases[in.Res] = alias{src: src, ver: ver, srcVer: s.stampOf(src)}
 			}
 		}
 	}
@@ -297,20 +313,12 @@ type cseKey struct {
 // hash mixes every field but the type pointer; its qualifier stands in,
 // since distinct declarations carry distinct qualifier variables.
 func (k *cseKey) hash() uint64 {
-	h := uint64(k.op) | uint64(k.pred)<<8 | uint64(uint32(k.a))<<32
-	h = mix(h ^ uint64(k.av)<<32 ^ uint64(uint32(k.b)))
-	h = mix(h ^ uint64(k.bv) ^ uint64(k.imm))
+	var q uint64
 	if k.ty != nil {
-		h = mix(h ^ uint64(uint32(k.ty.Qual)))
+		q = uint64(uint32(k.ty.Qual))
 	}
-	return h
-}
-
-// mix is the splitmix64 finalizer.
-func mix(h uint64) uint64 {
-	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
-	h = (h ^ h>>27) * 0x94d049bb133111eb
-	return h ^ h>>31
+	return rng.Mix(uint64(k.op)|uint64(k.pred)<<8|q<<32,
+		uint64(uint32(k.a))<<32|uint64(k.av), uint64(uint32(k.b))<<32|uint64(k.bv), uint64(k.imm))
 }
 
 // cseSlot is one entry of the CSE table: res computed key at stamp ver.
@@ -353,10 +361,10 @@ func (s *scratch) localCSE(f *ir.Func) bool {
 			case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
 				ir.OpShl, ir.OpShr, ir.OpSar:
 				a, b := in.Args[0], in.Args[1]
-				key = cseKey{op: in.Op, a: a, av: s.stamp[a], b: b, bv: s.stamp[b]}
+				key = cseKey{op: in.Op, a: a, av: s.stampOf(a), b: b, bv: s.stampOf(b)}
 			case ir.OpICmp:
 				a, b := in.Args[0], in.Args[1]
-				key = cseKey{op: in.Op, pred: in.Pred, a: a, av: s.stamp[a], b: b, bv: s.stamp[b]}
+				key = cseKey{op: in.Op, pred: in.Pred, a: a, av: s.stampOf(a), b: b, bv: s.stampOf(b)}
 			case ir.OpConst:
 				key = cseKey{op: in.Op, a: ir.NoValue, b: ir.NoValue, imm: in.Imm, ty: f.ValueType(in.Res)}
 			default:
@@ -456,15 +464,8 @@ func (s *scratch) simplifyCFG(f *ir.Func) bool {
 		b := blocks[s.work[len(s.work)-1]]
 		s.work = s.work[:len(s.work)-1]
 		count++
-		if len(b.Insts) == 0 {
-			continue
-		}
-		switch t := b.Insts[len(b.Insts)-1]; t.Op {
-		case ir.OpBr:
-			visit(t.Blk)
-		case ir.OpCondBr:
-			visit(t.Blk)
-			visit(t.Blk2)
+		for _, id := range b.Succs() {
+			visit(id)
 		}
 	}
 	if count == len(f.Blocks) {

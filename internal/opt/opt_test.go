@@ -104,7 +104,7 @@ func TestCopyPropRespectsMutation(t *testing.T) {
 	}
 	mod := ir.NewModule()
 	mod.AddFunc(f)
-	Run(mod, Passes{CopyProp: true})
+	Run(mod, Passes{copyProp: true})
 	ret := f.Blocks[0].Insts[len(f.Blocks[0].Insts)-1]
 	if ret.Args[0] == v1 {
 		t.Fatalf("copy-prop propagated across a redefinition:\n%s", f)
@@ -130,7 +130,7 @@ func TestLocalCSE(t *testing.T) {
 	}
 	mod := ir.NewModule()
 	mod.AddFunc(f)
-	Run(mod, Passes{LocalCSE: true})
+	Run(mod, Passes{localCSE: true})
 	count := 0
 	for _, in := range f.Blocks[0].Insts {
 		if in.Op == ir.OpCopy {
@@ -197,7 +197,7 @@ func TestLocalCSEStaleFacts(t *testing.T) {
 		}
 		b.Insts = append(b.Insts, tc.body(a, c, d, s1, s2)...)
 		b.Insts = append(b.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{s2}})
-		runOne(f, Passes{LocalCSE: true})
+		runOne(f, Passes{localCSE: true})
 		second := b.Insts[len(b.Insts)-2] // the def of s2
 		if merged := second.Op == ir.OpCopy; merged != tc.merge {
 			t.Errorf("%s: merged = %v, want %v:\n%s", tc.name, merged, tc.merge, f)
@@ -232,7 +232,7 @@ func TestCopyPropAliasLifetime(t *testing.T) {
 		}
 		b.Insts = append(b.Insts, tc.kill(f, s, d)...)
 		b.Insts = append(b.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{d}})
-		runOne(f, Passes{CopyProp: true})
+		runOne(f, Passes{copyProp: true})
 		ret := b.Insts[len(b.Insts)-1]
 		if got := ret.Args[0] == s; got != tc.keep {
 			t.Errorf("%s: ret reads %v, want the copy's source %v: %v\n%s", tc.name, ret.Args[0], s, tc.keep, f)
@@ -266,7 +266,7 @@ func TestFactsStayInBlock(t *testing.T) {
 		{Op: ir.OpCall, Callee: "sink", Res: ir.NoValue, Args: []ir.Value{q}},
 		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{r}},
 	}
-	runOne(f, Passes{ConstFold: true, CopyProp: true, LocalCSE: true})
+	runOne(f, Passes{constFold: true, copyProp: true, localCSE: true})
 	if b1.Insts[0].Op != ir.OpAdd {
 		t.Errorf("CSE reused a value from another block:\n%s", f)
 	}
@@ -290,7 +290,7 @@ func TestConstFoldRespectsRedefinition(t *testing.T) {
 		{Op: ir.OpAdd, Res: q, Args: []ir.Value{k, k}},
 		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{q}},
 	}
-	runOne(f, Passes{ConstFold: true})
+	runOne(f, Passes{constFold: true})
 	if b.Insts[2].Op != ir.OpAdd {
 		t.Errorf("folded a constant across its redefinition:\n%s", f)
 	}
@@ -318,11 +318,34 @@ func TestLocalCSEConstantsKeyedByType(t *testing.T) {
 	if v0 != 0 {
 		t.Fatalf("test wants the redefined value to be vreg 0, got %v", v0)
 	}
-	runOne(f, Passes{LocalCSE: true})
+	runOne(f, Passes{localCSE: true})
 	if b.Insts[1].Op != ir.OpConst {
 		t.Errorf("a private 0 merged with a public one:\n%s", f)
 	}
 	if in := b.Insts[3]; in.Op != ir.OpCopy || in.Args[0] != pub0 {
 		t.Errorf("two public 0s did not merge across a def of vreg 0:\n%s", f)
+	}
+}
+
+func TestNoValueOperands(t *testing.T) {
+	// irgen leaves NoValue where a void call's result is used. No pass may
+	// index by it; it is never defined, so facts naming it stay live.
+	f := &ir.Func{Name: "t", Ret: i64}
+	b := f.NewBlock()
+	c, d, s1, s2 := f.NewValue(i64), f.NewValue(i64), f.NewValue(i64), f.NewValue(i64)
+	b.Insts = []*ir.Inst{
+		{Op: ir.OpConst, Res: c, Imm: 1, Ty: i64},
+		{Op: ir.OpCopy, Res: d, Args: []ir.Value{ir.NoValue}},
+		{Op: ir.OpAdd, Res: s1, Args: []ir.Value{c, ir.NoValue}},
+		{Op: ir.OpAdd, Res: s2, Args: []ir.Value{c, ir.NoValue}},
+		{Op: ir.OpCall, Callee: "sink", Res: ir.NoValue, Args: []ir.Value{d, s1, s2}},
+		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{c}},
+	}
+	mod := ir.NewModule()
+	mod.AddFunc(f)
+	Run(mod, O2())
+	call := b.Insts[len(b.Insts)-2]
+	if call.Op != ir.OpCall || call.Args[0] != ir.NoValue || call.Args[1] != call.Args[2] {
+		t.Errorf("want the copy propagated and the second add merged:\n%s", f)
 	}
 }

@@ -4,7 +4,8 @@
 // unlike math/rand, which Go may change between releases — so every
 // figure that depends on a seed is reproducible across toolchains.
 // TestGolden pins its outputs: a change to the constants re-rolls every
-// seeded figure and fails that test.
+// seeded figure and fails that test. Mix also hashes the IR optimizer's
+// CSE keys.
 package rng
 
 // Stream is a splitmix64 stream.
