@@ -149,8 +149,6 @@ type benchRow struct {
 	VerifyStubs       int     `json:"verify_stubs,omitempty"`
 	VerifyInsts       int     `json:"verify_insts,omitempty"`
 	CodeBytes         int     `json:"code_bytes,omitempty"`
-	VerifyWorkers     int     `json:"verify_workers,omitempty"`
-	VerifySerialNS    int64   `json:"verify_serial_ns,omitempty"`
 	VerifyParallelNS  int64   `json:"verify_parallel_ns,omitempty"`
 	VerifyFuncsPerSec float64 `json:"verify_funcs_per_sec,omitempty"`
 	VerifyInstsPerSec float64 `json:"verify_insts_per_sec,omitempty"`
@@ -257,8 +255,6 @@ func record(figure, workload, variant string, m *bench.Measurement) {
 		row.VerifyStubs = rep.Stubs
 		row.VerifyInsts = rep.Insts
 		row.CodeBytes = rep.CodeBytes
-		row.VerifyWorkers = rep.Workers
-		row.VerifySerialNS = rep.SerialNS
 		row.VerifyParallelNS = rep.ParallelNS
 		row.VerifyFuncsPerSec = rep.FuncsPerSec()
 		row.VerifyInstsPerSec = rep.InstsPerSec()
@@ -759,9 +755,9 @@ func faults() ([]bench.Cell, renderFn) {
 // deterministic (counters are pure functions of the bits and -seed,
 // identical under any -parallel/-superblocks setting); the following
 // lines measure verifier throughput on the host, from the median of 5
-// interleaved serial/parallel checks per cell, and are marked "(host)"
-// so the nightly byte-diff can strip them. Any mutant the verifier fails
-// to kill by contract fails the whole figure.
+// checks per cell in the load gate's parallel configuration, and are
+// marked "(host)" so the nightly byte-diff can strip them. Any mutant the
+// verifier fails to kill by contract fails the whole figure.
 func verifyFigure() ([]bench.Cell, renderFn) {
 	vs := []confllvm.Variant{confllvm.VariantMPX, confllvm.VariantSeg}
 	cells := bench.VerifyCells("verify", bench.Workloads(shortGrid), vs, scenarioSeed)
@@ -786,9 +782,8 @@ func verifyFigure() ([]bench.Cell, renderFn) {
 		for _, r := range results {
 			rep := r.M.Verify
 			funcsPerSec = append(funcsPerSec, rep.FuncsPerSec())
-			fmt.Printf("%-16s %8v %10.0f funcs/s %12.0f insts/s %6.2fx par  (host, %d workers)\n",
-				r.Cell.Row, r.Cell.Variant, rep.FuncsPerSec(), rep.InstsPerSec(),
-				rep.Speedup(), rep.Workers)
+			fmt.Printf("%-16s %8v %10.0f funcs/s %12.0f insts/s  (host)\n",
+				r.Cell.Row, r.Cell.Variant, rep.FuncsPerSec(), rep.InstsPerSec())
 		}
 		recordHistory("verify_funcs_per_sec", funcsPerSec)
 		fmt.Println()

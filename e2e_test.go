@@ -3,6 +3,7 @@ package confllvm
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -341,6 +342,124 @@ int main() {
 		res := runSrc(t, v, nil, src)
 		if res.Machine == nil || len(res.Machine.Threads) != 5 {
 			t.Errorf("[%v] expected 5 threads", v)
+		}
+	}
+}
+
+// TestE2EIntegerConversions pins C's integer-conversion semantics: every
+// integer register holds its C type's value, so narrowing casts, signed
+// narrow overflow, unsigned wraparound in ++/--, and unary - and ~ on
+// promoted operands give what C gives, under Base and both checked
+// variants (which must also pass ConfVerify). Each case's body leaves its
+// result in r.
+func TestE2EIntegerConversions(t *testing.T) {
+	cases := []struct {
+		name, body string
+		want       int64
+	}{
+		{"int from a long literal is negative", `int x = (int)-4294967297; r = x < 0;`, 1},
+		{"int from long variable is negative", `long m = -1; int x = (int)m; r = x < 0;`, 1},
+		{"char 200 is negative", `char c = 200; r = c < 0;`, 1},
+		{"unsigned ++ wraps to 0", `unsigned u = 4294967295; u++; r = u == 0;`, 1},
+		{"unsigned global pre-increment wraps", `gu = 4294967295; r = ++gu == 0;`, 1},
+		{"unsigned -- wraps to UINT_MAX", `unsigned v = 0; v--; r = v / 2;`, 2147483647},
+		{"char ++ wraps to -128", `char c = 127; c++; r = c;`, -128},
+		{"negate promotes char", `char c = -128; long x = -c; r = x;`, 128},
+		{"complement promotes unsigned char", `unsigned char uc = 1; long y = ~uc; r = y;`, -2},
+		{"complement of unsigned char converts as int", `unsigned char uc = 1; unsigned u = ~uc; r = u;`, 4294967294},
+		{"negate of unsigned char converts as int", `unsigned char b = 1; unsigned v = -b; r = v;`, 4294967295},
+		{"negate unsigned wraps", `unsigned w = 5; w = -w; r = w / 2;`, 2147483645},
+		{"char cast of 200 widens to -56", `r = (long)(char)200;`, -56},
+		{"complement of unsigned 0 widens", `unsigned b = 0; b = ~b; long l = b; r = l;`, 4294967295},
+		{"short overflow wraps", `short s = 32767; s = s + 1; r = s;`, -32768},
+		{"signed char to unsigned zero-extends", `char c = -1; unsigned u = c; long l = u; r = l;`, 4294967295},
+		{"pointer to int truncates", `char *p = (char*)4294967297; int x = (int)p; r = x == 1;`, 1},
+		{"narrowing store keeps low byte", `char buf[4]; long big = 511; buf[1] = (char)big; r = buf[1];`, -1},
+	}
+	for _, tc := range cases {
+		src := Source{"conv.c", `
+extern void output(long v);
+unsigned gu;
+int main() {
+	long r = 0;
+	` + tc.body + `
+	output(r);
+	return 0;
+}
+`}
+		for _, v := range []Variant{VariantBase, VariantMPX, VariantSeg} {
+			art, err := Compile(Program{Sources: []Source{src}}, v)
+			if err != nil {
+				t.Fatalf("%s [%v]: compile: %v", tc.name, v, err)
+			}
+			if v.Checked() {
+				if err := Verify(art); err != nil {
+					t.Errorf("%s [%v]: verify: %v", tc.name, v, err)
+				}
+			}
+			res, err := Run(art, nil, nil)
+			if err != nil || res.Fault != nil {
+				t.Fatalf("%s [%v]: run: %v %v", tc.name, v, err, res.Fault)
+			}
+			if len(res.Outputs) != 1 || res.Outputs[0] != tc.want {
+				t.Errorf("%s [%v]: got %v, want %d", tc.name, v, res.Outputs, tc.want)
+			}
+		}
+	}
+}
+
+// TestE2EVoidValue: a void call used as a value is a compile error under
+// every variant, not a panic in a later stage. An expression statement,
+// a for loop's post expression and a cast to void may still discard one.
+func TestE2EVoidValue(t *testing.T) {
+	bad := []string{
+		`extern void output(long); int main(){ long a = 1 + output(0); output(a); return 0; }`,
+		`extern void output(long); int main(){ long a = output(0); return 0; }`,
+		`extern void output(long); int main(){ if (output(0)) return 1; return 0; }`,
+		`extern void output(long); int main(){ output(output(0)); return 0; }`,
+	}
+	good := Source{"ok.c", `extern void output(long);
+int main() { int i; output(1); (void)output(2); for (i = 0; i < 1; output(3)) i++; return 0; }`}
+	for _, v := range AllVariants() {
+		for _, src := range bad {
+			_, err := Compile(Program{Sources: []Source{{"void.c", src}}}, v)
+			if err == nil || !strings.Contains(err.Error(), "void value used as a value") {
+				t.Errorf("[%v] %s: got %v, want a void-value error", v, src, err)
+			}
+		}
+		if res := runSrc(t, v, nil, good); !reflect.DeepEqual(res.Outputs, []int64{1, 2, 3}) {
+			t.Errorf("[%v] discarded void calls: outputs %v, want [1 2 3]", v, res.Outputs)
+		}
+	}
+}
+
+// TestE2ESelfInitializedLocal: a register-resident local's name enters
+// scope after its initializer, so long p = p; reads an outer p, or is an
+// undefined-identifier error, instead of a register never written.
+// FuzzCompile found the leak this pins (the self-init seed): that
+// register shared rcx with a private parameter, which then reached a
+// public argument, and the verifier rejected the OurMPX binary.
+func TestE2ESelfInitializedLocal(t *testing.T) {
+	leak := `extern void output(long);
+private long leak(private long x, long a) { long t = a; long p = p; output(p); return a; }
+int main() { leak(7, 1); return 0; }`
+	for _, v := range AllVariants() {
+		_, err := Compile(Program{Sources: []Source{{"self.c", leak}}}, v)
+		if err == nil || !strings.Contains(err.Error(), `undefined identifier "p"`) {
+			t.Errorf("[%v] got %v, want an undefined-identifier error", v, err)
+		}
+		src := Source{"outer.c", "long p = 5;\n" + leak}
+		art, err := Compile(Program{Sources: []Source{src}}, v)
+		if err != nil {
+			t.Fatalf("[%v] compile: %v", v, err)
+		}
+		if v.Checked() {
+			if err := Verify(art); err != nil {
+				t.Errorf("[%v] verify: %v", v, err)
+			}
+		}
+		if res := runSrc(t, v, nil, src); !reflect.DeepEqual(res.Outputs, []int64{5}) {
+			t.Errorf("[%v] outputs %v, want [5]", v, res.Outputs)
 		}
 	}
 }

@@ -18,9 +18,12 @@ import (
 // Seed corpus entries live in testdata/fuzz/FuzzCompile: the SPEC kernels
 // (with the U-side library appended) and small programs covering i++,
 // nested compares, && and ||, casts of literals, private/public copies,
-// empty loop bodies, and register pressure (pressure: 15 public and
+// empty loop bodies, register pressure (pressure: 15 public and
 // private locals live across a loop with a call inside it, where spill
-// eviction and the register pools' taint rules interact).
+// eviction and the register pools' taint rules interact), narrow-integer
+// conversions and wraparound (int-narrow), void calls used as values
+// (void-result, void-operand) and a local read in its own initializer
+// (self-init).
 func FuzzCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		// Nested macro bodies can multiply the token count by 2^n; bound n

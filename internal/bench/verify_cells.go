@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -22,13 +21,9 @@ import (
 type VerifyReport struct {
 	Funcs, Stubs, Insts int
 	CodeBytes           int
-	// Workers is the parallel lane's worker count (host property).
-	Workers int
-	// SerialNS / ParallelNS time a full check on one and on Workers
-	// goroutines: each is the median of verifyTimingPairs interleaved
-	// serial/parallel pairs, so one descheduled call cannot swing the
-	// ratio.
-	SerialNS, ParallelNS int64
+	// ParallelNS times a full check in the load gate's configuration
+	// (see gateVerify): the median of verifyTimings checks.
+	ParallelNS int64
 	// MutantsTried counts the seeded verifymut mutants applicable to this
 	// binary; MutantsKilled counts those the verifier rejected with the
 	// structured error the mutator's contract demands (offset and message).
@@ -53,15 +48,6 @@ func (r *VerifyReport) InstsPerSec() float64 {
 	return float64(r.Insts) / (float64(r.ParallelNS) / 1e9)
 }
 
-// Speedup is median serial time over median parallel time (about 1.0 on
-// a single-core host).
-func (r *VerifyReport) Speedup() float64 {
-	if r.ParallelNS <= 0 {
-		return 0
-	}
-	return float64(r.SerialNS) / float64(r.ParallelNS)
-}
-
 // verifySeed derives a per-cell mutation seed from the base seed and the
 // cell's identity, so every cell mutates different sites yet the whole
 // figure is a pure function of the base seed.
@@ -73,10 +59,10 @@ func verifySeed(seed uint64, key string, v confllvm.Variant) uint64 {
 
 // VerifyCells expands the verify figure into matrix cells: every workload
 // under both deployable schemes, each cell checking the workload's binary
-// serially and in parallel, then running the seeded mutation corpus
-// against it. Cells are Serial — the host-time throughput numbers are the
-// measurement, so they must not share the host with concurrently running
-// cells.
+// serially and as the load gate does, then running the seeded mutation
+// corpus against it. Cells are Serial — the host-time throughput numbers
+// are the measurement, so they must not share the host with concurrently
+// running cells.
 func VerifyCells(figure string, wls []Workload, vs []confllvm.Variant, seed uint64) []Cell {
 	var cells []Cell
 	for _, wl := range wls {
@@ -106,9 +92,9 @@ func VerifyCells(figure string, wls []Workload, vs []confllvm.Variant, seed uint
 	return cells
 }
 
-// verifyTimingPairs is how many interleaved serial/parallel checks a
-// verify cell times; it reports the median of each lane.
-const verifyTimingPairs = 5
+// verifyTimings is how many gate-configuration checks a verify cell
+// times; it reports their median.
+const verifyTimings = 5
 
 // median returns the median of an odd-length sample, sorting it in place.
 func median(ns []int64) int64 {
@@ -117,8 +103,9 @@ func median(ns []int64) int64 {
 }
 
 // verifyCell measures one (workload, variant) verify cell. It re-checks
-// the parallel verdict against the serial one and fails the cell on any
-// divergence — the figure is also a determinism test.
+// every gate-configuration (parallel) verdict against a serial one and
+// fails the cell on any divergence — the figure is also a determinism
+// test.
 func verifyCell(wl Workload, v confllvm.Variant, seed uint64) (*VerifyReport, error) {
 	art, err := CompileCached(wl.Key, v, wl.Prog(v))
 	if err != nil {
@@ -126,30 +113,22 @@ func verifyCell(wl Workload, v confllvm.Variant, seed uint64) (*VerifyReport, er
 	}
 	img := art.Image
 	opts := verify.Options{Strict: art.Strict}
-	workers := runtime.GOMAXPROCS(0)
-
-	popts := opts
-	popts.Parallel = workers
-	var serial verify.Stats
-	var serialNS, parallelNS [verifyTimingPairs]int64
-	for i := range serialNS {
+	serial, err := verify.VerifyStats(img, opts)
+	if err != nil {
+		return nil, fmt.Errorf("verify %s [%v]: %w", wl.Name, v, err)
+	}
+	var ns [verifyTimings]int64
+	for i := range ns {
 		t0 := time.Now()
-		st, err := verify.VerifyStats(img, opts)
-		serialNS[i] = time.Since(t0).Nanoseconds()
-		if err != nil {
-			return nil, fmt.Errorf("verify %s [%v]: %w", wl.Name, v, err)
-		}
-		t0 = time.Now()
-		par, err := verify.VerifyStats(img, popts)
-		parallelNS[i] = time.Since(t0).Nanoseconds()
+		par, err := gateVerify(img, art.Strict)
+		ns[i] = time.Since(t0).Nanoseconds()
 		if err != nil {
 			return nil, fmt.Errorf("parallel verify %s [%v]: %w", wl.Name, v, err)
 		}
-		if par != st {
+		if par != serial {
 			return nil, fmt.Errorf("verify %s [%v]: parallel stats %+v diverge from serial %+v",
-				wl.Name, v, par, st)
+				wl.Name, v, par, serial)
 		}
-		serial = st
 	}
 
 	rep := &VerifyReport{
@@ -157,9 +136,7 @@ func verifyCell(wl Workload, v confllvm.Variant, seed uint64) (*VerifyReport, er
 		Stubs:      serial.Stubs,
 		Insts:      serial.Insts,
 		CodeBytes:  len(img.Code),
-		Workers:    workers,
-		SerialNS:   median(serialNS[:]),
-		ParallelNS: median(parallelNS[:]),
+		ParallelNS: median(ns[:]),
 	}
 
 	// The gate-rejection column: every seeded mutant must be killed with

@@ -9,25 +9,26 @@
 //   - taint-aware CFI magic sequences on entries, returns and indirect
 //     calls (§4).
 //
-// Every variant runs this one backend, which emits the code a simple -O2
-// backend would; the Base vs ConfLLVM difference lies only in the IR
-// pass set. Before register allocation, a pre-pass (prepass.go) folds
-// block-local constants into register-immediate operands (add r, imm;
-// cmp r, imm), folds t = op; d = copy t into d = op when t and d agree on
-// taint and float-ness, folds a trunc into the extension that consumes
-// it, drops constants left without uses, and fuses a compare whose only
-// use is the next condbr into cmp; jcc, keeping setcc only for booleans
-// used as values. An add or sub of an immediate whose destination
-// register differs from its source lowers to a three-address
-// lea d, [a + imm] when the displacement fits in 32 bits; no jcc reads
-// the flags an add would have set, since every one follows its own cmp or
-// test. Blocks keep their IR order and fall through: a jump to the next
-// block is never emitted, a condbr whose true target is next branches on
-// the inverted condition to the false target, and a block that emits
-// nothing lends its label to the code after it. Loops are rotated by tail
-// duplication: a block whose only branch is a backward jmp to a loop test
-// of at most three plain instructions ends instead with a copy of that
-// test and its branches, so a loop's back edge is a single cmp; jcc. The
+// Every variant runs the same IR passes and this one backend, which emits
+// the code a simple -O2 backend would; the variants differ only in the
+// instrumentation and frame layout that Config selects. Before register
+// allocation, a pre-pass (prepass.go) folds block-local constants into
+// register-immediate operands (add r, imm; cmp r, imm), folds
+// t = op; d = copy t into d = op when t and d agree on taint and
+// float-ness, lets a store take the operand of the trunc that feeds it,
+// drops constants left without uses, and fuses a compare whose only use
+// is the next condbr into cmp; jcc, keeping setcc only for booleans used
+// as values. An add or sub of an immediate whose destination register
+// differs from its source lowers to a three-address lea d, [a + imm] when
+// the displacement fits in 32 bits; no jcc reads the flags an add would
+// have set, since every one follows its own cmp or test. Blocks keep
+// their IR order and fall through: a jump to the next block is never
+// emitted, a condbr whose true target is next branches on the inverted
+// condition to the false target, and a block that emits nothing lends its
+// label to the code after it. Loops are rotated by tail duplication: a
+// block whose only branch is a backward jmp to a loop test of at most
+// three plain instructions ends instead with a copy of that test and its
+// branches, so a loop's back edge is a single cmp; jcc. The
 // instrumentation above is emitted around the rewritten instructions
 // exactly as before: never moved, merged or dropped.
 package codegen

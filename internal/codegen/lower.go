@@ -253,35 +253,19 @@ func (c *ctx) lower(in *ir.Inst) error {
 		return c.lowerCall(in)
 
 	case ir.OpTrunc:
+		// Canonicalize to Ty (see ir.OpTrunc): sign-extend from its width
+		// when it is signed, zero-extend when it is not.
 		v := c.readGPR(in.Args[0], regalloc.ScratchA)
 		d := c.destGPR(in.Res)
 		if d != v {
 			c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: v})
 		}
-		if s := in.Ty.SizeOf(); s < 8 {
-			c.emit(asm.Inst{Op: asm.OpAndRI, Dst: d, Imm: int64(1)<<(8*uint(s)) - 1})
-		}
-		c.flushGPR(in.Res, d)
-	case ir.OpZExt:
-		v := c.readGPR(in.Args[0], regalloc.ScratchA)
-		d := c.destGPR(in.Res)
-		if d != v {
-			c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: v})
-		}
-		if s := c.extSourceSize(in); s < 8 {
-			c.emit(asm.Inst{Op: asm.OpAndRI, Dst: d, Imm: int64(1)<<(8*uint(s)) - 1})
-		}
-		c.flushGPR(in.Res, d)
-	case ir.OpSExt:
-		v := c.readGPR(in.Args[0], regalloc.ScratchA)
-		d := c.destGPR(in.Res)
-		if d != v {
-			c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: v})
-		}
-		if s := c.extSourceSize(in); s < 8 {
+		if s := in.Ty.SizeOf(); s < 8 && in.Ty.Signed {
 			sh := int64(64 - 8*s)
 			c.emit(asm.Inst{Op: asm.OpShlRI, Dst: d, Imm: sh})
 			c.emit(asm.Inst{Op: asm.OpSarRI, Dst: d, Imm: sh})
+		} else if s < 8 {
+			c.emit(asm.Inst{Op: asm.OpAndRI, Dst: d, Imm: int64(1)<<(8*uint(s)) - 1})
 		}
 		c.flushGPR(in.Res, d)
 	case ir.OpBitcast:
@@ -395,15 +379,6 @@ func (c *ctx) setFlags(res ir.Value, cond asm.Cond, float bool) {
 	d := c.destGPR(res)
 	c.emit(asm.Inst{Op: asm.OpSetCC, Cond: cond, Dst: d})
 	c.flushGPR(res, d)
-}
-
-// extSourceSize is the byte width a zext/sext extends from: its operand's
-// width, or the width of a trunc the prepass folded into it.
-func (c *ctx) extSourceSize(in *ir.Inst) int {
-	if in.Imm != 0 {
-		return int(in.Imm)
-	}
-	return c.f.ValueType(in.Args[0]).SizeOf()
 }
 
 func (c *ctx) lowerIntBin(in *ir.Inst) {

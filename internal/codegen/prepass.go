@@ -11,29 +11,29 @@ import (
 // function is not modified: the result shares its unchanged instructions
 // and value types, and rewritten instructions are fresh copies.
 //
-// The rewritten IR uses three codegen-private forms:
+// The rewritten IR uses two codegen-private forms:
 //
 //   - an integer binary op or icmp with a single argument takes its right
 //     operand from Imm (the x64 RI form: add r, imm; cmp r, imm);
 //   - an icmp/fcmp with no result only sets the flags, and the condbr
-//     right after it has no argument and branches on them (cmp; jcc);
-//   - an sext/zext with a nonzero Imm extends the low Imm bytes of its
-//     (wider) argument: a trunc folded into the extension.
+//     right after it has no argument and branches on them (cmp; jcc).
 //
 // The rewrites, block by block:
 //
 //  1. Constant operands. A constant defined once, earlier in the same
 //     block, folds into the RI form of add/sub/mul/and/or/xor/shl/shr/sar
 //     and of icmp (commutative ops and icmp swap their operands, icmp
-//     mirroring its predicate). div/mod have no RI form. A trunc, zext or
-//     sext of such a constant becomes a constant.
+//     mirroring its predicate). div/mod have no RI form. A trunc of such
+//     a constant becomes the constant it canonicalizes to.
 //  2. Copy folding. t = op ...; d = copy t becomes d = op ... when t is
 //     defined once, its only use is that copy, and t and d have the same
 //     resolved privacy and float-ness (never across a taint mismatch). A
 //     no-op integer/pointer bitcast counts as a copy.
-//  3. trunc + extension. t = trunc x; y = ext t from t's width, with the
-//     trunc's only use that extension, becomes y = ext x without the
-//     trunc's mask.
+//  3. Store folding. t = trunc x; store p, t, with the trunc's only use
+//     that store and the store no wider than the trunc, becomes
+//     store p, x: a store writes only the low bytes, which the trunc
+//     does not change. (The taint of x flows into t, so x is never more
+//     private than the memory it is stored to.)
 //  4. Dead constants: a constant left without uses is dropped, so it
 //     takes no register.
 //  5. Compare-and-branch fusion. An icmp whose only use is the condbr
@@ -63,7 +63,7 @@ func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool) *ir.Func {
 			}
 		}
 	}
-	p := &prepassState{f: f, isPrivate: isPrivate, isFloat: isFloat,
+	p := &prepassState{isPrivate: isPrivate, isFloat: isFloat,
 		defs: defs, uses: uses, constVal: make([]int64, n), constBlk: make([]int32, n)}
 
 	// Rewriting never lengthens a block, so the new blocks and their
@@ -106,7 +106,6 @@ func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool) *ir.Func {
 }
 
 type prepassState struct {
-	f                  *ir.Func
 	isPrivate, isFloat func(ir.Value) bool
 	defs, uses         []int32
 	// constVal[v] is the value of v when v is a single-definition
@@ -137,13 +136,13 @@ func (p *prepassState) constant(v ir.Value) (int64, bool) {
 // foldConsts applies rewrite 1 to in, returning in itself or a copy.
 func (p *prepassState) foldConsts(in *ir.Inst) *ir.Inst {
 	switch {
-	case in.Op == ir.OpTrunc || in.Op == ir.OpZExt || in.Op == ir.OpSExt:
+	case in.Op == ir.OpTrunc:
 		k, ok := p.constant(in.Args[0])
 		if !ok {
 			return in
 		}
 		p.uses[in.Args[0]]--
-		return p.alloc(ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: p.castConst(in, k), Ty: in.Ty, Pos: in.Pos})
+		return p.alloc(ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: truncConst(in.Ty, k), Ty: in.Ty, Pos: in.Pos})
 	case (intImmOps[in.Op] != asm.OpInvalid || in.Op == ir.OpICmp) && len(in.Args) == 2:
 		reg, imm := in.Args[0], in.Args[1]
 		pred := in.Pred
@@ -172,18 +171,15 @@ func (p *prepassState) foldConsts(in *ir.Inst) *ir.Inst {
 	return in
 }
 
-// castConst evaluates a trunc/zext/sext of the constant k exactly as the
+// truncConst evaluates a trunc of the constant k to t exactly as the
 // lowering computes it in a register.
-func (p *prepassState) castConst(in *ir.Inst, k int64) int64 {
-	s := in.Ty.SizeOf()
-	if in.Op != ir.OpTrunc {
-		s = p.f.ValueType(in.Args[0]).SizeOf()
-	}
+func truncConst(t *types.Type, k int64) int64 {
+	s := t.SizeOf()
 	if s >= 8 {
 		return k
 	}
 	sh := uint(64 - 8*s)
-	if in.Op == ir.OpSExt {
+	if t.Signed {
 		return k << sh >> sh
 	}
 	return int64(uint64(k) << sh >> sh)
@@ -216,31 +212,28 @@ func mirror(pr ir.Pred) ir.Pred {
 // the single instruction replacing both, or nil.
 func (p *prepassState) merge(prev, in *ir.Inst) *ir.Inst {
 	t := prev.Res
-	if t == ir.NoValue || len(in.Args) != 1 || in.Args[0] != t ||
-		p.defs[t] != 1 || p.uses[t] != 1 {
+	if t == ir.NoValue || p.defs[t] != 1 || p.uses[t] != 1 {
 		return nil
 	}
+	var m *ir.Inst
 	switch {
+	case in.Op == ir.OpStore && prev.Op == ir.OpTrunc && in.Args[1] == t &&
+		in.Ty.SizeOf() <= prev.Ty.SizeOf():
+		m = p.alloc(*in)
+		m.Args = []ir.Value{in.Args[0], prev.Args[0]}
+	case len(in.Args) != 1 || in.Args[0] != t:
+		return nil
 	case in.Op == ir.OpCopy || (in.Op == ir.OpBitcast && !p.isFloat(t) && in.Ty.Kind != types.Float):
 		if p.isPrivate(t) != p.isPrivate(in.Res) || p.isFloat(t) != p.isFloat(in.Res) {
 			return nil
 		}
-		m := p.alloc(*prev)
+		m = p.alloc(*prev)
 		m.Res = in.Res
-		p.uses[t] = 0
-		return m
-	case (in.Op == ir.OpSExt || in.Op == ir.OpZExt) && in.Imm == 0 && prev.Op == ir.OpTrunc:
-		w := prev.Ty.SizeOf()
-		if w >= 8 || p.f.ValueType(t).SizeOf() != w {
-			return nil
-		}
-		m := p.alloc(*in)
-		m.Args = prev.Args[:1:1]
-		m.Imm = int64(w)
-		p.uses[t] = 0
-		return m
+	default:
+		return nil
 	}
-	return nil
+	p.uses[t] = 0
+	return m
 }
 
 // fuseBranches applies rewrite 5 to every block of nf.

@@ -131,34 +131,49 @@ func TestPrepassImmediates(t *testing.T) {
 	}
 }
 
-// TestPrepassCastOfConstant: an extension of a constant becomes a
-// constant even when its result is a multiply-defined variable, and a
-// trunc whose only use is an extension from its width folds into it.
+// TestPrepassCastOfConstant: a trunc of a constant becomes the constant
+// it canonicalizes to (sign-extended for a signed type, zero-extended for
+// an unsigned one, which then folds into an RI operand), even when its
+// result is a multiply-defined variable;
+// a trunc whose only use is the next store, no wider than the trunc,
+// folds into the store, and one feeding a wider store stays.
 func TestPrepassCastOfConstant(t *testing.T) {
+	pubChar := types.MakeInt(1, true, types.Public)
+	pubUint := types.MakeInt(4, false, types.Public)
 	f := &ir.Func{Name: "f", Ret: pubLong}
 	x := f.NewValue(pubLong)
-	f.ParamRegs = []ir.Value{x}
-	f.Params = []*types.Type{pubLong}
-	k := f.NewValue(pubInt)
-	v := f.NewValue(pubLong) // defined twice
-	tr := f.NewValue(pubInt)
-	ext := f.NewValue(pubInt)
+	p := f.NewValue(types.MakePtr(pubChar, types.Public))
+	f.ParamRegs = []ir.Value{x, p}
+	f.Params = []*types.Type{pubLong, f.ValueType(p)}
+	k := f.NewValue(pubLong)
+	v := f.NewValue(pubInt) // defined twice
+	u := f.NewValue(pubUint)
+	tr, wide := f.NewValue(pubChar), f.NewValue(pubChar)
 	f.NewBlock().Insts = []*ir.Inst{
-		{Op: ir.OpConst, Res: k, Imm: -1, Ty: pubInt},
-		{Op: ir.OpSExt, Res: v, Args: []ir.Value{k}, Ty: pubLong},
-		{Op: ir.OpTrunc, Res: tr, Args: []ir.Value{x}, Ty: pubInt},
-		{Op: ir.OpSExt, Res: ext, Args: []ir.Value{tr}, Ty: pubInt},
-		{Op: ir.OpAdd, Res: v, Args: []ir.Value{v, ext}},
+		{Op: ir.OpConst, Res: k, Imm: 0x1ffffffff, Ty: pubLong},
+		{Op: ir.OpTrunc, Res: v, Args: []ir.Value{k}, Ty: pubInt},
+		{Op: ir.OpTrunc, Res: u, Args: []ir.Value{k}, Ty: pubUint},
+		{Op: ir.OpTrunc, Res: tr, Args: []ir.Value{x}, Ty: pubChar},
+		{Op: ir.OpStore, Res: ir.NoValue, Args: []ir.Value{p, tr}, Ty: pubChar},
+		{Op: ir.OpTrunc, Res: wide, Args: []ir.Value{x}, Ty: pubChar},
+		{Op: ir.OpStore, Res: ir.NoValue, Args: []ir.Value{p, wide}, Ty: pubInt},
+		{Op: ir.OpAdd, Res: v, Args: []ir.Value{v, u}},
 		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{v}},
 	}
 	got := runPrepass(f).Blocks[0].Insts
 	if in := got[0]; in.Op != ir.OpConst || in.Res != v || in.Imm != -1 {
-		t.Errorf("sext of a constant into a multiply-defined variable: %v, want v%d = const -1", in, v)
+		t.Errorf("signed trunc of a constant into a multiply-defined variable: %v, want v%d = const -1", in, v)
 	}
-	if in := got[1]; in.Op != ir.OpSExt || in.Args[0] != x || in.Imm != 4 {
-		t.Errorf("trunc+sext: %v, want sext of v%d from 4 bytes", in, x)
+	if in := got[1]; in.Op != ir.OpStore || in.Args[0] != p || in.Args[1] != x {
+		t.Errorf("trunc+store: %v, want store v%d, v%d", in, p, x)
 	}
-	if len(got) != 4 {
-		t.Errorf("got %d instructions, want 4: %v", len(got), got)
+	if in := got[2]; in.Op != ir.OpTrunc || in.Res != wide {
+		t.Errorf("trunc before a wider store folded: %v", in)
+	}
+	if in := got[4]; in.Op != ir.OpAdd || len(in.Args) != 1 || in.Imm != 0xffffffff {
+		t.Errorf("unsigned trunc of a constant: %v, want add v%d, %d", in, v, 0xffffffff)
+	}
+	if len(got) != 6 {
+		t.Errorf("got %d instructions, want 6: %v", len(got), got)
 	}
 }

@@ -66,9 +66,16 @@ const (
 	OpICall // Res = (*Args[0])(Args[1:]...)
 
 	// Conversions. Res type is Ty.
+	//
+	// Every integer register holds its C type's canonical 64-bit value:
+	// a value of a type narrower than 8 bytes is sign-extended from its
+	// width when the type is signed and zero-extended when it is not.
+	// OpTrunc is the one op that establishes that form: it reduces
+	// Args[0] modulo 2^(8*Ty.Size) and re-extends it per Ty's
+	// signedness (an 8-byte Ty keeps the value). Converting to a type
+	// that holds every value of the source is therefore free, and the IR
+	// has no extension ops.
 	OpTrunc
-	OpZExt
-	OpSExt
 	OpBitcast // pointer/int reinterpretation, same size
 	OpIntToFP
 	OpFPToInt
@@ -116,7 +123,7 @@ var opNames = [numOps]string{
 	OpLoad: "load", OpStore: "store",
 	OpAddrOf: "addrof", OpGlobalAddr: "gaddr", OpFuncAddr: "faddr",
 	OpCall: "call", OpICall: "icall",
-	OpTrunc: "trunc", OpZExt: "zext", OpSExt: "sext", OpBitcast: "bitcast",
+	OpTrunc: "trunc", OpBitcast: "bitcast",
 	OpIntToFP: "inttofp", OpFPToInt: "fptoint",
 	OpCopy: "copy", OpVaStart: "vastart",
 	OpBr: "br", OpCondBr: "condbr", OpRet: "ret",

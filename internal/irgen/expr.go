@@ -26,7 +26,7 @@ func (g *generator) genStmt(s minic.Stmt) {
 			g.genLocalDecl(d)
 		}
 	case *minic.ExprStmt:
-		g.genExpr(x.X)
+		g.genEffect(x.X)
 	case *minic.If:
 		cond, _ := g.genExpr(x.Cond)
 		cond = g.truthValue(cond, x.Cond)
@@ -109,7 +109,7 @@ func (g *generator) genStmt(s minic.Stmt) {
 		g.contBlk = g.contBlk[:len(g.contBlk)-1]
 		g.startBlock(post)
 		if x.Post != nil {
-			g.genExpr(x.Post)
+			g.genEffect(x.Post)
 		}
 		g.branchTo(head.ID)
 		g.startBlock(exit)
@@ -186,9 +186,10 @@ func (g *generator) genLocalDecl(d *minic.VarDecl) {
 		}
 		return
 	}
-	// Promoted scalar local.
+	// Promoted scalar local. Its name enters scope after its initializer:
+	// reading it there (undefined in C) would read a register no
+	// instruction has written, which may still hold private data.
 	v := g.fn.NewValue(t)
-	g.define(d.Name, &local{vreg: v, ty: t})
 	if d.Init != nil {
 		iv, it := g.genExpr(d.Init)
 		iv = g.convert(iv, it, t, d.Pos)
@@ -196,6 +197,7 @@ func (g *generator) genLocalDecl(d *minic.VarDecl) {
 	} else {
 		g.emit(&ir.Inst{Op: ir.OpConst, Imm: 0, Ty: t, Res: v})
 	}
+	g.define(d.Name, &local{vreg: v, ty: t})
 }
 
 func (g *generator) allocaAddr(a *ir.Alloca) ir.Value {
@@ -206,8 +208,21 @@ func (g *generator) allocaAddr(a *ir.Alloca) ir.Value {
 // ---- Expressions ----
 
 // genExpr lowers an rvalue expression and returns its value and type.
-// Array-typed expressions decay to element pointers.
+// Array-typed expressions decay to element pointers. A void call has no
+// value, so using one is a compile error.
 func (g *generator) genExpr(e minic.Expr) (ir.Value, *types.Type) {
+	v, t := g.genEffect(e)
+	if t.Kind == types.Void {
+		g.errorf(e.Position(), "void value used as a value")
+		return g.constInt(0, intType), intType
+	}
+	return v, t
+}
+
+// genEffect lowers an expression evaluated for its value or only for its
+// effects: unlike genExpr, it accepts a void call and a cast to void,
+// returning NoValue for them.
+func (g *generator) genEffect(e minic.Expr) (ir.Value, *types.Type) {
 	switch x := e.(type) {
 	case *minic.IntLit:
 		t := intType
@@ -247,6 +262,10 @@ func (g *generator) genExpr(e minic.Expr) (ir.Value, *types.Type) {
 		}
 		return g.loadFrom(addr, elem)
 	case *minic.Cast:
+		if x.Type.Kind == types.Void {
+			g.genEffect(x.X)
+			return ir.NoValue, x.Type
+		}
 		v, t := g.genExpr(x.X)
 		return g.convertExplicit(v, t, x.Type, x.Pos), x.Type
 	case *minic.VaStart:
@@ -310,24 +329,26 @@ func (g *generator) loadFrom(addr ir.Value, elem *types.Type) (ir.Value, *types.
 
 func (g *generator) genUnary(x *minic.Unary) (ir.Value, *types.Type) {
 	switch x.Op {
-	case "-":
+	case "-", "~":
 		v, t := g.genExpr(x.X)
-		if t.Kind == types.Float {
+		if t.Kind == types.Float && x.Op == "-" {
 			z := g.emitV(&ir.Inst{Op: ir.OpFConst, FImm: 0, Ty: t, Res: g.fn.NewValue(t)})
 			rt := t.WithQual(g.gen.Fresh())
 			return g.emitV(&ir.Inst{Op: ir.OpFSub, Args: []ir.Value{z, v},
 				Res: g.fn.NewValue(rt)}), rt
 		}
-		z := g.constInt(0, t)
-		rt := t.WithQual(g.gen.Fresh())
-		return g.emitV(&ir.Inst{Op: ir.OpSub, Args: []ir.Value{z, v},
-			Res: g.fn.NewValue(rt)}), rt
-	case "~":
-		v, t := g.genExpr(x.X)
-		m := g.constInt(-1, t)
-		rt := t.WithQual(g.gen.Fresh())
-		return g.emitV(&ir.Inst{Op: ir.OpXor, Args: []ir.Value{v, m},
-			Res: g.fn.NewValue(rt)}), rt
+		op, k := ir.OpSub, int64(0) // -v is 0 - v, ~v is -1 ^ v
+		if x.Op == "~" {
+			op, k = ir.OpXor, -1
+		}
+		// The operand is promoted (commonType); only an unsigned int
+		// result can leave its range.
+		rt := g.commonType(t, t)
+		r := g.emitV(&ir.Inst{Op: op, Args: []ir.Value{g.constInt(k, t), v}, Res: g.fn.NewValue(rt)})
+		if rt.IsInteger() && rt.Size == 4 && !rt.Signed {
+			r = g.normalize(r, rt)
+		}
+		return r, rt
 	case "!":
 		v, t := g.genExpr(x.X)
 		z := g.constInt(0, t)
@@ -371,6 +392,11 @@ func (g *generator) genUnary(x *minic.Unary) (ir.Value, *types.Type) {
 		nt := elem.WithQual(g.gen.Fresh())
 		neu := g.emitV(&ir.Inst{Op: ir.OpAdd, Args: []ir.Value{old, d},
 			Res: g.fn.NewValue(nt)})
+		// char, short and the unsigned types wrap; signed int overflow is
+		// undefined, so an int counter stays one add.
+		if nt.IsInteger() && nt.Size < 8 && (nt.Size < 4 || !nt.Signed) {
+			neu = g.normalize(neu, nt)
+		}
 		if promoted {
 			g.emit(&ir.Inst{Op: ir.OpCopy, Args: []ir.Value{neu}, Res: lv.vreg})
 		} else {
@@ -492,8 +518,8 @@ func (g *generator) genBinary(x *minic.Binary) (ir.Value, *types.Type) {
 		}
 	}
 	res := g.commonType(lt, rt)
-	// Narrow operands behave per their C width: truncate the result of
-	// sub-64-bit arithmetic back to the common width.
+	// An op that can carry a sub-64-bit result out of its type's range
+	// re-canonicalizes it.
 	v := g.emitV(&ir.Inst{Op: op, Args: []ir.Value{lv, rv}, Res: g.fn.NewValue(res)})
 	if res.Size < 8 && needsNormalize(op) {
 		v = g.normalize(v, res)
@@ -501,7 +527,8 @@ func (g *generator) genBinary(x *minic.Binary) (ir.Value, *types.Type) {
 	return v, res
 }
 
-// needsNormalize reports whether an op can overflow the logical width.
+// needsNormalize reports whether an op can carry a result out of its
+// type's range when its operands are in it.
 func needsNormalize(op ir.Op) bool {
 	switch op {
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpShl:
@@ -510,16 +537,10 @@ func needsNormalize(op ir.Op) bool {
 	return false
 }
 
-// normalize re-extends a sub-64-bit value to its canonical in-register
-// representation (sign- or zero-extended).
+// normalize emits the one trunc that brings v into t's canonical
+// register form (see ir.OpTrunc); the result has type t.
 func (g *generator) normalize(v ir.Value, t *types.Type) ir.Value {
-	op := ir.OpZExt
-	if t.Signed {
-		op = ir.OpSExt
-	}
-	tr := g.emitV(&ir.Inst{Op: ir.OpTrunc, Args: []ir.Value{v}, Ty: t,
-		Res: g.fn.NewValue(t)})
-	return g.emitV(&ir.Inst{Op: op, Args: []ir.Value{tr}, Ty: t,
+	return g.emitV(&ir.Inst{Op: ir.OpTrunc, Args: []ir.Value{v}, Ty: t,
 		Res: g.fn.NewValue(t)})
 }
 
@@ -759,16 +780,9 @@ func (g *generator) genCall(x *minic.Call) (ir.Value, *types.Type) {
 		av, at := g.genExpr(ae)
 		if i < nfixed {
 			av = g.convert(av, at, sig.Params[i], x.Pos)
-		} else if at.IsInteger() && at.Size < 8 {
-			// Default promotion of variadic integer args to 8 bytes.
-			op := ir.OpZExt
-			if at.Signed {
-				op = ir.OpSExt
-			}
-			nt := types.MakeInt(8, at.Signed, g.gen.Fresh())
-			av = g.emitV(&ir.Inst{Op: op, Args: []ir.Value{av}, Ty: nt,
-				Res: g.fn.NewValue(nt)})
 		}
+		// A variadic integer argument is already its 8-byte slot value:
+		// a canonical register holds the promoted value.
 		args = append(args, av)
 	}
 	var res ir.Value = ir.NoValue
@@ -900,27 +914,30 @@ func (g *generator) genAddr(e minic.Expr) (ir.Value, *types.Type, bool) {
 	return ir.NoValue, nil, false
 }
 
-// convert applies implicit conversion from type `from` to `to`.
+// fits reports whether converting a from value to type to leaves its
+// canonical register (see ir.OpTrunc) unchanged: to is 8 bytes wide, or
+// every from value is a to value.
+func fits(from, to *types.Type) bool {
+	if to.Size >= 8 || from.Signed == to.Signed {
+		return to.Size >= from.Size
+	}
+	return to.Signed && to.Size > from.Size
+}
+
+// convert applies implicit conversion from type `from` to `to`. An
+// integer (or pointer) conversion emits one trunc exactly when it changes
+// the canonical register: on narrowing, and from a signed type to an
+// unsigned one narrower than 8 bytes. Widening is otherwise free.
 func (g *generator) convert(v ir.Value, from, to *types.Type, pos minic.Pos) ir.Value {
 	if from == nil || to == nil || to.Kind == types.Void {
 		return v
 	}
 	switch {
-	case from.IsInteger() && to.IsInteger():
-		if from.Size == to.Size {
+	case to.IsInteger() && (from.IsInteger() || from.Kind == types.Ptr && to.Size < 8):
+		if from.IsInteger() && fits(from, to) {
 			return v
 		}
-		if to.Size < from.Size {
-			tv := g.emitV(&ir.Inst{Op: ir.OpTrunc, Args: []ir.Value{v}, Ty: to,
-				Res: g.fn.NewValue(to.WithQual(g.gen.Fresh()))})
-			return tv
-		}
-		op := ir.OpZExt
-		if from.Signed {
-			op = ir.OpSExt
-		}
-		return g.emitV(&ir.Inst{Op: op, Args: []ir.Value{v}, Ty: to,
-			Res: g.fn.NewValue(to.WithQual(g.gen.Fresh()))})
+		return g.normalize(v, to.WithQual(g.gen.Fresh()))
 	case from.IsInteger() && to.Kind == types.Float:
 		return g.toFloat(v, from)
 	case from.Kind == types.Float && to.IsInteger():

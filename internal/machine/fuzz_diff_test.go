@@ -7,8 +7,9 @@
 // edges are exactly where superblock dispatch and direct block chaining
 // can diverge from per-instruction stepping; it keeps more locals live
 // across a loop than there are registers, so the allocator's eviction
-// runs; and it emits occasional unguarded divisions so divide-fault
-// delivery is fuzzed too.
+// runs; it emits occasional unguarded divisions so divide-fault
+// delivery is fuzzed too; and it wraps subexpressions in narrowing casts,
+// so every variant's lowering of them is compared.
 package machine_test
 
 import (
@@ -38,6 +39,9 @@ const (
 	fuzzArrLen  = 32
 )
 
+// narrowCasts are the casts expr wraps around a subexpression.
+var narrowCasts = []string{"(int)", "(short)", "(char)", "(unsigned int)"}
+
 // expr emits a depth-bounded integer expression over the in-scope names.
 func (g *progGen) expr(depth, fn int) string {
 	if depth <= 0 || g.r.Intn(3) == 0 {
@@ -56,7 +60,7 @@ func (g *progGen) expr(depth, fn int) string {
 	}
 	a := g.expr(depth-1, fn)
 	b := g.expr(depth-1, fn)
-	switch g.r.Intn(12) {
+	switch g.r.Intn(13) {
 	case 0:
 		return "(" + a + " + " + b + ")"
 	case 1:
@@ -85,6 +89,10 @@ func (g *progGen) expr(depth, fn int) string {
 		return "(" + a + " % (((" + b + ") & 7) + 1))"
 	case 10:
 		return "(" + a + " < " + b + ")"
+	case 11:
+		// A narrowing cast: its trunc canonicalizes the value for the
+		// long arithmetic around it (sign-extended or zero-extended).
+		return narrowCasts[g.r.Intn(len(narrowCasts))] + "(" + a + ")"
 	default:
 		if fn > 0 {
 			return fmt.Sprintf("f%d(%s, %s)", g.r.Intn(fn), a, b)

@@ -186,7 +186,7 @@ func (c *collector) collectInst(f *ir.Func, in *ir.Inst) {
 	case ir.OpCopy:
 		c.subValue(ty(in.Args[0]), ty(in.Res), in.Pos, "assignment")
 
-	case ir.OpTrunc, ir.OpZExt, ir.OpSExt, ir.OpIntToFP, ir.OpFPToInt:
+	case ir.OpTrunc, ir.OpIntToFP, ir.OpFPToInt:
 		c.sub(ty(in.Args[0]).Qual, ty(in.Res).Qual, in.Pos, "conversion")
 
 	case ir.OpBitcast:
