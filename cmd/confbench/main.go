@@ -181,6 +181,10 @@ type benchRow struct {
 	LatP99Cycles  uint64 `json:"latency_p99_cycles,omitempty"`
 	LatMaxCycles  uint64 `json:"latency_max_cycles,omitempty"`
 	MaxQueue      uint64 `json:"max_queue,omitempty"`
+
+	// Opcodes is the row's dynamic opcode histogram keyed by
+	// asm.Op.Name, set only when -profile turned profiling on.
+	Opcodes map[string]uint64 `json:"opcodes,omitempty"`
 }
 
 // benchReport is the -json report schema (BENCH_interp.json,
@@ -236,7 +240,7 @@ func record(figure, workload, variant string, m *bench.Measurement) {
 	row := benchRow{
 		Figure: figure, Workload: workload, Variant: variant,
 		WallCycles: m.Wall, Instrs: m.Stats.Instrs, HostNS: m.HostNS,
-		MIPS: m.MIPS(),
+		MIPS: m.MIPS(), Opcodes: m.Opcodes,
 	}
 	if rep := m.Serve; rep != nil {
 		row.TotalReqs = rep.Total
@@ -376,7 +380,7 @@ func main() {
 	list := flag.Bool("list", false, "print known figures and registered workloads, then exit")
 	jsonOut := flag.Bool("json", false, "also write a JSON perf report")
 	outPath := flag.String("out", "BENCH_interp.json", "path of the JSON report (with -json)")
-	profilePath := flag.String("profile", "", "enable cycle profiling and write the merged folded-stack profile of every cell to this file")
+	profilePath := flag.String("profile", "", "enable cycle profiling and write the merged folded-stack profile of every cell to this file (with -json, rows also carry their dynamic opcode histograms)")
 	flag.Parse()
 
 	mcfg = machine.DefaultConfig()

@@ -15,7 +15,10 @@
 // tree in Chrome trace-event format for chrome://tracing or Perfetto,
 // and -profile enables the machine's cycle-attribution profiler and
 // writes a folded-stack per-function profile whose cycle total equals
-// the run's cycle counter exactly. All four are pure observation: the
+// the run's cycle counter exactly; it also prints the dynamic opcode
+// histogram, which sums to the instruction count (the register and
+// immediate forms of an opcode count apart, as mov.rr and mov.ri). All
+// four are pure observation: the
 // simulated execution is bit-identical with or without them.
 package main
 
@@ -23,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -161,9 +165,29 @@ func main() {
 		writeFile(*profilePath, []byte(prof.Folded()))
 		fmt.Printf("profile:   %s (%d symbols, %d cycles)\n",
 			*profilePath, len(prof.Top()), prof.TotalCycles())
+		printOpcodes(res.Profile.Opcodes(), res.Stats.Instrs)
 	}
 	if res.Fault != nil {
 		os.Exit(1)
+	}
+}
+
+// printOpcodes prints the dynamic opcode histogram, most executed first,
+// with each opcode's share of the instrs executed.
+func printOpcodes(ops map[string]uint64, instrs uint64) {
+	names := make([]string, 0, len(ops))
+	for n := range ops {
+		names = append(names, n)
+	}
+	sort.Slice(names, func(i, j int) bool {
+		if ops[names[i]] != ops[names[j]] {
+			return ops[names[i]] > ops[names[j]]
+		}
+		return names[i] < names[j]
+	})
+	fmt.Printf("opcodes:   %d kinds over %d instrs\n", len(ops), instrs)
+	for _, n := range names {
+		fmt.Printf("  %-10s %12d  %5.1f%%\n", n, ops[n], 100*float64(ops[n])/float64(max(instrs, 1)))
 	}
 }
 

@@ -347,9 +347,10 @@ int main() {
 }
 
 // TestE2EIntegerConversions pins C's integer-conversion semantics: every
-// integer register holds its C type's value, so narrowing casts, signed
-// narrow overflow, unsigned wraparound in ++/--, and unary - and ~ on
-// promoted operands give what C gives, under Base and both checked
+// integer register holds its C type's value wherever its high bits are
+// read, so narrowing casts, signed narrow overflow, unsigned wraparound in
+// ++/--, unary - and ~ on promoted operands, the usual arithmetic
+// conversions and unsigned division give what C gives, under Base and both checked
 // variants (which must also pass ConfVerify). Each case's body leaves its
 // result in r.
 func TestE2EIntegerConversions(t *testing.T) {
@@ -375,6 +376,23 @@ func TestE2EIntegerConversions(t *testing.T) {
 		{"signed char to unsigned zero-extends", `char c = -1; unsigned u = c; long l = u; r = l;`, 4294967295},
 		{"pointer to int truncates", `char *p = (char*)4294967297; int x = (int)p; r = x == 1;`, 1},
 		{"narrowing store keeps low byte", `char buf[4]; long big = 511; buf[1] = (char)big; r = buf[1];`, -1},
+		// Unsigned 64-bit division divides unsigned.
+		{"unsigned long divide", `unsigned long x = 0; x = x - 1; r = x / 2;`, 9223372036854775807},
+		{"unsigned long modulo", `unsigned long x = 0; x = x - 1; r = x % 10;`, 5},
+		// The usual arithmetic conversions: a signed int meeting an
+		// unsigned int converts to it.
+		{"int equals unsigned max", `int a = -1; unsigned b = 4294967295; r = a == b;`, 1},
+		{"int or unsigned is unsigned", `int a = -1; unsigned z = 0; long l = a | z; r = l;`, 4294967295},
+		{"int divided by unsigned", `int a = -1; unsigned one = 1; r = a / one;`, 4294967295},
+		{"unsigned char compares as int", `unsigned char c = 200; r = c < -1;`, 0},
+		// int arithmetic that wraps past 2^31 is read where its high bits
+		// matter: the trunc after each narrow op must survive there.
+		{"wrapped int compared", `int w = 2147483647; w = w + 2; r = w < 0;`, 1},
+		{"wrapped int divided", `int h = 0; int i; for (i = 0; i < 2; i++) h = h * 65599 + 1000000007; r = h / 1000;`, -1330019},
+		{"wrapped int indexes", `long a[4]; int k = 65536; a[1] = 7; k = k * k + 1; r = a[k];`, 7},
+		{"wrapped int accumulator shifted after its loop", `int acc = 0; int i; for (i = 0; i < 3; i++) acc += 2000000000; r = acc >> 4;`, 106564544},
+		{"wrapped int widened", `int m = 65536; int w = m * m - 5; long l = w; r = l;`, -5},
+		{"wrapped int to double", `int m = 65536; int w = m * m - 5; double d = w; r = d < 0.0;`, 1},
 	}
 	for _, tc := range cases {
 		src := Source{"conv.c", `

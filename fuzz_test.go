@@ -21,9 +21,11 @@ import (
 // empty loop bodies, register pressure (pressure: 15 public and
 // private locals live across a loop with a call inside it, where spill
 // eviction and the register pools' taint rules interact), narrow-integer
-// conversions and wraparound (int-narrow), void calls used as values
-// (void-result, void-operand) and a local read in its own initializer
-// (self-init).
+// conversions and wraparound (int-narrow), int arithmetic wrapping past
+// 2^31 before a compare, a division, an index, a right shift and a
+// conversion to double, with unsigned 64-bit division beside it
+// (int-wrap), void calls used as values (void-result, void-operand) and
+// a local read in its own initializer (self-init).
 func FuzzCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		// Nested macro bodies can multiply the token count by 2^n; bound n

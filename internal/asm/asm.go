@@ -312,6 +312,12 @@ const (
 
 	OpNop
 
+	// Added after the original opcode set so that no existing encoding
+	// moves.
+	OpMovsx  // Dst <- Dst sign-extended from its low Imm bytes (movsxd/movsx)
+	OpUDivRR // Dst <- Dst / Src (unsigned); faults on divide-by-zero
+	OpUModRR // Dst <- Dst % Src (unsigned)
+
 	numOps
 )
 
@@ -320,6 +326,7 @@ var opNames = map[Op]string{
 	OpLea: "lea", OpPush: "push", OpPop: "pop",
 	OpAddRR: "add", OpAddRI: "add", OpSubRR: "sub", OpSubRI: "sub",
 	OpMulRR: "imul", OpMulRI: "imul", OpDivRR: "idiv", OpModRR: "imod",
+	OpUDivRR: "div", OpUModRR: "mod", OpMovsx: "movsx",
 	OpAndRR: "and", OpAndRI: "and", OpOrRR: "or", OpOrRI: "or",
 	OpXorRR: "xor", OpXorRI: "xor",
 	OpShlRR: "shl", OpShlRI: "shl", OpShrRR: "shr", OpShrRI: "shr",
@@ -342,6 +349,38 @@ func (o Op) String() string {
 		return n
 	}
 	return fmt.Sprintf("op?%d", uint8(o))
+}
+
+// formSuffix names each operand form for Name.
+var formSuffix = [...]string{
+	kR: "r", kRsrc: "r", kRR: "rr", kRI: "ri", kRM: "rm", kMR: "mr",
+	kI: "i", kCI: "i", kCR: "r", kMB: "m", kRB: "r", kFM: "fm", kMF: "mf",
+	kFF: "ff", kFI: "fi", kFR: "fr", kRF: "rf",
+}
+
+// opUniqueNames holds Name's result for every opcode.
+var opUniqueNames = func() (names [numOps]string) {
+	shared := map[string]int{}
+	for op := OpInvalid + 1; op < numOps; op++ {
+		shared[op.String()]++
+	}
+	for op := OpInvalid + 1; op < numOps; op++ {
+		names[op] = op.String()
+		if shared[names[op]] > 1 {
+			names[op] += "." + formSuffix[opKinds[op]]
+		}
+	}
+	return names
+}()
+
+// Name returns a name that no other opcode has: the mnemonic, followed
+// by the operand form when opcodes share a mnemonic ("mov.rr", "mov.ri",
+// "shl.ri"). Dynamic opcode histograms are keyed by it.
+func (o Op) Name() string {
+	if o > OpInvalid && o < numOps {
+		return opUniqueNames[o]
+	}
+	return o.String()
 }
 
 // Inst is a single decoded (or not-yet-encoded) instruction. Fields are
@@ -374,14 +413,16 @@ func (i Inst) String() string {
 		return fmt.Sprintf("push %s", i.Src)
 	case OpPop:
 		return fmt.Sprintf("pop %s", i.Dst)
-	case OpAddRR, OpSubRR, OpMulRR, OpDivRR, OpModRR, OpAndRR, OpOrRR, OpXorRR,
-		OpShlRR, OpShrRR, OpSarRR, OpCmpRR, OpTestRR:
+	case OpAddRR, OpSubRR, OpMulRR, OpDivRR, OpModRR, OpUDivRR, OpUModRR,
+		OpAndRR, OpOrRR, OpXorRR, OpShlRR, OpShrRR, OpSarRR, OpCmpRR, OpTestRR:
 		return fmt.Sprintf("%s %s, %s", i.Op, i.Dst, i.Src)
 	case OpAddRI, OpSubRI, OpMulRI, OpAndRI, OpOrRI, OpXorRI,
 		OpShlRI, OpShrRI, OpSarRI, OpCmpRI, OpTestRI:
 		return fmt.Sprintf("%s %s, %d", i.Op, i.Dst, i.Imm)
 	case OpNeg, OpNot:
 		return fmt.Sprintf("%s %s", i.Op, i.Dst)
+	case OpMovsx:
+		return fmt.Sprintf("movsx %s, %d", i.Dst, i.Imm)
 	case OpCmpMR:
 		return fmt.Sprintf("cmp %s, %s", i.M, i.Src)
 	case OpSetCC:

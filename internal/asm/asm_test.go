@@ -97,6 +97,50 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
+// TestSignExtendAndUnsignedDivideForms pins the forms the round trip
+// above covers for the sign-extension and unsigned divide opcodes:
+// movsx is in place with its width in Imm, div and mod are
+// register-register, and each prints as its mnemonic.
+func TestSignExtendAndUnsignedDivideForms(t *testing.T) {
+	for in, want := range map[Inst]string{
+		{Op: OpMovsx, Dst: RAX, Imm: 4}:    "movsx rax, 4",
+		{Op: OpMovsx, Dst: R15, Imm: 1}:    "movsx r15, 1",
+		{Op: OpUDivRR, Dst: RCX, Src: RBX}: "div rcx, rbx",
+		{Op: OpUModRR, Dst: R8, Src: R9}:   "mod r8, r9",
+		{Op: OpDivRR, Dst: RCX, Src: RBX}:  "idiv rcx, rbx",
+	} {
+		if got := in.String(); got != want {
+			t.Errorf("%+v prints %q, want %q", in, got, want)
+		}
+	}
+	for op, want := range map[Op]int{OpMovsx: 10, OpUDivRR: 3, OpUModRR: 3} {
+		if got := EncodedLen(op); got != want {
+			t.Errorf("%v encodes in %d bytes, want %d", op, got, want)
+		}
+	}
+}
+
+// TestOpNamesUnique: Name tells every opcode apart, so a dynamic opcode
+// histogram keyed by it never merges two opcodes.
+func TestOpNamesUnique(t *testing.T) {
+	seen := map[string]Op{}
+	for op := OpInvalid + 1; op < numOps; op++ {
+		n := op.Name()
+		if prev, dup := seen[n]; dup {
+			t.Errorf("opcodes %d and %d are both named %q", prev, op, n)
+		}
+		seen[n] = op
+	}
+	for op, want := range map[Op]string{
+		OpMovRR: "mov.rr", OpMovRI: "mov.ri", OpShlRI: "shl.ri", OpShlRR: "shl.rr",
+		OpSarRI: "sar.ri", OpMovsx: "movsx", OpUDivRR: "div", OpLoad: "load",
+	} {
+		if got := op.Name(); got != want {
+			t.Errorf("%v.Name() = %q, want %q", op, got, want)
+		}
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	if _, _, err := Decode([]byte{0xFF}, 0); err == nil {
 		t.Error("invalid opcode must fail")

@@ -48,6 +48,7 @@ var opKinds = [numOps]opKind{
 	OpFAdd: kFF, OpFSub: kFF, OpFMul: kFF, OpFDiv: kFF, OpFMax: kFF, OpFCmp: kFF,
 	OpCvtIF: kFR, OpCvtFI: kRF, OpMovQIF: kFR, OpMovQFI: kRF,
 	OpWrFS: kRsrc, OpWrGS: kRsrc, OpSyscall: kNone, OpNop: kNone,
+	OpMovsx: kRI, OpUDivRR: kRR, OpUModRR: kRR,
 }
 
 const memEncLen = 8

@@ -41,6 +41,9 @@ type Measurement struct {
 	// Profile is the symbolized per-function cycle profile, non-nil only
 	// when the cell ran with machine profiling enabled.
 	Profile *obs.Profile
+	// Opcodes is the dynamic opcode histogram (machine.Profile.Opcodes),
+	// set with Profile.
+	Opcodes map[string]uint64
 }
 
 // MIPS returns the interpreter throughput of this run in millions of

@@ -52,6 +52,7 @@ func (wl *Workload) Run(v confllvm.Variant, mconf *machine.Config) (*Measurement
 		Outputs: res.Outputs, Res: res, HostNS: hostNS}
 	if res.Profile != nil {
 		m.Profile = obs.FlattenProfile(res.Profile, art.Image)
+		m.Opcodes = res.Profile.Opcodes()
 	}
 	return m, nil
 }

@@ -253,17 +253,17 @@ func (c *ctx) lower(in *ir.Inst) error {
 		return c.lowerCall(in)
 
 	case ir.OpTrunc:
-		// Canonicalize to Ty (see ir.OpTrunc): sign-extend from its width
-		// when it is signed, zero-extend when it is not.
+		// Canonicalize to Ty (see ir.OpTrunc) with one instruction: a
+		// movsx from Ty's width when it is signed, an and mask when it is
+		// not. opt has already turned every trunc whose high bits nothing
+		// reads into a copy.
 		v := c.readGPR(in.Args[0], regalloc.ScratchA)
 		d := c.destGPR(in.Res)
 		if d != v {
 			c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: v})
 		}
 		if s := in.Ty.SizeOf(); s < 8 && in.Ty.Signed {
-			sh := int64(64 - 8*s)
-			c.emit(asm.Inst{Op: asm.OpShlRI, Dst: d, Imm: sh})
-			c.emit(asm.Inst{Op: asm.OpSarRI, Dst: d, Imm: sh})
+			c.emit(asm.Inst{Op: asm.OpMovsx, Dst: d, Imm: int64(s)})
 		} else if s < 8 {
 			c.emit(asm.Inst{Op: asm.OpAndRI, Dst: d, Imm: int64(1)<<(8*uint(s)) - 1})
 		}
@@ -409,6 +409,15 @@ func (c *ctx) lowerIntBin(in *ir.Inst) {
 	b := c.readGPR(in.Args[1], regalloc.ScratchB)
 	d := c.destGPR(in.Res)
 	op := intBinOps[in.Op]
+	if rt := c.f.ValueType(in.Res); rt.IsInteger() && !rt.Signed {
+		// div/mod divide by the signedness of the result type.
+		switch in.Op {
+		case ir.OpDiv:
+			op = asm.OpUDivRR
+		case ir.OpMod:
+			op = asm.OpUModRR
+		}
+	}
 	switch {
 	case d == a:
 		c.emit(asm.Inst{Op: op, Dst: d, Src: b})

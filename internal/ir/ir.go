@@ -67,14 +67,20 @@ const (
 
 	// Conversions. Res type is Ty.
 	//
-	// Every integer register holds its C type's canonical 64-bit value:
-	// a value of a type narrower than 8 bytes is sign-extended from its
+	// An integer register holds its C type's canonical 64-bit value
+	// wherever its high bits (those above the type's width) are read: a
+	// value of a type narrower than 8 bytes is sign-extended from its
 	// width when the type is signed and zero-extended when it is not.
 	// OpTrunc is the one op that establishes that form: it reduces
 	// Args[0] modulo 2^(8*Ty.Size) and re-extends it per Ty's
 	// signedness (an 8-byte Ty keeps the value). Converting to a type
 	// that holds every value of the source is therefore free, and the IR
-	// has no extension ops.
+	// has no extension ops. irgen emits a trunc after every narrow op
+	// that can leave the range; opt turns each one whose high bits
+	// nothing reads into a copy, so between a value's def and its uses
+	// that only read its low bits (add, sub, mul, and, or, xor, shl,
+	// narrowing truncs, copies and stores no wider than the value; see
+	// opt's readsHighBits) the register may hold other high bits.
 	OpTrunc
 	OpBitcast // pointer/int reinterpretation, same size
 	OpIntToFP

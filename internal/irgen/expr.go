@@ -454,7 +454,17 @@ func (g *generator) genBinary(x *minic.Binary) (ir.Value, *types.Type) {
 				Args: []ir.Value{lv, rv}, Res: g.fn.NewValue(res)}), res
 		}
 		pred := preds[0]
-		if g.isUnsignedCmp(lt, rt) {
+		if lt.IsInteger() && rt.IsInteger() {
+			// The usual arithmetic conversions: both operands become
+			// their common type, which also picks the predicate. Only a
+			// signed operand of an unsigned int compare changes its
+			// register (a trunc that zero-extends it).
+			ct := g.commonType(lt, rt)
+			lv, rv = g.convert(lv, lt, ct, x.Pos), g.convert(rv, rt, ct, x.Pos)
+			if !ct.Signed {
+				pred = preds[1]
+			}
+		} else if lt.Kind == types.Ptr || rt.Kind == types.Ptr {
 			pred = preds[1]
 		}
 		return g.emitV(&ir.Inst{Op: ir.OpICmp, Pred: pred,
@@ -518,6 +528,11 @@ func (g *generator) genBinary(x *minic.Binary) (ir.Value, *types.Type) {
 		}
 	}
 	res := g.commonType(lt, rt)
+	if lt.IsInteger() && rt.IsInteger() && op != ir.OpShl && op != ir.OpShr && op != ir.OpSar {
+		// The usual arithmetic conversions (a shift converts neither
+		// operand to the other's type).
+		lv, rv = g.convert(lv, lt, res, x.Pos), g.convert(rv, rt, res, x.Pos)
+	}
 	// An op that can carry a sub-64-bit result out of its type's range
 	// re-canonicalizes it.
 	v := g.emitV(&ir.Inst{Op: op, Args: []ir.Value{lv, rv}, Res: g.fn.NewValue(res)})
@@ -542,13 +557,6 @@ func needsNormalize(op ir.Op) bool {
 func (g *generator) normalize(v ir.Value, t *types.Type) ir.Value {
 	return g.emitV(&ir.Inst{Op: ir.OpTrunc, Args: []ir.Value{v}, Ty: t,
 		Res: g.fn.NewValue(t)})
-}
-
-func (g *generator) isUnsignedCmp(a, b *types.Type) bool {
-	if a.Kind == types.Ptr || b.Kind == types.Ptr {
-		return true
-	}
-	return (a.IsInteger() && !a.Signed) || (b.IsInteger() && !b.Signed)
 }
 
 func (g *generator) ptrOffset(p ir.Value, pt *types.Type, idx ir.Value, neg bool) (ir.Value, *types.Type) {
@@ -724,6 +732,9 @@ func (g *generator) genBinaryOn(pos minic.Pos, op string, old ir.Value, oldTy *t
 		}
 	}
 	res := g.commonType(oldTy, rt)
+	if oldTy.IsInteger() && rt.IsInteger() && iop != ir.OpShl && iop != ir.OpShr && iop != ir.OpSar {
+		old, rv = g.convert(old, oldTy, res, pos), g.convert(rv, rt, res, pos)
+	}
 	v := g.emitV(&ir.Inst{Op: iop, Args: []ir.Value{old, rv}, Res: g.fn.NewValue(res)})
 	if res.Size < 8 && needsNormalize(iop) {
 		v = g.normalize(v, res)

@@ -8,8 +8,12 @@
 // can diverge from per-instruction stepping; it keeps more locals live
 // across a loop than there are registers, so the allocator's eviction
 // runs; it emits occasional unguarded divisions so divide-fault
-// delivery is fuzzed too; and it wraps subexpressions in narrowing casts,
-// so every variant's lowering of them is compared.
+// delivery is fuzzed too; it wraps subexpressions in narrowing casts,
+// so every variant's lowering of them is compared; and it runs int
+// arithmetic past 2^31 right before a compare, a division or an index,
+// which read the wrapped value's high bits. Every variant shares the IR
+// optimizer, so TestFuzzDifferential also checks the outputs against an
+// unoptimized (NoOpt) Base build of the same program.
 package machine_test
 
 import (
@@ -37,6 +41,7 @@ const (
 	fuzzGlobals = 4
 	fuzzLocals  = 12 // with acc and the counters, more than the 12 allocatable GPRs
 	fuzzArrLen  = 32
+	fuzzWraps   = 2 // int locals w0, w1 that wrap() drives past 2^31
 )
 
 // narrowCasts are the casts expr wraps around a subexpression.
@@ -106,7 +111,7 @@ func (g *progGen) expr(depth, fn int) string {
 // is the loop-nesting level (used to pick distinct counter names).
 func (g *progGen) stmts(b *strings.Builder, n, depth, fn, lv int) {
 	for i := 0; i < n; i++ {
-		switch g.r.Intn(7) {
+		switch g.r.Intn(8) {
 		case 0, 1:
 			fmt.Fprintf(b, "l%d = %s;\n", g.r.Intn(fuzzLocals), g.expr(depth, fn))
 		case 2:
@@ -127,9 +132,33 @@ func (g *progGen) stmts(b *strings.Builder, n, depth, fn, lv int) {
 				continue
 			}
 			g.loop(b, depth, fn, lv)
+		case 6:
+			g.wrap(b, depth, fn, lv)
 		default:
 			fmt.Fprintf(b, "acc = acc + %s;\n", g.expr(depth, fn))
 		}
+	}
+}
+
+// wrap emits int arithmetic that wraps past 2^31, then reads the wrapped
+// value where its high bits matter: in a compare, a division or an
+// index. Each add leaves the value in range only through its trunc, so
+// a trunc dropped in error shows as a different branch, quotient or
+// (out-of-bounds) load.
+func (g *progGen) wrap(b *strings.Builder, depth, fn, lv int) {
+	w := fmt.Sprintf("w%d", g.r.Intn(fuzzWraps))
+	fmt.Fprintf(b, "%s = %s * 65599 + (int)(%s);\n", w, w, g.expr(depth-1, fn))
+	switch g.r.Intn(3) {
+	case 0:
+		fmt.Fprintf(b, "if (%s + 2147483647 < %s) {\n", w, w)
+		g.stmts(b, 1, depth-1, fn, lv)
+		b.WriteString("}\n")
+	case 1:
+		fmt.Fprintf(b, "l%d = (%s + 2147483647) / (((%s) & 7) + 1);\n",
+			g.r.Intn(fuzzLocals), w, g.expr(depth-1, fn))
+	default:
+		// (w & 15) + 2^32 wraps back to w & 15, a valid index.
+		fmt.Fprintf(b, "l%d = arr[(%s & 15) + 2147483647 + 2147483647 + 2];\n", g.r.Intn(fuzzLocals), w)
 	}
 }
 
@@ -143,6 +172,8 @@ func (g *progGen) loop(b *strings.Builder, depth, fn, lv int) {
 
 // body emits a function body's statements: n random ones, then a loop,
 // then a sum of every local, so all of them are live across the loop.
+// The int locals enter the sum through a right shift and a widening,
+// which read the high bits of whatever the loop left in them.
 func (g *progGen) body(b *strings.Builder, n, depth, fn int) {
 	g.stmts(b, n, depth, fn, 0)
 	g.loop(b, depth, fn, 0)
@@ -150,7 +181,14 @@ func (g *progGen) body(b *strings.Builder, n, depth, fn int) {
 	for i := 0; i < fuzzLocals; i++ {
 		fmt.Fprintf(b, " + l%d", i)
 	}
-	b.WriteString(";\n")
+	b.WriteString(" + (w0 >> 3) + w1;\n")
+}
+
+// wraps declares the int locals wrap drives, starting near INT_MAX.
+func (g *progGen) wraps(b *strings.Builder) {
+	for i := 0; i < fuzzWraps; i++ {
+		fmt.Fprintf(b, "int w%d = %d;\n", i, 2147483647-g.r.Int63n(100))
+	}
 }
 
 func (g *progGen) fn(b *strings.Builder, idx int) {
@@ -159,6 +197,7 @@ func (g *progGen) fn(b *strings.Builder, idx int) {
 	for i := 0; i < fuzzLocals; i++ {
 		fmt.Fprintf(b, "long l%d = %d;\n", i, g.r.Int63n(100))
 	}
+	g.wraps(b)
 	g.body(b, 2+g.r.Intn(3), 2, idx)
 	b.WriteString("return acc;\n}\n\n")
 }
@@ -179,6 +218,7 @@ func (g *progGen) generate() string {
 	for i := 0; i < fuzzLocals; i++ {
 		fmt.Fprintf(&b, "long l%d = %d;\n", i, g.r.Int63n(50))
 	}
+	g.wraps(&b)
 	g.body(&b, 4+g.r.Intn(4), 3, g.nFuncs)
 	b.WriteString("output(acc);\n")
 	for i := 0; i < fuzzGlobals; i++ {
@@ -191,7 +231,9 @@ func (g *progGen) generate() string {
 // TestFuzzDifferential compiles each seeded random program under every
 // variant and differentially executes both dispatch modes of each image.
 // The variants must agree on outputs, exit code and fault kind:
-// instrumentation never changes program semantics. The log counts the
+// instrumentation never changes program semantics. They must also agree
+// with a NoOpt Base build, which keeps every trunc irgen emits, so an
+// optimizer bug that all variants share still shows. The log counts the
 // images whose register pools overflowed (spill-slot traffic), which is
 // when the allocator's eviction rule runs. Failures reproduce from the
 // seed in the subtest name.
@@ -213,14 +255,21 @@ func TestFuzzDifferential(t *testing.T) {
 			t.Parallel() // each seed compiles and runs its own program end to end
 			g := &progGen{r: rand.New(rand.NewSource(int64(seed)*7919 + 17)), nFuncs: 1 + seed%3}
 			src := g.generate()
-			var ref *confllvm.Result
+			prog := confllvm.Program{
+				Sources: []confllvm.Source{
+					{Name: "fuzz.c", Code: src},
+					{Name: "ulib.c", Code: bench.ULib},
+				},
+			}
+			unopt := prog
+			unopt.NoOpt = true
+			art, err := confllvm.Compile(unopt, confllvm.VariantBase)
+			if err != nil {
+				t.Fatalf("generated program failed to compile without optimization:\n%s\nerror: %v", src, err)
+			}
+			ref := diffRun(t, art, confllvm.NewWorld, nil)
 			for i, v := range confllvm.AllVariants() {
-				art, err := confllvm.Compile(confllvm.Program{
-					Sources: []confllvm.Source{
-						{Name: "fuzz.c", Code: src},
-						{Name: "ulib.c", Code: bench.ULib},
-					},
-				}, v)
+				art, err := confllvm.Compile(prog, v)
 				if err != nil {
 					t.Fatalf("generated program failed to compile under %v:\n%s\nerror: %v", v, src, err)
 				}
@@ -234,13 +283,10 @@ func TestFuzzDifferential(t *testing.T) {
 					t.Fatalf("unexpected fault kind under %v (still mode-identical): %v\nprogram:\n%s",
 						v, res.Fault, src)
 				}
-				if ref == nil {
-					ref = res
-				} else if !slices.Equal(res.Outputs, ref.Outputs) || res.ExitCode != ref.ExitCode ||
+				if !slices.Equal(res.Outputs, ref.Outputs) || res.ExitCode != ref.ExitCode ||
 					(res.Fault == nil) != (ref.Fault == nil) || res.Fault != nil && res.Fault.Kind != ref.Fault.Kind {
-					t.Fatalf("%v diverges from %v: outputs %v vs %v, exit %d vs %d, fault %v vs %v\nprogram:\n%s",
-						v, confllvm.AllVariants()[0], res.Outputs, ref.Outputs, res.ExitCode, ref.ExitCode,
-						res.Fault, ref.Fault, src)
+					t.Fatalf("%v diverges from the unoptimized Base build: outputs %v vs %v, exit %d vs %d, fault %v vs %v\nprogram:\n%s",
+						v, res.Outputs, ref.Outputs, res.ExitCode, ref.ExitCode, res.Fault, ref.Fault, src)
 				}
 				// Every few seeds, re-run one variant with the instruction
 				// budget cut to a point inside the program, so the fuel fault

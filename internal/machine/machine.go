@@ -392,7 +392,7 @@ func (t *Thread) Step() *Fault {
 			hpc, c0 := t.PC, t.Stats.Cycles
 			f := h(m, t)
 			if prof := m.prof; prof != nil {
-				prof.add(hpc, t.Stats.Cycles-c0, 0)
+				prof.add(hpc, t.Stats.Cycles-c0, nil)
 			}
 			if f != nil {
 				return t.fault(f)
@@ -554,6 +554,20 @@ chained:
 					break loop
 				}
 				t.Regs[ip.Dst] = uint64(n % d)
+			case asm.OpUDivRR:
+				d := t.Regs[ip.Src]
+				if d == 0 {
+					fault = &Fault{Kind: FaultDivide}
+					break loop
+				}
+				t.Regs[ip.Dst] /= d
+			case asm.OpUModRR:
+				d := t.Regs[ip.Src]
+				if d == 0 {
+					fault = &Fault{Kind: FaultDivide}
+					break loop
+				}
+				t.Regs[ip.Dst] %= d
 			case asm.OpAndRR:
 				t.Regs[ip.Dst] &= t.Regs[ip.Src]
 			case asm.OpAndRI:
@@ -578,6 +592,11 @@ chained:
 				t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) >> (t.Regs[ip.Src] & 63))
 			case asm.OpSarRI:
 				t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) >> (uint64(ip.Imm) & 63))
+			case asm.OpMovsx:
+				// Sign-extend from the low Imm bytes; an Imm of 0 or 8
+				// leaves the register as it is.
+				sh := uint64(64-8*ip.Imm) & 63
+				t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]<<sh) >> sh)
 			case asm.OpNeg:
 				t.Regs[ip.Dst] = -t.Regs[ip.Dst]
 			case asm.OpNot:
@@ -744,7 +763,7 @@ chained:
 			// as it always has.
 			t.Stats.Cycles += uint64(run.cum[k-1])
 			if prof != nil {
-				prof.add(run.pcs[0], t.Stats.Cycles-profC0, uint64(k))
+				prof.add(run.pcs[0], t.Stats.Cycles-profC0, run.insts[:k])
 			}
 			break chained
 		}
@@ -756,7 +775,7 @@ chained:
 			// plus every dynamic component the cases added — to its entry
 			// PC, and its executed slot count to Instrs. Summed over a run
 			// this conserves Stats exactly (see profile.go).
-			prof.add(run.pcs[0], t.Stats.Cycles-profC0, uint64(k))
+			prof.add(run.pcs[0], t.Stats.Cycles-profC0, run.insts[:k])
 		}
 		if t.Halted || k < run.n || done >= max {
 			break chained

@@ -18,8 +18,14 @@ package machine
 // this conservation per run; internal/obs symbolizes the PCs against the
 // link-layer symbol table.
 //
+// The profile also keeps a dynamic opcode histogram: add counts the
+// opcodes of the slots a block executed, a faulting one included, so the
+// histogram sums to TotalStats().Instrs exactly as the cells do.
+//
 // The disabled path costs one nil check per block (not per instruction)
 // and zero allocations; TestRunProfileDisabledZeroAlloc pins that.
+
+import "confllvm/internal/asm"
 
 // ProfCell is one attribution bucket: the cycles and instructions charged
 // at an entry PC, and how many times execution entered there.
@@ -34,21 +40,41 @@ type ProfCell struct {
 // after Run returns.
 type Profile struct {
 	cells map[uint64]*ProfCell
+	ops   [256]uint64 // executed instructions by opcode
 }
 
 // NewProfile returns an empty profile.
 func NewProfile() *Profile { return &Profile{cells: map[uint64]*ProfCell{}} }
 
-// add charges cycles and instrs to pc's bucket.
-func (p *Profile) add(pc, cycles, instrs uint64) {
+// add charges cycles and the executed instructions insts to pc's bucket
+// and counts their opcodes. A trusted-handler dispatch passes no
+// instructions.
+func (p *Profile) add(pc, cycles uint64, insts []asm.Inst) {
 	c := p.cells[pc]
 	if c == nil {
 		c = &ProfCell{}
 		p.cells[pc] = c
 	}
 	c.Cycles += cycles
-	c.Instrs += instrs
+	c.Instrs += uint64(len(insts))
 	c.Hits++
+	for i := range insts {
+		p.ops[insts[i].Op]++
+	}
+}
+
+// Opcodes returns the dynamic opcode histogram keyed by asm.Op.Name,
+// which tells the register and immediate forms apart ("mov.rr",
+// "mov.ri", "shl.ri"). Opcodes never executed are absent. The counts sum
+// to TotalInstrs.
+func (p *Profile) Opcodes() map[string]uint64 {
+	out := map[string]uint64{}
+	for op, n := range p.ops {
+		if n > 0 {
+			out[asm.Op(op).Name()] += n
+		}
+	}
+	return out
 }
 
 // Cells returns a copy of the attribution buckets keyed by entry PC.

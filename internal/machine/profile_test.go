@@ -116,6 +116,22 @@ func TestProfileConservation(t *testing.T) {
 				if got, want := prof.TotalInstrs(), th.Stats.Instrs; got != want {
 					t.Fatalf("profile instrs %d != Stats.Instrs %d", got, want)
 				}
+				// The opcode histogram conserves Instrs too, and counts the
+				// loop body once per iteration.
+				ops := prof.Opcodes()
+				var sum uint64
+				for _, n := range ops {
+					sum += n
+				}
+				if sum != th.Stats.Instrs {
+					t.Fatalf("opcode histogram sums to %d, Stats.Instrs is %d (%v)", sum, th.Stats.Instrs, ops)
+				}
+				if ops["mov.ri"] != 1+50 || ops["mov.rr"] != 50 || ops["j"] != 50 {
+					t.Fatalf("histogram %v: want mov.ri 51, mov.rr 50, j 50", ops)
+				}
+				if wantLoads := uint64(50 + btoi(faulting)); ops["load"] != wantLoads {
+					t.Fatalf("histogram counts %d loads, want %d (the faulting one included)", ops["load"], wantLoads)
+				}
 			})
 		}
 	}
@@ -234,4 +250,11 @@ func TestRunProfileDisabledZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

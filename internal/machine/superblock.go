@@ -183,7 +183,7 @@ func staticCost(op asm.Op) uint32 {
 	switch op {
 	case asm.OpMulRR, asm.OpMulRI:
 		return 3
-	case asm.OpDivRR, asm.OpModRR:
+	case asm.OpDivRR, asm.OpModRR, asm.OpUDivRR, asm.OpUModRR:
 		return 20
 	case asm.OpCall, asm.OpICall, asm.OpRet:
 		return 2
@@ -235,7 +235,7 @@ func (t *Thread) stepBlocks(max int) (int, *Fault) {
 				hpc, c0 := t.PC, t.Stats.Cycles
 				f := h(m, t)
 				if prof := m.prof; prof != nil {
-					prof.add(hpc, t.Stats.Cycles-c0, 0)
+					prof.add(hpc, t.Stats.Cycles-c0, nil)
 				}
 				if f != nil {
 					return done, t.fault(f)

@@ -206,6 +206,61 @@ func TestDivideOverflowFaults(t *testing.T) {
 	}
 }
 
+// TestSignExtendAndUnsignedDivide: movsx sign-extends a register in place
+// from its low 1, 2 or 4 bytes, div/mod divide as unsigned 64-bit values
+// and take #DE on a zero divisor (but not on the signed overflow pair),
+// identically in both dispatch modes, at movsx's 1 cycle and the divides'
+// 20.
+func TestSignExtendAndUnsignedDivide(t *testing.T) {
+	th := runParity(t, []asm.Inst{
+		{Op: asm.OpMovRI, Dst: asm.RAX, Imm: 0x1234_5678_8000_00ff},
+		{Op: asm.OpMovRR, Dst: asm.RBX, Src: asm.RAX},
+		{Op: asm.OpMovRR, Dst: asm.RCX, Src: asm.RAX},
+		{Op: asm.OpMovRR, Dst: asm.RDX, Src: asm.RAX},
+		{Op: asm.OpMovsx, Dst: asm.RBX, Imm: 1},
+		{Op: asm.OpMovsx, Dst: asm.RCX, Imm: 2},
+		{Op: asm.OpMovsx, Dst: asm.RDX, Imm: 4},
+		{Op: asm.OpMovRI, Dst: asm.RSI, Imm: -1},
+		{Op: asm.OpMovRI, Dst: asm.RDI, Imm: 2},
+		{Op: asm.OpUDivRR, Dst: asm.RSI, Src: asm.RDI},
+		{Op: asm.OpMovRI, Dst: asm.R8, Imm: -1},
+		{Op: asm.OpMovRI, Dst: asm.R9, Imm: 10},
+		{Op: asm.OpUModRR, Dst: asm.R8, Src: asm.R9},
+		{Op: asm.OpMovRI, Dst: asm.R10, Imm: -0x8000000000000000},
+		{Op: asm.OpMovRI, Dst: asm.R11, Imm: -1},
+		{Op: asm.OpUDivRR, Dst: asm.R10, Src: asm.R11},
+	}, 0, nil)
+	if th.Fault != nil {
+		t.Fatal(th.Fault)
+	}
+	for r, want := range map[asm.Reg]uint64{
+		asm.RBX: 0xffff_ffff_ffff_ffff, // 0xff as a byte is -1
+		asm.RCX: 0xff,                  // 0x00ff as a short
+		asm.RDX: 0xffff_ffff_8000_00ff, // 0x800000ff as an int
+		asm.RSI: 1<<63 - 1,             // (2^64-1) / 2
+		asm.R8:  5,                     // (2^64-1) % 10
+		asm.R10: 0,                     // 2^63 / (2^64-1)
+	} {
+		if th.Regs[r] != want {
+			t.Errorf("%v = %#x, want %#x", r, th.Regs[r], want)
+		}
+	}
+	// 16 instructions: 3 divides at 20 cycles, the rest at 1, plus exit.
+	if want := uint64(3*20 + 13 + 1); th.Stats.Cycles != want {
+		t.Errorf("cycles %d, want %d", th.Stats.Cycles, want)
+	}
+	for _, op := range []asm.Op{asm.OpUDivRR, asm.OpUModRR} {
+		thA := runParity(t, []asm.Inst{
+			{Op: asm.OpMovRI, Dst: asm.RAX, Imm: 5},
+			{Op: asm.OpMovRI, Dst: asm.RBX, Imm: 0},
+			{Op: op, Dst: asm.RAX, Src: asm.RBX},
+		}, 0, nil)
+		if thA.Fault == nil || thA.Fault.Kind != FaultDivide {
+			t.Fatalf("%v by zero: want divide fault, got %v", op, thA.Fault)
+		}
+	}
+}
+
 // TestRunFuelParity: the instruction budget must cut execution at the
 // same instruction in both dispatch modes, even when the boundary lands
 // in the middle of a superblock.

@@ -10,6 +10,9 @@
 package opt
 
 import (
+	"math"
+	"slices"
+
 	"confllvm/internal/ir"
 	"confllvm/internal/rng"
 	"confllvm/internal/types"
@@ -24,11 +27,13 @@ type Passes struct {
 	localCSE    bool // block-local value numbering
 	dce         bool
 	simplifyCFG bool
+	truncElim   bool // drop truncs whose high bits nothing reads
 }
 
 // O2 is the full pipeline, run by every variant.
 func O2() Passes {
-	return Passes{constFold: true, copyProp: true, localCSE: true, dce: true, simplifyCFG: true}
+	return Passes{constFold: true, copyProp: true, localCSE: true, dce: true,
+		simplifyCFG: true, truncElim: true}
 }
 
 // None disables all optimization (-O0).
@@ -47,6 +52,12 @@ func Run(mod *ir.Module, p Passes) {
 			changed := false
 			if p.simplifyCFG {
 				changed = s.simplifyCFG(f) || changed
+			}
+			if p.truncElim && round == 0 {
+				// Once: on the benchmark programs no later round's
+				// rewrites expose another dead trunc, and this is the
+				// pipeline's costliest pass.
+				changed = s.truncElim(f) || changed
 			}
 			if p.constFold {
 				changed = s.constFold(f) || changed
@@ -89,6 +100,19 @@ type scratch struct {
 	blocks  []*ir.Block // by block id
 	reached []bool      // by block id
 	work    []int
+	// truncElim's state: per value, 1 + its index among the narrow
+	// integers (or 0) and its width (8 unless narrow); per block id, a
+	// set, a dirty flag, its first instruction's index and its
+	// predecessors; per instruction, a drop flag; and the working set.
+	narrow  []int32
+	width   []uint8
+	hbIn    []uint64 // block id major
+	dirty   []bool
+	start   []int32
+	predOff []int32
+	preds   []int32
+	drop    []bool
+	hbLive  []uint64
 }
 
 // fit grows the per-value tables to f. Entries left by earlier functions
@@ -99,6 +123,8 @@ func (s *scratch) fit(f *ir.Func) {
 		s.consts = append(s.consts, make([]constFact, n-len(s.consts))...)
 		s.aliases = append(s.aliases, make([]alias, n-len(s.aliases))...)
 		s.used = append(s.used, make([]bool, n-len(s.used))...)
+		s.narrow = append(s.narrow, make([]int32, n-len(s.narrow))...)
+		s.width = append(s.width, make([]uint8, n-len(s.width))...)
 	}
 }
 
@@ -158,11 +184,11 @@ func (s *scratch) constFold(f *ir.Func) bool {
 				if !okA || !okB {
 					continue
 				}
-				v, ok := foldBin(in.Op, a, b)
+				ty := f.ValueType(in.Res)
+				v, ok := foldBin(in.Op, a, b, ty.IsInteger() && !ty.Signed)
 				if !ok {
 					continue
 				}
-				ty := f.ValueType(in.Res)
 				*in = ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: v, Ty: ty, Pos: in.Pos}
 				s.consts[in.Res] = constFact{imm: v, ver: ver}
 				changed = true
@@ -192,7 +218,9 @@ func (s *scratch) constFold(f *ir.Func) bool {
 	return changed
 }
 
-func foldBin(op ir.Op, a, b int64) (int64, bool) {
+// foldBin evaluates a op b as the lowering computes it in a register;
+// unsigned selects the unsigned divide.
+func foldBin(op ir.Op, a, b int64, unsigned bool) (int64, bool) {
 	switch op {
 	case ir.OpAdd:
 		return a + b, true
@@ -200,14 +228,17 @@ func foldBin(op ir.Op, a, b int64) (int64, bool) {
 		return a - b, true
 	case ir.OpMul:
 		return a * b, true
-	case ir.OpDiv:
-		if b == 0 {
-			return 0, false
+	case ir.OpDiv, ir.OpMod:
+		if b == 0 || !unsigned && b == -1 && a == math.MinInt64 {
+			return 0, false // faults (#DE) at run time
 		}
-		return a / b, true
-	case ir.OpMod:
-		if b == 0 {
-			return 0, false
+		switch {
+		case unsigned && op == ir.OpDiv:
+			return int64(uint64(a) / uint64(b)), true
+		case unsigned:
+			return int64(uint64(a) % uint64(b)), true
+		case op == ir.OpDiv:
+			return a / b, true
 		}
 		return a % b, true
 	case ir.OpAnd:
@@ -478,5 +509,192 @@ func (s *scratch) simplifyCFG(f *ir.Func) bool {
 		}
 	}
 	f.Blocks = out
+	return true
+}
+
+// ---- Sign-extension elimination ----
+
+// truncElim turns each integer-to-integer trunc whose result's high bits
+// (the bits above its type's width) nothing reads into a copy, which copy
+// propagation and DCE then remove (Kawahito, Komatsu & Nakatani,
+// "Effective Sign Extension Elimination", PLDI 2002). A register must be
+// canonical (see ir.OpTrunc) only where its high bits are read.
+//
+// It is a backward dataflow over the narrow integer values, shaped like
+// liveness: a value is in the set where its high bits may still be read.
+// Only the uses readsHighBits lists leave them unread; every other use,
+// including any op added to the IR later, is a reader, so the pass is
+// safe by default. Each sweep is linear in the function and visits only
+// the blocks whose successors' sets changed since their last visit;
+// another sweep follows only when a set changed along a back edge.
+//
+// Only integer-to-integer truncs become copies. For those a copy's taint
+// constraint is the trunc's (the operand's qualifier flows into the
+// result's), so taint inference, which runs after opt, sees the same
+// constraints.
+func (s *scratch) truncElim(f *ir.Func) bool {
+	k := int32(0)
+	for v := range f.NumValues() {
+		s.narrow[v], s.width[v] = 0, 8
+		if t := f.ValueType(ir.Value(v)); t.IsInteger() && t.Size < 8 {
+			k++
+			s.narrow[v], s.width[v] = k, uint8(t.Size)
+		}
+	}
+	if k == 0 {
+		return false
+	}
+	words := int(k+63) / 64
+	n := 0
+	for _, b := range f.Blocks {
+		n = max(n, b.ID+1)
+	}
+	if len(s.hbIn) < n*words {
+		s.hbIn = make([]uint64, max(n*words, 2*len(s.hbIn)))
+	}
+	if len(s.hbLive) < words {
+		s.hbLive = make([]uint64, words)
+	}
+	if len(s.dirty) < n+1 {
+		s.dirty = make([]bool, max(n+1, 2*len(s.dirty)))
+		s.start = make([]int32, len(s.dirty))
+		s.predOff = make([]int32, len(s.dirty))
+	}
+	in, live := s.hbIn[:n*words], s.hbLive[:words]
+	clear(in)
+	blockIn := func(id int) []uint64 { return in[id*words : (id+1)*words] }
+	// enter sets live to the union of b's successors' sets.
+	enter := func(b *ir.Block) {
+		clear(live)
+		for _, id := range b.Succs() {
+			for w, x := range blockIn(id) {
+				live[w] |= x
+			}
+		}
+	}
+	// Each block's start in the function's instruction sequence, which
+	// also orders the blocks by layout, and its predecessors, packed:
+	// block id's are preds[off[id]:off[id+1]].
+	dirty, start, off := s.dirty[:n], s.start[:n], s.predOff[:n+1]
+	clear(off)
+	total := 0
+	for _, b := range f.Blocks {
+		start[b.ID] = int32(total)
+		total += len(b.Insts)
+		for _, id := range b.Succs() {
+			off[id+1]++
+		}
+	}
+	for id := range n {
+		off[id+1] += off[id]
+	}
+	s.preds = slices.Grow(s.preds[:0], int(off[n]))[:off[n]]
+	for _, b := range f.Blocks {
+		for _, id := range b.Succs() {
+			s.preds[off[id]] = int32(b.ID)
+			off[id]++
+		}
+	}
+	for id := n - 1; id > 0; id-- {
+		off[id] = off[id-1]
+	}
+	off[0] = 0
+	s.drop = slices.Grow(s.drop[:0], total)[:total]
+	clear(s.drop)
+	// Sweep in reverse layout order, visiting only blocks whose
+	// successors' sets changed since their last visit. A changed set
+	// marks its predecessors; one this sweep has already passed (a back
+	// edge's source) calls for another sweep. A block's last visit sees
+	// its successors' final sets, so the drop flags it leaves on its
+	// truncs are final.
+	clear(dirty)
+	for _, b := range f.Blocks {
+		dirty[b.ID] = true
+	}
+	for again := true; again; {
+		again = false
+		for i := len(f.Blocks) - 1; i >= 0; i-- {
+			b := f.Blocks[i]
+			if !dirty[b.ID] {
+				continue
+			}
+			dirty[b.ID] = false
+			enter(b)
+			drop := s.drop[start[b.ID]:]
+			for j := len(b.Insts) - 1; j >= 0; j-- {
+				in := b.Insts[j]
+				if in.Op == ir.OpTrunc {
+					r := s.narrow[in.Res] - 1
+					drop[j] = r >= 0 && live[r/64]&(1<<(r%64)) == 0 &&
+						in.Ty.IsInteger() && f.ValueType(in.Args[0]).IsInteger()
+				}
+				s.hbTransfer(in, live)
+			}
+			if bi := blockIn(b.ID); !slices.Equal(bi, live) {
+				copy(bi, live)
+				for _, p := range s.preds[off[b.ID]:off[b.ID+1]] {
+					dirty[p] = true
+					again = again || start[p] >= start[b.ID]
+				}
+			}
+		}
+	}
+	rewrote := false
+	for _, b := range f.Blocks {
+		for j, in := range b.Insts {
+			if s.drop[int(start[b.ID])+j] {
+				in.Op = ir.OpCopy
+				rewrote = true
+			}
+		}
+	}
+	return rewrote
+}
+
+// hbTransfer steps live, the set of narrow values whose high bits may be
+// read after in, back over in.
+func (s *scratch) hbTransfer(in *ir.Inst, live []uint64) {
+	resRead := false
+	resWidth := uint8(8)
+	if in.Res != ir.NoValue && in.Op.HasResult() {
+		resWidth = s.width[in.Res]
+		if r := s.narrow[in.Res] - 1; r >= 0 {
+			resRead = live[r/64]&(1<<(r%64)) != 0
+			live[r/64] &^= 1 << (r % 64)
+		}
+	}
+	for i, a := range in.Args {
+		if a == ir.NoValue {
+			continue
+		}
+		if r := s.narrow[a] - 1; r >= 0 && readsHighBits(in, i, s.width[a], resWidth, resRead) {
+			live[r/64] |= 1 << (r % 64)
+		}
+	}
+}
+
+// readsHighBits reports whether in reads the high bits of its operand i,
+// a narrow value w bytes wide, given its result's width and whether the
+// result's own high bits are read. The low bits of add, sub, mul, and,
+// or, xor and shl (of its value operand) depend only on the low bits of
+// their operands, and a copy's are its operand's, so those read an
+// operand's high bits only when the result is wider than it or the
+// result's own high bits are read. A shift count is read modulo 64, a
+// trunc no wider than its operand reads only the bits it keeps, and a
+// store writes only its low bytes. Every other use reads them.
+func readsHighBits(in *ir.Inst, i int, w, resWidth uint8, resRead bool) bool {
+	switch in.Op {
+	case ir.OpShl:
+		if i == 1 {
+			return false
+		}
+		fallthrough
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpCopy:
+		return resRead || resWidth > w
+	case ir.OpTrunc:
+		return in.Ty.SizeOf() > int(w)
+	case ir.OpStore:
+		return i == 0 || in.Ty.SizeOf() > int(w)
+	}
 	return true
 }

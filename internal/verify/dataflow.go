@@ -258,10 +258,11 @@ func writesGPR(in *asm.Inst) asm.Reg {
 	case asm.OpMovRR, asm.OpMovRI, asm.OpLoad, asm.OpLea, asm.OpPop,
 		asm.OpAddRR, asm.OpAddRI, asm.OpSubRR, asm.OpSubRI,
 		asm.OpMulRR, asm.OpMulRI, asm.OpDivRR, asm.OpModRR,
+		asm.OpUDivRR, asm.OpUModRR,
 		asm.OpAndRR, asm.OpAndRI, asm.OpOrRR, asm.OpOrRI,
 		asm.OpXorRR, asm.OpXorRI,
 		asm.OpShlRR, asm.OpShlRI, asm.OpShrRR, asm.OpShrRI,
-		asm.OpSarRR, asm.OpSarRI, asm.OpNeg, asm.OpNot,
+		asm.OpSarRR, asm.OpSarRI, asm.OpMovsx, asm.OpNeg, asm.OpNot,
 		asm.OpSetCC, asm.OpCvtFI, asm.OpMovQFI:
 		return in.Dst
 	}
@@ -372,11 +373,11 @@ func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 		case asm.OpPop:
 			s.g[in.Dst] = false
 		case asm.OpAddRR, asm.OpSubRR, asm.OpMulRR, asm.OpDivRR, asm.OpModRR,
-			asm.OpAndRR, asm.OpOrRR, asm.OpXorRR,
+			asm.OpUDivRR, asm.OpUModRR, asm.OpAndRR, asm.OpOrRR, asm.OpXorRR,
 			asm.OpShlRR, asm.OpShrRR, asm.OpSarRR:
 			s.g[in.Dst] = s.g[in.Dst] || s.g[in.Src]
 		case asm.OpAddRI, asm.OpSubRI, asm.OpMulRI, asm.OpAndRI, asm.OpOrRI,
-			asm.OpXorRI, asm.OpShlRI, asm.OpShrRI, asm.OpSarRI,
+			asm.OpXorRI, asm.OpShlRI, asm.OpShrRI, asm.OpSarRI, asm.OpMovsx,
 			asm.OpNeg, asm.OpNot:
 			// dst taint unchanged
 		case asm.OpCmpRR, asm.OpTestRR:

@@ -6,9 +6,20 @@ import (
 	"testing"
 
 	"confllvm"
+	"confllvm/internal/asm"
 	"confllvm/internal/link"
 	"confllvm/internal/verify"
 )
+
+// fuzzProg is testProg plus a function whose code holds a movsx (a
+// signed trunc whose high bits the shift reads) and an unsigned div and
+// mod, so the fuzzer flips those encodings too.
+const fuzzProg = testProg + `
+unsigned long umix(unsigned long a, int b) {
+	int s = b * 3;
+	return a / (unsigned long)(s >> 1) + a % 7;
+}
+`
 
 // fuzzImages compiles the two deployable-scheme images once per process;
 // the fuzzer flips bytes in copies of their code pages.
@@ -16,7 +27,7 @@ var fuzzImages = sync.OnceValue(func() []*link.Image {
 	var imgs []*link.Image
 	for _, v := range []confllvm.Variant{confllvm.VariantMPX, confllvm.VariantSeg} {
 		art, err := confllvm.Compile(confllvm.Program{
-			Sources: []confllvm.Source{{Name: "t.c", Code: testProg}},
+			Sources: []confllvm.Source{{Name: "t.c", Code: fuzzProg}},
 		}, v)
 		if err != nil {
 			panic(err)
@@ -41,6 +52,19 @@ func FuzzVerifyImage(f *testing.F) {
 	f.Add(uint32(101), byte(0x80), false)
 	f.Add(uint32(4096), byte(0x20), true)
 	f.Add(uint32(0xffffffff), byte(0x55), false)
+	// The opcode, register and immediate bytes of the first movsx, div
+	// and mod in each image.
+	for i, img := range fuzzImages() {
+		for _, op := range []asm.Op{asm.OpMovsx, asm.OpUDivRR, asm.OpUModRR} {
+			off := firstOp(img, op)
+			if off < 0 {
+				f.Fatalf("fuzz image %d holds no %v", i, op)
+			}
+			for k := range asm.EncodedLen(op) {
+				f.Add(uint32(off+k), byte(1)<<(k%8), i == 1)
+			}
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, pos uint32, delta byte, seg bool) {
 		imgs := fuzzImages()
@@ -70,4 +94,29 @@ func FuzzVerifyImage(f *testing.F) {
 			t.Fatalf("serial error %v, parallel error %v", sErr, pErr)
 		}
 	})
+}
+
+// firstOp returns the code offset of the first op instruction in img's
+// functions, or -1.
+func firstOp(img *link.Image, op asm.Op) int {
+	magic := img.MagicOffsets()
+	for _, fs := range img.Funcs {
+		off := int(fs.Entry - img.Layout.CodeBase)
+		end := int(fs.Base-img.Layout.CodeBase) + int(fs.Size)
+		for off < end {
+			if magic[off] {
+				off += 8
+				continue
+			}
+			in, n, err := asm.Decode(img.Code, off)
+			if err != nil {
+				break
+			}
+			if in.Op == op {
+				return off
+			}
+			off += n
+		}
+	}
+	return -1
 }

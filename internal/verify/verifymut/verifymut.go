@@ -155,10 +155,11 @@ func writesReg(in asm.Inst) asm.Reg {
 	case asm.OpMovRR, asm.OpMovRI, asm.OpLoad, asm.OpLea, asm.OpPop,
 		asm.OpAddRR, asm.OpAddRI, asm.OpSubRR, asm.OpSubRI,
 		asm.OpMulRR, asm.OpMulRI, asm.OpDivRR, asm.OpModRR,
+		asm.OpUDivRR, asm.OpUModRR,
 		asm.OpAndRR, asm.OpAndRI, asm.OpOrRR, asm.OpOrRI,
 		asm.OpXorRR, asm.OpXorRI,
 		asm.OpShlRR, asm.OpShlRI, asm.OpShrRR, asm.OpShrRI,
-		asm.OpSarRR, asm.OpSarRI, asm.OpNeg, asm.OpNot,
+		asm.OpSarRR, asm.OpSarRI, asm.OpMovsx, asm.OpNeg, asm.OpNot,
 		asm.OpSetCC, asm.OpCvtFI, asm.OpMovQFI:
 		return in.Dst
 	}
@@ -471,11 +472,11 @@ func privAt(img *link.Image, sites []site) []uint32 {
 			}
 			set(in.Dst, p)
 		case asm.OpAddRR, asm.OpSubRR, asm.OpMulRR, asm.OpDivRR, asm.OpModRR,
-			asm.OpAndRR, asm.OpOrRR, asm.OpXorRR,
+			asm.OpUDivRR, asm.OpUModRR, asm.OpAndRR, asm.OpOrRR, asm.OpXorRR,
 			asm.OpShlRR, asm.OpShrRR, asm.OpSarRR:
 			set(in.Dst, has(in.Dst) || has(in.Src))
 		case asm.OpAddRI, asm.OpSubRI, asm.OpMulRI, asm.OpAndRI, asm.OpOrRI,
-			asm.OpXorRI, asm.OpShlRI, asm.OpShrRI, asm.OpSarRI,
+			asm.OpXorRI, asm.OpShlRI, asm.OpShrRI, asm.OpSarRI, asm.OpMovsx,
 			asm.OpNeg, asm.OpNot:
 			// dst taint unchanged
 		case asm.OpJcc:
