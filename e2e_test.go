@@ -393,6 +393,11 @@ func TestE2EIntegerConversions(t *testing.T) {
 		{"wrapped int accumulator shifted after its loop", `int acc = 0; int i; for (i = 0; i < 3; i++) acc += 2000000000; r = acc >> 4;`, 106564544},
 		{"wrapped int widened", `int m = 65536; int w = m * m - 5; long l = w; r = l;`, -5},
 		{"wrapped int to double", `int m = 65536; int w = m * m - 5; double d = w; r = d < 0.0;`, 1},
+		// A shift has its promoted left operand's type, whatever the
+		// count's type.
+		{"unsigned shifted by a long stays unsigned", `unsigned a = 2147483648; long n = 1; long s = a << n; r = s;`, 0},
+		{"int shifted by an unsigned stays int", `int b = -1; unsigned m = 1; r = (long)(unsigned)(b >> m);`, 4294967295},
+		{"compound shift keeps the left type", `unsigned a = 2147483648; long n = 1; a <<= n; r = a;`, 0},
 	}
 	for _, tc := range cases {
 		src := Source{"conv.c", `
@@ -478,6 +483,64 @@ int main() { leak(7, 1); return 0; }`
 		}
 		if res := runSrc(t, v, nil, src); !reflect.DeepEqual(res.Outputs, []int64{5}) {
 			t.Errorf("[%v] outputs %v, want [5]", v, res.Outputs)
+		}
+	}
+}
+
+// TestE2ENegativeOffsets: accesses whose folded operand has a negative
+// displacement or index term (buf[i-1], p[-1], a field before a pointer)
+// compute the same values in every variant, the segmentation scheme
+// included, and every checked image verifies.
+func TestE2ENegativeOffsets(t *testing.T) {
+	src := Source{"neg.c", `
+extern void output(long v);
+extern void *malloc(long size);
+struct pt { long x; int y; char tag; };
+
+long sumback(long *p, long n) {
+	long s = 0;
+	long i;
+	for (i = 1; i <= n; i++) s += p[i-1] * i;
+	return s;
+}
+
+int main() {
+	char buf[16];
+	long a[8];
+	long i;
+	for (i = 0; i < 16; i++) buf[i] = (char)(i * 3);
+	for (i = 0; i < 8; i++) a[i] = i + 100;
+	long acc = 0;
+	for (i = 1; i < 16; i++) acc += buf[i-1] - buf[i] + buf[i+0];
+	output(acc);
+	long *p = a + 4;
+	p[-2] = 7;
+	output(p[-1] + p[-4] + a[2]);
+	output(sumback(a, 8));
+	long *h = (long*)malloc(8 * 8);
+	for (i = 0; i < 8; i++) h[i] = i * i;
+	long *e = h + 8;
+	output(e[-1] + e[-8]);
+	struct pt *q = (struct pt*)malloc(4 * sizeof(struct pt));
+	for (i = 0; i < 4; i++) { q[i].x = i; q[i].y = (int)(10 * i); q[i].tag = (char)(65 + i); }
+	struct pt *r = q + 3;
+	output(r[-1].x + r[-1].y + r[-2].tag + r->tag);
+	return 0;
+}
+`}
+	want := []int64{315, 210, 3483, 49, 2 + 20 + 66 + 68}
+	for _, v := range append(AllVariants(), VariantMPXNaive) {
+		art, err := Compile(Program{Sources: []Source{src}}, v)
+		if err != nil {
+			t.Fatalf("[%v] compile: %v", v, err)
+		}
+		if v.Checked() || v == VariantMPXNaive {
+			if err := Verify(art); err != nil {
+				t.Errorf("[%v] verify: %v", v, err)
+			}
+		}
+		if res := runSrc(t, v, nil, src); !reflect.DeepEqual(res.Outputs, want) {
+			t.Errorf("[%v] outputs %v, want %v", v, res.Outputs, want)
 		}
 	}
 }

@@ -24,8 +24,10 @@ import (
 // conversions and wraparound (int-narrow), int arithmetic wrapping past
 // 2^31 before a compare, a division, an index, a right shift and a
 // conversion to double, with unsigned 64-bit division beside it
-// (int-wrap), void calls used as values (void-result, void-operand) and
-// a local read in its own initializer (self-init).
+// (int-wrap), void calls used as values (void-result, void-operand), a
+// local read in its own initializer (self-init), and struct fields off
+// one pointer, buf[i-1] and p[-1] (addr-fold), whose address arithmetic
+// folds into displaced and indexed memory operands.
 func FuzzCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		// Nested macro bodies can multiply the token count by 2^n; bound n

@@ -12,6 +12,8 @@ import (
 
 	"confllvm"
 	"confllvm/internal/bench"
+	"confllvm/internal/ir"
+	"confllvm/internal/opt"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/compile_digests.txt from the current compiler")
@@ -64,6 +66,33 @@ func TestGoldenCompileDigests(t *testing.T) {
 	for i := range wantLines {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("digest mismatch:\n got  %s\n want %s", gotLines[i], wantLines[i])
+		}
+	}
+}
+
+// TestOptFixpoint: re-running the optimizer on any benchmark program's
+// optimized IR changes nothing. opt.Run stops without a confirmation
+// round when a round's only work was cleaning up truncElim's copies;
+// this is what makes that sound on these programs.
+func TestOptFixpoint(t *testing.T) {
+	dump := func(m *ir.Module) string {
+		var b strings.Builder
+		for _, f := range m.Funcs {
+			if f.Blocks != nil {
+				b.WriteString(f.String())
+			}
+		}
+		return b.String()
+	}
+	for _, wl := range bench.Workloads(false) {
+		art, err := confllvm.Compile(wl.Prog(confllvm.VariantBase), confllvm.VariantBase)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", wl.Name, err)
+		}
+		before := dump(art.IR)
+		opt.Run(art.IR, opt.O2())
+		if after := dump(art.IR); after != before {
+			t.Errorf("%s: a second opt.Run changed the optimized IR", wl.Name)
 		}
 	}
 }

@@ -2,10 +2,21 @@
 // inserts ConfLLVM's runtime instrumentation:
 //
 //   - the split public/private stack frame at a compile-time OFFSET (§3);
-//   - MPX bound checks with the paper's optimizations — register-operand
-//     preference, guard-displacement elision, rsp-check elision under
-//     _chkstk discipline, and block-local check coalescing (§5.1);
+//   - MPX bound checks with the paper's optimizations (§5.1): an access
+//     [b + disp] is covered by a register-form check on b, which every
+//     access off b in the block shares, because MPXGuard bytes of
+//     unmapped guard space surround each region and the prepass folds
+//     only displacements GuardCovers accepts; an indexed access
+//     [b + i*s + disp] gets a memory-form check on its exact address,
+//     shared by later accesses with the same b, i and s whose
+//     displacement is within the guard of the checked one; rsp-relative
+//     accesses go unchecked under the _chkstk discipline. Checks are
+//     coalesced within a basic block until a register they read is
+//     written or a call intervenes. The NoMPXOpt ablation instead checks
+//     every access's exact address in memory form;
 //   - segment-register addressing with the 32-bit operand constraint (§3);
+//     since base and index are truncated separately, an indexed address
+//     is computed in a register with one lea instead;
 //   - taint-aware CFI magic sequences on entries, returns and indirect
 //     calls (§4).
 //
@@ -16,6 +27,8 @@
 // register-immediate operands (add r, imm; cmp r, imm), folds
 // t = op; d = copy t into d = op when t and d agree on taint and
 // float-ness, lets a store take the operand of the trunc that feeds it,
+// folds address arithmetic (an add of a displacement, a scaled index or
+// both) into the memory operands of the loads and stores it feeds,
 // drops constants left without uses, and fuses a compare whose only use
 // is the next condbr into cmp; jcc, keeping setcc only for booleans used
 // as values. An add or sub of an immediate whose destination register
@@ -74,12 +87,28 @@ type Config struct {
 	// eliding bound checks on rsp-relative operands.
 	ChkStk bool
 	// NoMPXOpt disables the paper's §5.1 MPX optimizations (rsp-check
-	// elision and block-local check coalescing) — the ablation baseline.
+	// elision, guard-displacement elision and block-local check
+	// coalescing) — the ablation baseline: every access through
+	// memOperand gets a memory-form check on its exact address.
 	NoMPXOpt bool
 	// StackOffset is the public->private stack distance (the paper's
 	// OFFSET). Must match the loader's layout.
 	StackOffset int64
 }
+
+// MPXGuard is the unmapped distance link.MPXLayout keeps below and above
+// the public and the private region. An access of at most 8 bytes whose
+// address lies within GuardCovers of a bound-checked address therefore
+// lands in the checked region or faults in the guard, so one check pair
+// covers every displacement from it in that range (§5.1). Codegen folds
+// no other displacement into a checked operand, and ConfVerify accepts
+// no other.
+const MPXGuard = 1 << 20
+
+// GuardCovers reports whether an access of at most 8 bytes at delta bytes
+// from a bound-checked address stays within the checked region or the
+// guard space around it.
+func GuardCovers(delta int64) bool { return delta >= -MPXGuard && delta <= MPXGuard-8 }
 
 // RelKind classifies link-time relocations on emitted items.
 type RelKind uint8
@@ -240,9 +269,9 @@ type ctx struct {
 	privBase     int64 // displacement from rsp to the private frame
 	numSaved     int
 
-	// coalescing state for MPX checks: keys of checks already emitted in
-	// the current basic block.
-	checked map[checkKey]bool
+	// coalescing state for MPX checks: the checks already emitted in the
+	// current basic block, each with the displacement it checked.
+	checked map[checkKey]int32
 
 	// flags is the condition of the last flags-only compare, for the
 	// fused condbr that follows it; flagsFloat marks an fcmp.
@@ -252,9 +281,13 @@ type ctx struct {
 	term blockCode
 }
 
+// checkKey identifies an MPX check pair: a register-form check on base
+// (index NoReg), or a memory-form check on [base + index*scale + disp]
+// for any disp.
 type checkKey struct {
-	reg asm.Reg
-	bnd asm.Bnd
+	base, index asm.Reg
+	scale       uint8
+	bnd         asm.Bnd
 }
 
 func genFunc(mod *ir.Module, f *ir.Func, a *taint.Assignment, conf Config) (*FuncCode, error) {
@@ -269,7 +302,7 @@ func genFunc(mod *ir.Module, f *ir.Func, a *taint.Assignment, conf Config) (*Fun
 		t := f.ValueType(v)
 		return t != nil && t.Kind == types.Float
 	}
-	f = prepass(f, isPrivate, isFloat)
+	f = prepass(f, isPrivate, isFloat, conf.Bounds == BoundsMPX)
 	ra := regalloc.Allocate(f, isPrivate, isFloat)
 
 	// Lowering emits about two items per IR instruction (more under
@@ -283,13 +316,19 @@ func genFunc(mod *ir.Module, f *ir.Func, a *taint.Assignment, conf Config) (*Fun
 		fc: &FuncCode{Name: f.Name, Variadic: f.Variadic,
 			Items: make([]Item, 0, 2*irInsts+16)},
 		pubAllocaOff: map[*ir.Alloca]int{},
-		checked:      map[checkKey]bool{},
+		checked:      map[checkKey]int32{},
 	}
 	c.fc.ArgBits = argBits(f, a, conf)
 	c.fc.RetBit = retBit(f, a)
 	c.numSaved = len(ra.UsedCalleeSaved)
 
 	c.layoutFrame()
+	if conf.Bounds == BoundsMPX && !GuardCovers(c.incomingArgDisp(len(f.Params))) {
+		// rsp-relative operands go unchecked only within the guard (and
+		// such a frame would overflow its thread stack anyway).
+		return nil, fmt.Errorf("codegen %s: a %d-byte frame exceeds the %d-byte stack guard",
+			f.Name, c.frameSize, MPXGuard)
+	}
 
 	if conf.CFI {
 		c.fc.Items = append(c.fc.Items, Item{Magic: true, MagicCall: true,

@@ -6,6 +6,7 @@ package codegen
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"confllvm/internal/asm"
@@ -388,7 +389,7 @@ func TestBoundsEmission(t *testing.T) {
 
 	base := genModule(t, pointerTouch, Config{IgnoreTaint: true})
 	fc := fnCode(t, base, "touch")
-	if count(fc, asm.OpBndCLReg)+count(fc, asm.OpBndCUReg) != 0 {
+	if count(fc, asm.OpBndCLReg)+count(fc, asm.OpBndCUReg)+count(fc, asm.OpBndCLMem)+count(fc, asm.OpBndCUMem) != 0 {
 		t.Error("Base emitted MPX checks")
 	}
 
@@ -396,7 +397,8 @@ func TestBoundsEmission(t *testing.T) {
 		SeparateUT: true, ChkStk: true}
 	mpx := genModule(t, pointerTouch, mpxConf)
 	fc = fnCode(t, mpx, "touch")
-	lo, hi := count(fc, asm.OpBndCLReg), count(fc, asm.OpBndCUReg)
+	lo := count(fc, asm.OpBndCLReg) + count(fc, asm.OpBndCLMem)
+	hi := count(fc, asm.OpBndCUReg) + count(fc, asm.OpBndCUMem)
 	if lo == 0 || lo != hi {
 		t.Errorf("MPX checks: %d lower / %d upper, want equal and nonzero", lo, hi)
 	}
@@ -409,15 +411,18 @@ func TestBoundsEmission(t *testing.T) {
 	naiveConf.NoMPXOpt = true
 	naive := genModule(t, pointerTouch, naiveConf)
 	nfc := fnCode(t, naive, "touch")
-	if n := count(nfc, asm.OpBndCLReg); n < lo {
+	if n := count(nfc, asm.OpBndCLMem); n < lo {
 		t.Errorf("NoMPXOpt emitted fewer checks (%d) than optimized (%d)", n, lo)
+	}
+	if n := count(nfc, asm.OpBndCLReg); n != 0 {
+		t.Errorf("NoMPXOpt emitted %d register-form checks, want memory-form checks only", n)
 	}
 
 	segConf := Config{CFI: true, Bounds: BoundsSeg, SeparateStacks: true,
 		SeparateUT: true, ChkStk: true}
 	seg := genModule(t, pointerTouch, segConf)
 	fc = fnCode(t, seg, "touch")
-	if count(fc, asm.OpBndCLReg)+count(fc, asm.OpBndCUReg) != 0 {
+	if count(fc, asm.OpBndCLReg)+count(fc, asm.OpBndCUReg)+count(fc, asm.OpBndCLMem)+count(fc, asm.OpBndCUMem) != 0 {
 		t.Error("Seg scheme emitted MPX checks")
 	}
 	segged := false
@@ -587,5 +592,35 @@ func TestLoopRotation(t *testing.T) {
 					tc.name, conf.CFI, got, want, ops(fc))
 			}
 		}
+	}
+}
+
+// TestMPXFrameWithinGuard: rsp-relative operands go unchecked under MPX
+// only within MPXGuard of rsp, so a frame whose incoming arguments lie
+// beyond it is refused there (it would overflow its thread stack anyway);
+// Base compiles it.
+func TestMPXFrameWithinGuard(t *testing.T) {
+	src := `
+long f(long a, long b, long c, long d, long e) { char big[2000000]; big[5] = (char)e; return big[5]; }
+int main() { return (int)f(1, 2, 3, 4, 5); }
+`
+	genModule(t, src, Config{IgnoreTaint: true})
+	gen := &minic.QualGen{}
+	file, err := minic.Parse("t.c", src, map[string]*types.Type{}, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := irgen.Gen([]*minic.File{file}, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := taint.Infer(mod, gen.Count(), taint.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Gen(mod, a, Config{CFI: true, Bounds: BoundsMPX, SeparateStacks: true,
+		SeparateUT: true, ChkStk: true, StackOffset: 1 << 30})
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 1048576-byte stack guard") {
+		t.Errorf("MPX codegen of a 2 MB frame: %v, want a stack-guard error", err)
 	}
 }

@@ -100,20 +100,72 @@ func (c *ctx) flushFPR(v ir.Value, r asm.FReg) {
 	}
 }
 
-// invalidateChecks drops coalesced MPX checks keyed on a clobbered register.
+// invalidateChecks drops coalesced MPX checks that read a clobbered
+// register.
 func (c *ctx) invalidateChecks(r asm.Reg) {
 	for k := range c.checked {
-		if k.reg == r {
+		if k.base == r || k.index == r {
 			delete(c.checked, k)
 		}
 	}
 }
 
-// memOperand builds the operand for an access of size bytes at the address
-// in rb, under the active scheme, emitting MPX checks as needed.
-// private selects the region (gs/bnd1 vs fs/bnd0).
-func (c *ctx) memOperand(rb asm.Reg, size uint8, signed, private bool) asm.Mem {
-	m := asm.Mem{Base: rb, Index: asm.NoReg, Size: size, Signed: signed}
+// address is the memory operand of a load or store before the scheme's
+// instrumentation: [base + index*scale + disp], index NoReg when the
+// prepass folded none.
+type address struct {
+	base, index asm.Reg
+	scale       uint8
+	disp        int32
+}
+
+// readAddress materializes the address operands of a load or store (see
+// prepass rewrite 6): the base in ScratchB and the index in ScratchA
+// when they are not in registers. A store whose value also needs
+// ScratchA (valueA) puts a spilled index in ScratchB if the base leaves
+// it free; when both are spilled, it computes the whole address into
+// ScratchB with a lea and accesses [ScratchB].
+func (c *ctx) readAddress(in *ir.Inst, valueA bool) address {
+	a := address{base: c.readGPR(in.Args[0], regalloc.ScratchB), index: asm.NoReg, disp: int32(in.Imm)}
+	iv := ir.NoValue
+	if n := len(in.Args); in.Op == ir.OpLoad && n == 2 || in.Op == ir.OpStore && n == 3 {
+		iv = in.Args[n-1]
+	}
+	if iv == ir.NoValue {
+		return a
+	}
+	a.scale = uint8(in.Blk)
+	if !valueA || c.ra.Locs[iv].Kind == regalloc.LocReg {
+		a.index = c.readGPR(iv, regalloc.ScratchA)
+		return a
+	}
+	if a.base != regalloc.ScratchB {
+		a.index = c.readGPR(iv, regalloc.ScratchB)
+		return a
+	}
+	a.index = c.readGPR(iv, regalloc.ScratchA)
+	return c.leaAddress(a)
+}
+
+// leaAddress computes an indexed address into ScratchB with one lea.
+func (c *ctx) leaAddress(a address) address {
+	c.emit(asm.Inst{Op: asm.OpLea, Dst: regalloc.ScratchB, M: asm.Mem{Base: a.base, Index: a.index,
+		Scale: a.scale, Disp: a.disp, Size: 8}})
+	c.invalidateChecks(regalloc.ScratchB)
+	return address{base: regalloc.ScratchB, index: asm.NoReg}
+}
+
+// memOperand builds the operand for an access of size bytes at address a
+// under the active scheme, emitting MPX checks as needed. private
+// selects the region (gs/bnd1 vs fs/bnd0).
+func (c *ctx) memOperand(a address, size uint8, signed, private bool) asm.Mem {
+	if c.conf.Bounds == BoundsSeg && a.index != asm.NoReg {
+		// The segment scheme truncates base and index to 32 bits
+		// separately, so a negative index would leave the segment: the
+		// full address is computed in a register instead.
+		a = c.leaAddress(a)
+	}
+	m := asm.Mem{Base: a.base, Index: a.index, Scale: a.scale, Disp: a.disp, Size: size, Signed: signed}
 	switch c.conf.Bounds {
 	case BoundsSeg:
 		if private {
@@ -127,24 +179,43 @@ func (c *ctx) memOperand(rb asm.Reg, size uint8, signed, private bool) asm.Mem {
 		if private {
 			bnd = asm.BND1
 		}
+		if c.conf.NoMPXOpt {
+			// The ablation baseline: the exact address of every access
+			// is checked.
+			c.emitMemChecks(m, bnd)
+			break
+		}
 		// rsp-relative accesses are covered by the _chkstk discipline.
-		if rb == asm.RSP && c.conf.ChkStk && !c.conf.NoMPXOpt {
+		if a.base == asm.RSP && a.index == asm.NoReg && c.conf.ChkStk {
 			break
 		}
 		// Block-local coalescing: skip a check already emitted for the
-		// same register and bound with no intervening clobber or call.
-		key := checkKey{rb, bnd}
-		if c.checked[key] && !c.conf.NoMPXOpt {
+		// same registers and bound, with no intervening clobber or call,
+		// whose displacement is within the guard of this one.
+		key := checkKey{a.base, a.index, a.scale, bnd}
+		if d0, ok := c.checked[key]; ok && GuardCovers(int64(a.disp)-int64(d0)) {
 			break
 		}
-		// Register-operand preference with guard-displacement elision:
-		// our addresses are fully computed in rb (disp 0), so the
-		// register form always applies.
-		c.emit(asm.Inst{Op: asm.OpBndCLReg, Src: rb, Bnd: bnd})
-		c.emit(asm.Inst{Op: asm.OpBndCUReg, Src: rb, Bnd: bnd})
-		c.checked[key] = true
+		if a.index == asm.NoReg {
+			// Register-operand preference with guard-displacement
+			// elision: the prepass folds only displacements the guard
+			// covers, so checking the base covers [base + disp].
+			c.emit(asm.Inst{Op: asm.OpBndCLReg, Src: a.base, Bnd: bnd})
+			c.emit(asm.Inst{Op: asm.OpBndCUReg, Src: a.base, Bnd: bnd})
+			c.checked[key] = 0
+			break
+		}
+		c.emitMemChecks(m, bnd)
+		c.checked[key] = a.disp
 	}
 	return m
+}
+
+// emitMemChecks emits the memory-form check pair on m's effective address.
+func (c *ctx) emitMemChecks(m asm.Mem, bnd asm.Bnd) {
+	m.Signed = false
+	c.emit(asm.Inst{Op: asm.OpBndCLMem, M: m, Bnd: bnd})
+	c.emit(asm.Inst{Op: asm.OpBndCUMem, M: m, Bnd: bnd})
 }
 
 // lower translates one IR instruction.
@@ -182,10 +253,10 @@ func (c *ctx) lower(in *ir.Inst) error {
 		c.setFlags(in.Res, fcmpCond(in.Pred), true)
 
 	case ir.OpLoad:
-		rb := c.readGPR(in.Args[0], regalloc.ScratchB)
+		a := c.readAddress(in, false)
 		private := c.qualPrivate(in.Ty.Qual)
 		if in.Ty.Kind == types.Float {
-			m := c.memOperand(rb, 8, false, private)
+			m := c.memOperand(a, 8, false, private)
 			d := c.destFPR(in.Res)
 			c.emit(asm.Inst{Op: asm.OpFLoad, FDst: d, M: m})
 			c.flushFPR(in.Res, d)
@@ -195,25 +266,26 @@ func (c *ctx) lower(in *ir.Inst) error {
 		if size == 0 || size > 8 {
 			size = 8
 		}
-		m := c.memOperand(rb, size, in.Ty.Signed, private)
+		m := c.memOperand(a, size, in.Ty.Signed, private)
 		d := c.destGPR(in.Res)
 		c.emit(asm.Inst{Op: asm.OpLoad, Dst: d, M: m})
 		c.flushGPR(in.Res, d)
 	case ir.OpStore:
-		rb := c.readGPR(in.Args[0], regalloc.ScratchB)
 		private := c.qualPrivate(in.Ty.Qual)
 		if in.Ty.Kind == types.Float {
+			a := c.readAddress(in, false)
 			v := c.readFPR(in.Args[1], regalloc.ScratchFA)
-			m := c.memOperand(rb, 8, false, private)
+			m := c.memOperand(a, 8, false, private)
 			c.emit(asm.Inst{Op: asm.OpFStore, M: m, FSrc: v})
 			break
 		}
+		a := c.readAddress(in, c.ra.Locs[in.Args[1]].Kind != regalloc.LocReg)
 		v := c.readGPR(in.Args[1], regalloc.ScratchA)
 		size := uint8(in.Ty.SizeOf())
 		if size == 0 || size > 8 {
 			size = 8
 		}
-		m := c.memOperand(rb, size, in.Ty.Signed, private)
+		m := c.memOperand(a, size, in.Ty.Signed, private)
 		c.emit(asm.Inst{Op: asm.OpStore, M: m, Src: v})
 
 	case ir.OpCopy:

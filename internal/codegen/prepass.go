@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"math"
+
 	"confllvm/internal/asm"
 	"confllvm/internal/ir"
 	"confllvm/internal/types"
@@ -11,12 +13,15 @@ import (
 // function is not modified: the result shares its unchanged instructions
 // and value types, and rewritten instructions are fresh copies.
 //
-// The rewritten IR uses two codegen-private forms:
+// The rewritten IR uses three codegen-private forms:
 //
 //   - an integer binary op or icmp with a single argument takes its right
 //     operand from Imm (the x64 RI form: add r, imm; cmp r, imm);
 //   - an icmp/fcmp with no result only sets the flags, and the condbr
-//     right after it has no argument and branches on them (cmp; jcc).
+//     right after it has no argument and branches on them (cmp; jcc);
+//   - a load with Args [b] or [b, i], or a store with Args [b, v] or
+//     [b, v, i], accesses [b + i*Blk + Imm]: Blk is the scale, and Imm
+//     is 0 and there is no index unless rewrite 6 made them.
 //
 // The rewrites, block by block:
 //
@@ -41,14 +46,27 @@ import (
 //     fuses only when its true target is not the layout-next block, so
 //     that the branch is never inverted (an inverted float predicate is
 //     wrong on NaN).
+//  6. Address folding. t = add b, x, defined once, whose every use is
+//     the address of a load or store later in the same block, folds into
+//     those accesses' memory operands as [b + index*scale + disp] and
+//     disappears. x may be an immediate (disp), a mul of i by 1, 2, 4 or
+//     8 or a shl of i by 0 to 3 whose only use is the add (index i with
+//     that scale), i ± c (index i, disp c, also under the mul or shl,
+//     which scales c), or a plain register (index x). A sub of an
+//     immediate is an add of its negation. Values are mutable vregs, so
+//     a fold needs b and i unwritten from where they were read up to the
+//     last access. Under MPX (guard), an operand without an index takes
+//     only a displacement the guard space covers (see GuardCovers).
 //
 // Instrumentation is untouched: the pre-pass sees no bound checks, CFI
 // sequences, stack switches or chkstk, which the lowering emits exactly as
 // before around the rewritten instructions.
-func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool) *ir.Func {
+func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool, guard bool) *ir.Func {
 	n := f.NumValues()
-	defs := make([]int32, n)
-	uses := make([]int32, n)
+	// defs, uses, constBlk and rewrite 6's three per-value tables share
+	// one allocation.
+	tables := make([]int32, 6*n)
+	defs, uses := tables[:n:n], tables[n:2*n:2*n]
 	total := 0
 	for _, blk := range f.Blocks {
 		total += len(blk.Insts)
@@ -63,8 +81,9 @@ func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool) *ir.Func {
 			}
 		}
 	}
-	p := &prepassState{isPrivate: isPrivate, isFloat: isFloat,
-		defs: defs, uses: uses, constVal: make([]int64, n), constBlk: make([]int32, n)}
+	p := &prepassState{isPrivate: isPrivate, isFloat: isFloat, guard: guard,
+		defs: defs, uses: uses, constVal: make([]int64, n), constBlk: tables[2*n : 3*n : 3*n],
+		lastDef: tables[3*n : 4*n : 4*n], defIdx: tables[4*n : 5*n : 5*n], candOf: tables[5*n:]}
 
 	// Rewriting never lengthens a block, so the new blocks and their
 	// instruction lists are carved out of two allocations.
@@ -89,6 +108,7 @@ func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool) *ir.Func {
 				p.constVal[in.Res], p.constBlk[in.Res] = in.Imm, p.blk
 			}
 		}
+		out = p.foldAddrs(out)
 		blocks[i] = ir.Block{ID: blk.ID, Insts: out}
 		nf.Blocks[i] = &blocks[i]
 	}
@@ -107,14 +127,28 @@ func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool) *ir.Func {
 
 type prepassState struct {
 	isPrivate, isFloat func(ir.Value) bool
-	defs, uses         []int32
+	// guard limits a folded operand without an index to a displacement
+	// GuardCovers accepts (MPX checks only its base register).
+	guard      bool
+	defs, uses []int32
 	// constVal[v] is the value of v when v is a single-definition
 	// constant already defined in the current block, which holds when
 	// constBlk[v] == blk (the block's index + 1).
 	constVal []int64
 	constBlk []int32
 	blk      int32
-	arena    []ir.Inst // see alloc
+	arena    []ir.Inst  // see alloc
+	args     []ir.Value // see allocArgs
+
+	// Rewrite 6's state. lastDef[v] is the clock stamp of v's latest def
+	// (0 before any); the clock counts instructions across the function,
+	// so a stamp after blkStart is a def in the current block, and
+	// defIdx[v] is then that def's index in the block. candOf[t] is 1 +
+	// t's index in cands while t is a candidate of the current block.
+	clock, blkStart int32
+	lastDef, defIdx []int32
+	candOf          []int32
+	cands           []addrCand
 }
 
 // alloc returns a heap copy of in for a rewritten instruction. Copies
@@ -126,6 +160,17 @@ func (p *prepassState) alloc(in ir.Inst) *ir.Inst {
 	}
 	p.arena = append(p.arena, in)
 	return &p.arena[len(p.arena)-1]
+}
+
+// allocArgs returns an empty argument list with room for n values,
+// carved out of chunks like alloc's instructions.
+func (p *prepassState) allocArgs(n int) []ir.Value {
+	if cap(p.args)-len(p.args) < n {
+		p.args = make([]ir.Value, 0, 64)
+	}
+	a := p.args[len(p.args) : len(p.args) : len(p.args)+n]
+	p.args = p.args[:len(p.args)+n]
+	return a
 }
 
 // constant returns v's value when it is a block-local constant here.
@@ -290,4 +335,176 @@ func (p *prepassState) fuseBranches(nf *ir.Func) {
 		nb.Args = nil
 		ins[k-2], ins[k-1] = nc, nb
 	}
+}
+
+// addrCand is a candidate of rewrite 6: t = add base, ... folded as
+// [base + index*scale + disp]. sb and si are lastDef of base and index
+// when the fold read them; every access must see the same stamps.
+type addrCand struct {
+	t, base, index ir.Value // index is NoValue without one
+	scale          int64
+	disp           int64
+	sb, si         int32
+	dead           [3]int32 // indexes of the add and the defs it absorbs, or -1
+	n              int32    // address uses seen
+	ok             bool
+}
+
+// foldAddrs applies rewrite 6 to one block's instructions, after
+// rewrites 1 to 3. A forward scan opens a candidate at each foldable add
+// and closes it at any use that is not a load or store address, or at
+// an access that would read a rewritten base or index; a candidate that
+// saw all of its value's uses folds.
+func (p *prepassState) foldAddrs(insts []*ir.Inst) []*ir.Inst {
+	p.blkStart = p.clock
+	p.cands = p.cands[:0]
+	for k, in := range insts {
+		p.clock++
+		for ai, a := range in.Args {
+			if a == ir.NoValue || p.candOf[a] == 0 {
+				continue
+			}
+			c := &p.cands[p.candOf[a]-1]
+			addrUse := ai == 0 && (in.Op == ir.OpLoad || in.Op == ir.OpStore) &&
+				(in.Op == ir.OpLoad || in.Args[1] != a)
+			if !addrUse || p.lastDef[c.base] != c.sb ||
+				(c.index != ir.NoValue && p.lastDef[c.index] != c.si) {
+				c.ok = false
+			}
+			c.n++
+		}
+		if in.Res == ir.NoValue {
+			continue
+		}
+		if c, ok := p.addrCandidate(insts, k, in); ok {
+			p.cands = append(p.cands, c)
+			p.candOf[in.Res] = int32(len(p.cands))
+		}
+		p.lastDef[in.Res], p.defIdx[in.Res] = p.clock, int32(k)
+	}
+	folded := false
+	for i := range p.cands {
+		c := &p.cands[i]
+		p.candOf[c.t] = 0
+		if !c.ok || c.n != p.uses[c.t] {
+			continue
+		}
+		folded = true
+		p.uses[c.t] = 0
+		for _, d := range c.dead {
+			if d >= 0 {
+				insts[d] = nil
+			}
+		}
+		p.uses[c.base] += c.n - 1
+		if c.index != ir.NoValue {
+			p.uses[c.index] += c.n - 1
+		}
+		p.candOf[c.t] = int32(i + 1)
+	}
+	if !folded {
+		return insts
+	}
+	out := insts[:0]
+	for _, in := range insts {
+		if in == nil {
+			continue
+		}
+		if (in.Op == ir.OpLoad || in.Op == ir.OpStore) && p.candOf[in.Args[0]] != 0 {
+			c := &p.cands[p.candOf[in.Args[0]]-1]
+			ni := p.alloc(*in)
+			ni.Args = append(append(p.allocArgs(len(in.Args)+1), c.base), in.Args[1:]...)
+			if c.index != ir.NoValue {
+				ni.Args = append(ni.Args, c.index)
+				ni.Blk = int(c.scale)
+			}
+			ni.Imm = c.disp
+			in = ni
+		}
+		out = append(out, in)
+	}
+	for i := range p.cands {
+		p.candOf[p.cands[i].t] = 0
+	}
+	return out
+}
+
+// addrCandidate reports whether in, the k-th instruction of the block,
+// opens a rewrite-6 candidate, and returns it.
+func (p *prepassState) addrCandidate(insts []*ir.Inst, k int, in *ir.Inst) (addrCand, bool) {
+	t := in.Res
+	c := addrCand{t: t, index: ir.NoValue, dead: [3]int32{int32(k), -1, -1}, ok: true}
+	if p.defs[t] != 1 || p.uses[t] == 0 {
+		return c, false
+	}
+	switch {
+	case (in.Op == ir.OpAdd || in.Op == ir.OpSub) && len(in.Args) == 1:
+		c.base, c.disp = in.Args[0], in.Imm
+		if in.Op == ir.OpSub {
+			if in.Imm == math.MinInt64 {
+				return c, false
+			}
+			c.disp = -in.Imm
+		}
+	case in.Op == ir.OpAdd && len(in.Args) == 2:
+		c.base, c.index, c.scale = in.Args[0], in.Args[1], 1
+		readAt := int32(k) // where the folded operand reads the index
+		x, ok := p.absorbable(insts, c.index)
+		if s := foldScale(x); ok && s != 0 {
+			c.scale, c.dead[1], readAt = s, p.defIdx[c.index], p.defIdx[c.index]
+			c.index = x.Args[0]
+			x, ok = p.absorbable(insts, c.index)
+		}
+		if ok && (x.Op == ir.OpAdd || x.Op == ir.OpSub) && len(x.Args) == 1 &&
+			x.Imm >= math.MinInt32 && x.Imm <= math.MaxInt32 {
+			c.disp = x.Imm * c.scale
+			if x.Op == ir.OpSub {
+				c.disp = -c.disp
+			}
+			c.dead[2], readAt = p.defIdx[c.index], p.defIdx[c.index]
+			c.index = x.Args[0]
+		}
+		// No def of the index between that read and the add.
+		if p.lastDef[c.index] > p.blkStart && p.defIdx[c.index] >= readAt {
+			return c, false
+		}
+		c.si = p.lastDef[c.index]
+	default:
+		return c, false
+	}
+	if c.disp != int64(int32(c.disp)) || c.base == t || c.index == t ||
+		(p.guard && c.index == ir.NoValue && !GuardCovers(c.disp)) {
+		return c, false
+	}
+	for _, d := range c.dead[1:] {
+		if d >= 0 && (insts[d].Res == c.base || insts[d].Res == c.index) {
+			return c, false
+		}
+	}
+	c.sb = p.lastDef[c.base]
+	return c, true
+}
+
+// foldScale returns the scale of an index that x, a mul or shl by an
+// immediate, multiplies by, or 0 when an operand cannot scale by it.
+func foldScale(x *ir.Inst) int64 {
+	if x == nil || len(x.Args) != 1 {
+		return 0
+	}
+	switch {
+	case x.Op == ir.OpMul && (x.Imm == 1 || x.Imm == 2 || x.Imm == 4 || x.Imm == 8):
+		return x.Imm
+	case x.Op == ir.OpShl && x.Imm >= 0 && x.Imm <= 3:
+		return 1 << x.Imm
+	}
+	return 0
+}
+
+// absorbable returns the instruction defining v when a fold may absorb
+// it: v is defined once, earlier in this block, and used only once.
+func (p *prepassState) absorbable(insts []*ir.Inst, v ir.Value) (*ir.Inst, bool) {
+	if p.defs[v] != 1 || p.uses[v] != 1 || p.lastDef[v] <= p.blkStart {
+		return nil, false
+	}
+	return insts[p.defIdx[v]], true
 }

@@ -19,7 +19,8 @@ var (
 func runPrepass(f *ir.Func) *ir.Func {
 	return prepass(f,
 		func(v ir.Value) bool { return f.ValueType(v).Qual == types.Private },
-		func(v ir.Value) bool { return f.ValueType(v).Kind == types.Float })
+		func(v ir.Value) bool { return f.ValueType(v).Kind == types.Float },
+		false)
 }
 
 // TestPrepassCopyFolding: t = op; d = copy t folds to d = op only when t
@@ -175,5 +176,157 @@ func TestPrepassCastOfConstant(t *testing.T) {
 	}
 	if len(got) != 6 {
 		t.Errorf("got %d instructions, want 6: %v", len(got), got)
+	}
+}
+
+// TestPrepassAddressFolding: t = add b, x folds into the memory operands
+// of its uses only when every use is a load or store address later in
+// the block and neither b nor the index is written between where the
+// fold reads it and the last access; a mul or shl by a scale and an i ± c
+// are absorbed; under MPX an operand without an index keeps only a
+// displacement the guard covers.
+func TestPrepassAddressFolding(t *testing.T) {
+	ptr := types.MakePtr(pubLong, types.Public)
+	type shape struct {
+		args  int   // folded access's arg count (load: 1 or 2)
+		scale int   // Blk when indexed
+		disp  int64 // Imm
+	}
+	cases := []struct {
+		name  string
+		guard bool
+		// build returns the block's instructions given params b, i and
+		// fresh values from nv.
+		build func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst
+		want  *shape // nil: the load keeps its unfolded address
+	}{
+		{"immediate", false, func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst {
+			k, t := nv(pubLong), nv(ptr)
+			return []*ir.Inst{
+				{Op: ir.OpConst, Res: k, Imm: 16},
+				{Op: ir.OpAdd, Res: t, Args: []ir.Value{b, k}},
+			}
+		}, &shape{1, 0, 16}},
+		{"sub immediate", false, func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst {
+			k, t := nv(pubLong), nv(ptr)
+			return []*ir.Inst{
+				{Op: ir.OpConst, Res: k, Imm: 8},
+				{Op: ir.OpSub, Res: t, Args: []ir.Value{b, k}},
+			}
+		}, &shape{1, 0, -8}},
+		{"scaled index minus one", false, func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst {
+			one, eight, j, x, t := nv(pubLong), nv(pubLong), nv(pubLong), nv(pubLong), nv(ptr)
+			return []*ir.Inst{
+				{Op: ir.OpConst, Res: one, Imm: 1},
+				{Op: ir.OpSub, Res: j, Args: []ir.Value{i, one}},
+				{Op: ir.OpConst, Res: eight, Imm: 8},
+				{Op: ir.OpMul, Res: x, Args: []ir.Value{j, eight}},
+				{Op: ir.OpAdd, Res: t, Args: []ir.Value{b, x}},
+			}
+		}, &shape{2, 8, -8}},
+		{"shl index", false, func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst {
+			two, x, t := nv(pubLong), nv(pubLong), nv(ptr)
+			return []*ir.Inst{
+				{Op: ir.OpConst, Res: two, Imm: 2},
+				{Op: ir.OpShl, Res: x, Args: []ir.Value{i, two}},
+				{Op: ir.OpAdd, Res: t, Args: []ir.Value{b, x}},
+			}
+		}, &shape{2, 4, 0}},
+		{"mul by 3 is a plain index", false, func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst {
+			three, x, t := nv(pubLong), nv(pubLong), nv(ptr)
+			return []*ir.Inst{
+				{Op: ir.OpConst, Res: three, Imm: 3},
+				{Op: ir.OpMul, Res: x, Args: []ir.Value{i, three}},
+				{Op: ir.OpAdd, Res: t, Args: []ir.Value{b, x}},
+			}
+		}, &shape{2, 1, 0}},
+		{"index rewritten after its mul", false, func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst {
+			eight, one, x, t := nv(pubLong), nv(pubLong), nv(pubLong), nv(ptr)
+			return []*ir.Inst{
+				{Op: ir.OpConst, Res: eight, Imm: 8},
+				{Op: ir.OpMul, Res: x, Args: []ir.Value{i, eight}},
+				{Op: ir.OpConst, Res: one, Imm: 1},
+				{Op: ir.OpAdd, Res: i, Args: []ir.Value{i, one}},
+				{Op: ir.OpAdd, Res: t, Args: []ir.Value{b, x}},
+			}
+		}, nil},
+		{"base rewritten before the access", false, func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst {
+			k, t := nv(pubLong), nv(ptr)
+			return []*ir.Inst{
+				{Op: ir.OpConst, Res: k, Imm: 8},
+				{Op: ir.OpAdd, Res: t, Args: []ir.Value{b, k}},
+				{Op: ir.OpCopy, Res: b, Args: []ir.Value{i}},
+			}
+		}, nil},
+		{"address also stored as a value", false, func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst {
+			k, t := nv(pubLong), nv(ptr)
+			return []*ir.Inst{
+				{Op: ir.OpConst, Res: k, Imm: 8},
+				{Op: ir.OpAdd, Res: t, Args: []ir.Value{b, k}},
+				{Op: ir.OpStore, Res: ir.NoValue, Args: []ir.Value{b, t}, Ty: pubLong},
+			}
+		}, nil},
+		{"guard-sized displacement under MPX", true, func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst {
+			k, t := nv(pubLong), nv(ptr)
+			return []*ir.Inst{
+				{Op: ir.OpConst, Res: k, Imm: MPXGuard - 8},
+				{Op: ir.OpAdd, Res: t, Args: []ir.Value{b, k}},
+			}
+		}, &shape{1, 0, MPXGuard - 8}},
+		{"displacement past the guard under MPX", true, func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst {
+			k, t := nv(pubLong), nv(ptr)
+			return []*ir.Inst{
+				{Op: ir.OpConst, Res: k, Imm: MPXGuard},
+				{Op: ir.OpAdd, Res: t, Args: []ir.Value{b, k}},
+			}
+		}, nil},
+		{"displacement past the guard with an index under MPX", true, func(b, i ir.Value, nv func(*types.Type) ir.Value) []*ir.Inst {
+			k, j, t := nv(pubLong), nv(pubLong), nv(ptr)
+			return []*ir.Inst{
+				{Op: ir.OpConst, Res: k, Imm: MPXGuard},
+				{Op: ir.OpAdd, Res: j, Args: []ir.Value{i, k}},
+				{Op: ir.OpAdd, Res: t, Args: []ir.Value{b, j}},
+			}
+		}, &shape{2, 1, MPXGuard}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := &ir.Func{Name: "f", Ret: pubLong}
+			b, i := f.NewValue(ptr), f.NewValue(pubLong)
+			f.ParamRegs = []ir.Value{b, i}
+			f.Params = []*types.Type{ptr, pubLong}
+			insts := tc.build(b, i, f.NewValue)
+			addr := insts[len(insts)-1].Res
+			if addr == ir.NoValue || insts[len(insts)-1].Op == ir.OpCopy {
+				addr = insts[1].Res
+			}
+			r := f.NewValue(pubLong)
+			insts = append(insts,
+				&ir.Inst{Op: ir.OpLoad, Res: r, Args: []ir.Value{addr}, Ty: pubLong},
+				&ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{r}})
+			f.NewBlock().Insts = insts
+			got := prepass(f,
+				func(ir.Value) bool { return false },
+				func(ir.Value) bool { return false }, tc.guard).Blocks[0].Insts
+			var load *ir.Inst
+			for _, in := range got {
+				if in.Op == ir.OpLoad {
+					load = in
+				}
+				if in.Res == addr && tc.want != nil {
+					t.Errorf("folded address v%d still defined: %v", addr, in)
+				}
+			}
+			switch {
+			case tc.want == nil:
+				if len(load.Args) != 1 || load.Args[0] != addr || load.Imm != 0 {
+					t.Errorf("load %v folded, want load v%d", load, addr)
+				}
+			case len(load.Args) != tc.want.args || load.Args[0] != b || load.Imm != tc.want.disp ||
+				(tc.want.args == 2 && load.Blk != tc.want.scale):
+				t.Errorf("load %v (scale %d, disp %d), want %d args, scale %d, disp %d",
+					load, load.Blk, load.Imm, tc.want.args, tc.want.scale, tc.want.disp)
+			}
+		})
 	}
 }

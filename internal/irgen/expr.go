@@ -527,10 +527,13 @@ func (g *generator) genBinary(x *minic.Binary) (ir.Value, *types.Type) {
 			return g.constInt(0, intType), intType
 		}
 	}
-	res := g.commonType(lt, rt)
-	if lt.IsInteger() && rt.IsInteger() && op != ir.OpShl && op != ir.OpShr && op != ir.OpSar {
-		// The usual arithmetic conversions (a shift converts neither
-		// operand to the other's type).
+	var res *types.Type
+	if isShift(op) {
+		// A shift has its promoted left operand's type and converts
+		// neither operand to the other's type.
+		res = g.commonType(lt, lt)
+	} else if res = g.commonType(lt, rt); lt.IsInteger() && rt.IsInteger() {
+		// The usual arithmetic conversions.
 		lv, rv = g.convert(lv, lt, res, x.Pos), g.convert(rv, rt, res, x.Pos)
 	}
 	// An op that can carry a sub-64-bit result out of its type's range
@@ -541,6 +544,8 @@ func (g *generator) genBinary(x *minic.Binary) (ir.Value, *types.Type) {
 	}
 	return v, res
 }
+
+func isShift(op ir.Op) bool { return op == ir.OpShl || op == ir.OpShr || op == ir.OpSar }
 
 // needsNormalize reports whether an op can carry a result out of its
 // type's range when its operands are in it.
@@ -731,8 +736,10 @@ func (g *generator) genBinaryOn(pos minic.Pos, op string, old ir.Value, oldTy *t
 			return g.constInt(0, intType), intType
 		}
 	}
-	res := g.commonType(oldTy, rt)
-	if oldTy.IsInteger() && rt.IsInteger() && iop != ir.OpShl && iop != ir.OpShr && iop != ir.OpSar {
+	var res *types.Type
+	if isShift(iop) {
+		res = g.commonType(oldTy, oldTy)
+	} else if res = g.commonType(oldTy, rt); oldTy.IsInteger() && rt.IsInteger() {
 		old, rv = g.convert(old, oldTy, res, pos), g.convert(rv, rt, res, pos)
 	}
 	v := g.emitV(&ir.Inst{Op: iop, Args: []ir.Value{old, rv}, Res: g.fn.NewValue(res)})

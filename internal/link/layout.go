@@ -71,7 +71,11 @@ const (
 
 // MPXLayout is the contiguous two-partition layout of Fig. 3b: public and
 // private regions adjacent, OFFSET = partition size (must fit in a 32-bit
-// displacement).
+// displacement). Nothing is mapped within codegen.MPXGuard below or above
+// either region: the externals table starts exactly that far above the
+// public region's top, the code ends far below it, and the private
+// region's neighbours are further still. Bound-check elision for
+// displaced operands relies on this.
 func MPXLayout() Layout {
 	return Layout{
 		CodeBase:    16 * mib,
@@ -80,7 +84,7 @@ func MPXLayout() Layout {
 		UsableSize:  64 * mib,
 		StackArea:   8 * mib,
 		ThreadStack: 1 * mib,
-		ExtTableOff: 64*mib + 1*mib,
+		ExtTableOff: 64*mib + codegen.MPXGuard,
 		TBase:       1024 * gib,
 		TSize:       16 * mib,
 	}

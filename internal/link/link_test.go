@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"confllvm"
+	"confllvm/internal/codegen"
 	"confllvm/internal/link"
 )
 
@@ -130,5 +131,42 @@ func TestLayoutInvariants(t *testing.T) {
 	// reconstructs in-segment addresses exactly (§3).
 	if seg.PubBase%(4<<30) != 0 || seg.PrivBase%(4<<30) != 0 {
 		t.Error("segment bases must be 4 GB aligned")
+	}
+}
+
+// TestMPXGuardUnmapped: a loaded OurMPX image maps nothing within
+// codegen.MPXGuard below or above the public and the private region,
+// which is what lets a check on a base register cover [base + disp] for
+// every displacement codegen.GuardCovers accepts.
+func TestMPXGuardUnmapped(t *testing.T) {
+	art, err := confllvm.Compile(confllvm.Program{
+		Sources: []confllvm.Source{{Name: "p.c", Code: prog}},
+	}, confllvm.VariantMPX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := confllvm.Prepare(art, confllvm.NewWorld(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := art.Image.Layout
+	if l != link.MPXLayout() {
+		t.Fatalf("OurMPX image layout %+v, want MPXLayout", l)
+	}
+	var guards [][2]uint64 // [lo, hi)
+	for _, base := range []uint64{l.PubBase, l.PrivBase} {
+		guards = append(guards, [2]uint64{base - codegen.MPXGuard, base},
+			[2]uint64{base + l.UsableSize, base + l.UsableSize + codegen.MPXGuard})
+	}
+	for _, r := range p.Machine().Mem.Regions() {
+		for _, g := range guards {
+			if r.Lo < g[1] && g[0] < r.End() {
+				t.Errorf("region %s [%#x, %#x) overlaps the guard [%#x, %#x)", r.Name, r.Lo, r.End(), g[0], g[1])
+			}
+		}
+	}
+	if !codegen.GuardCovers(-codegen.MPXGuard) || codegen.GuardCovers(-codegen.MPXGuard-1) ||
+		!codegen.GuardCovers(codegen.MPXGuard-8) || codegen.GuardCovers(codegen.MPXGuard-7) {
+		t.Error("GuardCovers must accept exactly [-MPXGuard, MPXGuard-8]")
 	}
 }

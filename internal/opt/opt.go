@@ -49,29 +49,36 @@ func Run(mod *ir.Module, p Passes) {
 		}
 		s.fit(f)
 		for round := 0; round < 4; round++ {
-			changed := false
+			// changed records rewrites by CFG simplification, constant
+			// folding and CSE; cleanup those by copy propagation and DCE.
+			changed, cleanup := false, false
 			if p.simplifyCFG {
 				changed = s.simplifyCFG(f) || changed
 			}
+			truncs := false
 			if p.truncElim && round == 0 {
 				// Once: on the benchmark programs no later round's
 				// rewrites expose another dead trunc, and this is the
 				// pipeline's costliest pass.
-				changed = s.truncElim(f) || changed
+				truncs = s.truncElim(f)
 			}
 			if p.constFold {
 				changed = s.constFold(f) || changed
 			}
 			if p.copyProp {
-				changed = s.copyProp(f) || changed
+				cleanup = s.copyProp(f) || cleanup
 			}
 			if p.localCSE {
 				changed = s.localCSE(f) || changed
 			}
 			if p.dce {
-				changed = s.dce(f) || changed
+				cleanup = s.dce(f) || cleanup
 			}
-			if !changed {
+			// A round whose only work was removing the copies truncElim
+			// left (the copy propagation and DCE that follow it in the
+			// same round) needs no confirmation round: on the benchmark
+			// programs that round never changed anything.
+			if !changed && (!cleanup || truncs) {
 				break
 			}
 		}

@@ -269,24 +269,60 @@ func writesGPR(in *asm.Inst) asm.Reg {
 	return asm.NoReg
 }
 
-type bndCheck struct {
-	reg asm.Reg
-	bnd asm.Bnd
+// bndKey identifies the checks that can cover a memory operand: those on
+// its base, index and scale under one bound register. A register-form
+// check on r is keyed like a memory-form check on [r + 0].
+type bndKey struct {
+	base, index asm.Reg
+	scale       uint8
+	bnd         asm.Bnd
+}
+
+func keyOf(m asm.Mem, bnd asm.Bnd) bndKey {
+	if m.Index == asm.NoReg {
+		return bndKey{m.Base, asm.NoReg, 0, bnd}
+	}
+	return bndKey{m.Base, m.Index, m.Scale, bnd}
+}
+
+// bndEvidence records the checks seen on one key in the current block:
+// bits has bit 0 for a lower and bit 1 for an upper check, made at
+// displacements lo and hi.
+type bndEvidence struct {
+	bits   uint8
+	lo, hi int32
+}
+
+// covers reports whether e bounds an access at displacement d: both
+// checks were made and d is within the guard of each.
+func (e bndEvidence) covers(d int32) bool {
+	return e.bits == 3 && codegen.GuardCovers(int64(d)-int64(e.lo)) &&
+		codegen.GuardCovers(int64(d)-int64(e.hi))
 }
 
 // transferBlock applies the taint transfer function and all per-
 // instruction checks to one block.
 func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 	conf := v.img.Config
-	checks := map[bndCheck]uint8{} // bit0 = lower checked, bit1 = upper
-	flags := false                 // taint of the flags register
+	checks := map[bndKey]bndEvidence{}
+	flags := false // taint of the flags register
 
 	invalidate := func(r asm.Reg) {
 		for k := range checks {
-			if k.reg == r {
+			if k.base == r || k.index == r {
 				delete(checks, k)
 			}
 		}
+	}
+	check := func(m asm.Mem, bnd asm.Bnd, upper bool) {
+		k := keyOf(m, bnd)
+		e := checks[k]
+		if upper {
+			e.bits, e.hi = e.bits|2, m.Disp
+		} else {
+			e.bits, e.lo = e.bits|1, m.Disp
+		}
+		checks[k] = e
 	}
 
 	// operandLevel determines the region taint of a memory operand and
@@ -305,12 +341,28 @@ func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 			}
 			return false, &Error{in.off, "unprefixed memory operand under segmentation scheme"}
 		}
-		// MPX scheme.
-		if m.Base == asm.RSP {
-			return int64(m.Disp) >= conf.StackOffset, nil
+		// MPX scheme. The bound registers check raw addresses, so a
+		// segment base or a 32-bit truncation would move the access away
+		// from what was checked.
+		if m.Seg != asm.SegNone || m.Use32 {
+			return false, &Error{in.off, "segment addressing under the MPX scheme"}
 		}
-		lo := checks[bndCheck{m.Base, asm.BND0}] == 3
-		hi := checks[bndCheck{m.Base, asm.BND1}] == 3
+		if m.Base == asm.RSP {
+			// Covered by the _chkstk discipline: rsp stays inside the
+			// public stack, whose private mirror is OFFSET above it.
+			d := int64(m.Disp)
+			switch {
+			case m.Index != asm.NoReg:
+				return false, &Error{in.off, "indexed stack operand"}
+			case d >= 0 && codegen.GuardCovers(d):
+				return false, nil
+			case d >= conf.StackOffset && codegen.GuardCovers(d-conf.StackOffset):
+				return true, nil
+			}
+			return false, &Error{in.off, "stack operand displacement outside both stack guard zones"}
+		}
+		e0, e1 := checks[keyOf(m, asm.BND0)], checks[keyOf(m, asm.BND1)]
+		lo, hi := e0.covers(m.Disp), e1.covers(m.Disp)
 		switch {
 		case lo && !hi:
 			return false, nil
@@ -318,6 +370,10 @@ func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 			return true, nil
 		case lo && hi:
 			return false, &Error{in.off, "ambiguous bound checks on operand base"}
+		case e0.bits == 3 || e1.bits == 3:
+			return false, &Error{in.off, "displacement outside the guard zone of its bound check"}
+		case m.Index != asm.NoReg:
+			return false, &Error{in.off, "indexed operand without a memory-form bound check"}
 		}
 		return false, &Error{in.off, "memory operand without MPX bound checks"}
 	}
@@ -409,7 +465,7 @@ func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 				return err
 			}
 			v.applyCallEffect(in, s)
-			checks = map[bndCheck]uint8{}
+			clear(checks)
 		case asm.OpICall:
 			if !in.icallOK {
 				return &Error{in.off, "unchecked indirect call"}
@@ -418,14 +474,14 @@ func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 				return err
 			}
 			v.applyCallEffect(in, s)
-			checks = map[bndCheck]uint8{}
-		case asm.OpBndCLReg:
-			checks[bndCheck{in.Src, in.Bnd}] |= 1
-		case asm.OpBndCUReg:
-			checks[bndCheck{in.Src, in.Bnd}] |= 2
+			clear(checks)
+		case asm.OpBndCLReg, asm.OpBndCUReg:
+			check(asm.Mem{Base: in.Src, Index: asm.NoReg}, in.Bnd, in.Op == asm.OpBndCUReg)
 		case asm.OpBndCLMem, asm.OpBndCUMem:
-			// The generator uses register-form checks only.
-			return &Error{in.off, "unexpected memory-form bound check"}
+			if in.M.Seg != asm.SegNone || in.M.Use32 {
+				return &Error{in.off, "segment addressing under the MPX scheme"}
+			}
+			check(in.M, in.Bnd, in.Op == asm.OpBndCUMem)
 		case asm.OpFMovRR:
 			s.f[in.FDst] = s.f[in.FSrc]
 		case asm.OpFMovI:

@@ -13,11 +13,20 @@ import (
 
 // fuzzProg is testProg plus a function whose code holds a movsx (a
 // signed trunc whose high bits the shift reads) and an unsigned div and
-// mod, so the fuzzer flips those encodings too.
+// mod, and one whose accesses fold into displaced and indexed operands
+// (struct fields off one checked base, p[i-1] and p[-1], which take
+// memory-form checks under MPX), so the fuzzer flips those encodings
+// too.
 const fuzzProg = testProg + `
 unsigned long umix(unsigned long a, int b) {
 	int s = b * 3;
 	return a / (unsigned long)(s >> 1) + a % 7;
+}
+
+struct arc { int to; int cost; int next; };
+
+long fields(struct arc *arcs, long *p, long i) {
+	return arcs[i].to + arcs[i].cost + arcs[i].next + p[i-1] + p[-1];
 }
 `
 
@@ -53,14 +62,36 @@ func FuzzVerifyImage(f *testing.F) {
 	f.Add(uint32(4096), byte(0x20), true)
 	f.Add(uint32(0xffffffff), byte(0x55), false)
 	// The opcode, register and immediate bytes of the first movsx, div
-	// and mod in each image.
+	// and mod in each image, and every byte of the first load with a
+	// displacement, the first with an index and (under MPX) the first
+	// memory-form check.
+	isOp := func(op asm.Op) func(asm.Inst) bool {
+		return func(in asm.Inst) bool { return in.Op == op }
+	}
+	shapes := []struct {
+		name string
+		is   func(asm.Inst) bool
+		mpx  bool // only under MPX
+	}{
+		{"movsx", isOp(asm.OpMovsx), false},
+		{"div", isOp(asm.OpUDivRR), false},
+		{"mod", isOp(asm.OpUModRR), false},
+		{"displaced load", func(in asm.Inst) bool {
+			return in.Op == asm.OpLoad && in.M.Disp != 0 && in.M.Base != asm.RSP
+		}, false},
+		{"indexed load", func(in asm.Inst) bool { return in.Op == asm.OpLoad && in.M.Index != asm.NoReg }, true},
+		{"memory-form check", isOp(asm.OpBndCLMem), true},
+	}
 	for i, img := range fuzzImages() {
-		for _, op := range []asm.Op{asm.OpMovsx, asm.OpUDivRR, asm.OpUModRR} {
-			off := firstOp(img, op)
-			if off < 0 {
-				f.Fatalf("fuzz image %d holds no %v", i, op)
+		for _, sh := range shapes {
+			if sh.mpx && i != 0 {
+				continue
 			}
-			for k := range asm.EncodedLen(op) {
+			off, n := firstMatch(img, sh.is)
+			if off < 0 {
+				f.Fatalf("fuzz image %d holds no %s", i, sh.name)
+			}
+			for k := range n {
 				f.Add(uint32(off+k), byte(1)<<(k%8), i == 1)
 			}
 		}
@@ -96,9 +127,9 @@ func FuzzVerifyImage(f *testing.F) {
 	})
 }
 
-// firstOp returns the code offset of the first op instruction in img's
-// functions, or -1.
-func firstOp(img *link.Image, op asm.Op) int {
+// firstMatch returns the code offset and length of the first
+// instruction in img's functions that is accepts, or -1.
+func firstMatch(img *link.Image, is func(asm.Inst) bool) (int, int) {
 	magic := img.MagicOffsets()
 	for _, fs := range img.Funcs {
 		off := int(fs.Entry - img.Layout.CodeBase)
@@ -112,11 +143,11 @@ func firstOp(img *link.Image, op asm.Op) int {
 			if err != nil {
 				break
 			}
-			if in.Op == op {
-				return off
+			if is(in) {
+				return off, n
 			}
 			off += n
 		}
 	}
-	return -1
+	return -1, 0
 }

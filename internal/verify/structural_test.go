@@ -7,6 +7,7 @@ import (
 
 	"confllvm"
 	"confllvm/internal/asm"
+	"confllvm/internal/codegen"
 	"confllvm/internal/link"
 	"confllvm/internal/verify"
 )
@@ -57,6 +58,7 @@ func (b *ib) raw(bs ...byte) int {
 
 func (b *ib) image(v confllvm.Variant) *link.Image {
 	conf := v.Config()
+	conf.StackOffset = b.layout.Offset()
 	return &link.Image{
 		Code:        b.code,
 		MCallPrefix: synthMCall,
@@ -288,6 +290,69 @@ func TestVerifyErrorPaths(t *testing.T) {
 			b.emit(asm.Inst{Op: asm.OpTrap})
 			return off, "ambiguous bound checks on operand base"
 		}},
+		{"mpx-displacement-escapes-guard", confllvm.VariantMPX, false, func(b *ib) (int, string) {
+			// rax is checked against the private bound, but the store
+			// lands OFFSET below it: private rcx written into the public
+			// region.
+			b.mcall(1) // rcx private
+			b.emit(asm.Inst{Op: asm.OpBndCLReg, Src: asm.RAX, Bnd: asm.BND1})
+			b.emit(asm.Inst{Op: asm.OpBndCUReg, Src: asm.RAX, Bnd: asm.BND1})
+			m := mem8(asm.RAX, asm.SegNone, false)
+			m.Disp = -1 << 30
+			off := b.emit(asm.Inst{Op: asm.OpStore, M: m, Src: asm.RCX})
+			b.emit(asm.Inst{Op: asm.OpTrap})
+			return off, "displacement outside the guard zone of its bound check"
+		}},
+		{"mpx-unchecked-index", confllvm.VariantMPX, false, func(b *ib) (int, string) {
+			b.mcall(0)
+			b.emit(asm.Inst{Op: asm.OpBndCLReg, Src: asm.RAX, Bnd: asm.BND0})
+			b.emit(asm.Inst{Op: asm.OpBndCUReg, Src: asm.RAX, Bnd: asm.BND0})
+			m := mem8(asm.RAX, asm.SegNone, false)
+			m.Index, m.Scale = asm.RDX, 8
+			off := b.emit(asm.Inst{Op: asm.OpStore, M: m, Src: asm.RCX})
+			b.emit(asm.Inst{Op: asm.OpTrap})
+			return off, "indexed operand without a memory-form bound check"
+		}},
+		{"mpx-stack-mirror-read-as-public", confllvm.VariantMPX, false, func(b *ib) (int, string) {
+			// [rsp+OFFSET-8] is the last word below the private stack
+			// mirror: in neither stack's guard range.
+			b.mcall(0)
+			m := mem8(asm.RSP, asm.SegNone, false)
+			m.Disp = int32(b.layout.Offset() - 8)
+			off := b.emit(asm.Inst{Op: asm.OpLoad, Dst: asm.RCX, M: m})
+			b.emit(asm.Inst{Op: asm.OpPush, Src: asm.RCX})
+			b.emit(asm.Inst{Op: asm.OpTrap})
+			return off, "stack operand displacement outside both stack guard zones"
+		}},
+		{"mpx-indexed-stack-operand", confllvm.VariantMPX, false, func(b *ib) (int, string) {
+			b.mcall(0)
+			m := mem8(asm.RSP, asm.SegNone, false)
+			m.Index, m.Scale = asm.RBX, 8
+			off := b.emit(asm.Inst{Op: asm.OpLoad, Dst: asm.RCX, M: m})
+			b.emit(asm.Inst{Op: asm.OpTrap})
+			return off, "indexed stack operand"
+		}},
+		{"mpx-segment-prefixed-operand", confllvm.VariantMPX, false, func(b *ib) (int, string) {
+			// gs:[lo32(rax)] after public checks on rax reads the private
+			// region.
+			b.mcall(0)
+			b.emit(asm.Inst{Op: asm.OpBndCLReg, Src: asm.RAX, Bnd: asm.BND0})
+			b.emit(asm.Inst{Op: asm.OpBndCUReg, Src: asm.RAX, Bnd: asm.BND0})
+			off := b.emit(asm.Inst{Op: asm.OpLoad, Dst: asm.RBX, M: mem8(asm.RAX, asm.SegGS, true)})
+			b.emit(asm.Inst{Op: asm.OpTrap})
+			return off, "segment addressing under the MPX scheme"
+		}},
+		{"mpx-index-rewritten-after-check", confllvm.VariantMPX, false, func(b *ib) (int, string) {
+			b.mcall(0)
+			m := mem8(asm.RAX, asm.SegNone, false)
+			m.Index, m.Scale = asm.RDX, 8
+			b.emit(asm.Inst{Op: asm.OpBndCLMem, M: m, Bnd: asm.BND0})
+			b.emit(asm.Inst{Op: asm.OpBndCUMem, M: m, Bnd: asm.BND0})
+			b.emit(asm.Inst{Op: asm.OpAddRI, Dst: asm.RDX, Imm: 1 << 20})
+			off := b.emit(asm.Inst{Op: asm.OpLoad, Dst: asm.RBX, M: m})
+			b.emit(asm.Inst{Op: asm.OpTrap})
+			return off, "indexed operand without a memory-form bound check"
+		}},
 		{"arbitrary-rsp-write", confllvm.VariantSeg, false, func(b *ib) (int, string) {
 			b.mcall(0)
 			off := b.emit(asm.Inst{Op: asm.OpMovRR, Dst: asm.RSP, Src: asm.RAX})
@@ -343,5 +408,87 @@ func TestVerifyErrorPaths(t *testing.T) {
 			check(1)
 			check(8)
 		})
+	}
+}
+
+// TestVerifyAcceptsGuardedOperands pins the MPX operand rules from the
+// accepting side: a check on a base register covers [base + disp] and a
+// memory-form check covers its own base, index and scale at any
+// displacement within codegen.GuardCovers of the checked one, and a
+// stack operand's displacement may reach the guard's edge above rsp or
+// above rsp+OFFSET. Each case's rejected twin (one step past the edge)
+// must fail.
+func TestVerifyAcceptsGuardedOperands(t *testing.T) {
+	edge := int32(codegen.MPXGuard - 8)
+	at := func(base, index asm.Reg, scale uint8, disp int32) asm.Mem {
+		return asm.Mem{Base: base, Index: index, Scale: scale, Disp: disp, Size: 8}
+	}
+	cases := []struct {
+		name   string
+		checks []asm.Inst
+		access asm.Mem
+		ok     bool
+	}{
+		{"register check, top of guard", []asm.Inst{
+			{Op: asm.OpBndCLReg, Src: asm.RAX, Bnd: asm.BND0}, {Op: asm.OpBndCUReg, Src: asm.RAX, Bnd: asm.BND0},
+		}, at(asm.RAX, asm.NoReg, 1, edge), true},
+		{"register check, past the guard", []asm.Inst{
+			{Op: asm.OpBndCLReg, Src: asm.RAX, Bnd: asm.BND0}, {Op: asm.OpBndCUReg, Src: asm.RAX, Bnd: asm.BND0},
+		}, at(asm.RAX, asm.NoReg, 1, edge+1), false},
+		{"register check, bottom of guard", []asm.Inst{
+			{Op: asm.OpBndCLReg, Src: asm.RAX, Bnd: asm.BND0}, {Op: asm.OpBndCUReg, Src: asm.RAX, Bnd: asm.BND0},
+		}, at(asm.RAX, asm.NoReg, 1, -codegen.MPXGuard), true},
+		{"register check, below the guard", []asm.Inst{
+			{Op: asm.OpBndCLReg, Src: asm.RAX, Bnd: asm.BND0}, {Op: asm.OpBndCUReg, Src: asm.RAX, Bnd: asm.BND0},
+		}, at(asm.RAX, asm.NoReg, 1, -codegen.MPXGuard-1), false},
+		{"memory-form check, displaced within the guard", []asm.Inst{
+			{Op: asm.OpBndCLMem, M: at(asm.RAX, asm.RDX, 8, 16), Bnd: asm.BND0},
+			{Op: asm.OpBndCUMem, M: at(asm.RAX, asm.RDX, 8, 16), Bnd: asm.BND0},
+		}, at(asm.RAX, asm.RDX, 8, 16+edge), true},
+		{"memory-form check, displaced past the guard", []asm.Inst{
+			{Op: asm.OpBndCLMem, M: at(asm.RAX, asm.RDX, 8, 16), Bnd: asm.BND0},
+			{Op: asm.OpBndCUMem, M: at(asm.RAX, asm.RDX, 8, 16), Bnd: asm.BND0},
+		}, at(asm.RAX, asm.RDX, 8, 16+edge+1), false},
+		{"memory-form check, another scale", []asm.Inst{
+			{Op: asm.OpBndCLMem, M: at(asm.RAX, asm.RDX, 8, 0), Bnd: asm.BND0},
+			{Op: asm.OpBndCUMem, M: at(asm.RAX, asm.RDX, 8, 0), Bnd: asm.BND0},
+		}, at(asm.RAX, asm.RDX, 4, 0), false},
+		{"memory-form check without index covers its base", []asm.Inst{
+			{Op: asm.OpBndCLMem, M: at(asm.RAX, asm.NoReg, 1, 8), Bnd: asm.BND0},
+			{Op: asm.OpBndCUMem, M: at(asm.RAX, asm.NoReg, 1, 8), Bnd: asm.BND0},
+		}, at(asm.RAX, asm.NoReg, 1, 0), true},
+		{"lower check only", []asm.Inst{
+			{Op: asm.OpBndCLMem, M: at(asm.RAX, asm.RDX, 8, 0), Bnd: asm.BND0},
+		}, at(asm.RAX, asm.RDX, 8, 0), false},
+		{"public stack, top of guard", nil, at(asm.RSP, asm.NoReg, 1, edge), true},
+		{"public stack, past the guard", nil, at(asm.RSP, asm.NoReg, 1, edge+1), false},
+		{"public stack, below rsp", nil, at(asm.RSP, asm.NoReg, 1, -8), false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			b := &ib{layout: link.MPXLayout()}
+			b.mcall(0)
+			for _, in := range tc.checks {
+				b.emit(in)
+			}
+			b.emit(asm.Inst{Op: asm.OpLoad, Dst: asm.RBX, M: tc.access})
+			b.emit(asm.Inst{Op: asm.OpTrap})
+			err := verify.Verify(b.image(confllvm.VariantMPX), verify.Options{})
+			if (err == nil) != tc.ok {
+				t.Errorf("accepted = %v, want %v (%v)", err == nil, tc.ok, err)
+			}
+		})
+	}
+	// The private stack mirror: [rsp + OFFSET + d] for d up to the edge.
+	for _, d := range []int64{0, int64(edge), int64(edge) + 1} {
+		b := &ib{layout: link.MPXLayout()}
+		b.mcall(0)
+		b.emit(asm.Inst{Op: asm.OpLoad, Dst: asm.RBX,
+			M: at(asm.RSP, asm.NoReg, 1, int32(b.layout.Offset()+d))})
+		b.emit(asm.Inst{Op: asm.OpTrap})
+		err := verify.Verify(b.image(confllvm.VariantMPX), verify.Options{})
+		if (err == nil) != (d <= int64(edge)) {
+			t.Errorf("private stack at OFFSET+%d: accepted = %v", d, err == nil)
+		}
 	}
 }

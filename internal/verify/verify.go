@@ -287,7 +287,8 @@ func (v *verifier) disassemble(magicOff, spanEnd int) (*proc, error) {
 	if len(p.insts) == 3 {
 		i0, i1, i2 := &p.insts[0], &p.insts[1], &p.insts[2]
 		if i0.Op == asm.OpMovRI && i1.Op == asm.OpLoad && i2.Op == asm.OpJmpR &&
-			i1.M.Base == i0.Dst && i2.Src == i1.Dst {
+			i1.M.Base == i0.Dst && i1.M.Index == asm.NoReg && i1.M.Disp == 0 &&
+			i2.Src == i1.Dst {
 			tbl := v.img.Layout.ExtTableBase()
 			slot := uint64(i0.Imm)
 			if slot >= tbl && slot < tbl+uint64(8*len(v.img.Externals)) {

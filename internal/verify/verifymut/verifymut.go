@@ -16,7 +16,8 @@
 // The taxonomy (see internal/verify/README.md):
 //
 //   - check removal: drop-mpx-check, chksp-drop
-//   - evidence forgery: seg-store-public, seg-unprefixed, seg-use32-drop
+//   - evidence forgery: seg-store-public, seg-unprefixed, seg-use32-drop,
+//     mpx-disp-escape, mpx-index-inject
 //   - interface lies: entry-bits-clear, arg-redirect
 //   - CFI splicing: call-skip-magic, icall-strip-check, ret-to-plain,
 //     stray-magic-inject
@@ -29,6 +30,7 @@ import (
 	"sort"
 
 	"confllvm/internal/asm"
+	"confllvm/internal/codegen"
 	"confllvm/internal/link"
 	"confllvm/internal/rng"
 )
@@ -183,6 +185,8 @@ func Mutators() []Mutator {
 		{"seg-store-public", segStorePublic},
 		{"seg-unprefixed", segUnprefixed},
 		{"seg-use32-drop", segUse32Drop},
+		{"mpx-disp-escape", mpxDispEscape},
+		{"mpx-index-inject", mpxIndexInject},
 		{"entry-bits-clear", entryBitsClear},
 		{"arg-redirect", argRedirect},
 		{"call-skip-magic", callSkipMagic},
@@ -241,7 +245,7 @@ func dropMPXCheck(img *link.Image, seed uint64) *Mutant {
 			}
 			switch in.Op {
 			case asm.OpLoad, asm.OpStore, asm.OpFLoad, asm.OpFStore:
-				if in.M.Base == base {
+				if in.M.Base == base && in.M.Index == asm.NoReg {
 					covers = append(covers, sites[j].off)
 				}
 			}
@@ -393,6 +397,86 @@ func pickSegOperand(img *link.Image, seed uint64) *site {
 	}
 	c := cands[pick(seed, len(cands))]
 	return &c
+}
+
+// mpxOperands lists the loads and stores of an MPX image whose operand a
+// bound check covers: every one not relative to rsp.
+func mpxOperands(img *link.Image) []site {
+	if img.Config.Bounds != codegen.BoundsMPX {
+		return nil
+	}
+	var cands []site
+	for _, s := range walk(img) {
+		if memFlagsOff(s.in, s.off) >= 0 && s.in.M.Base != asm.RSP {
+			cands = append(cands, s)
+		}
+	}
+	return cands
+}
+
+// mpxDispEscape moves a checked operand's displacement by OFFSET, up or
+// down by the seed: the access now lands in the other region, far past
+// the guard space its bound check relies on.
+func mpxDispEscape(img *link.Image, seed uint64) *Mutant {
+	cands := mpxOperands(img)
+	if len(cands) == 0 {
+		return nil
+	}
+	c := cands[pick(seed, len(cands))]
+	delta := img.Layout.Offset()
+	if seed&1 != 0 {
+		delta = -delta
+	}
+	fo := memFlagsOff(c.in, c.off)
+	m := mutate(img, func(code []byte) {
+		binary.LittleEndian.PutUint32(code[fo+3:], uint32(int64(c.in.M.Disp)+delta))
+	})
+	return &Mutant{Image: m, MutOff: c.off, WantOffs: []int{c.off},
+		WantMsg: "displacement outside the guard zone of its bound check"}
+}
+
+// mpxIndexInject adds an index register to a checked operand that has
+// none. The operand's check was on its base alone, and no memory-form
+// check in the function names the injected index, so the index is
+// unchecked.
+func mpxIndexInject(img *link.Image, seed uint64) *Mutant {
+	type cand struct {
+		s   site
+		idx asm.Reg
+	}
+	// Memory-form checks' (base, index) pairs per function, scale 1.
+	checked := map[*link.FuncSym]map[[2]asm.Reg]bool{}
+	for _, s := range walk(img) {
+		if (s.in.Op == asm.OpBndCLMem || s.in.Op == asm.OpBndCUMem) && s.in.M.Scale == 1 {
+			if checked[s.fn] == nil {
+				checked[s.fn] = map[[2]asm.Reg]bool{}
+			}
+			checked[s.fn][[2]asm.Reg{s.in.M.Base, s.in.M.Index}] = true
+		}
+	}
+	var cands []cand
+	for _, s := range mpxOperands(img) {
+		if s.in.M.Index != asm.NoReg {
+			continue
+		}
+		for r := asm.Reg(0); r < asm.NumRegs; r++ {
+			if r != asm.RSP && !checked[s.fn][[2]asm.Reg{s.in.M.Base, r}] {
+				cands = append(cands, cand{s, r})
+				break
+			}
+		}
+	}
+	if len(cands) == 0 {
+		return nil
+	}
+	c := cands[pick(seed, len(cands))]
+	fo := memFlagsOff(c.s.in, c.s.off)
+	m := mutate(img, func(code []byte) {
+		code[fo] &^= 3 << 3 // scale 1
+		code[fo+2] = byte(c.idx)
+	})
+	return &Mutant{Image: m, MutOff: c.s.off, WantOffs: []int{c.s.off},
+		WantMsg: "indexed operand without a memory-form bound check"}
 }
 
 // privAt computes, for every walked site, a register set that is
