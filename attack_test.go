@@ -49,7 +49,7 @@ func hookedRun(t *testing.T, art *Artifact, n uint64,
 	t.Helper()
 	w := NewWorld()
 	w.Passwords["u"] = []byte("sup3r-secret")
-	p, err := prepare(art, w)
+	p, err := Prepare(art, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestAttackReadTCanary(t *testing.T) {
 	art := compileAttack(t, VariantSeg)
 	w := NewWorld()
 	w.Passwords["u"] = []byte("x")
-	res, err := prepare(art, w)
+	res, err := Prepare(art, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestAttackJumpIntoData(t *testing.T) {
 	art := compileAttack(t, VariantMPX)
 	w := NewWorld()
 	w.Passwords["u"] = []byte("x")
-	res, err := prepare(art, w)
+	res, err := Prepare(art, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestAttackExternalsTableImmutable(t *testing.T) {
 	art := compileAttack(t, VariantMPX)
 	w := NewWorld()
 	w.Passwords["u"] = []byte("x")
-	res, err := prepare(art, w)
+	res, err := Prepare(art, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

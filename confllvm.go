@@ -300,21 +300,22 @@ type Result struct {
 	Profile *machine.Profile
 }
 
-// prepared is a loaded machine ready to run (used by Run and by white-box
-// attack tests that need to intervene mid-execution).
-type prepared struct {
+// Prepared is a loaded machine that has not executed yet: the outcome of
+// Run's load phase, exported so callers can intervene between load and
+// execution — the chaos supervisor corrupts a code page with
+// Memory.WriteBytesUnchecked to model a runtime bit-flip, and white-box
+// tests poke at registers or memory. The artifact itself is never
+// mutated; the machine owns copies of the image bytes.
+type Prepared struct {
 	m   *machine.Machine
 	t0  *machine.Thread
 	ctx *trt.Context
 }
 
-// prepare performs the load phase of Run: allocators, trusted context,
+// Prepare performs the load phase of Run: allocators, trusted context,
 // machine construction and main-thread creation — without executing.
-func prepare(art *Artifact, w *World) (*prepared, error) {
-	return prepareWith(art, w, nil)
-}
-
-func prepareWith(art *Artifact, w *World, mconf *machine.Config) (*prepared, error) {
+// mconf may be nil for the default cost model.
+func Prepare(art *Artifact, w *World, mconf *machine.Config) (*Prepared, error) {
 	img := art.Image
 	l := img.Layout
 	mc := machine.DefaultConfig()
@@ -368,49 +369,28 @@ func prepareWith(art *Artifact, w *World, mconf *machine.Config) (*prepared, err
 	if err != nil {
 		return nil, err
 	}
-	return &prepared{m: m, t0: t0, ctx: ctx}, nil
-}
-
-// Prepared is a loaded machine that has not executed yet: the outcome of
-// Run's load phase, exported so callers can intervene between load and
-// execution — the chaos supervisor corrupts a code page with
-// Memory.WriteBytesUnchecked to model a runtime bit-flip, and white-box
-// tests poke at registers or memory. The artifact itself is never
-// mutated; the machine owns copies of the image bytes.
-type Prepared struct {
-	p *prepared
-}
-
-// Prepare performs the load phase of Run: allocators, trusted context,
-// machine construction and main-thread creation — without executing.
-// mconf may be nil for the default cost model.
-func Prepare(art *Artifact, w *World, mconf *machine.Config) (*Prepared, error) {
-	p, err := prepareWith(art, w, mconf)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{p: p}, nil
+	return &Prepared{m: m, t0: t0, ctx: ctx}, nil
 }
 
 // Machine exposes the loaded machine for pre-run intervention.
-func (p *Prepared) Machine() *machine.Machine { return p.p.m }
+func (p *Prepared) Machine() *machine.Machine { return p.m }
 
 // Finish executes the prepared machine to completion and collects the
 // result, exactly like Run's execution phase. It must be called at most
 // once.
 func (p *Prepared) Finish() *Result {
-	fault := p.p.m.Run()
+	fault := p.m.Run()
 	return &Result{
-		ExitCode:   p.p.t0.ExitCode,
+		ExitCode:   p.t0.ExitCode,
 		Fault:      fault,
-		NetOut:     p.p.ctx.NetOut,
-		Log:        p.p.ctx.Log,
-		Outputs:    p.p.ctx.Outputs,
-		Stats:      p.p.m.TotalStats(),
-		WallCycles: p.p.m.WallCycles(),
-		TCtx:       p.p.ctx,
-		Machine:    p.p.m,
-		Profile:    p.p.m.Profile(),
+		NetOut:     p.ctx.NetOut,
+		Log:        p.ctx.Log,
+		Outputs:    p.ctx.Outputs,
+		Stats:      p.m.TotalStats(),
+		WallCycles: p.m.WallCycles(),
+		TCtx:       p.ctx,
+		Machine:    p.m,
+		Profile:    p.m.Profile(),
 	}
 }
 

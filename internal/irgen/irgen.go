@@ -401,7 +401,3 @@ func (g *generator) constInt(v int64, t *types.Type) ir.Value {
 
 var intType = types.MakeInt(4, true, types.Public)
 var longType = types.MakeInt(8, true, types.Public)
-
-func (g *generator) freshInt(size int) *types.Type {
-	return types.MakeInt(size, true, g.gen.Fresh())
-}

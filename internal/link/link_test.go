@@ -78,12 +78,15 @@ func TestFunctionSymbols(t *testing.T) {
 func TestSerializeRoundtrip(t *testing.T) {
 	img := buildImage(t, confllvm.VariantSeg)
 	var buf bytes.Buffer
-	if err := img.Save(&buf); err != nil {
+	if err := img.Save(&buf, "OurSeg"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := link.Load(&buf)
+	got, variant, err := link.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if variant != "OurSeg" {
+		t.Errorf("variant tag = %q, want OurSeg", variant)
 	}
 	if !bytes.Equal(got.Code, img.Code) {
 		t.Error("code changed across serialization")
@@ -103,7 +106,7 @@ func TestSerializeRoundtrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := link.Load(bytes.NewReader([]byte("not an image"))); err == nil {
+	if _, _, err := link.Load(bytes.NewReader([]byte("not an image"))); err == nil {
 		t.Fatal("garbage must be rejected")
 	}
 }

@@ -11,8 +11,11 @@ import (
 )
 
 // imageFile is the on-disk representation of an Image (gob-encoded).
+// Variant names the build configuration that produced the image; link
+// only carries it, so that a reloaded image runs as what it was built as.
 type imageFile struct {
 	Magic       string
+	Variant     string
 	Code        []byte
 	Funcs       []FuncSym
 	PubData     []byte
@@ -27,12 +30,13 @@ type imageFile struct {
 	MagicOffs   []int
 }
 
-const imageMagic = "CONFLLVM-IMG-1"
+const imageMagic = "CONFLLVM-IMG-2"
 
-// Save writes the image to w.
-func (img *Image) Save(w io.Writer) error {
+// Save writes the image to w, tagged with its variant name.
+func (img *Image) Save(w io.Writer, variant string) error {
 	f := imageFile{
 		Magic:       imageMagic,
+		Variant:     variant,
 		Code:        img.Code,
 		PubData:     img.PubData,
 		PrivData:    img.PrivData,
@@ -53,14 +57,15 @@ func (img *Image) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(&f)
 }
 
-// Load reads an image written by Save.
-func Load(r io.Reader) (*Image, error) {
+// Load reads an image written by Save and returns it with its variant
+// name.
+func Load(r io.Reader) (*Image, string, error) {
 	var f imageFile
 	if err := gob.NewDecoder(r).Decode(&f); err != nil {
-		return nil, fmt.Errorf("link: corrupt image: %w", err)
+		return nil, "", fmt.Errorf("link: corrupt image: %w", err)
 	}
 	if f.Magic != imageMagic {
-		return nil, fmt.Errorf("link: not a ConfLLVM image")
+		return nil, "", fmt.Errorf("link: not a ConfLLVM image")
 	}
 	img := &Image{
 		Code:         f.Code,
@@ -84,23 +89,23 @@ func Load(r io.Reader) (*Image, error) {
 	for _, off := range f.MagicOffs {
 		img.magicOffsets[off] = true
 	}
-	return img, nil
+	return img, f.Variant, nil
 }
 
-// SaveFile writes the image to path.
-func (img *Image) SaveFile(path string) error {
+// SaveFile writes the image to path, tagged with its variant name.
+func (img *Image) SaveFile(path, variant string) error {
 	var buf bytes.Buffer
-	if err := img.Save(&buf); err != nil {
+	if err := img.Save(&buf, variant); err != nil {
 		return err
 	}
 	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
-// LoadFile reads an image from path.
-func LoadFile(path string) (*Image, error) {
+// LoadFile reads an image and its variant name from path.
+func LoadFile(path string) (*Image, string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	return Load(bytes.NewReader(data))
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"confllvm/internal/asm"
-	"confllvm/internal/codegen"
 	"confllvm/internal/link"
 	"confllvm/internal/machine"
 )
@@ -144,14 +143,3 @@ func Start(m *machine.Machine, img *link.Image) (*machine.Thread, error) {
 	}
 	return SpawnThread(m, img, main, 0)
 }
-
-// BndFor returns the MPX bound register index for a region taint (used by
-// tests and the verifier's documentation).
-func BndFor(private bool) asm.Bnd {
-	if private {
-		return asm.BND1
-	}
-	return asm.BND0
-}
-
-var _ = codegen.Config{}

@@ -178,58 +178,3 @@ func TestFuseFaultInsideIdiom(t *testing.T) {
 		})
 	}
 }
-
-// TestHandlerRegistrationInsideFusedIdiom: a trusted handler registered
-// mid-run at the PC of the cmp inside a chained sub/cmp/jcc loop head
-// must flush the block so the handler is dispatched, with state
-// identical to stepping.
-func TestHandlerRegistrationInsideFusedIdiom(t *testing.T) {
-	subLen := encodeLen(asm.Inst{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1})
-	cmpLen := encodeLen(asm.Inst{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0})
-	mk := func(conf Config) (*Machine, *Thread) {
-		calls := 0
-		return chainLoopWithHandler(t, conf, 8,
-			func(addPC, skipPC uint64) Handler {
-				// skipPC is the sub's PC: the loop head is sub/cmp/jcc.
-				cmpPC := skipPC + uint64(subLen)
-				jccPC := cmpPC + uint64(cmpLen)
-				return func(m *Machine, t *Thread) *Fault {
-					ret, f := t.Pop()
-					if f != nil {
-						return f
-					}
-					t.PC = ret
-					calls++
-					if calls == 4 {
-						// Registers inside the sub/cmp/jcc block: the
-						// rebuilt blocks must stop before cmpPC so the
-						// handler is probed.
-						m.Handlers[cmpPC] = func(m *Machine, t *Thread) *Fault {
-							t.Regs[asm.RDX]++
-							t.setCmpFlags(t.Regs[asm.RCX], 0)
-							t.PC = jccPC
-							return nil
-						}
-					}
-					return nil
-				}
-			})
-	}
-	mA, thA := mk(stepwiseConf())
-	if f := mA.Run(); f != nil {
-		t.Fatal(f)
-	}
-	// 8 iterations of the add; the cmp handler shadows the cmp from
-	// iteration 4 on (5 dispatches).
-	if thA.Regs[asm.RAX] != 8 || thA.Regs[asm.RDX] != 5 {
-		t.Fatalf("stepwise rax/rdx = %d/%d, want 8/5", thA.Regs[asm.RAX], thA.Regs[asm.RDX])
-	}
-	mB, thB := mk(DefaultConfig())
-	if f := mB.Run(); f != nil {
-		t.Fatal(f)
-	}
-	if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() || thA.PC != thB.PC {
-		t.Fatalf("state mismatch after handler registration inside the loop head:\nstepwise:   %+v\nsuperblock: %+v",
-			thA.Stats, thB.Stats)
-	}
-}

@@ -85,7 +85,10 @@ type Thread struct {
 // thread's pc reaches the handler's address, the machine invokes it instead
 // of fetching. Handlers model T code compiled by a vanilla compiler: they
 // may access all memory and must set the thread's pc before returning (by
-// performing the return sequence of the active configuration).
+// performing the return sequence of the active configuration). A handler
+// address must lie outside every executable region, as T's code lies
+// outside U's: building a decode trace over a region that holds one, or
+// calling Run while one does, faults with that address.
 type Handler func(m *Machine, t *Thread) *Fault
 
 // The calibrated cost model's fixed parameters.
@@ -106,10 +109,13 @@ type Config struct {
 	// per instruction: straight-line decoded instructions are grouped into
 	// superblocks (see superblock.go) executed by a tight handler loop,
 	// and a block ending in a direct jmp or jcc chains to its successor.
-	// Architectural results — registers, memory, cycle counts, fault PCs
-	// and messages — are bit-identical to per-instruction stepping; the
-	// differential tests in diff_test.go enforce this. Thread.Step always
-	// executes a single instruction regardless of this flag.
+	// Trusted handlers are probed only when the PC leaves its decode
+	// trace, which is sound because no handler lies in an executable
+	// region. Architectural results — registers, memory, cycle counts,
+	// fault PCs and messages — are bit-identical to per-instruction
+	// stepping; the differential tests in diff_test.go enforce this.
+	// Thread.Step is one-instruction block dispatch regardless of this
+	// flag: one slot per call, never a chain.
 	Superblocks bool
 
 	// Profile enables cycle-attributed profiling: the machine carries a
@@ -145,12 +151,6 @@ type Machine struct {
 	traces    []*codeTrace
 	lastTrace *codeTrace
 
-	// Handler address range, recomputed whenever len(Handlers) changes:
-	// Step only probes the Handlers map when the PC falls inside
-	// [hndLo, hndHi]. Empty map: hndLo > hndHi, so the test never passes.
-	hndLo, hndHi uint64
-	nHandlers    int
-
 	// prof is non-nil when Conf.Profile is set (see profile.go).
 	prof *Profile
 }
@@ -168,42 +168,12 @@ func New(conf Config) *Machine {
 		Mem:      NewMemory(),
 		Handlers: make(map[uint64]Handler),
 		Conf:     conf,
-		hndLo:    ^uint64(0),
 	}
 	m.Mem.onUncheckedWrite = m.flushTraces
 	if conf.Profile {
 		m.prof = NewProfile()
 	}
 	return m
-}
-
-// RefreshHandlers re-indexes the Handlers map. Adding or removing a
-// handler is detected automatically (the map's size changes), and Run
-// re-indexes on entry; call this only when replacing same-count handler
-// sets at new addresses between direct Step calls.
-func (m *Machine) RefreshHandlers() { m.rebuildHandlerIndex() }
-
-// rebuildHandlerIndex recomputes the [hndLo, hndHi] PC range covering all
-// registered trusted handlers. When the range changes, superblock metadata
-// is flushed: blocks are built to never span a PC inside the handler
-// range, so a changed range may invalidate existing block boundaries (the
-// decoded instructions themselves stay valid — handler-set changes move
-// dispatch points, not code bytes).
-func (m *Machine) rebuildHandlerIndex() {
-	oldLo, oldHi, oldN := m.hndLo, m.hndHi, m.nHandlers
-	m.nHandlers = len(m.Handlers)
-	m.hndLo, m.hndHi = ^uint64(0), 0
-	for a := range m.Handlers {
-		if a < m.hndLo {
-			m.hndLo = a
-		}
-		if a > m.hndHi {
-			m.hndHi = a
-		}
-	}
-	if m.hndLo != oldLo || m.hndHi != oldHi || m.nHandlers != oldN {
-		m.flushBlocks()
-	}
 }
 
 // NewThread creates a thread starting at pc with the given stack pointer
@@ -220,10 +190,10 @@ func (m *Machine) NewThread(pc, rsp, stackLo, stackHi uint64) *Thread {
 
 // fault halts the thread with a fault at the current pc, stamping the
 // fault with the thread's simulated cycle count. Every fault delivery in
-// every dispatch mode funnels through here (execRun, stepBlocks, the fuel
-// discipline in Run/runBlocks, and handler faults in Step), and the
-// callers all write back their cycle accounting before calling, so the
-// stamp is bit-identical across stepping, superblock and chained dispatch.
+// every dispatch mode funnels through here (execRun, stepBlocks and the
+// fuel discipline in Run/runBlocks), and the callers all write back their
+// cycle accounting before calling, so the stamp is bit-identical across
+// stepping, superblock and chained dispatch.
 func (t *Thread) fault(f *Fault) *Fault {
 	f.PC = t.PC
 	f.Cycle = t.Stats.Cycles
@@ -368,62 +338,17 @@ func extend(v uint64, size uint8, signed bool) uint64 {
 }
 
 // Step executes one instruction (or one trusted handler) on thread t.
-// It returns a fault if the thread faulted. Step always executes exactly
-// one instruction regardless of Config.Superblocks: it is the reference
-// the superblock dispatcher is differentially tested against.
+// It returns a fault if the thread faulted. Step is one-instruction block
+// dispatch regardless of Config.Superblocks: it executes slot 0 of the
+// run entered at the PC (building the full run on demand, or reusing the
+// one block dispatch cached), never chains, and is charged one fuel unit
+// per call by Run — the reference the superblock dispatcher is
+// differentially tested against.
 func (t *Thread) Step() *Fault {
-	m := t.m
 	if t.Halted {
 		return t.Fault
 	}
-	// Trusted-handler dispatch, hoisted behind a cheap PC-range test: the
-	// map is only probed when the PC falls inside the handler address
-	// range (handlers live in the T region, far from any U code).
-	if len(m.Handlers) != m.nHandlers {
-		m.rebuildHandlerIndex()
-	}
-	if t.PC >= m.hndLo && t.PC <= m.hndHi {
-		if h, ok := m.Handlers[t.PC]; ok {
-			t.Stats.TrustedCall++
-			// Capture the handler address and cycle count before the call:
-			// the handler performs the return sequence (moving t.PC) and
-			// charges its transition cost, and the profile attributes that
-			// delta to the handler's own address.
-			hpc, c0 := t.PC, t.Stats.Cycles
-			f := h(m, t)
-			if prof := m.prof; prof != nil {
-				prof.add(hpc, t.Stats.Cycles-c0, nil)
-			}
-			if f != nil {
-				return t.fault(f)
-			}
-			return nil
-		}
-	}
-
-	// Execute the flattened run entered at the current PC through the
-	// shared engine. A run already cached by block dispatch is reused
-	// (slot 0, budget 1); a miss builds a one-slot run, so stepping
-	// through a long straight-line stretch stays linear instead of
-	// piling up overlapping suffix runs. Either way Step and block
-	// dispatch share one executor, one run cache, and one fault path.
-	tr := m.lastTrace
-	if tr == nil || t.PC-tr.lo >= tr.size {
-		var f *Fault
-		if tr, f = m.traceFor(t.PC); f != nil {
-			return t.fault(f)
-		}
-		m.lastTrace = tr
-	}
-	off := t.PC - tr.lo
-	run := tr.runs[off]
-	if run == nil {
-		var f *Fault
-		if run, f = tr.buildBlock(m, off, 1); f != nil {
-			return t.fault(f)
-		}
-	}
-	_, f := t.execRun(run, tr, 1)
+	_, f := t.stepBlocks(1)
 	return f
 }
 
@@ -783,27 +708,26 @@ chained:
 		// The whole block completed with budget left: follow (or resolve
 		// and cache) the chain link its terminator selected. nextPC is the
 		// PC the terminator produced, so a jcc picks its taken edge iff
-		// nextPC matches the branch target. A nil link — different trace,
-		// potential trusted-handler PC, or an undecodable entry — falls
-		// back to the dispatcher, which re-probes everything chaining
-		// skips and delivers any fetch fault with stepping-identical
-		// charging.
+		// nextPC matches the branch target. A nil link — different trace
+		// or an undecodable entry — falls back to the dispatcher, which
+		// re-probes everything chaining skips and delivers any fetch fault
+		// with stepping-identical charging.
 		var next *blockRun
 		switch run.term {
 		case asm.OpJmp:
 			if next = run.next; next == nil {
-				next = tr.chainTarget(t.m, nextPC)
+				next = tr.chainTarget(nextPC)
 				run.next = next
 			}
 		case asm.OpJcc:
 			if nextPC == run.takenPC {
 				if next = run.taken; next == nil {
-					next = tr.chainTarget(t.m, nextPC)
+					next = tr.chainTarget(nextPC)
 					run.taken = next
 				}
 			} else {
 				if next = run.fall; next == nil {
-					next = tr.chainTarget(t.m, nextPC)
+					next = tr.chainTarget(nextPC)
 					run.fall = next
 				}
 			}
@@ -891,9 +815,17 @@ const quantum = 1024
 // one faults). It returns the first fault encountered, if any. With
 // Conf.Superblocks set, dispatch is per basic block (see superblock.go);
 // otherwise one instruction at a time. The two modes are bit-identical in
-// every simulated outcome.
+// every simulated outcome. Run first checks that no trusted handler lies
+// in an executable region, returning a fault naming the lowest such
+// address without running anything.
 func (m *Machine) Run() *Fault {
-	m.rebuildHandlerIndex()
+	for _, r := range m.Mem.Regions() {
+		if r.Perm&PermX != 0 {
+			if f := m.handlerIn(r); f != nil {
+				return f
+			}
+		}
+	}
 	m.fuel = m.Conf.DefaultFuel
 	if m.Conf.Superblocks {
 		return m.runBlocks()

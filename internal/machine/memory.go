@@ -344,17 +344,6 @@ func (mem *Memory) WriteBytes(addr uint64, src []byte) *Fault {
 	return nil
 }
 
-// ReadBytesUnchecked copies bytes ignoring permissions (still requires the
-// range to be mapped). The loader uses it to initialize read-only regions.
-func (mem *Memory) ReadBytesUnchecked(addr uint64, dst []byte) *Fault {
-	r := mem.Find(addr)
-	if r == nil || addr+uint64(len(dst)) > r.End() {
-		return &Fault{Kind: FaultUnmapped, Addr: addr}
-	}
-	mem.copyOut(addr, dst)
-	return nil
-}
-
 // WriteBytesUnchecked writes bytes ignoring the W permission (the range
 // must be mapped). The loader uses it to populate code and rodata.
 func (mem *Memory) WriteBytesUnchecked(addr uint64, src []byte) *Fault {

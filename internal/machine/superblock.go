@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"math"
-
 	"confllvm/internal/asm"
 )
 
@@ -10,48 +8,42 @@ import (
 // basic block instead of once per instruction. A superblock is a maximal
 // run of straight-line decoded instructions ending at (and including) the
 // first terminator — any instruction that redirects or ends control flow.
-// Block interiors skip the per-instruction trusted-handler probe, the
-// PC-range gate against the decode trace, and the per-instruction PC and
-// counter write-backs; all of those are either hoisted to block entry or
-// deferred to block exit without changing any simulated result.
+// Block interiors skip the PC-range gate against the decode trace and the
+// per-instruction PC and counter write-backs; both are either hoisted to
+// block entry or deferred to block exit without changing any simulated
+// result. Thread.Step is this same dispatcher with a one-instruction
+// budget: it executes slot 0 of the run entered at the PC and never
+// chains, which keeps it the reference block dispatch is tested against.
+//
+// Trusted handlers live outside U's code: a handler address never lies in
+// an executable region. traceFor refuses to build a trace over a region
+// holding one, and Run checks every executable region on entry, each with
+// a fault naming the address (the loader puts handlers in the
+// non-executable t-region). So no PC inside a decode trace is a handler,
+// and stepBlocks probes the Handlers map only when the PC leaves the
+// current trace. Blocks and chain links never leave their trace, so they
+// need no handler checks at all.
 //
 // Block IR: when buildBlock closes a superblock it flattens it into a
 // blockRun — a dense []asm.Inst slice plus per-slot PCs and terminator
 // metadata — cached in codeTrace.runs[entryOff], so execRun iterates a
 // flat slice instead of re-walking lens[o] offsets per instruction.
 //
-// Direct block chaining: a run ending in a direct jmp, and
-// both edges of a jcc, cache a pointer to the successor run when the
-// target lies in the same trace and outside the trusted-handler range.
-// Hot loops then execute run-to-run inside execRun without returning
-// through stepBlocks' trace lookup, handler probe and runs[] probe. A
-// link is only ever cached after validating that the dispatcher work it
-// skips could not have mattered: same trace (no fetch fault or region
-// change), outside [hndLo, hndHi] (no handler dispatch), decodable entry
-// (no decode fault).
+// Direct block chaining: a run ending in a direct jmp, and both edges of
+// a jcc, cache a pointer to the successor run when the target lies in the
+// same trace. Hot loops then execute run-to-run inside execRun without
+// returning through stepBlocks' trace lookup and runs[] probe. A link is
+// only ever cached after validating that the dispatcher work it skips
+// could not have mattered: same trace (no fetch fault, region change or
+// handler dispatch) and decodable entry (no decode fault).
 //
 // Invalidation mirrors the decode traces themselves: patching code bytes
 // (Memory.WriteBytesUnchecked) flushes whole traces — runs and the chain
-// links inside them die with the trace. In addition, blocks never span a
-// PC inside the registered trusted-handler address range [hndLo, hndHi]
-// and chain links never target one — per-instruction stepping probes the
-// handler map at every PC, so a block built across (or chained into) a
-// handler address would skip a dispatch. rebuildHandlerIndex flushes all
-// run and block metadata whenever that range changes.
+// links inside them die with the trace.
 
 // maxBlockLen caps a superblock at one scheduling quantum: longer blocks
-// would be split by the quantum budget anyway, and the cap keeps the
-// count comfortably inside the uint16 blocks slot.
+// would be split by the quantum budget anyway.
 const maxBlockLen = quantum
-
-func init() {
-	// buildBlock narrows block lengths into the uint16 blocks[] index and
-	// relies on maxBlockLen == quantum to bound them; guard the narrowing
-	// against a future quantum bump.
-	if quantum > math.MaxUint16 {
-		panic("machine: quantum does not fit the uint16 blocks[] narrowing")
-	}
-}
 
 // blockEnd reports whether op terminates a superblock: the ops that set
 // the next PC non-sequentially, halt the thread, or unconditionally
@@ -82,35 +74,25 @@ type blockRun struct {
 
 	// term is the terminator op when the block ended at a true terminator,
 	// and OpInvalid when it ended early — maxBlockLen cap, straight-line
-	// code running off the region, the next PC entering the trusted-handler
-	// range, or an undecodable next slot. Early-ended runs are never
-	// chained: their successor dispatch must re-probe everything (and the
-	// off-region case must fault on fetch exactly as stepping mode does).
+	// code running off the region, or an undecodable next slot. Early-ended
+	// runs are never chained: their successor dispatch must re-probe
+	// everything (and the off-region case must fault on fetch exactly as
+	// stepping mode does).
 	term    asm.Op
 	takenPC uint64    // jmp/jcc branch target (uint64(Imm))
 	next    *blockRun // chained successor of a direct jmp
 	taken   *blockRun // chained jcc taken edge
 	fall    *blockRun // chained jcc fall-through edge
-
-	// short marks a run truncated by a caller limit below maxBlockLen
-	// (Step's one-slot builds): correct to execute, but block dispatch
-	// and chain resolution rebuild it at full length on first contact so
-	// a prior Step at a hot PC cannot degrade Run to one-instruction
-	// dispatches there.
-	short bool
 }
 
 // buildBlock decodes straight-line instructions from off up to and
-// including the first terminator (capped at limit slots), flattens them
-// into a blockRun cached at tr.runs[off] (recording the count in
-// tr.blocks[off]), and returns it. Block dispatch passes maxBlockLen;
-// Step passes 1 so that stepping through a long straight-line stretch
-// builds one-slot runs instead of a quadratic pile of overlapping
-// suffixes. A decode failure at off itself is the caller's fault to
-// deliver; a failure further in simply ends the block early — execution
-// faults there when, and only when, the PC actually reaches that slot,
-// exactly as per-instruction stepping would.
-func (tr *codeTrace) buildBlock(m *Machine, off uint64, limit int) (*blockRun, *Fault) {
+// including the first terminator (capped at maxBlockLen slots), flattens
+// them into a blockRun cached at tr.runs[off], and returns it. A decode
+// failure at off itself is the caller's fault to deliver; a failure
+// further in simply ends the block early — execution faults there when,
+// and only when, the PC actually reaches that slot, exactly as
+// per-instruction stepping would.
+func (tr *codeTrace) buildBlock(off uint64) (*blockRun, *Fault) {
 	n := 0
 	term := asm.OpInvalid
 	for o := off; ; {
@@ -131,7 +113,7 @@ func (tr *codeTrace) buildBlock(m *Machine, off uint64, limit int) (*blockRun, *
 			term = op
 			break
 		}
-		if n >= limit {
+		if n >= maxBlockLen {
 			break
 		}
 		o += uint64(ln)
@@ -139,11 +121,6 @@ func (tr *codeTrace) buildBlock(m *Machine, off uint64, limit int) (*blockRun, *
 			// Straight-line code running off the region: the next dispatch
 			// faults on fetch, as stepping mode does. term stays OpInvalid
 			// so the run is never chained past the missing fetch.
-			break
-		}
-		if pc := tr.lo + o; pc >= m.hndLo && pc <= m.hndHi {
-			// The successor PC could be a trusted handler: end the block so
-			// the dispatcher re-probes the handler map there.
 			break
 		}
 	}
@@ -154,7 +131,6 @@ func (tr *codeTrace) buildBlock(m *Machine, off uint64, limit int) (*blockRun, *
 		cum:   make([]uint32, n+1),
 		n:     n,
 		term:  term,
-		short: term == asm.OpInvalid && n == limit && limit < maxBlockLen,
 	}
 	o := off
 	for i := 0; i < n; i++ {
@@ -167,7 +143,6 @@ func (tr *codeTrace) buildBlock(m *Machine, off uint64, limit int) (*blockRun, *
 	if term == asm.OpJmp || term == asm.OpJcc {
 		run.takenPC = uint64(run.insts[n-1].Imm)
 	}
-	tr.blocks[off] = uint16(n)
 	tr.runs[off] = run
 	return run, nil
 }
@@ -197,41 +172,41 @@ func staticCost(op asm.Op) uint32 {
 
 // chainTarget resolves a chain link: the run entered at pc, built on
 // demand, or nil when pc must go back through the full dispatcher — a
-// different trace (the target may need a fetch fault or a trace switch),
-// a PC inside the trusted-handler range (the handler map must be
-// probed), or an entry that fails to decode (the dispatcher delivers
-// that fault with stepping-identical charging).
-func (tr *codeTrace) chainTarget(m *Machine, pc uint64) *blockRun {
+// different trace (the target may need a fetch fault, a trace switch or a
+// trusted-handler dispatch), or an entry that fails to decode (the
+// dispatcher delivers that fault with stepping-identical charging).
+func (tr *codeTrace) chainTarget(pc uint64) *blockRun {
 	off := pc - tr.lo
 	if off >= tr.size {
 		return nil
 	}
-	if pc >= m.hndLo && pc <= m.hndHi {
-		return nil
-	}
 	run := tr.runs[off]
-	if run == nil || run.short {
-		run, _ = tr.buildBlock(m, off, maxBlockLen)
+	if run == nil {
+		run, _ = tr.buildBlock(off)
 	}
 	return run
 }
 
 // stepBlocks executes up to max instructions on t: trusted-handler
-// dispatches (each counting as one instruction, exactly like a Step
-// call), chained sequences of whole superblocks, and budget-capped block
-// prefixes when a quantum or fuel boundary lands mid-block — the
-// remainder simply becomes a new block entry at the interior PC. Returns
-// the number of instructions charged, including a faulting one.
+// dispatches (each counting as one instruction), chained sequences of
+// whole superblocks, and budget-capped block prefixes when a quantum or
+// fuel boundary lands mid-block — the remainder simply becomes a new
+// block entry at the interior PC. Returns the number of instructions
+// charged, including a faulting one.
 func (t *Thread) stepBlocks(max int) (int, *Fault) {
 	m := t.m
 	done := 0
 	for done < max && !t.Halted {
-		if t.PC >= m.hndLo && t.PC <= m.hndHi {
+		tr := m.lastTrace
+		if tr == nil || t.PC-tr.lo >= tr.size {
+			// The PC left the current trace. Only here can it be a trusted
+			// handler: handlers never lie in an executable region.
 			if h, ok := m.Handlers[t.PC]; ok {
 				t.Stats.TrustedCall++
 				done++
-				// Mirror Step's profiling wrap: the handler's cycle delta
-				// (its charge() transition cost) lands on its address.
+				// The handler performs the return sequence (moving t.PC) and
+				// charges its transition cost; the profile attributes that
+				// cycle delta to the handler's own address.
 				hpc, c0 := t.PC, t.Stats.Cycles
 				f := h(m, t)
 				if prof := m.prof; prof != nil {
@@ -240,18 +215,8 @@ func (t *Thread) stepBlocks(max int) (int, *Fault) {
 				if f != nil {
 					return done, t.fault(f)
 				}
-				// Trusted handlers are the only code that can change the
-				// handler set mid-run (Run re-indexes on entry), so the
-				// size check lives here — after a dispatch — instead of
-				// costing every block.
-				if len(m.Handlers) != m.nHandlers {
-					m.rebuildHandlerIndex()
-				}
 				continue
 			}
-		}
-		tr := m.lastTrace
-		if tr == nil || t.PC-tr.lo >= tr.size {
 			var f *Fault
 			if tr, f = m.traceFor(t.PC); f != nil {
 				return done, t.fault(f)
@@ -259,11 +224,11 @@ func (t *Thread) stepBlocks(max int) (int, *Fault) {
 			m.lastTrace = tr
 		}
 		run := tr.runs[t.PC-tr.lo]
-		if run == nil || run.short {
+		if run == nil {
 			var f *Fault
-			if run, f = tr.buildBlock(m, t.PC-tr.lo, maxBlockLen); f != nil {
-				// The entry instruction is undecodable: the charge matches
-				// the Step call that would have faulted fetching it.
+			if run, f = tr.buildBlock(t.PC - tr.lo); f != nil {
+				// The entry instruction is undecodable: it is charged as the
+				// one instruction that faulted fetching it.
 				return done + 1, t.fault(f)
 			}
 		}
@@ -274,20 +239,4 @@ func (t *Thread) stepBlocks(max int) (int, *Fault) {
 		}
 	}
 	return done, nil
-}
-
-// flushBlocks invalidates superblock metadata — flattened runs, chain
-// links, and the block-length index — in every decode trace. The decoded
-// instructions are untouched: this is for events that move dispatch
-// points (handler-index changes), not code-byte patches — those flush
-// the traces wholesale.
-func (m *Machine) flushBlocks() {
-	for _, tr := range m.traces {
-		for i := range tr.blocks {
-			tr.blocks[i] = 0
-		}
-		for i := range tr.runs {
-			tr.runs[i] = nil
-		}
-	}
 }

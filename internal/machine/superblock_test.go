@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"confllvm/internal/asm"
@@ -293,55 +295,6 @@ func TestRunFuelParity(t *testing.T) {
 	}
 }
 
-// TestSuperblockHandlerInvalidation: registering a trusted handler at a PC
-// in the middle of an already-built superblock must re-split the
-// blocks so the handler is dispatched, exactly as per-instruction
-// stepping would.
-func TestSuperblockHandlerInvalidation(t *testing.T) {
-	insts := []asm.Inst{
-		{Op: asm.OpMovRI, Dst: asm.RAX, Imm: 1},
-		{Op: asm.OpMovRI, Dst: asm.RBX, Imm: 2},
-		{Op: asm.OpMovRI, Dst: asm.RDX, Imm: 3},
-	}
-	conf := DefaultConfig()
-	m, th := buildFor(t, conf, insts)
-	// First run builds the whole body as one superblock.
-	if f := m.Run(); f != nil {
-		t.Fatal(f)
-	}
-	if th.Regs[asm.RDX] != 3 {
-		t.Fatalf("rdx=%d, want 3", th.Regs[asm.RDX])
-	}
-
-	// Install a handler at the third instruction's PC: stepping mode would
-	// dispatch it instead of executing the mov.
-	hpc := uint64(0x1000) + uint64(2*encodeLen(insts[0]))
-	exitPC := uint64(0x1000)
-	for _, in := range insts {
-		exitPC += uint64(encodeLen(in))
-	}
-	called := false
-	m.Handlers[hpc] = func(m *Machine, t *Thread) *Fault {
-		called = true
-		t.Regs[asm.RDX] = 99
-		t.PC = exitPC // resume at the trailing exit
-		return nil
-	}
-
-	th.Halted = false
-	th.PC = 0x1000
-	th.Regs = [asm.NumRegs]uint64{}
-	if f := m.Run(); f != nil {
-		t.Fatal(f)
-	}
-	if !called {
-		t.Fatal("handler inside a built block was not dispatched after re-registration")
-	}
-	if th.Regs[asm.RDX] != 99 {
-		t.Fatalf("rdx=%d, want 99 (handler result)", th.Regs[asm.RDX])
-	}
-}
-
 // TestSuperblockCodePatchInvalidation: patching code bytes must flush
 // superblocks along with the decode traces.
 func TestSuperblockCodePatchInvalidation(t *testing.T) {
@@ -548,12 +501,11 @@ func TestChainedDecodeFaultTarget(t *testing.T) {
 	}
 }
 
-// chainLoopWithHandler builds the shared shape of the mid-run
-// invalidation tests: a countdown loop that calls a trusted handler once
-// per iteration. It returns the machine, thread, and the PCs of the
-// add instruction and its successor.
+// chainLoopWithHandler builds a countdown loop that calls a trusted
+// handler once per iteration; handler receives the PCs of the loop's add
+// instruction and its successor.
 func chainLoopWithHandler(t *testing.T, conf Config, iters int64,
-	handler func(addPC, skipPC uint64) Handler) (*Machine, *Thread) {
+	handler func(addPC uint64) Handler) (*Machine, *Thread) {
 	t.Helper()
 	m := New(conf)
 	const hpc = 0x9000
@@ -563,7 +515,6 @@ func chainLoopWithHandler(t *testing.T, conf Config, iters int64,
 	code = asm.Encode(code, asm.Inst{Op: asm.OpCall, Imm: hpc})
 	addPC := uint64(0x1000 + len(code))
 	code = asm.Encode(code, asm.Inst{Op: asm.OpAddRI, Dst: asm.RAX, Imm: 1})
-	skipPC := uint64(0x1000 + len(code))
 	for _, in := range []asm.Inst{
 		{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1},
 		{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
@@ -581,7 +532,7 @@ func chainLoopWithHandler(t *testing.T, conf Config, iters int64,
 	if f := m.Mem.WriteBytesUnchecked(0x1000, code); f != nil {
 		t.Fatal(f)
 	}
-	m.Handlers[hpc] = handler(addPC, skipPC)
+	m.Handlers[hpc] = handler(addPC)
 	th := m.NewThread(0x1000, 0x100000+0x8000, 0x100000, 0x100000+0x10000)
 	return m, th
 }
@@ -597,7 +548,7 @@ func TestChainedCodePatchInvalidation(t *testing.T) {
 		conf.Superblocks = superblocks
 		calls := 0
 		return chainLoopWithHandler(t, conf, 6,
-			func(addPC, skipPC uint64) Handler {
+			func(addPC uint64) Handler {
 				return func(m *Machine, t *Thread) *Fault {
 					ret, f := t.Pop()
 					if f != nil {
@@ -638,111 +589,10 @@ func TestChainedCodePatchInvalidation(t *testing.T) {
 	}
 }
 
-// TestChainedHandlerRegistrationMidRun: a trusted handler registers a
-// second handler at a PC inside a loop that is already chained. The
-// handler index rebuild (hoisted to run after handler dispatches) moves
-// [hndLo, hndHi] across the loop and flushes every run and chain link,
-// so the new handler must be dispatched instead of the in-block add —
-// identically under stepping and block dispatch.
-func TestChainedHandlerRegistrationMidRun(t *testing.T) {
-	mk := func(superblocks bool) (*Machine, *Thread) {
-		conf := DefaultConfig()
-		conf.Superblocks = superblocks
-		calls := 0
-		return chainLoopWithHandler(t, conf, 8,
-			func(addPC, skipPC uint64) Handler {
-				return func(m *Machine, t *Thread) *Fault {
-					ret, f := t.Pop()
-					if f != nil {
-						return f
-					}
-					t.PC = ret
-					calls++
-					if calls == 4 {
-						m.Handlers[addPC] = func(m *Machine, t *Thread) *Fault {
-							t.Regs[asm.RDX] += 50
-							t.PC = skipPC
-							return nil
-						}
-					}
-					return nil
-				}
-			})
-	}
-	mA, thA := mk(false)
-	if f := mA.Run(); f != nil {
-		t.Fatal(f)
-	}
-	// Iterations 1-3 execute the add; from iteration 4 on the new handler
-	// shadows it.
-	if thA.Regs[asm.RAX] != 3 || thA.Regs[asm.RDX] != 5*50 {
-		t.Fatalf("stepwise rax/rdx = %d/%d, want 3/250", thA.Regs[asm.RAX], thA.Regs[asm.RDX])
-	}
-	mB, thB := mk(true)
-	if f := mB.Run(); f != nil {
-		t.Fatal(f)
-	}
-	if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() || thA.PC != thB.PC {
-		t.Fatalf("state mismatch after mid-run handler registration:\nstepwise:   %+v\nsuperblock: %+v",
-			thA.Stats, thB.Stats)
-	}
-}
-
-// TestChainedHandlerAtBranchTarget: a trusted handler registered mid-run
-// at the loop head — the taken target of the loop's jcc, in the same
-// trace as the loop. Chain resolution must refuse a link into the
-// handler range, so the jcc goes back through the dispatcher and the new
-// handler runs instead of the loop head's call, as under stepping.
-func TestChainedHandlerAtBranchTarget(t *testing.T) {
-	callLen := uint64(encodeLen(asm.Inst{Op: asm.OpCall, Imm: 0x9000}))
-	mk := func(superblocks bool) (*Machine, *Thread) {
-		conf := DefaultConfig()
-		conf.Superblocks = superblocks
-		calls := 0
-		return chainLoopWithHandler(t, conf, 8,
-			func(addPC, skipPC uint64) Handler {
-				return func(m *Machine, t *Thread) *Fault {
-					ret, f := t.Pop()
-					if f != nil {
-						return f
-					}
-					t.PC = ret
-					calls++
-					if calls == 4 {
-						// The loop head is the call just before addPC.
-						m.Handlers[addPC-callLen] = func(m *Machine, t *Thread) *Fault {
-							t.Regs[asm.RDX] += 50
-							t.PC = addPC
-							return nil
-						}
-					}
-					return nil
-				}
-			})
-	}
-	mA, thA := mk(false)
-	if f := mA.Run(); f != nil {
-		t.Fatal(f)
-	}
-	// Iterations 1-4 enter the loop head's call; iterations 5-8 enter the
-	// new handler at the loop head instead.
-	if thA.Regs[asm.RAX] != 8 || thA.Regs[asm.RDX] != 4*50 {
-		t.Fatalf("stepwise rax/rdx = %d/%d, want 8/200", thA.Regs[asm.RAX], thA.Regs[asm.RDX])
-	}
-	mB, thB := mk(true)
-	if f := mB.Run(); f != nil {
-		t.Fatal(f)
-	}
-	if thA.Regs != thB.Regs || thA.Stats.Arch() != thB.Stats.Arch() || thA.PC != thB.PC {
-		t.Fatalf("state mismatch after registering a handler at a branch target:\nstepwise:   %+v\nsuperblock: %+v",
-			thA.Stats, thB.Stats)
-	}
-}
-
 // TestChainLinksResolvedAndFlushed is the white-box pin on the chain
 // cache itself: a hot self-loop must end up with its taken edge chained
-// to its own run and its fall edge chained to the exit block, and a
-// handler-range change must drop every run, block count and link.
+// to its own run and its fall edge chained to the exit block, and a code
+// patch must drop the trace, taking every run and link with it.
 func TestChainLinksResolvedAndFlushed(t *testing.T) {
 	pre := []asm.Inst{{Op: asm.OpMovRI, Dst: asm.RCX, Imm: 500}}
 	loopStart := int64(0x1000) + encodeLen(pre[0])
@@ -765,9 +615,6 @@ func TestChainLinksResolvedAndFlushed(t *testing.T) {
 	if run == nil || run.term != asm.OpJcc {
 		t.Fatalf("loop block not built as a jcc run: %+v", run)
 	}
-	if tr.blocks[off] != uint16(run.n) {
-		t.Fatalf("blocks[] count %d disagrees with run length %d", tr.blocks[off], run.n)
-	}
 	if run.taken != run {
 		t.Fatalf("self-loop taken edge not chained to its own run (got %p, want %p)", run.taken, run)
 	}
@@ -775,68 +622,66 @@ func TestChainLinksResolvedAndFlushed(t *testing.T) {
 		t.Fatalf("fall edge not chained to the exit block: %+v", run.fall)
 	}
 
-	// A handler-range change must flush runs, counts and links together.
-	m.Handlers[0x9000] = func(m *Machine, t *Thread) *Fault { return nil }
-	m.RefreshHandlers()
-	for i := range tr.runs {
-		if tr.runs[i] != nil || tr.blocks[i] != 0 {
-			t.Fatalf("run/block metadata at off %#x survived a handler-range flush", i)
-		}
-	}
-}
-
-// TestStepThenRunRebuildsFullBlocks: a Step at a PC builds a one-slot
-// run; later block dispatch at the same PC must rebuild it at full
-// length (and chain it) rather than inheriting one-instruction
-// dispatches forever.
-func TestStepThenRunRebuildsFullBlocks(t *testing.T) {
-	pre := []asm.Inst{{Op: asm.OpMovRI, Dst: asm.RCX, Imm: 300}}
-	loopStart := int64(0x1000) + encodeLen(pre[0])
-	insts := append(pre,
-		asm.Inst{Op: asm.OpAddRI, Dst: asm.RAX, Imm: 1},
-		asm.Inst{Op: asm.OpSubRI, Dst: asm.RCX, Imm: 1},
-		asm.Inst{Op: asm.OpCmpRI, Dst: asm.RCX, Imm: 0},
-		asm.Inst{Op: asm.OpJcc, Cond: asm.CondNE, Imm: loopStart},
-	)
-	m, th := buildFor(t, DefaultConfig(), insts)
-
-	// Single-step into the loop body: builds (and caches) short runs.
-	for i := 0; i < 3; i++ {
-		if f := th.Step(); f != nil {
-			t.Fatal(f)
-		}
-	}
-	tr := m.traces[0]
-	off := uint64(loopStart) - tr.lo
-	if run := tr.runs[off]; run == nil || !run.short || run.n != 1 {
-		t.Fatalf("expected a cached one-slot short run at the loop head after Step, got %+v", run)
-	}
-
-	// Block dispatch must replace the short run with the full block and
-	// chain it, then finish the loop with results identical to stepping.
-	if f := m.Run(); f != nil {
+	// A code patch must flush the trace, runs and links together.
+	if f := m.Mem.WriteBytesUnchecked(0x1000, asm.Encode(nil, pre[0])); f != nil {
 		t.Fatal(f)
 	}
-	run := tr.runs[off]
-	if run == nil || run.short || run.n < 4 || run.term != asm.OpJcc {
-		t.Fatalf("block dispatch did not rebuild the short run at full length: %+v", run)
-	}
-	if run.taken != run {
-		t.Fatal("rebuilt loop run was not chained to itself")
-	}
-	if th.Regs[asm.RAX] != 300 {
-		t.Fatalf("loop computed %d, want 300", th.Regs[asm.RAX])
+	if len(m.traces) != 0 || m.lastTrace != nil {
+		t.Fatalf("a code patch left %d decode traces cached", len(m.traces))
 	}
 }
 
-// TestStepNeverCachesFusedSlots: Step caches nothing but one-slot short
-// runs, and never replaces a full block that block dispatch built. (The
-// name predates the removal of superinstruction fusion, when Step also
-// had to keep fused slot programs out of its one-slot runs.) A second
-// thread single-stepped through an already-dispatched loop must execute
-// the cached full run's slot 0 in place — leaving it full-length and
-// chained to itself — and end in the same state as the first thread.
-func TestStepNeverCachesFusedSlots(t *testing.T) {
+// TestHandlerInsideCodeRejected pins the dispatch contract: a trusted
+// handler address never lies in an executable region. Registering the
+// code region with a handler inside it (the loader's last step) and
+// calling Run with one registered after the trace was built must both
+// fault, naming the lowest offending address, before anything executes.
+func TestHandlerInsideCodeRejected(t *testing.T) {
+	insts := []asm.Inst{
+		{Op: asm.OpMovRI, Dst: asm.RAX, Imm: 1},
+		{Op: asm.OpMovRI, Dst: asm.RBX, Imm: 2},
+	}
+	hpc := uint64(0x1000 + encodeLen(insts[0]))
+	nop := func(m *Machine, t *Thread) *Fault { return nil }
+	check := func(what string, f *Fault) {
+		t.Helper()
+		if f == nil {
+			t.Fatalf("%s accepted a trusted handler inside the code region", what)
+		}
+		if f.Kind != FaultPerm || f.Addr != hpc {
+			t.Fatalf("%s: fault %v, want a permission fault at %#x", what, f, hpc)
+		}
+		if msg := f.Error(); !strings.Contains(msg, fmt.Sprintf("%#x", hpc)) {
+			t.Fatalf("%s: fault message %q does not name %#x", what, msg, hpc)
+		}
+	}
+
+	m, _ := buildFor(t, DefaultConfig(), insts)
+	m.Handlers[hpc+uint64(encodeLen(insts[1]))] = nop
+	m.Handlers[hpc] = nop
+	m.Handlers[0x9000] = nop // outside every region: allowed
+	check("RegisterCode", m.RegisterCode(0x1000))
+
+	for _, conf := range []Config{stepwiseConf(), DefaultConfig()} {
+		m, th := buildFor(t, conf, insts)
+		if f := m.RegisterCode(0x1000); f != nil {
+			t.Fatal(f)
+		}
+		m.Handlers[hpc] = nop
+		check(fmt.Sprintf("Run (superblocks=%v)", conf.Superblocks), m.Run())
+		if th.Stats.Instrs != 0 || th.Regs[asm.RAX] != 0 {
+			t.Fatalf("Run executed %d instructions before rejecting the handler", th.Stats.Instrs)
+		}
+	}
+}
+
+// TestStepReusesBlockDispatchedRun: Step is one-instruction block
+// dispatch over the same run cache. A second thread single-stepped
+// through a loop that block dispatch already ran must execute the cached
+// full run's slots in place, one instruction per Step, leaving the run
+// full-length and chained to itself, and end in the same state as the
+// block-dispatched thread.
+func TestStepReusesBlockDispatchedRun(t *testing.T) {
 	pre := []asm.Inst{{Op: asm.OpMovRI, Dst: asm.RCX, Imm: 200}}
 	loopStart := int64(0x1000) + encodeLen(pre[0])
 	insts := append(pre,
@@ -846,46 +691,36 @@ func TestStepNeverCachesFusedSlots(t *testing.T) {
 		asm.Inst{Op: asm.OpJcc, Cond: asm.CondNE, Imm: loopStart},
 	)
 	m, th := buildFor(t, DefaultConfig(), insts)
-
-	// Stepping a fresh trace caches exactly one slot per stepped PC.
-	pcs := make([]uint64, 0, 3)
-	for i := 0; i < 3; i++ {
-		pcs = append(pcs, th.PC)
-		if f := th.Step(); f != nil {
-			t.Fatal(f)
-		}
-	}
-	tr := m.traces[0]
-	for _, pc := range pcs {
-		if run := tr.runs[pc-tr.lo]; run == nil || !run.short || run.n != 1 {
-			t.Fatalf("Step at %#x cached %+v, want a one-slot short run", pc, run)
-		}
-	}
-
 	if f := m.Run(); f != nil {
 		t.Fatal(f)
 	}
+	tr := m.traces[0]
 	off := uint64(loopStart) - tr.lo
 	full := tr.runs[off]
-	if full == nil || full.short || full.n < 4 || full.taken != full {
+	if full == nil || full.n != 4 || full.term != asm.OpJcc || full.taken != full {
 		t.Fatalf("block dispatch did not build a full self-chained loop run: %+v", full)
 	}
 
-	// A second thread stepped all the way through must reuse that run.
 	th2 := m.NewThread(0x1000, 0x100000+0x4000, 0x100000, 0x100000+0x8000)
-	for steps := 0; !th2.Halted; steps++ {
+	for steps := uint64(1); !th2.Halted; steps++ {
 		if steps > 10_000 {
 			t.Fatal("second thread did not halt")
 		}
 		if f := th2.Step(); f != nil {
 			t.Fatal(f)
 		}
-		if tr.runs[off] != full || full.short || full.taken != full {
+		if th2.Stats.Instrs != steps {
+			t.Fatalf("Step %d executed %d instructions in total, want one per Step", steps, th2.Stats.Instrs)
+		}
+		if tr.runs[off] != full || full.n != 4 || full.taken != full {
 			t.Fatalf("Step replaced or unchained the full loop run: %+v", tr.runs[off])
 		}
 	}
-	if th.Regs[asm.RAX] != 200 || th2.Regs[asm.RAX] != 200 {
-		t.Fatalf("loop computed %d and %d, want 200", th.Regs[asm.RAX], th2.Regs[asm.RAX])
+	regs := th2.Regs
+	regs[asm.RSP] = th.Regs[asm.RSP] // the two threads run on different stacks
+	if regs != th.Regs || th2.PC != th.PC || th2.ExitCode != th.ExitCode {
+		t.Fatalf("stepped thread ended at pc %#x with %v, block-dispatched at %#x with %v",
+			th2.PC, th2.Regs, th.PC, th.Regs)
 	}
 	if th.Stats != th2.Stats {
 		t.Fatalf("stepped thread stats %+v != block-dispatched thread stats %+v", th2.Stats, th.Stats)

@@ -29,24 +29,20 @@ type codeTrace struct {
 	lens  []uint8
 
 	// runs[off] is the flattened superblock entered at lo+off (nil = not
-	// yet built), and blocks[off] its instruction count (0 = unbuilt) —
-	// the compact index the tests and invariants assert against; see
-	// superblock.go. Both share the trace's lifetime — a flushed trace
-	// takes its runs (and every chain link living inside them) with it —
-	// and are additionally flushed when the trusted-handler index changes.
-	blocks []uint16
-	runs   []*blockRun
+	// yet built); see superblock.go. Runs share the trace's lifetime: a
+	// flushed trace takes its runs, and every chain link inside them, with
+	// it.
+	runs []*blockRun
 }
 
 func newCodeTrace(mem *Memory, r *Region) *codeTrace {
 	tr := &codeTrace{
-		lo:     r.Lo,
-		size:   r.Size,
-		code:   make([]byte, r.Size),
-		insts:  make([]asm.Inst, r.Size),
-		lens:   make([]uint8, r.Size),
-		blocks: make([]uint16, r.Size),
-		runs:   make([]*blockRun, r.Size),
+		lo:    r.Lo,
+		size:  r.Size,
+		code:  make([]byte, r.Size),
+		insts: make([]asm.Inst, r.Size),
+		lens:  make([]uint8, r.Size),
+		runs:  make([]*blockRun, r.Size),
 	}
 	mem.copyOut(r.Lo, tr.code)
 	return tr
@@ -54,7 +50,8 @@ func newCodeTrace(mem *Memory, r *Region) *codeTrace {
 
 // traceFor returns the decode trace covering pc, building one on first
 // entry into an executable region. Fetching from guard space or a
-// non-executable region faults.
+// non-executable region faults, and so does entering a region that holds
+// a trusted-handler address (see handlerIn).
 func (m *Machine) traceFor(pc uint64) (*codeTrace, *Fault) {
 	for _, tr := range m.traces {
 		if pc-tr.lo < tr.size {
@@ -68,15 +65,37 @@ func (m *Machine) traceFor(pc uint64) (*codeTrace, *Fault) {
 	if r.Perm&PermX == 0 {
 		return nil, &Fault{Kind: FaultNX, Addr: pc, Msg: "fetch from " + r.Name}
 	}
+	if f := m.handlerIn(r); f != nil {
+		return nil, f
+	}
 	tr := newCodeTrace(m.Mem, r)
 	m.traces = append(m.traces, tr)
 	return tr, nil
 }
 
+// handlerIn returns a fault naming the lowest trusted-handler address
+// inside region r, or nil when r holds none. Handlers must lie outside
+// every executable region: the dispatcher probes the handler map only
+// when the PC leaves its decode trace, so a handler inside code would
+// silently execute as code.
+func (m *Machine) handlerIn(r *Region) *Fault {
+	lo, found := uint64(0), false
+	for a := range m.Handlers {
+		if r.Contains(a) && (!found || a < lo) {
+			lo, found = a, true
+		}
+	}
+	if !found {
+		return nil
+	}
+	return &Fault{Kind: FaultPerm, Addr: lo, Msg: "trusted handler inside executable region " + r.Name}
+}
+
 // RegisterCode eagerly builds the decode trace for the executable region
 // containing addr (instruction decode itself stays lazy). The loader calls
-// this once the image bytes are in place so the first fetch does not pay
-// the region snapshot.
+// this once the image bytes and handlers are in place so the first fetch
+// does not pay the region snapshot; it faults if a handler lies in the
+// region.
 func (m *Machine) RegisterCode(addr uint64) *Fault {
 	_, f := m.traceFor(addr)
 	return f

@@ -21,15 +21,6 @@ type FuncDecl struct {
 	Body     *Block // nil for prototypes
 }
 
-// Sig returns the function's signature as a type.
-func (f *FuncDecl) Sig() *types.FuncSig {
-	sig := &types.FuncSig{Ret: f.Ret, Variadic: f.Variadic}
-	for _, p := range f.Params {
-		sig.Params = append(sig.Params, p.Type)
-	}
-	return sig
-}
-
 // Param is a function parameter.
 type Param struct {
 	Name string

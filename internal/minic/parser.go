@@ -385,10 +385,6 @@ func (p *parser) declSpec() (*types.Type, error) {
 	return nil, p.errf("type name expected, found %s", t)
 }
 
-// paramNames records the parameter names of the most recently parsed
-// function declarator (C declarators carry names out-of-band).
-var _ = 0
-
 // declarator parses pointers and a direct declarator, returning the
 // declared name (possibly empty for abstract declarators) and the full type.
 func (p *parser) declarator(base *types.Type) (string, *types.Type, error) {

@@ -158,9 +158,6 @@ func (r *Registry) Gauge(name string, v uint64) {
 	}
 }
 
-// GaugeValue reads a gauge (0 when absent).
-func (r *Registry) GaugeValue(name string) uint64 { return r.gauges[name] }
-
 // Hist returns the named histogram, creating it on first use.
 func (r *Registry) Hist(name string) *Histogram {
 	h, ok := r.hists[name]

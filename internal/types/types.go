@@ -134,11 +134,6 @@ func (t *Type) WithQual(q Qual) *Type {
 // IsInteger reports whether t is an integer type.
 func (t *Type) IsInteger() bool { return t != nil && t.Kind == Int }
 
-// IsScalar reports whether t is integer, float or pointer.
-func (t *Type) IsScalar() bool {
-	return t != nil && (t.Kind == Int || t.Kind == Float || t.Kind == Ptr)
-}
-
 // IsRecord reports whether t is a struct or union.
 func (t *Type) IsRecord() bool { return t != nil && (t.Kind == Struct || t.Kind == Union) }
 

@@ -12,26 +12,23 @@ import (
 	"confllvm/internal/verify"
 )
 
-// SaveFile writes the artifact's image to disk (the "U dll" of Fig. 2).
-func (a *Artifact) SaveFile(path string) error { return a.Image.SaveFile(path) }
+// SaveFile writes the artifact's image to disk (the "U dll" of Fig. 2),
+// tagged with its variant.
+func (a *Artifact) SaveFile(path string) error { return a.Image.SaveFile(path, a.Variant.String()) }
 
 // LoadArtifactFile loads an image produced by SaveFile and wraps it as a
-// runnable artifact. The variant is recovered from the embedded config.
+// runnable artifact of the variant recorded in the file. (Base and BaseOA
+// share a codegen config, so the config alone cannot tell them apart.)
 func LoadArtifactFile(path string) (*Artifact, error) {
-	img, err := link.LoadFile(path)
+	img, name, err := link.LoadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	art := &Artifact{Image: img, Variant: VariantBase}
-	for v := VariantBase; v < numVariants; v++ {
-		c := v.Config()
-		c.StackOffset = img.Config.StackOffset
-		if c == img.Config {
-			art.Variant = v
-			break
-		}
+	v, err := ParseVariant(name)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return art, nil
+	return &Artifact{Image: img, Variant: v}, nil
 }
 
 // VerifyImageFile runs ConfVerify on an on-disk image (the standalone
@@ -45,7 +42,7 @@ func VerifyImageFile(path string, strict bool) error {
 // (parallelism) and throughput stats — the entry point
 // behind confverify's -par and -bench flags.
 func VerifyImageFileStats(path string, opts verify.Options) (verify.Stats, error) {
-	img, err := link.LoadFile(path)
+	img, _, err := link.LoadFile(path)
 	if err != nil {
 		return verify.Stats{}, err
 	}
