@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	variant := flag.String("variant", "ourseg", "configuration: base, baseoa, ourbare, ourcfi, ourmpx, ourseg")
+	variant := flag.String("variant", "ourseg", "configuration: "+confllvm.VariantNames())
 	strict := flag.Bool("strict", false, "reject branching on private data (implicit-flow-free mode)")
 	allPrivate := flag.Bool("allprivate", false, "all-private (SGX enclave) mode")
 	dumpAsm := flag.Bool("S", false, "print the assembly listing")

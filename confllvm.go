@@ -94,18 +94,18 @@ func (v Variant) Config() codegen.Config {
 		return codegen.Config{CFI: true, SeparateStacks: true, SeparateUT: true}
 	case VariantMPX:
 		return codegen.Config{CFI: true, Bounds: codegen.BoundsMPX,
-			SeparateStacks: true, SeparateUT: true, ChkStk: true}
+			SeparateStacks: true, SeparateUT: true}
 	case VariantSeg:
 		return codegen.Config{CFI: true, Bounds: codegen.BoundsSeg,
-			SeparateStacks: true, SeparateUT: true, ChkStk: true}
+			SeparateStacks: true, SeparateUT: true}
 	case VariantMPXSep:
 		return codegen.Config{CFI: true, Bounds: codegen.BoundsMPX,
-			SeparateStacks: false, SeparateUT: true, ChkStk: true}
+			SeparateStacks: false, SeparateUT: true}
 	case VariantOneMem:
 		return codegen.Config{SeparateStacks: true, SeparateUT: false}
 	case VariantMPXNaive:
 		return codegen.Config{CFI: true, Bounds: codegen.BoundsMPX,
-			SeparateStacks: true, SeparateUT: true, ChkStk: true, NoMPXOpt: true}
+			SeparateStacks: true, SeparateUT: true, NoMPXOpt: true}
 	}
 	return codegen.Config{}
 }

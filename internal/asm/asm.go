@@ -17,6 +17,21 @@
 // Instructions encode to a variable-length byte stream (see encode.go); the
 // verifier disassembles that stream, and magic sequences are raw 8-byte
 // words embedded in it.
+//
+// Every per-opcode fact lives in one table, opTable: the mnemonic, the
+// operand form (which fixes the encoding, the decoding and the listing),
+// whether the instruction overwrites its Dst register (Inst.WrittenGPR)
+// and whether it ends a basic block (Op.EndsBlock). Adding an opcode
+// takes:
+//
+//  1. the constant, after OpNop so that no existing encoding moves;
+//  2. one opTable row;
+//  3. a case in machine's execRun, plus a staticCost entry if it costs
+//     more than one cycle;
+//  4. a case in verify's transferBlock allow-list, if untrusted code may
+//     use it (its default rejects every opcode it does not name);
+//  5. the matching case in verifymut's privAt, which mirrors that taint
+//     transfer.
 package asm
 
 import "fmt"
@@ -127,33 +142,16 @@ func (c Cond) String() string {
 	return fmt.Sprintf("cc?%d", uint8(c))
 }
 
+// negated maps each condition to its complement.
+var negated = [...]Cond{
+	CondE: CondNE, CondNE: CondE, CondL: CondGE, CondLE: CondG, CondG: CondLE, CondGE: CondL,
+	CondB: CondAE, CondBE: CondA, CondA: CondBE, CondAE: CondB, CondS: CondNS, CondNS: CondS,
+}
+
 // Negate returns the complementary condition.
 func (c Cond) Negate() Cond {
-	switch c {
-	case CondE:
-		return CondNE
-	case CondNE:
-		return CondE
-	case CondL:
-		return CondGE
-	case CondLE:
-		return CondG
-	case CondG:
-		return CondLE
-	case CondGE:
-		return CondL
-	case CondB:
-		return CondAE
-	case CondBE:
-		return CondA
-	case CondA:
-		return CondBE
-	case CondAE:
-		return CondB
-	case CondS:
-		return CondNS
-	case CondNS:
-		return CondS
+	if int(c) < len(negated) {
+		return negated[c]
 	}
 	return c
 }
@@ -321,35 +319,87 @@ const (
 	numOps
 )
 
-var opNames = map[Op]string{
-	OpMovRR: "mov", OpMovRI: "mov", OpLoad: "load", OpStore: "store",
-	OpLea: "lea", OpPush: "push", OpPop: "pop",
-	OpAddRR: "add", OpAddRI: "add", OpSubRR: "sub", OpSubRI: "sub",
-	OpMulRR: "imul", OpMulRI: "imul", OpDivRR: "idiv", OpModRR: "imod",
-	OpUDivRR: "div", OpUModRR: "mod", OpMovsx: "movsx",
-	OpAndRR: "and", OpAndRI: "and", OpOrRR: "or", OpOrRI: "or",
-	OpXorRR: "xor", OpXorRI: "xor",
-	OpShlRR: "shl", OpShlRI: "shl", OpShrRR: "shr", OpShrRI: "shr",
-	OpSarRR: "sar", OpSarRI: "sar", OpNeg: "neg", OpNot: "not",
-	OpCmpRR: "cmp", OpCmpRI: "cmp", OpCmpMR: "cmp", OpTestRR: "test", OpTestRI: "test",
-	OpSetCC: "set",
-	OpJmp:   "jmp", OpJcc: "j", OpJmpR: "jmp", OpCall: "call", OpICall: "icall",
-	OpRet: "ret", OpTrap: "trap", OpExit: "exit",
-	OpBndCLMem: "bndcl", OpBndCUMem: "bndcu", OpBndCLReg: "bndcl", OpBndCUReg: "bndcu",
-	OpChkSP: "chksp",
-	OpFLoad: "movsd", OpFStore: "movsd", OpFMovRR: "movsd", OpFMovI: "movsd",
-	OpFAdd: "addsd", OpFSub: "subsd", OpFMul: "mulsd", OpFDiv: "divsd",
-	OpFMax: "maxsd", OpFCmp: "ucomisd", OpCvtIF: "cvtsi2sd", OpCvtFI: "cvtsd2si",
-	OpMovQIF: "movq", OpMovQFI: "movq",
-	OpWrFS: "wrfs", OpWrGS: "wrgs", OpSyscall: "syscall", OpNop: "nop",
+// Flags of an opcode's table row.
+const (
+	// writesDst: the instruction overwrites the GPR named by Dst.
+	writesDst uint8 = 1 << iota
+	// endsBlock: the instruction sets the next PC non-sequentially, halts
+	// the thread or always faults, so no instruction runs after it in a
+	// straight line.
+	endsBlock
+)
+
+// opInfo is one row of the opcode table.
+type opInfo struct {
+	name  string // mnemonic
+	form  opKind // operand form: drives encoding, decoding and printing
+	flags uint8
 }
 
+// opTable holds every per-opcode fact the ISA defines. Encoding,
+// decoding, printing, the verifier's register-write rule and the
+// machine's block boundaries are all derived from it.
+var opTable = [numOps]opInfo{
+	OpMovRR: {"mov", kRR, writesDst}, OpMovRI: {"mov", kRI, writesDst},
+	OpLoad: {"load", kRM, writesDst}, OpStore: {"store", kMR, 0},
+	OpLea:  {"lea", kRM, writesDst},
+	OpPush: {"push", kRsrc, 0}, OpPop: {"pop", kR, writesDst},
+
+	OpAddRR: {"add", kRR, writesDst}, OpAddRI: {"add", kRI, writesDst},
+	OpSubRR: {"sub", kRR, writesDst}, OpSubRI: {"sub", kRI, writesDst},
+	OpMulRR: {"imul", kRR, writesDst}, OpMulRI: {"imul", kRI, writesDst},
+	OpDivRR: {"idiv", kRR, writesDst}, OpModRR: {"imod", kRR, writesDst},
+	OpAndRR: {"and", kRR, writesDst}, OpAndRI: {"and", kRI, writesDst},
+	OpOrRR: {"or", kRR, writesDst}, OpOrRI: {"or", kRI, writesDst},
+	OpXorRR: {"xor", kRR, writesDst}, OpXorRI: {"xor", kRI, writesDst},
+	OpShlRR: {"shl", kRR, writesDst}, OpShlRI: {"shl", kRI, writesDst},
+	OpShrRR: {"shr", kRR, writesDst}, OpShrRI: {"shr", kRI, writesDst},
+	OpSarRR: {"sar", kRR, writesDst}, OpSarRI: {"sar", kRI, writesDst},
+	OpNeg: {"neg", kR, writesDst}, OpNot: {"not", kR, writesDst},
+
+	OpCmpRR: {"cmp", kRR, 0}, OpCmpRI: {"cmp", kRI, 0}, OpCmpMR: {"cmp", kMR, 0},
+	OpTestRR: {"test", kRR, 0}, OpTestRI: {"test", kRI, 0},
+	OpSetCC: {"set", kCR, writesDst},
+
+	OpJmp: {"jmp", kI, endsBlock}, OpJcc: {"j", kCI, endsBlock},
+	OpJmpR: {"jmp", kRsrc, endsBlock},
+	OpCall: {"call", kI, endsBlock}, OpICall: {"icall", kRsrc, endsBlock},
+	OpRet: {"ret", kNone, endsBlock}, OpTrap: {"trap", kNone, endsBlock},
+	OpExit: {"exit", kNone, endsBlock},
+
+	OpBndCLMem: {"bndcl", kMB, 0}, OpBndCUMem: {"bndcu", kMB, 0},
+	OpBndCLReg: {"bndcl", kRB, 0}, OpBndCUReg: {"bndcu", kRB, 0},
+	OpChkSP: {"chksp", kNone, 0},
+
+	OpFLoad: {"movsd", kFM, 0}, OpFStore: {"movsd", kMF, 0},
+	OpFMovRR: {"movsd", kFF, 0}, OpFMovI: {"movsd", kFI, 0},
+	OpFAdd: {"addsd", kFF, 0}, OpFSub: {"subsd", kFF, 0},
+	OpFMul: {"mulsd", kFF, 0}, OpFDiv: {"divsd", kFF, 0},
+	OpFMax: {"maxsd", kFF, 0}, OpFCmp: {"ucomisd", kFF, 0},
+	OpCvtIF: {"cvtsi2sd", kFR, 0}, OpCvtFI: {"cvtsd2si", kRF, writesDst},
+	OpMovQIF: {"movq", kFR, 0}, OpMovQFI: {"movq", kRF, writesDst},
+
+	OpWrFS: {"wrfs", kRsrc, 0}, OpWrGS: {"wrgs", kRsrc, 0},
+	OpSyscall: {"syscall", kNone, endsBlock}, OpNop: {"nop", kNone, 0},
+
+	OpMovsx:  {"movsx", kRI, writesDst},
+	OpUDivRR: {"div", kRR, writesDst}, OpUModRR: {"mod", kRR, writesDst},
+}
+
+// valid reports whether o is a defined opcode.
+func (o Op) valid() bool { return o > OpInvalid && o < numOps }
+
 func (o Op) String() string {
-	if n, ok := opNames[o]; ok {
-		return n
+	if o.valid() {
+		return opTable[o].name
 	}
 	return fmt.Sprintf("op?%d", uint8(o))
 }
+
+// EndsBlock reports whether o ends a basic block: it sets the next PC
+// non-sequentially (jmp, jcc, indirect jmp, call, icall, ret), halts the
+// thread (exit) or always faults (trap, syscall).
+func (o Op) EndsBlock() bool { return o.valid() && opTable[o].flags&endsBlock != 0 }
 
 // formSuffix names each operand form for Name.
 var formSuffix = [...]string{
@@ -367,7 +417,7 @@ var opUniqueNames = func() (names [numOps]string) {
 	for op := OpInvalid + 1; op < numOps; op++ {
 		names[op] = op.String()
 		if shared[names[op]] > 1 {
-			names[op] += "." + formSuffix[opKinds[op]]
+			names[op] += "." + formSuffix[opTable[op].form]
 		}
 	}
 	return names
@@ -377,7 +427,7 @@ var opUniqueNames = func() (names [numOps]string) {
 // by the operand form when opcodes share a mnemonic ("mov.rr", "mov.ri",
 // "shl.ri"). Dynamic opcode histograms are keyed by it.
 func (o Op) Name() string {
-	if o > OpInvalid && o < numOps {
+	if o.valid() {
 		return opUniqueNames[o]
 	}
 	return o.String()
@@ -397,74 +447,58 @@ type Inst struct {
 	Bnd  Bnd
 }
 
-func (i Inst) String() string {
-	switch i.Op {
-	case OpMovRR:
-		return fmt.Sprintf("mov %s, %s", i.Dst, i.Src)
-	case OpMovRI:
-		return fmt.Sprintf("mov %s, %d", i.Dst, i.Imm)
-	case OpLoad:
-		return fmt.Sprintf("load %s, %s", i.Dst, i.M)
-	case OpStore:
-		return fmt.Sprintf("store %s, %s", i.M, i.Src)
-	case OpLea:
-		return fmt.Sprintf("lea %s, %s", i.Dst, i.M)
-	case OpPush:
-		return fmt.Sprintf("push %s", i.Src)
-	case OpPop:
-		return fmt.Sprintf("pop %s", i.Dst)
-	case OpAddRR, OpSubRR, OpMulRR, OpDivRR, OpModRR, OpUDivRR, OpUModRR,
-		OpAndRR, OpOrRR, OpXorRR, OpShlRR, OpShrRR, OpSarRR, OpCmpRR, OpTestRR:
-		return fmt.Sprintf("%s %s, %s", i.Op, i.Dst, i.Src)
-	case OpAddRI, OpSubRI, OpMulRI, OpAndRI, OpOrRI, OpXorRI,
-		OpShlRI, OpShrRI, OpSarRI, OpCmpRI, OpTestRI:
-		return fmt.Sprintf("%s %s, %d", i.Op, i.Dst, i.Imm)
-	case OpNeg, OpNot:
-		return fmt.Sprintf("%s %s", i.Op, i.Dst)
-	case OpMovsx:
-		return fmt.Sprintf("movsx %s, %d", i.Dst, i.Imm)
-	case OpCmpMR:
-		return fmt.Sprintf("cmp %s, %s", i.M, i.Src)
-	case OpSetCC:
-		return fmt.Sprintf("set%s %s", i.Cond, i.Dst)
-	case OpJmp:
-		return fmt.Sprintf("jmp 0x%x", uint64(i.Imm))
-	case OpJcc:
-		return fmt.Sprintf("j%s 0x%x", i.Cond, uint64(i.Imm))
-	case OpJmpR:
-		return fmt.Sprintf("jmp %s", i.Src)
-	case OpCall:
-		return fmt.Sprintf("call 0x%x", uint64(i.Imm))
-	case OpICall:
-		return fmt.Sprintf("icall %s", i.Src)
-	case OpRet, OpTrap, OpExit, OpChkSP, OpSyscall, OpNop:
-		return i.Op.String()
-	case OpBndCLMem, OpBndCUMem:
-		return fmt.Sprintf("%s %s, %s", i.Op, i.M, i.Bnd)
-	case OpBndCLReg, OpBndCUReg:
-		return fmt.Sprintf("%s %s, %s", i.Op, i.Src, i.Bnd)
-	case OpFLoad:
-		return fmt.Sprintf("movsd %s, %s", i.FDst, i.M)
-	case OpFStore:
-		return fmt.Sprintf("movsd %s, %s", i.M, i.FSrc)
-	case OpFMovRR:
-		return fmt.Sprintf("movsd %s, %s", i.FDst, i.FSrc)
-	case OpFMovI:
-		return fmt.Sprintf("movsd %s, #%x", i.FDst, uint64(i.Imm))
-	case OpFAdd, OpFSub, OpFMul, OpFDiv, OpFMax, OpFCmp:
-		return fmt.Sprintf("%s %s, %s", i.Op, i.FDst, i.FSrc)
-	case OpCvtIF:
-		return fmt.Sprintf("cvtsi2sd %s, %s", i.FDst, i.Src)
-	case OpCvtFI:
-		return fmt.Sprintf("cvtsd2si %s, %s", i.Dst, i.FSrc)
-	case OpMovQIF:
-		return fmt.Sprintf("movq %s, %s", i.FDst, i.Src)
-	case OpMovQFI:
-		return fmt.Sprintf("movq %s, %s", i.Dst, i.FSrc)
-	case OpWrFS, OpWrGS:
-		return fmt.Sprintf("%s %s", i.Op, i.Src)
+// WrittenGPR returns the general-purpose register the instruction
+// explicitly overwrites (its Dst), or NoReg. The implicit rsp updates of
+// push, pop, call, icall and ret are not reported.
+func (i Inst) WrittenGPR() Reg {
+	if i.Op.valid() && opTable[i.Op].flags&writesDst != 0 {
+		return i.Dst
 	}
-	return fmt.Sprintf("%s ?", i.Op)
+	return NoReg
+}
+
+func (i Inst) String() string {
+	op := i.Op
+	if !op.valid() {
+		return fmt.Sprintf("%s ?", op)
+	}
+	switch opTable[op].form {
+	case kR:
+		return fmt.Sprintf("%s %s", op, i.Dst)
+	case kRsrc:
+		return fmt.Sprintf("%s %s", op, i.Src)
+	case kRR:
+		return fmt.Sprintf("%s %s, %s", op, i.Dst, i.Src)
+	case kRI:
+		return fmt.Sprintf("%s %s, %d", op, i.Dst, i.Imm)
+	case kRM:
+		return fmt.Sprintf("%s %s, %s", op, i.Dst, i.M)
+	case kMR:
+		return fmt.Sprintf("%s %s, %s", op, i.M, i.Src)
+	case kI:
+		return fmt.Sprintf("%s 0x%x", op, uint64(i.Imm))
+	case kCI:
+		return fmt.Sprintf("%s%s 0x%x", op, i.Cond, uint64(i.Imm))
+	case kCR:
+		return fmt.Sprintf("%s%s %s", op, i.Cond, i.Dst)
+	case kMB:
+		return fmt.Sprintf("%s %s, %s", op, i.M, i.Bnd)
+	case kRB:
+		return fmt.Sprintf("%s %s, %s", op, i.Src, i.Bnd)
+	case kFM:
+		return fmt.Sprintf("%s %s, %s", op, i.FDst, i.M)
+	case kMF:
+		return fmt.Sprintf("%s %s, %s", op, i.M, i.FSrc)
+	case kFF:
+		return fmt.Sprintf("%s %s, %s", op, i.FDst, i.FSrc)
+	case kFI:
+		return fmt.Sprintf("%s %s, #%x", op, i.FDst, uint64(i.Imm))
+	case kFR:
+		return fmt.Sprintf("%s %s, %s", op, i.FDst, i.Src)
+	case kRF:
+		return fmt.Sprintf("%s %s, %s", op, i.Dst, i.FSrc)
+	}
+	return op.String() // kNone: the mnemonic alone
 }
 
 // Calling convention (Windows x64, as used by the paper).

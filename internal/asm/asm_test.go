@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -30,7 +31,7 @@ func randInst(op Op, rng *rand.Rand) Inst {
 		return m
 	}
 	in := Inst{Op: op}
-	switch opKinds[op] {
+	switch opTable[op].form {
 	case kR:
 		in.Dst = reg()
 	case kRsrc:
@@ -138,6 +139,134 @@ func TestOpNamesUnique(t *testing.T) {
 		if got := op.Name(); got != want {
 			t.Errorf("%v.Name() = %q, want %q", op, got, want)
 		}
+	}
+}
+
+// TestOpTable: every opcode between OpInvalid and numOps has a table row,
+// so none silently encodes with no operands, and the flags sit only where
+// they can mean something: writesDst on forms with a Dst register, and
+// endsBlock on exactly the control-flow, halting and always-faulting ops.
+func TestOpTable(t *testing.T) {
+	hasDst := map[opKind]bool{kR: true, kRR: true, kRI: true, kRM: true, kCR: true, kRF: true}
+	ends := map[Op]bool{OpJmp: true, OpJcc: true, OpJmpR: true, OpCall: true, OpICall: true,
+		OpRet: true, OpTrap: true, OpExit: true, OpSyscall: true}
+	for op := OpInvalid + 1; op < numOps; op++ {
+		row := opTable[op]
+		if row.name == "" {
+			t.Errorf("opcode %d has no table row", op)
+		}
+		if row.flags&writesDst != 0 && !hasDst[row.form] {
+			t.Errorf("%v writes Dst but its form has no Dst operand", op)
+		}
+		if op.EndsBlock() != ends[op] {
+			t.Errorf("%v.EndsBlock() = %v", op, op.EndsBlock())
+		}
+	}
+	for _, op := range []Op{OpInvalid, numOps} {
+		if op.EndsBlock() || EncodedLen(op) != 0 || (Inst{Op: op, Dst: RAX}).WrittenGPR() != NoReg {
+			t.Errorf("undefined opcode %d has table facts", op)
+		}
+	}
+	for _, op := range []Op{OpCmpRR, OpCmpRI, OpTestRR, OpTestRI} {
+		if w := (Inst{Op: op, Dst: RAX}).WrittenGPR(); w != NoReg {
+			t.Errorf("%v reports a write of %v", op, w)
+		}
+	}
+}
+
+// TestInstStringPinned pins the listing form of one instance of every
+// opcode: Disassemble output, and every golden listing built from it,
+// depends on these strings.
+func TestInstStringPinned(t *testing.T) {
+	want := map[Op]string{
+		OpMovRR:    "mov rcx, r9",
+		OpMovRI:    "mov rcx, 42",
+		OpLoad:     "load rcx, gs:[lo32(rbx)+lo32(rsi)*4-8].s32",
+		OpStore:    "store gs:[lo32(rbx)+lo32(rsi)*4-8].s32, r9",
+		OpLea:      "lea rcx, gs:[lo32(rbx)+lo32(rsi)*4-8].s32",
+		OpPush:     "push r9",
+		OpPop:      "pop rcx",
+		OpAddRR:    "add rcx, r9",
+		OpAddRI:    "add rcx, 42",
+		OpSubRR:    "sub rcx, r9",
+		OpSubRI:    "sub rcx, 42",
+		OpMulRR:    "imul rcx, r9",
+		OpMulRI:    "imul rcx, 42",
+		OpDivRR:    "idiv rcx, r9",
+		OpModRR:    "imod rcx, r9",
+		OpAndRR:    "and rcx, r9",
+		OpAndRI:    "and rcx, 42",
+		OpOrRR:     "or rcx, r9",
+		OpOrRI:     "or rcx, 42",
+		OpXorRR:    "xor rcx, r9",
+		OpXorRI:    "xor rcx, 42",
+		OpShlRR:    "shl rcx, r9",
+		OpShlRI:    "shl rcx, 42",
+		OpShrRR:    "shr rcx, r9",
+		OpShrRI:    "shr rcx, 42",
+		OpSarRR:    "sar rcx, r9",
+		OpSarRI:    "sar rcx, 42",
+		OpNeg:      "neg rcx",
+		OpNot:      "not rcx",
+		OpCmpRR:    "cmp rcx, r9",
+		OpCmpRI:    "cmp rcx, 42",
+		OpCmpMR:    "cmp gs:[lo32(rbx)+lo32(rsi)*4-8].s32, r9",
+		OpTestRR:   "test rcx, r9",
+		OpTestRI:   "test rcx, 42",
+		OpSetCC:    "setle rcx",
+		OpJmp:      "jmp 0x2a",
+		OpJcc:      "jle 0x2a",
+		OpJmpR:     "jmp r9",
+		OpCall:     "call 0x2a",
+		OpICall:    "icall r9",
+		OpRet:      "ret",
+		OpTrap:     "trap",
+		OpExit:     "exit",
+		OpBndCLMem: "bndcl gs:[lo32(rbx)+lo32(rsi)*4-8].s32, bnd1",
+		OpBndCUMem: "bndcu gs:[lo32(rbx)+lo32(rsi)*4-8].s32, bnd1",
+		OpBndCLReg: "bndcl r9, bnd1",
+		OpBndCUReg: "bndcu r9, bnd1",
+		OpChkSP:    "chksp",
+		OpFLoad:    "movsd xmm3, gs:[lo32(rbx)+lo32(rsi)*4-8].s32",
+		OpFStore:   "movsd gs:[lo32(rbx)+lo32(rsi)*4-8].s32, xmm7",
+		OpFMovRR:   "movsd xmm3, xmm7",
+		OpFMovI:    "movsd xmm3, #2a",
+		OpFAdd:     "addsd xmm3, xmm7",
+		OpFSub:     "subsd xmm3, xmm7",
+		OpFMul:     "mulsd xmm3, xmm7",
+		OpFDiv:     "divsd xmm3, xmm7",
+		OpFMax:     "maxsd xmm3, xmm7",
+		OpFCmp:     "ucomisd xmm3, xmm7",
+		OpCvtIF:    "cvtsi2sd xmm3, r9",
+		OpCvtFI:    "cvtsd2si rcx, xmm7",
+		OpMovQIF:   "movq xmm3, r9",
+		OpMovQFI:   "movq rcx, xmm7",
+		OpWrFS:     "wrfs r9",
+		OpWrGS:     "wrgs r9",
+		OpSyscall:  "syscall",
+		OpNop:      "nop",
+		OpMovsx:    "movsx rcx, 42",
+		OpUDivRR:   "div rcx, r9",
+		OpUModRR:   "mod rcx, r9",
+	}
+	m := Mem{Seg: SegGS, Base: RBX, Index: RSI, Scale: 4, Disp: -8, Size: 4, Signed: true, Use32: true}
+	for op := OpInvalid + 1; op < numOps; op++ {
+		in := Inst{Op: op, Dst: RCX, Src: R9, FDst: 3, FSrc: 7, M: m, Imm: 42, Cond: CondLE, Bnd: BND1}
+		// A round trip through the encoding zeroes the fields op's form
+		// does not use.
+		in, _, err := Decode(Encode(nil, in), 0)
+		if err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		w, ok := want[op]
+		if !ok {
+			t.Errorf("opcode %d (%v) has no pinned listing", op, op)
+		} else if got := in.String(); got != w {
+			t.Errorf("%v prints %q, want %q", op, got, w)
+		}
+	}
+	if got := (Inst{Op: numOps}).String(); got != fmt.Sprintf("op?%d ?", numOps) {
+		t.Errorf("undefined opcode prints %q", got)
 	}
 }
 

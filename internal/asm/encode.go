@@ -5,7 +5,8 @@ import (
 	"fmt"
 )
 
-// operand kinds drive the byte layout of each opcode.
+// opKind is an operand form. An opcode's form, named in its opTable row,
+// fixes its byte layout, its decoding and its listing.
 type opKind uint8
 
 const (
@@ -29,32 +30,10 @@ const (
 	kRF          // Dst, FSrc
 )
 
-var opKinds = [numOps]opKind{
-	OpMovRR: kRR, OpMovRI: kRI, OpLoad: kRM, OpStore: kMR, OpLea: kRM,
-	OpPush: kRsrc, OpPop: kR,
-	OpAddRR: kRR, OpAddRI: kRI, OpSubRR: kRR, OpSubRI: kRI,
-	OpMulRR: kRR, OpMulRI: kRI, OpDivRR: kRR, OpModRR: kRR,
-	OpAndRR: kRR, OpAndRI: kRI, OpOrRR: kRR, OpOrRI: kRI,
-	OpXorRR: kRR, OpXorRI: kRI,
-	OpShlRR: kRR, OpShlRI: kRI, OpShrRR: kRR, OpShrRI: kRI,
-	OpSarRR: kRR, OpSarRI: kRI, OpNeg: kR, OpNot: kR,
-	OpCmpRR: kRR, OpCmpRI: kRI, OpCmpMR: kMR, OpTestRR: kRR, OpTestRI: kRI,
-	OpSetCC: kCR,
-	OpJmp:   kI, OpJcc: kCI, OpJmpR: kRsrc, OpCall: kI, OpICall: kRsrc,
-	OpRet: kNone, OpTrap: kNone, OpExit: kNone,
-	OpBndCLMem: kMB, OpBndCUMem: kMB, OpBndCLReg: kRB, OpBndCUReg: kRB,
-	OpChkSP: kNone,
-	OpFLoad: kFM, OpFStore: kMF, OpFMovRR: kFF, OpFMovI: kFI,
-	OpFAdd: kFF, OpFSub: kFF, OpFMul: kFF, OpFDiv: kFF, OpFMax: kFF, OpFCmp: kFF,
-	OpCvtIF: kFR, OpCvtFI: kRF, OpMovQIF: kFR, OpMovQFI: kRF,
-	OpWrFS: kRsrc, OpWrGS: kRsrc, OpSyscall: kNone, OpNop: kNone,
-	OpMovsx: kRI, OpUDivRR: kRR, OpUModRR: kRR,
-}
-
 const memEncLen = 8
 
-// kindLen is the operand byte length for each operand kind.
-var kindLen = map[opKind]int{
+// formLen is the operand byte length of each operand form.
+var formLen = [...]uint8{
 	kNone: 0, kR: 1, kRsrc: 1, kRR: 2, kRI: 9, kRM: 1 + memEncLen,
 	kMR: memEncLen + 1, kI: 8, kCI: 9, kCR: 2, kMB: memEncLen + 1,
 	kRB: 2, kFM: 1 + memEncLen, kMF: memEncLen + 1, kFF: 2, kFI: 9,
@@ -62,12 +41,13 @@ var kindLen = map[opKind]int{
 }
 
 // EncodedLen returns the encoded byte length of an instruction with the
-// given opcode (1 opcode byte plus operand bytes).
+// given opcode (1 opcode byte plus operand bytes), or 0 for an undefined
+// opcode.
 func EncodedLen(op Op) int {
-	if op == OpInvalid || op >= numOps {
+	if !op.valid() {
 		return 0
 	}
-	return 1 + kindLen[opKinds[op]]
+	return 1 + int(formLen[opTable[op].form])
 }
 
 func scaleLog2(s uint8) uint8 {
@@ -135,7 +115,7 @@ func Encode(buf []byte, inst Inst) []byte {
 	op := inst.Op
 	buf = append(buf, byte(op))
 	var tmp [16]byte
-	switch opKinds[op] {
+	switch opTable[op].form {
 	case kNone:
 	case kR:
 		buf = append(buf, byte(inst.Dst))
@@ -211,7 +191,7 @@ func DecodeInto(inst *Inst, code []byte, off int) (int, error) {
 		return 0, fmt.Errorf("asm: decode offset %d out of range", off)
 	}
 	op := Op(code[off])
-	if op == OpInvalid || op >= numOps {
+	if !op.valid() {
 		return 0, fmt.Errorf("asm: invalid opcode 0x%02x at offset %d", code[off], off)
 	}
 	n := EncodedLen(op)
@@ -220,7 +200,7 @@ func DecodeInto(inst *Inst, code []byte, off int) (int, error) {
 	}
 	b := code[off+1 : off+n]
 	*inst = Inst{Op: op}
-	switch opKinds[op] {
+	switch opTable[op].form {
 	case kNone:
 	case kR:
 		inst.Dst = Reg(b[0])

@@ -83,9 +83,6 @@ type Config struct {
 	// IgnoreTaint compiles like a vanilla compiler: one stack, no private
 	// placement (the Base/BaseOA configurations).
 	IgnoreTaint bool
-	// ChkStk emits the inlined _chkstk rsp discipline, which also enables
-	// eliding bound checks on rsp-relative operands.
-	ChkStk bool
 	// NoMPXOpt disables the paper's §5.1 MPX optimizations (rsp-check
 	// elision, guard-displacement elision and block-local check
 	// coalescing) — the ablation baseline: every access through
@@ -597,7 +594,9 @@ func (c *ctx) prologue() {
 	if c.frameSize > 0 {
 		c.emit(asm.Inst{Op: asm.OpSubRI, Dst: asm.RSP, Imm: int64(c.frameSize)})
 	}
-	if c.conf.ChkStk {
+	if c.conf.Bounds != BoundsNone {
+		// The inlined _chkstk rsp discipline, which every bounds scheme
+		// carries; it lets MPX elide checks on rsp-relative operands.
 		c.emit(asm.Inst{Op: asm.OpChkSP})
 	}
 	c.moveParamsIn()

@@ -203,7 +203,7 @@ func TestCondBrLowering(t *testing.T) {
 // branch to. The function's final item is always a terminator.
 func TestBlocksEndInTerminators(t *testing.T) {
 	for _, conf := range []Config{{}, {CFI: true, Bounds: BoundsMPX,
-		SeparateStacks: true, SeparateUT: true, ChkStk: true}} {
+		SeparateStacks: true, SeparateUT: true}} {
 		mod, cm := genIR(t, branchy, conf)
 		for _, fc := range cm.Funcs {
 			if fc.IsStub {
@@ -394,7 +394,7 @@ func TestBoundsEmission(t *testing.T) {
 	}
 
 	mpxConf := Config{CFI: true, Bounds: BoundsMPX, SeparateStacks: true,
-		SeparateUT: true, ChkStk: true}
+		SeparateUT: true}
 	mpx := genModule(t, pointerTouch, mpxConf)
 	fc = fnCode(t, mpx, "touch")
 	lo := count(fc, asm.OpBndCLReg) + count(fc, asm.OpBndCLMem)
@@ -403,7 +403,7 @@ func TestBoundsEmission(t *testing.T) {
 		t.Errorf("MPX checks: %d lower / %d upper, want equal and nonzero", lo, hi)
 	}
 	if count(fc, asm.OpChkSP) == 0 {
-		t.Error("ChkStk config emitted no chksp")
+		t.Error("MPX config emitted no chksp")
 	}
 
 	// The naive ablation may only add checks, never remove them.
@@ -419,7 +419,7 @@ func TestBoundsEmission(t *testing.T) {
 	}
 
 	segConf := Config{CFI: true, Bounds: BoundsSeg, SeparateStacks: true,
-		SeparateUT: true, ChkStk: true}
+		SeparateUT: true}
 	seg := genModule(t, pointerTouch, segConf)
 	fc = fnCode(t, seg, "touch")
 	if count(fc, asm.OpBndCLReg)+count(fc, asm.OpBndCUReg)+count(fc, asm.OpBndCLMem)+count(fc, asm.OpBndCUMem) != 0 {
@@ -448,7 +448,7 @@ func TestBoundsEmission(t *testing.T) {
 // an fs-prefixed table load under the segmentation scheme.
 func TestStubShape(t *testing.T) {
 	cm := genModule(t, callers, Config{CFI: true, Bounds: BoundsSeg,
-		SeparateStacks: true, SeparateUT: true, ChkStk: true})
+		SeparateStacks: true, SeparateUT: true})
 	fc := fnCode(t, cm, "output")
 	if !fc.IsStub {
 		t.Fatal("extern output did not become a stub")
@@ -546,7 +546,7 @@ func TestLoopRotation(t *testing.T) {
 		{"long test", "r * 3 + r * 5 > 10", false},
 	}
 	for _, conf := range []Config{{IgnoreTaint: true}, {CFI: true, Bounds: BoundsMPX,
-		SeparateStacks: true, SeparateUT: true, ChkStk: true}} {
+		SeparateStacks: true, SeparateUT: true}} {
 		for _, tc := range cases {
 			src := "long n = 20;\nlong h() { n = n - 1; return n; }\nlong f(long r) {\n" +
 				"\tif (r > 5) { r = r + 1; } else { r = r - 1; }\n" +
@@ -619,7 +619,7 @@ int main() { return (int)f(1, 2, 3, 4, 5); }
 		t.Fatal(err)
 	}
 	_, err = Gen(mod, a, Config{CFI: true, Bounds: BoundsMPX, SeparateStacks: true,
-		SeparateUT: true, ChkStk: true, StackOffset: 1 << 30})
+		SeparateUT: true, StackOffset: 1 << 30})
 	if err == nil || !strings.Contains(err.Error(), "exceeds the 1048576-byte stack guard") {
 		t.Errorf("MPX codegen of a 2 MB frame: %v, want a stack-guard error", err)
 	}

@@ -185,8 +185,9 @@ func (c *ctx) memOperand(a address, size uint8, signed, private bool) asm.Mem {
 			c.emitMemChecks(m, bnd)
 			break
 		}
-		// rsp-relative accesses are covered by the _chkstk discipline.
-		if a.base == asm.RSP && a.index == asm.NoReg && c.conf.ChkStk {
+		// rsp-relative accesses are covered by the _chkstk discipline,
+		// which every bounds scheme carries.
+		if a.base == asm.RSP && a.index == asm.NoReg {
 			break
 		}
 		// Block-local coalescing: skip a check already emitted for the

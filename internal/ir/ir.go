@@ -120,7 +120,7 @@ var predNames = [...]string{"eq", "ne", "slt", "sle", "sgt", "sge", "ult", "ule"
 
 func (p Pred) String() string { return predNames[p] }
 
-var opNames = [numOps]string{
+var mnemonics = [numOps]string{
 	OpConst: "const", OpFConst: "fconst",
 	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpMod: "mod",
 	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr", OpSar: "sar",
@@ -136,8 +136,8 @@ var opNames = [numOps]string{
 }
 
 func (o Op) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
-		return opNames[o]
+	if int(o) < len(mnemonics) && mnemonics[o] != "" {
+		return mnemonics[o]
 	}
 	return fmt.Sprintf("op?%d", uint8(o))
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"confllvm/internal/asm"
@@ -291,3 +292,66 @@ func TestTrustedHandlerDispatch(t *testing.T) {
 }
 
 func float64bits(f float64) uint64 { return math.Float64bits(f) }
+
+// TestOpTableMatchesStep checks the facts internal/asm's opcode table
+// states against the one semantics, Thread.Step. Over seeded random
+// registers, flags and memory operands, one instance of every opcode
+// changes no GPR but the one WrittenGPR reports (plus rsp for the stack
+// ops), an opcode whose row says it writes Dst does change it, and an
+// opcode that does not end a block leaves the PC at the next instruction
+// unless it faults.
+func TestOpTableMatchesStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	movesRSP := map[asm.Op]bool{asm.OpPush: true, asm.OpPop: true, asm.OpCall: true,
+		asm.OpICall: true, asm.OpRet: true}
+	sizes := []uint8{1, 2, 4, 8}
+	ops := 0
+	for op := asm.Op(1); asm.EncodedLen(op) > 0; op++ {
+		ops++
+		wrote := false
+		for trial := 0; trial < 32; trial++ {
+			in := asm.Inst{Op: op,
+				Dst: asm.Reg(rng.Intn(asm.NumRegs)), Src: asm.Reg(rng.Intn(asm.NumRegs)),
+				FDst: asm.FReg(rng.Intn(asm.NumFRegs)), FSrc: asm.FReg(rng.Intn(asm.NumFRegs)),
+				// An absolute operand inside the data region, so memory ops
+				// mostly succeed.
+				M: asm.Mem{Base: asm.NoReg, Index: asm.NoReg, Size: sizes[rng.Intn(4)],
+					Disp: int32(0x100000 + rng.Intn(0x8000)), Signed: rng.Intn(2) == 1},
+				Imm: int64(rng.Uint64()), Cond: asm.Cond(rng.Intn(12)), Bnd: asm.Bnd(rng.Intn(2)),
+			}
+			m, th := buildMachine(t, []asm.Inst{in})
+			for r := range th.Regs {
+				if asm.Reg(r) != asm.RSP {
+					th.Regs[r] = rng.Uint64()
+				}
+			}
+			for f := range th.FRegs {
+				th.FRegs[f] = rng.NormFloat64() * 1e6
+			}
+			th.ZF, th.SF, th.CF, th.OF = rng.Intn(2) == 1, rng.Intn(2) == 1, rng.Intn(2) == 1, rng.Intn(2) == 1
+			if f := m.Mem.Write(0x100000+uint64(rng.Intn(0x8000)), 8, rng.Uint64()); f != nil {
+				t.Fatal(f)
+			}
+			before, pc := th.Regs, th.PC
+			f := th.Step()
+			w := in.WrittenGPR()
+			for r := asm.Reg(0); r < asm.NumRegs; r++ {
+				if th.Regs[r] != before[r] && r != w && !(r == asm.RSP && movesRSP[op]) {
+					t.Errorf("%v changed %v, which the opcode table does not report", in, r)
+				}
+			}
+			if w != asm.NoReg && th.Regs[w] != before[w] {
+				wrote = true
+			}
+			if !op.EndsBlock() && f == nil && th.PC != pc+uint64(asm.EncodedLen(op)) {
+				t.Errorf("%v left the PC at %#x, want %#x", in, th.PC, pc+uint64(asm.EncodedLen(op)))
+			}
+		}
+		if (asm.Inst{Op: op, Dst: asm.RAX}).WrittenGPR() != asm.NoReg && !wrote {
+			t.Errorf("%v never changed the register the opcode table says it writes", op)
+		}
+	}
+	if ops < 60 {
+		t.Fatalf("walked only %d opcodes", ops)
+	}
+}

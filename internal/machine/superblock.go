@@ -7,13 +7,16 @@ import (
 // Superblock execution: Run (with Conf.Superblocks) dispatches once per
 // basic block instead of once per instruction. A superblock is a maximal
 // run of straight-line decoded instructions ending at (and including) the
-// first terminator — any instruction that redirects or ends control flow.
-// Block interiors skip the PC-range gate against the decode trace and the
-// per-instruction PC and counter write-backs; both are either hoisted to
-// block entry or deferred to block exit without changing any simulated
-// result. Thread.Step is this same dispatcher with a one-instruction
-// budget: it executes slot 0 of the run entered at the PC and never
-// chains, which keeps it the reference block dispatch is tested against.
+// first terminator — any instruction that redirects or ends control flow
+// (asm.Op.EndsBlock). Faultable straight-line ops (loads, bound checks,
+// division...) stay in block interiors: execRun delivers their faults
+// with the exact per-instruction PC and message. Block interiors skip the
+// PC-range gate against the decode trace and the per-instruction PC and
+// counter write-backs; both are either hoisted to block entry or deferred
+// to block exit without changing any simulated result. Thread.Step is
+// this same dispatcher with a one-instruction budget: it executes slot 0
+// of the run entered at the PC and never chains, which keeps it the
+// reference block dispatch is tested against.
 //
 // Trusted handlers live outside U's code: a handler address never lies in
 // an executable region. traceFor refuses to build a trace over a region
@@ -44,20 +47,6 @@ import (
 // maxBlockLen caps a superblock at one scheduling quantum: longer blocks
 // would be split by the quantum budget anyway.
 const maxBlockLen = quantum
-
-// blockEnd reports whether op terminates a superblock: the ops that set
-// the next PC non-sequentially, halt the thread, or unconditionally
-// fault. Faultable straight-line ops (loads, bound checks, division...)
-// stay in block interiors — execRun delivers their faults with the
-// exact per-instruction PC and message.
-func blockEnd(op asm.Op) bool {
-	switch op {
-	case asm.OpJmp, asm.OpJcc, asm.OpJmpR, asm.OpCall, asm.OpICall,
-		asm.OpRet, asm.OpTrap, asm.OpExit, asm.OpSyscall:
-		return true
-	}
-	return false
-}
 
 // blockRun is the flattened (block-IR) form of one superblock. Slot k's
 // instruction is insts[k]; pcs[k] is its PC and pcs[k+1] its fall-through
@@ -109,7 +98,7 @@ func (tr *codeTrace) buildBlock(off uint64) (*blockRun, *Fault) {
 			ln = dn
 		}
 		n++
-		if op := tr.insts[o].Op; blockEnd(op) {
+		if op := tr.insts[o].Op; op.EndsBlock() {
 			term = op
 			break
 		}

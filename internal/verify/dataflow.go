@@ -55,10 +55,9 @@ func (v *verifier) checkProc(p *proc) error {
 		return err
 	}
 
-	conf := v.img.Config
-	// _chkstk presence: a frame-allocating procedure must check rsp.
-	// (The MPX-requires-ChkStk configuration check happens once in
-	// VerifyStats, not per procedure.)
+	// _chkstk presence: a frame-allocating procedure must check rsp. Every
+	// bounds scheme carries the discipline, and VerifyStats has already
+	// rejected configurations without one.
 	hasSub, hasChk := false, false
 	for i := range p.insts {
 		in := &p.insts[i]
@@ -73,12 +72,12 @@ func (v *verifier) checkProc(p *proc) error {
 		switch in.Op {
 		case asm.OpSubRI, asm.OpAddRI, asm.OpPush, asm.OpPop, asm.OpChkSP:
 		default:
-			if writesGPR(&in.Inst) == asm.RSP {
+			if in.WrittenGPR() == asm.RSP {
 				return &Error{in.off, "arbitrary rsp modification"}
 			}
 		}
 	}
-	if conf.ChkStk && hasSub && !hasChk {
+	if hasSub && !hasChk {
 		return &Error{p.entryOff, "frame allocation without a chksp stack check"}
 	}
 
@@ -250,23 +249,6 @@ func (v *verifier) buildBlocks(p *proc) ([]*block, error) {
 		}
 	}
 	return blocks, nil
-}
-
-// writesGPR returns the GPR an instruction writes, or NoReg.
-func writesGPR(in *asm.Inst) asm.Reg {
-	switch in.Op {
-	case asm.OpMovRR, asm.OpMovRI, asm.OpLoad, asm.OpLea, asm.OpPop,
-		asm.OpAddRR, asm.OpAddRI, asm.OpSubRR, asm.OpSubRI,
-		asm.OpMulRR, asm.OpMulRI, asm.OpDivRR, asm.OpModRR,
-		asm.OpUDivRR, asm.OpUModRR,
-		asm.OpAndRR, asm.OpAndRI, asm.OpOrRR, asm.OpOrRI,
-		asm.OpXorRR, asm.OpXorRI,
-		asm.OpShlRR, asm.OpShlRI, asm.OpShrRR, asm.OpShrRI,
-		asm.OpSarRR, asm.OpSarRI, asm.OpMovsx, asm.OpNeg, asm.OpNot,
-		asm.OpSetCC, asm.OpCvtFI, asm.OpMovQFI:
-		return in.Dst
-	}
-	return asm.NoReg
 }
 
 // bndKey identifies the checks that can cover a memory operand: those on
@@ -501,7 +483,7 @@ func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 		default:
 			return &Error{in.off, "instruction not allowed in untrusted code: " + in.Op.String()}
 		}
-		if r := writesGPR(&in.Inst); r != asm.NoReg {
+		if r := in.WrittenGPR(); r != asm.NoReg {
 			invalidate(r)
 		}
 	}

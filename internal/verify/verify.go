@@ -92,9 +92,6 @@ func VerifyStats(img *link.Image, opts Options) (Stats, error) {
 	if !conf.SeparateStacks {
 		return Stats{}, fmt.Errorf("confverify: single-stack ablation is not a verifiable configuration")
 	}
-	if conf.Bounds == codegen.BoundsMPX && !conf.ChkStk {
-		return Stats{}, fmt.Errorf("confverify: MPX configuration requires the _chkstk discipline")
-	}
 	v := &verifier{img: img, opts: opts, code: img.Code}
 	return v.run()
 }

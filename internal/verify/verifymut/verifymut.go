@@ -150,33 +150,6 @@ func memFlagsOff(in asm.Inst, off int) int {
 	return -1
 }
 
-// writesReg reports the GPR an instruction overwrites (mirrors the
-// verifier's transfer function), or NoReg.
-func writesReg(in asm.Inst) asm.Reg {
-	switch in.Op {
-	case asm.OpMovRR, asm.OpMovRI, asm.OpLoad, asm.OpLea, asm.OpPop,
-		asm.OpAddRR, asm.OpAddRI, asm.OpSubRR, asm.OpSubRI,
-		asm.OpMulRR, asm.OpMulRI, asm.OpDivRR, asm.OpModRR,
-		asm.OpUDivRR, asm.OpUModRR,
-		asm.OpAndRR, asm.OpAndRI, asm.OpOrRR, asm.OpOrRI,
-		asm.OpXorRR, asm.OpXorRI,
-		asm.OpShlRR, asm.OpShlRI, asm.OpShrRR, asm.OpShrRI,
-		asm.OpSarRR, asm.OpSarRI, asm.OpMovsx, asm.OpNeg, asm.OpNot,
-		asm.OpSetCC, asm.OpCvtFI, asm.OpMovQFI:
-		return in.Dst
-	}
-	return asm.NoReg
-}
-
-func isControl(op asm.Op) bool {
-	switch op {
-	case asm.OpJmp, asm.OpJcc, asm.OpJmpR, asm.OpCall, asm.OpICall,
-		asm.OpRet, asm.OpTrap, asm.OpExit:
-		return true
-	}
-	return false
-}
-
 // Mutators returns the built-in operator corpus.
 func Mutators() []Mutator {
 	return []Mutator{
@@ -237,7 +210,7 @@ func dropMPXCheck(img *link.Image, seed uint64) *Mutant {
 		var covers []int
 		for j := i + 2; j < len(sites) && sites[j].fn == lo.fn; j++ {
 			in := sites[j].in
-			if isControl(in.Op) {
+			if in.Op.EndsBlock() {
 				break
 			}
 			if (in.Op == asm.OpBndCLReg || in.Op == asm.OpBndCUReg) && in.Src == base {
@@ -249,7 +222,7 @@ func dropMPXCheck(img *link.Image, seed uint64) *Mutant {
 					covers = append(covers, sites[j].off)
 				}
 			}
-			if writesReg(in) == base {
+			if in.WrittenGPR() == base {
 				break
 			}
 		}
@@ -335,7 +308,7 @@ func segStorePublic(img *link.Image, seed uint64) *Mutant {
 				cands = append(cands, cand{t})
 				break
 			}
-			if isControl(t.in.Op) || writesReg(t.in) == r {
+			if t.in.Op.EndsBlock() || t.in.WrittenGPR() == r {
 				break
 			}
 		}
@@ -565,11 +538,10 @@ func privAt(img *link.Image, sites []site) []uint32 {
 			// dst taint unchanged
 		case asm.OpJcc:
 			// Fall-through keeps the state.
-		case asm.OpCall, asm.OpICall, asm.OpJmp, asm.OpJmpR, asm.OpTrap,
-			asm.OpExit, asm.OpRet:
-			valid = false
 		default:
-			if w := writesReg(in); w != asm.NoReg {
+			if in.Op.EndsBlock() {
+				valid = false
+			} else if w := in.WrittenGPR(); w != asm.NoReg {
 				set(w, false)
 			}
 		}

@@ -56,7 +56,13 @@ func ParseVariant(name string) (Variant, error) {
 			return v, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown variant %q (try: base, baseoa, ourbare, ourcfi, ourmpx, ourseg)", name)
+	return 0, fmt.Errorf("unknown variant %q (try: %s)", name, VariantNames())
+}
+
+// VariantNames lists the name of every variant ParseVariant accepts,
+// lowercased and comma-separated, in Variant order.
+func VariantNames() string {
+	return strings.ToLower(strings.Join(variantNames[:], ", "))
 }
 
 // Disassemble renders an assembly listing of the linked image, annotating

@@ -56,3 +56,21 @@ int main() { return sq(6); }
 		}
 	}
 }
+
+// TestParseVariantNamesEveryVariant: the unknown-variant hint lists
+// every name ParseVariant accepts, and each of them parses back.
+func TestParseVariantNamesEveryVariant(t *testing.T) {
+	_, err := ParseVariant("foo")
+	if err == nil {
+		t.Fatal("ParseVariant accepted an unknown name")
+	}
+	for v := VariantBase; v < numVariants; v++ {
+		name := strings.ToLower(v.String())
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("hint %q does not name %s", err, name)
+		}
+		if got, err := ParseVariant(name); err != nil || got != v {
+			t.Errorf("ParseVariant(%q) = %v, %v", name, got, err)
+		}
+	}
+}
