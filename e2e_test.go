@@ -350,9 +350,9 @@ int main() {
 // integer register holds its C type's value wherever its high bits are
 // read, so narrowing casts, signed narrow overflow, unsigned wraparound in
 // ++/--, unary - and ~ on promoted operands, the usual arithmetic
-// conversions and unsigned division give what C gives, under Base and both checked
-// variants (which must also pass ConfVerify). Each case's body leaves its
-// result in r.
+// conversions, unsigned division and division by constants give what C
+// gives, under Base and both checked variants (which must also pass
+// ConfVerify). Each case's body leaves its result in r.
 func TestE2EIntegerConversions(t *testing.T) {
 	cases := []struct {
 		name, body string
@@ -398,11 +398,35 @@ func TestE2EIntegerConversions(t *testing.T) {
 		{"unsigned shifted by a long stays unsigned", `unsigned a = 2147483648; long n = 1; long s = a << n; r = s;`, 0},
 		{"int shifted by an unsigned stays int", `int b = -1; unsigned m = 1; r = (long)(unsigned)(b >> m);`, 4294967295},
 		{"compound shift keeps the left type", `unsigned a = 2147483648; long n = 1; a <<= n; r = a;`, 0},
+		// Divisions by constants lower to multiplies and shifts; the
+		// dividend comes through the global gl, so it is not a constant,
+		// and conversions sit on both sides of the division.
+		{"narrowed long divided by 7", `gl = 4294967196; int x = (int)gl; r = x / 7;`, -14},
+		{"char remainder by 7", `gl = 201; char c = (char)gl; r = c % 7;`, -6},
+		{"unsigned quotient by 3 widens", `gl = -1; unsigned u = (unsigned)gl; long l = u / 3; r = l;`, 1431655765},
+		{"unsigned remainder by 4096", `gl = -1; unsigned u = gl; r = u % 4096;`, 4095},
+		{"quotient narrowed to char", `gl = 1000; char c = (char)(gl / 3); r = c;`, 77},
+		{"long divided by -1000", `gl = -9223372036854775807; r = gl / -1000;`, 9223372036854775},
+		{"LONG_MIN remainder by 1000000007", `gl = -9223372036854775807 - 1; r = gl % 1000000007;`, -291172004},
+		{"wrapped int divided by 4", `int w = 2147483647; gl = 2; w = w + (int)gl; r = w / 4;`, -536870911},
+		{"int quotient converted to unsigned", `gl = -7; int x = gl; unsigned u = x / 2; long l = u; r = l;`, 4294967293},
+		{"unsigned long divided by 8", `gl = -1; unsigned long ul = gl; r = ul / 8;`, 2305843009213693951},
+		{"short quotient by 10", `gl = 40000; short s = (short)gl; r = s / 10;`, -2553},
+		// An unsigned quotient assigned to a signed variable is still an
+		// unsigned division.
+		{"unsigned long quotient by 4 into a long", `gl = -76; if (gl < 0) r = (unsigned long)gl / 4;`, 4611686018427387885},
+		{"unsigned long quotient by a variable into a long", `gu = 4; gl = -76; if (gl < 0) r = (unsigned long)gl / gu;`, 4611686018427387885},
+		// A quotient cast to a pointer is still an unsigned division, and
+		// the dividend, live after it, keeps its value.
+		{"unsigned long quotient by 4 to a pointer", `gl = 63; unsigned long ul = gl + 1; char *q = (char *)(ul / 4); r = (long)q + (long)ul;`, 80},
+		{"large unsigned long quotient by 4 to a pointer", `gl = -64; unsigned long ul = gl; char *q = (char *)(ul / 4); r = (long)q - (long)ul;`, 4611686018427387952},
+		{"unsigned long remainder by 10 to a pointer", `gl = -1; unsigned long ul = gl; char *q = (char *)(ul % 10); r = (long)q + (long)ul;`, 4},
 	}
 	for _, tc := range cases {
 		src := Source{"conv.c", `
 extern void output(long v);
 unsigned gu;
+long gl;
 int main() {
 	long r = 0;
 	` + tc.body + `

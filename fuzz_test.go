@@ -27,7 +27,10 @@ import (
 // (int-wrap), void calls used as values (void-result, void-operand), a
 // local read in its own initializer (self-init), and struct fields off
 // one pointer, buf[i-1] and p[-1] (addr-fold), whose address arithmetic
-// folds into displaced and indexed memory operands.
+// folds into displaced and indexed memory operands, and divisions and
+// remainders of public and private long, int, short and unsigned values
+// by constants of both signs (div-const), which lower to multiplies,
+// mulh and shifts.
 func FuzzCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		// Nested macro bodies can multiply the token count by 2^n; bound n

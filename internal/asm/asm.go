@@ -32,6 +32,10 @@
 //     use it (its default rejects every opcode it does not name);
 //  5. the matching case in verifymut's privAt, which mirrors that taint
 //     transfer.
+//
+// OpMulHiRI (mulh, the high half of a signed 128-bit product that the
+// code generator's division by a 64-bit constant needs) is the latest
+// opcode added this way.
 package asm
 
 import "fmt"
@@ -315,6 +319,9 @@ const (
 	OpMovsx  // Dst <- Dst sign-extended from its low Imm bytes (movsxd/movsx)
 	OpUDivRR // Dst <- Dst / Src (unsigned); faults on divide-by-zero
 	OpUModRR // Dst <- Dst % Src (unsigned)
+	// Dst <- high 64 bits of the signed 128-bit product Dst * Imm (the
+	// rdx half of x64's one-operand imul).
+	OpMulHiRI
 
 	numOps
 )
@@ -384,6 +391,7 @@ var opTable = [numOps]opInfo{
 
 	OpMovsx:  {"movsx", kRI, writesDst},
 	OpUDivRR: {"div", kRR, writesDst}, OpUModRR: {"mod", kRR, writesDst},
+	OpMulHiRI: {"mulh", kRI, writesDst},
 }
 
 // valid reports whether o is a defined opcode.
@@ -400,6 +408,24 @@ func (o Op) String() string {
 // non-sequentially (jmp, jcc, indirect jmp, call, icall, ret), halts the
 // thread (exit) or always faults (trap, syscall).
 func (o Op) EndsBlock() bool { return o.valid() && opTable[o].flags&endsBlock != 0 }
+
+// MemOffset returns the byte offset of the memory operand in o's
+// encoding (the operand's flags byte comes first), or -1 when o's
+// operand form has none: 2 when a register byte precedes it (load, lea,
+// fload), 1 when it directly follows the opcode (store, fstore, cmp's
+// memory form, the memory-form bound checks).
+func (o Op) MemOffset() int {
+	if !o.valid() {
+		return -1
+	}
+	switch opTable[o].form {
+	case kRM, kFM:
+		return 2
+	case kMR, kMF, kMB:
+		return 1
+	}
+	return -1
+}
 
 // formSuffix names each operand form for Name.
 var formSuffix = [...]string{

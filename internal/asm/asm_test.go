@@ -172,6 +172,55 @@ func TestOpTable(t *testing.T) {
 			t.Errorf("%v reports a write of %v", op, w)
 		}
 	}
+	// mulh is imul's register-immediate shape: in place, 64-bit
+	// immediate, overwrites Dst, named apart from imul.
+	if row := opTable[OpMulHiRI]; row.form != kRI || row.flags != writesDst {
+		t.Errorf("mulh row %+v, want form kRI writing Dst", row)
+	}
+	if w := (Inst{Op: OpMulHiRI, Dst: R9}).WrittenGPR(); w != R9 {
+		t.Errorf("mulh reports a write of %v, want r9", w)
+	}
+	if OpMulHiRI.Name() != "mulh" || EncodedLen(OpMulHiRI) != 10 {
+		t.Errorf("mulh is named %q and encodes in %d bytes", OpMulHiRI.Name(), EncodedLen(OpMulHiRI))
+	}
+}
+
+// TestMemOffset: for every opcode whose operand form has a memory
+// operand, MemOffset is where Encode puts that operand (its flags byte
+// first); every other opcode reports -1.
+func TestMemOffset(t *testing.T) {
+	m := Mem{Seg: SegGS, Base: RBX, Index: RSI, Scale: 4, Disp: -8, Size: 4, Signed: true, Use32: true}
+	var want [memEncLen]byte
+	encodeMem(want[:], m)
+	withMem := 0
+	for op := OpInvalid + 1; op < numOps; op++ {
+		code := Encode(nil, Inst{Op: op, Dst: RCX, Src: R9, FDst: 3, FSrc: 7, M: m, Imm: 42, Bnd: BND1})
+		got, _, err := Decode(code, 0)
+		if err != nil {
+			t.Fatalf("%v: %v", op, err)
+		}
+		off := op.MemOffset()
+		if got.M != m {
+			if off != -1 {
+				t.Errorf("%v has no memory operand but MemOffset %d", op, off)
+			}
+			continue
+		}
+		withMem++
+		if off < 0 || off+memEncLen > len(code) || string(code[off:off+memEncLen]) != string(want[:]) {
+			t.Errorf("%v: MemOffset %d, encoding % x", op, off, code)
+		}
+	}
+	// load, store, lea, cmp's memory form, the two memory-form bound
+	// checks, and movsd's load and store.
+	if withMem != 8 {
+		t.Errorf("%d opcodes carry a memory operand, want 8", withMem)
+	}
+	for _, op := range []Op{OpInvalid, numOps} {
+		if op.MemOffset() != -1 {
+			t.Errorf("undefined opcode %d has a memory offset", op)
+		}
+	}
 }
 
 // TestInstStringPinned pins the listing form of one instance of every
@@ -248,6 +297,7 @@ func TestInstStringPinned(t *testing.T) {
 		OpMovsx:    "movsx rcx, 42",
 		OpUDivRR:   "div rcx, r9",
 		OpUModRR:   "mod rcx, r9",
+		OpMulHiRI:  "mulh rcx, 42",
 	}
 	m := Mem{Seg: SegGS, Base: RBX, Index: RSI, Scale: 4, Disp: -8, Size: 4, Signed: true, Use32: true}
 	for op := OpInvalid + 1; op < numOps; op++ {

@@ -456,6 +456,10 @@ func (c *ctx) setFlags(res ir.Value, cond asm.Cond, float bool) {
 
 func (c *ctx) lowerIntBin(in *ir.Inst) {
 	a := c.readGPR(in.Args[0], regalloc.ScratchA)
+	if len(in.Args) == 1 && (in.Op == ir.OpDiv || in.Op == ir.OpMod) {
+		c.lowerDivConst(in, a)
+		return
+	}
 	if len(in.Args) == 1 {
 		// Register-immediate form (see prepass).
 		d := c.destGPR(in.Res)
@@ -482,19 +486,20 @@ func (c *ctx) lowerIntBin(in *ir.Inst) {
 	b := c.readGPR(in.Args[1], regalloc.ScratchB)
 	d := c.destGPR(in.Res)
 	op := intBinOps[in.Op]
-	if rt := c.f.ValueType(in.Res); rt.IsInteger() && !rt.Signed {
-		// div/mod divide by the signedness of the result type.
-		switch in.Op {
-		case ir.OpDiv:
-			op = asm.OpUDivRR
-		case ir.OpMod:
-			op = asm.OpUModRR
-		}
+	if in.Op == ir.OpDiv || in.Op == ir.OpMod {
+		op = divOp(in.Op, c.f.ValueType(in.Res))
 	}
+	c.emitBinRR(op, commutative(in.Op), d, a, b)
+	c.flushGPR(in.Res, d)
+}
+
+// emitBinRR emits d = a op b for a two-address register-register op,
+// whatever registers d, a and b alias.
+func (c *ctx) emitBinRR(op asm.Op, commut bool, d, a, b asm.Reg) {
 	switch {
 	case d == a:
 		c.emit(asm.Inst{Op: op, Dst: d, Src: b})
-	case d == b && commutative(in.Op):
+	case d == b && commut:
 		c.emit(asm.Inst{Op: op, Dst: d, Src: a})
 	case d == b:
 		// d aliases the right operand of a non-commutative op: preserve
@@ -503,12 +508,58 @@ func (c *ctx) lowerIntBin(in *ir.Inst) {
 		c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: a})
 		c.emit(asm.Inst{Op: op, Dst: d, Src: regalloc.ScratchB})
 	default:
-		if d != a {
-			c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: a})
-		}
+		c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: a})
 		c.emit(asm.Inst{Op: op, Dst: d, Src: b})
 	}
+}
+
+// lowerDivConst expands a div or mod by the constant in.Imm (the RI
+// form prepass rewrite 1 gives it) by its divPlan. ScratchB is free here
+// (an RI form has no second operand), and so is ScratchA unless it holds
+// the dividend or the result; a plan that needs a second scratch it does
+// not get (or a result type with no plan) loads the constant into
+// ScratchB and divides with idiv/div after all.
+func (c *ctx) lowerDivConst(in *ir.Inst, a asm.Reg) {
+	rt := c.f.ValueType(in.Res)
+	d := c.destGPR(in.Res)
+	u := regalloc.ScratchA
+	if a == u || d == u {
+		u = asm.NoReg
+	}
+	var buf [12]asm.Inst
+	seq := buf[:0]
+	p, ok := divPlanFor(rt, in.Imm)
+	if ok {
+		seq, ok = p.emit(seq, in.Op == ir.OpMod, d, a, regalloc.ScratchB, u)
+	}
+	if ok {
+		for _, i := range seq {
+			c.emit(i)
+		}
+	} else {
+		c.emit(asm.Inst{Op: asm.OpMovRI, Dst: regalloc.ScratchB, Imm: in.Imm})
+		c.emitBinRR(divOp(in.Op, rt), false, d, a, regalloc.ScratchB)
+	}
+	c.invalidateChecks(regalloc.ScratchB)
+	if u != asm.NoReg {
+		c.invalidateChecks(u)
+	}
 	c.flushGPR(in.Res, d)
+}
+
+// divOp returns the divide instruction of a div or mod whose result has
+// type rt: div and mod divide by the signedness of the result type.
+func divOp(op ir.Op, rt *types.Type) asm.Op {
+	unsigned := rt.IsInteger() && !rt.Signed
+	switch {
+	case op == ir.OpDiv && unsigned:
+		return asm.OpUDivRR
+	case unsigned:
+		return asm.OpUModRR
+	case op == ir.OpDiv:
+		return asm.OpDivRR
+	}
+	return asm.OpModRR
 }
 
 var fltBinOps = map[ir.Op]asm.Op{

@@ -28,12 +28,17 @@ import (
 //  1. Constant operands. A constant defined once, earlier in the same
 //     block, folds into the RI form of add/sub/mul/and/or/xor/shl/shr/sar
 //     and of icmp (commutative ops and icmp swap their operands, icmp
-//     mirroring its predicate). div/mod have no RI form. A trunc of such
-//     a constant becomes the constant it canonicalizes to.
+//     mirroring its predicate). A constant divisor folds into the RI form
+//     of div/mod when planDiv has a plan for it, which the lowering
+//     expands into multiplies and shifts (see divconst.go); the divisors
+//     it has none for (0, -1, INT64_MIN, unsigned 64-bit non-powers of
+//     two) stay in a register for idiv/div. A trunc of such a constant
+//     becomes the constant it canonicalizes to.
 //  2. Copy folding. t = op ...; d = copy t becomes d = op ... when t is
 //     defined once, its only use is that copy, and t and d have the same
-//     resolved privacy and float-ness (never across a taint mismatch). A
-//     no-op integer/pointer bitcast counts as a copy.
+//     resolved privacy and float-ness (never across a taint mismatch),
+//     and for a div or mod the same signedness and width. A no-op
+//     integer/pointer bitcast counts as a copy.
 //  3. Store folding. t = trunc x; store p, t, with the trunc's only use
 //     that store and the store no wider than the trunc, becomes
 //     store p, x: a store writes only the low bytes, which the trunc
@@ -81,7 +86,7 @@ func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool, guard bool) *ir
 			}
 		}
 	}
-	p := &prepassState{isPrivate: isPrivate, isFloat: isFloat, guard: guard,
+	p := &prepassState{f: f, isPrivate: isPrivate, isFloat: isFloat, guard: guard,
 		defs: defs, uses: uses, constVal: make([]int64, n), constBlk: tables[2*n : 3*n : 3*n],
 		lastDef: tables[3*n : 4*n : 4*n], defIdx: tables[4*n : 5*n : 5*n], candOf: tables[5*n:]}
 
@@ -126,6 +131,7 @@ func prepass(f *ir.Func, isPrivate, isFloat func(ir.Value) bool, guard bool) *ir
 }
 
 type prepassState struct {
+	f                  *ir.Func
 	isPrivate, isFloat func(ir.Value) bool
 	// guard limits a folded operand without an index to a displacement
 	// GuardCovers accepts (MPX checks only its base register).
@@ -188,6 +194,19 @@ func (p *prepassState) foldConsts(in *ir.Inst) *ir.Inst {
 		}
 		p.uses[in.Args[0]]--
 		return p.alloc(ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: truncConst(in.Ty, k), Ty: in.Ty, Pos: in.Pos})
+	case (in.Op == ir.OpDiv || in.Op == ir.OpMod) && len(in.Args) == 2:
+		k, ok := p.constant(in.Args[1])
+		if !ok {
+			return in
+		}
+		if _, ok := divPlanFor(p.f.ValueType(in.Res), k); !ok {
+			return in
+		}
+		p.uses[in.Args[1]]--
+		ni := p.alloc(*in)
+		ni.Args = in.Args[:1:1]
+		ni.Imm = k
+		return ni
 	case (intImmOps[in.Op] != asm.OpInvalid || in.Op == ir.OpICmp) && len(in.Args) == 2:
 		reg, imm := in.Args[0], in.Args[1]
 		pred := in.Pred
@@ -271,6 +290,16 @@ func (p *prepassState) merge(prev, in *ir.Inst) *ir.Inst {
 	case in.Op == ir.OpCopy || (in.Op == ir.OpBitcast && !p.isFloat(t) && in.Ty.Kind != types.Float):
 		if p.isPrivate(t) != p.isPrivate(in.Res) || p.isFloat(t) != p.isFloat(in.Res) {
 			return nil
+		}
+		if prev.Op == ir.OpDiv || prev.Op == ir.OpMod {
+			// A div or mod divides by its result type's signedness and
+			// width, so it keeps a result of another type (a signed copy
+			// of an unsigned quotient, or a pointer cast of one) to
+			// itself.
+			rt, ct := p.f.ValueType(t), p.f.ValueType(in.Res)
+			if !ct.IsInteger() || rt.Signed != ct.Signed || rt.SizeOf() != ct.SizeOf() {
+				return nil
+			}
 		}
 		m = p.alloc(*prev)
 		m.Res = in.Res

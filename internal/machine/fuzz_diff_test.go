@@ -8,7 +8,8 @@
 // can diverge from per-instruction stepping; it keeps more locals live
 // across a loop than there are registers, so the allocator's eviction
 // runs; it emits occasional unguarded divisions so divide-fault
-// delivery is fuzzed too; it wraps subexpressions in narrowing casts,
+// delivery is fuzzed too, and divisions by constants, which lower to
+// multiplies and shifts; it wraps subexpressions in narrowing casts,
 // so every variant's lowering of them is compared; and it runs int
 // arithmetic past 2^31 right before a compare, a division or an index,
 // which read the wrapped value's high bits. Every variant shares the IR
@@ -48,6 +49,29 @@ const (
 // narrowCasts are the casts expr wraps around a subexpression.
 var narrowCasts = []string{"(int)", "(short)", "(char)", "(unsigned int)"}
 
+// divLits are the constant divisors expr and wrap divide by (with either
+// sign): powers of two and the divisors of the code generator's
+// multiply-and-shift table test.
+var divLits = []int64{2, 4, 8, 1024, 1 << 40, 3, 5, 7, 10, 12, 17, 100, 255, 1000, 8191,
+	1000000007, 2147483647}
+
+// divCasts give a constant division its dividend's type: long, int,
+// unsigned int or unsigned long.
+var divCasts = []string{"", "(int)", "(unsigned int)", "(unsigned long)"}
+
+// constDiv divides or takes the remainder of x by a literal of divLits.
+func (g *progGen) constDiv(x string) string {
+	c := divLits[g.r.Intn(len(divLits))]
+	if g.r.Intn(2) == 0 {
+		c = -c
+	}
+	op := "/"
+	if g.r.Intn(2) == 0 {
+		op = "%"
+	}
+	return fmt.Sprintf("(%s %s (%d))", x, op, c)
+}
+
 // expr emits a depth-bounded integer expression over the in-scope names.
 func (g *progGen) expr(depth, fn int) string {
 	if depth <= 0 || g.r.Intn(3) == 0 {
@@ -66,7 +90,7 @@ func (g *progGen) expr(depth, fn int) string {
 	}
 	a := g.expr(depth-1, fn)
 	b := g.expr(depth-1, fn)
-	switch g.r.Intn(13) {
+	switch g.r.Intn(14) {
 	case 0:
 		return "(" + a + " + " + b + ")"
 	case 1:
@@ -99,6 +123,10 @@ func (g *progGen) expr(depth, fn int) string {
 		// A narrowing cast: its trunc canonicalizes the value for the
 		// long arithmetic around it (sign-extended or zero-extended).
 		return narrowCasts[g.r.Intn(len(narrowCasts))] + "(" + a + ")"
+	case 12:
+		// Division by a constant, which the code generator turns into
+		// multiplies and shifts.
+		return g.constDiv(divCasts[g.r.Intn(len(divCasts))] + "(" + a + ")")
 	default:
 		if fn > 0 {
 			return fmt.Sprintf("f%d(%s, %s)", g.r.Intn(fn), a, b)
@@ -110,13 +138,14 @@ func (g *progGen) expr(depth, fn int) string {
 // elem emits an element of arr picked by e, always in bounds. Two of
 // three go through a pointer into arr with a negative index, plain or
 // i - c, so folded memory operands get negative index and displacement
-// terms.
+// terms. e is converted to long first: an unsigned e would make the
+// negated index unsigned, and so far out of bounds.
 func (g *progGen) elem(e string) string {
 	switch g.r.Intn(3) {
 	case 0:
-		return fmt.Sprintf("(arr + 16)[((%s) & 15) - 16]", e)
+		return fmt.Sprintf("(arr + 16)[((long)(%s) & 15) - 16]", e)
 	case 1:
-		return fmt.Sprintf("(arr + %d)[-((%s) & %d)]", fuzzArrLen-1, e, fuzzArrLen-1)
+		return fmt.Sprintf("(arr + %d)[-((long)(%s) & %d)]", fuzzArrLen-1, e, fuzzArrLen-1)
 	}
 	return fmt.Sprintf("arr[(%s) & %d]", e, fuzzArrLen-1)
 }
@@ -156,14 +185,14 @@ func (g *progGen) stmts(b *strings.Builder, n, depth, fn, lv int) {
 }
 
 // wrap emits int arithmetic that wraps past 2^31, then reads the wrapped
-// value where its high bits matter: in a compare, a division or an
-// index. Each add leaves the value in range only through its trunc, so
+// value where its high bits matter: in a compare, a division (by a
+// variable or a constant) or an index. Each add leaves the value in range only through its trunc, so
 // a trunc dropped in error shows as a different branch, quotient or
 // (out-of-bounds) load.
 func (g *progGen) wrap(b *strings.Builder, depth, fn, lv int) {
 	w := fmt.Sprintf("w%d", g.r.Intn(fuzzWraps))
 	fmt.Fprintf(b, "%s = %s * 65599 + (int)(%s);\n", w, w, g.expr(depth-1, fn))
-	switch g.r.Intn(3) {
+	switch g.r.Intn(4) {
 	case 0:
 		fmt.Fprintf(b, "if (%s + 2147483647 < %s) {\n", w, w)
 		g.stmts(b, 1, depth-1, fn, lv)
@@ -171,6 +200,9 @@ func (g *progGen) wrap(b *strings.Builder, depth, fn, lv int) {
 	case 1:
 		fmt.Fprintf(b, "l%d = (%s + 2147483647) / (((%s) & 7) + 1);\n",
 			g.r.Intn(fuzzLocals), w, g.expr(depth-1, fn))
+	case 2:
+		// A constant division reads all 64 bits of the wrapped int.
+		fmt.Fprintf(b, "l%d = %s;\n", g.r.Intn(fuzzLocals), g.constDiv("("+w+" + 2147483647)"))
 	default:
 		// (w & 15) + 2^32 wraps back to w & 15, a valid index.
 		fmt.Fprintf(b, "l%d = arr[(%s & 15) + 2147483647 + 2147483647 + 2];\n", g.r.Intn(fuzzLocals), w)
@@ -505,7 +537,9 @@ func TestFuzzDifferentialDecodeFaults(t *testing.T) {
 // seeded fuzz programs at seeded fractions of their run length, so fuel
 // faults land at arbitrary alignments relative to superblock and chain
 // boundaries. Every cut must fault with FaultFuel, identically in all
-// dispatch modes.
+// dispatch modes. A program that ends in a divide fault (a generated
+// unguarded % by zero) is cut before the faulting instruction, so it
+// serves as well as one that runs to completion.
 func TestFuzzDifferentialFuelAtBoundaries(t *testing.T) {
 	nSeeds := 6
 	if testing.Short() {
@@ -527,7 +561,7 @@ func TestFuzzDifferentialFuelAtBoundaries(t *testing.T) {
 				t.Fatalf("compile: %v", err)
 			}
 			clean := diffRun(t, art, confllvm.NewWorld, nil)
-			if clean.Fault != nil || clean.Stats.Instrs < 16 {
+			if clean.Fault != nil && clean.Fault.Kind != machine.FaultDivide || clean.Stats.Instrs < 16 {
 				t.Skipf("seed unusable for fuel cuts: fault=%v instrs=%d",
 					clean.Fault, clean.Stats.Instrs)
 			}

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"confllvm/internal/asm"
 )
@@ -207,8 +208,27 @@ func (t *Thread) AddCycles(n uint64) { t.Stats.Cycles += n }
 
 // Push pushes an 8-byte value onto the thread's stack.
 func (t *Thread) Push(val uint64) *Fault {
+	// Write below rsp first and lower rsp only once the write succeeded:
+	// as on x64, a push or call whose store faults leaves rsp unchanged.
+	if f := t.m.Mem.Write(t.Regs[asm.RSP]-8, 8, val); f != nil {
+		return f
+	}
 	t.Regs[asm.RSP] -= 8
-	return t.m.Mem.Write(t.Regs[asm.RSP], 8, val)
+	return nil
+}
+
+// mulHi returns the high 64 bits of the signed 128-bit product a*b: the
+// unsigned high half, corrected by b when a is negative and by a when b
+// is.
+func mulHi(a, b uint64) uint64 {
+	hi, _ := bits.Mul64(a, b)
+	if int64(a) < 0 {
+		hi -= b
+	}
+	if int64(b) < 0 {
+		hi -= a
+	}
+	return hi
 }
 
 // Pop pops an 8-byte value from the thread's stack.
@@ -459,6 +479,8 @@ chained:
 				t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) * int64(t.Regs[ip.Src]))
 			case asm.OpMulRI:
 				t.Regs[ip.Dst] = uint64(int64(t.Regs[ip.Dst]) * ip.Imm)
+			case asm.OpMulHiRI:
+				t.Regs[ip.Dst] = mulHi(t.Regs[ip.Dst], uint64(ip.Imm))
 			case asm.OpDivRR:
 				d := int64(t.Regs[ip.Src])
 				n := int64(t.Regs[ip.Dst])

@@ -355,3 +355,34 @@ func TestOpTableMatchesStep(t *testing.T) {
 		t.Fatalf("walked only %d opcodes", ops)
 	}
 }
+
+// TestPushFaultLeavesRSP: a push or call whose store faults leaves rsp
+// unchanged, as on x64. rsp starts at the bottom of the mapped data
+// region, so the store to rsp-8 hits the unmapped page below it, under
+// both Thread.Step and block dispatch.
+func TestPushFaultLeavesRSP(t *testing.T) {
+	for _, in := range []asm.Inst{
+		{Op: asm.OpPush, Src: asm.RAX},
+		{Op: asm.OpCall, Imm: 0x1000},
+	} {
+		for _, stepped := range []bool{true, false} {
+			m, th := buildMachine(t, []asm.Inst{in})
+			th.Regs[asm.RSP] = 0x100000
+			var f *Fault
+			if stepped {
+				f = th.Step()
+			} else {
+				f = m.Run()
+			}
+			if f == nil {
+				t.Fatalf("%v (stepped %v): no fault", in, stepped)
+			}
+			if got := th.Regs[asm.RSP]; got != 0x100000 {
+				t.Errorf("%v (stepped %v): rsp 0x%x after the fault, want 0x100000", in, stepped, got)
+			}
+			if f.Addr != 0xffff8 {
+				t.Errorf("%v (stepped %v): fault at 0x%x, want 0xffff8", in, stepped, f.Addr)
+			}
+		}
+	}
+}

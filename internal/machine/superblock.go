@@ -145,7 +145,7 @@ func (tr *codeTrace) buildBlock(off uint64) (*blockRun, *Fault) {
 // either reflected here or added dynamically there.
 func staticCost(op asm.Op) uint32 {
 	switch op {
-	case asm.OpMulRR, asm.OpMulRI:
+	case asm.OpMulRR, asm.OpMulRI, asm.OpMulHiRI:
 		return 3
 	case asm.OpDivRR, asm.OpModRR, asm.OpUDivRR, asm.OpUModRR:
 		return 20

@@ -43,6 +43,9 @@ func missKey(s Spec, base uint64) uint64 {
 
 func le(pkt []byte, off int, v uint64) { binary.LittleEndian.PutUint64(pkt[off:], v) }
 
+// kvArenaChunk is the size of the arenas kvTraffic carves packets from.
+const kvArenaChunk = 64 << 10
+
 // kvModel mirrors the server's store: which keys are present. It lets the
 // generator target hit ratios and predict the run's outputs exactly.
 type kvModel struct {
@@ -76,27 +79,41 @@ func (m *kvModel) del(key uint64) bool {
 // [processed, getHits, getMisses, puts, delHits, scanHits].
 func kvTraffic(s Spec) ([][]byte, []int64) {
 	model := &kvModel{index: map[uint64]int{}}
-	var wire [][]byte
+	total := s.Requests * s.Multiplier * s.Clients
+	wire := make([][]byte, 0, s.Preload+total)
 	var processed, hits, misses, puts, delhits, scanhits int64
+
+	// Packets are carved out of chunked arenas, each capped at its own
+	// length so that an append to one never writes into the next. A put
+	// value is drawn straight into its packet and enciphered in place.
+	var arena []byte
+	packet := func(n int) []byte {
+		if len(arena) < n {
+			arena = make([]byte, max(n, kvArenaChunk))
+		}
+		pkt := arena[:n:n]
+		arena = arena[n:]
+		return pkt
+	}
 
 	emitPut := func(r *rng.Stream, key uint64) {
 		vlen := s.ValueMin + int(r.Intn(uint64(s.ValueMax-s.ValueMin+1)))
-		val := make([]byte, vlen)
-		for i := range val {
-			val[i] = byte(r.Next())
-		}
-		pkt := make([]byte, 24+vlen)
+		pkt := packet(24 + vlen)
 		le(pkt, 0, OpPut)
 		le(pkt, 8, key)
 		le(pkt, 16, uint64(vlen))
-		copy(pkt[24:], trt.EncryptWithDefaultKey(val))
+		val := pkt[24:]
+		for i := range val {
+			val[i] = byte(r.Next())
+		}
+		trt.EncryptIntoWithDefaultKey(val, val)
 		wire = append(wire, pkt)
 		model.put(key)
 		puts++
 		processed++
 	}
 	emit2 := func(op, a, b uint64) {
-		pkt := make([]byte, 24)
+		pkt := packet(24)
 		le(pkt, 0, op)
 		le(pkt, 8, a)
 		le(pkt, 16, b)
@@ -117,7 +134,6 @@ func kvTraffic(s Spec) ([][]byte, []int64) {
 	}
 
 	rngs := clientRNGs(s)
-	total := s.Requests * s.Multiplier * s.Clients
 	for n := 0; n < total; n++ {
 		r := rngs[n%s.Clients]
 		roll := int(r.Intn(100))

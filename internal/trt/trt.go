@@ -228,31 +228,34 @@ const DefaultKey byte = 0x5a
 // key (for building simulated wire traffic without a context).
 func EncryptWithDefaultKey(data []byte) []byte { return xorCipher(DefaultKey, data) }
 
+// EncryptIntoWithDefaultKey is EncryptWithDefaultKey writing the
+// ciphertext into dst, which must be at least len(data) bytes and may
+// be data itself, so a packet builder can encipher a value in place.
+func EncryptIntoWithDefaultKey(dst, data []byte) { xorInto(DefaultKey, dst, data) }
+
 // xorCipher is the toy cipher used by encrypt/decrypt: a rolling XOR that
 // guarantees ciphertext differs from plaintext on every byte.
 func xorCipher(key byte, data []byte) []byte {
 	out := make([]byte, len(data))
+	xorInto(key, out, data)
+	return out
+}
+
+// xorInto is xorCipher writing into dst.
+func xorInto(key byte, dst, data []byte) {
+	dst = dst[:len(data)]
 	k := key
 	for i, b := range data {
-		out[i] = b ^ k ^ 0x80
+		dst[i] = b ^ k ^ 0x80
 		k = k*31 + 17
 	}
-	return out
 }
 
 // EncryptBytes exposes the toy cipher for tests.
 func (c *Context) EncryptBytes(data []byte) []byte { return xorCipher(c.Key, data) }
 
 // DecryptBytes inverts EncryptBytes.
-func (c *Context) DecryptBytes(data []byte) []byte {
-	out := make([]byte, len(data))
-	k := c.Key
-	for i, b := range data {
-		out[i] = b ^ k ^ 0x80
-		k = k*31 + 17
-	}
-	return out
-}
+func (c *Context) DecryptBytes(data []byte) []byte { return xorCipher(c.Key, data) }
 
 // le64 encodes v little-endian.
 func le64(v uint64) []byte {

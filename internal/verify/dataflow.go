@@ -414,9 +414,9 @@ func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 			asm.OpUDivRR, asm.OpUModRR, asm.OpAndRR, asm.OpOrRR, asm.OpXorRR,
 			asm.OpShlRR, asm.OpShrRR, asm.OpSarRR:
 			s.g[in.Dst] = s.g[in.Dst] || s.g[in.Src]
-		case asm.OpAddRI, asm.OpSubRI, asm.OpMulRI, asm.OpAndRI, asm.OpOrRI,
-			asm.OpXorRI, asm.OpShlRI, asm.OpShrRI, asm.OpSarRI, asm.OpMovsx,
-			asm.OpNeg, asm.OpNot:
+		case asm.OpAddRI, asm.OpSubRI, asm.OpMulRI, asm.OpMulHiRI, asm.OpAndRI,
+			asm.OpOrRI, asm.OpXorRI, asm.OpShlRI, asm.OpShrRI, asm.OpSarRI,
+			asm.OpMovsx, asm.OpNeg, asm.OpNot:
 			// dst taint unchanged
 		case asm.OpCmpRR, asm.OpTestRR:
 			flags = s.g[in.Dst] || s.g[in.Src]

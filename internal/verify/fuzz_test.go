@@ -13,10 +13,10 @@ import (
 
 // fuzzProg is testProg plus a function whose code holds a movsx (a
 // signed trunc whose high bits the shift reads) and an unsigned div and
-// mod, and one whose accesses fold into displaced and indexed operands
+// mod, one whose accesses fold into displaced and indexed operands
 // (struct fields off one checked base, p[i-1] and p[-1], which take
-// memory-form checks under MPX), so the fuzzer flips those encodings
-// too.
+// memory-form checks under MPX), and one dividing a private long by a
+// constant (a mulh), so the fuzzer flips those encodings too.
 const fuzzProg = testProg + `
 unsigned long umix(unsigned long a, int b) {
 	int s = b * 3;
@@ -27,6 +27,10 @@ struct arc { int to; int cost; int next; };
 
 long fields(struct arc *arcs, long *p, long i) {
 	return arcs[i].to + arcs[i].cost + arcs[i].next + p[i-1] + p[-1];
+}
+
+private long bucket(private long h) {
+	return h % 1000 + h / 17;
 }
 `
 
@@ -61,8 +65,8 @@ func FuzzVerifyImage(f *testing.F) {
 	f.Add(uint32(101), byte(0x80), false)
 	f.Add(uint32(4096), byte(0x20), true)
 	f.Add(uint32(0xffffffff), byte(0x55), false)
-	// The opcode, register and immediate bytes of the first movsx, div
-	// and mod in each image, and every byte of the first load with a
+	// The opcode, register and immediate bytes of the first movsx, div,
+	// mod and mulh in each image, and every byte of the first load with a
 	// displacement, the first with an index and (under MPX) the first
 	// memory-form check.
 	isOp := func(op asm.Op) func(asm.Inst) bool {
@@ -76,6 +80,7 @@ func FuzzVerifyImage(f *testing.F) {
 		{"movsx", isOp(asm.OpMovsx), false},
 		{"div", isOp(asm.OpUDivRR), false},
 		{"mod", isOp(asm.OpUModRR), false},
+		{"mulh", isOp(asm.OpMulHiRI), false},
 		{"displaced load", func(in asm.Inst) bool {
 			return in.Op == asm.OpLoad && in.M.Disp != 0 && in.M.Base != asm.RSP
 		}, false},

@@ -138,16 +138,15 @@ func entryBitsAt(img *link.Image, entryOff int) (uint8, bool) {
 	return uint8(w & 31), true
 }
 
-// memFlagsOff returns the code offset of a memory operand's flags byte
-// for the ops the segment mutators rewrite, or -1.
-func memFlagsOff(in asm.Inst, off int) int {
+// isAccess reports whether in is a load or store, the instructions the
+// operand mutators rewrite. Where an instruction's memory operand sits
+// in its encoding is asm's fact: site.off + in.Op.MemOffset().
+func isAccess(in asm.Inst) bool {
 	switch in.Op {
-	case asm.OpLoad, asm.OpFLoad: // [op][dst][mem...]
-		return off + 2
-	case asm.OpStore, asm.OpFStore: // [op][mem...][src]
-		return off + 1
+	case asm.OpLoad, asm.OpStore, asm.OpFLoad, asm.OpFStore:
+		return true
 	}
-	return -1
+	return false
 }
 
 // Mutators returns the built-in operator corpus.
@@ -317,7 +316,7 @@ func segStorePublic(img *link.Image, seed uint64) *Mutant {
 		return nil
 	}
 	c := cands[pick(seed, len(cands))]
-	fo := memFlagsOff(c.store.in, c.store.off)
+	fo := c.store.off + c.store.in.Op.MemOffset()
 	m := mutate(img, func(code []byte) {
 		code[fo] = code[fo]&^3 | byte(asm.SegFS)
 	})
@@ -332,7 +331,7 @@ func segUnprefixed(img *link.Image, seed uint64) *Mutant {
 	if c == nil {
 		return nil
 	}
-	fo := memFlagsOff(c.in, c.off)
+	fo := c.off + c.in.Op.MemOffset()
 	m := mutate(img, func(code []byte) {
 		code[fo] &^= 3 // SegNone
 	})
@@ -348,7 +347,7 @@ func segUse32Drop(img *link.Image, seed uint64) *Mutant {
 	if c == nil {
 		return nil
 	}
-	fo := memFlagsOff(c.in, c.off)
+	fo := c.off + c.in.Op.MemOffset()
 	m := mutate(img, func(code []byte) {
 		code[fo] &^= 1 << 2
 	})
@@ -360,7 +359,7 @@ func segUse32Drop(img *link.Image, seed uint64) *Mutant {
 func pickSegOperand(img *link.Image, seed uint64) *site {
 	var cands []site
 	for _, s := range walk(img) {
-		if memFlagsOff(s.in, s.off) < 0 || s.in.M.Seg == asm.SegNone {
+		if !isAccess(s.in) || s.in.M.Seg == asm.SegNone {
 			continue
 		}
 		cands = append(cands, s)
@@ -380,7 +379,7 @@ func mpxOperands(img *link.Image) []site {
 	}
 	var cands []site
 	for _, s := range walk(img) {
-		if memFlagsOff(s.in, s.off) >= 0 && s.in.M.Base != asm.RSP {
+		if isAccess(s.in) && s.in.M.Base != asm.RSP {
 			cands = append(cands, s)
 		}
 	}
@@ -400,7 +399,7 @@ func mpxDispEscape(img *link.Image, seed uint64) *Mutant {
 	if seed&1 != 0 {
 		delta = -delta
 	}
-	fo := memFlagsOff(c.in, c.off)
+	fo := c.off + c.in.Op.MemOffset()
 	m := mutate(img, func(code []byte) {
 		binary.LittleEndian.PutUint32(code[fo+3:], uint32(int64(c.in.M.Disp)+delta))
 	})
@@ -443,7 +442,7 @@ func mpxIndexInject(img *link.Image, seed uint64) *Mutant {
 		return nil
 	}
 	c := cands[pick(seed, len(cands))]
-	fo := memFlagsOff(c.s.in, c.s.off)
+	fo := c.s.off + c.s.in.Op.MemOffset()
 	m := mutate(img, func(code []byte) {
 		code[fo] &^= 3 << 3 // scale 1
 		code[fo+2] = byte(c.idx)
@@ -532,9 +531,9 @@ func privAt(img *link.Image, sites []site) []uint32 {
 			asm.OpUDivRR, asm.OpUModRR, asm.OpAndRR, asm.OpOrRR, asm.OpXorRR,
 			asm.OpShlRR, asm.OpShrRR, asm.OpSarRR:
 			set(in.Dst, has(in.Dst) || has(in.Src))
-		case asm.OpAddRI, asm.OpSubRI, asm.OpMulRI, asm.OpAndRI, asm.OpOrRI,
-			asm.OpXorRI, asm.OpShlRI, asm.OpShrRI, asm.OpSarRI, asm.OpMovsx,
-			asm.OpNeg, asm.OpNot:
+		case asm.OpAddRI, asm.OpSubRI, asm.OpMulRI, asm.OpMulHiRI, asm.OpAndRI,
+			asm.OpOrRI, asm.OpXorRI, asm.OpShlRI, asm.OpShrRI, asm.OpSarRI,
+			asm.OpMovsx, asm.OpNeg, asm.OpNot:
 			// dst taint unchanged
 		case asm.OpJcc:
 			// Fall-through keeps the state.
