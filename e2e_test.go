@@ -421,6 +421,13 @@ func TestE2EIntegerConversions(t *testing.T) {
 		{"unsigned long quotient by 4 to a pointer", `gl = 63; unsigned long ul = gl + 1; char *q = (char *)(ul / 4); r = (long)q + (long)ul;`, 80},
 		{"large unsigned long quotient by 4 to a pointer", `gl = -64; unsigned long ul = gl; char *q = (char *)(ul / 4); r = (long)q - (long)ul;`, 4611686018427387952},
 		{"unsigned long remainder by 10 to a pointer", `gl = -1; unsigned long ul = gl; char *q = (char *)(ul % 10); r = (long)q + (long)ul;`, 4},
+		// A quotient copied into a local of another width or signedness
+		// divides as its operands' common type.
+		{"int quotient by 3 into a long", `gl = -2000000000; int x = gl; long l = x / 3; r = l;`, -666666666},
+		{"int remainder by 7 into a long", `gl = -2000000001; int x = gl; long l = x % 7; r = l;`, -6},
+		{"INT_MIN quotient by a variable into a long", `gl = -2147483648; int x = gl; int y = 7; long l = x / y; r = l;`, -306783378},
+		{"unsigned quotient by 3 into an int", `gl = -1; unsigned u = gl; int i = u / 3; r = i;`, 1431655765},
+		{"unsigned quotient by 2 into an int, widened and doubled", `gl = -1; unsigned u = gl; int i = u / 2; r = (long)i + i;`, 4294967294},
 	}
 	for _, tc := range cases {
 		src := Source{"conv.c", `

@@ -5,13 +5,12 @@ import (
 	"math/bits"
 
 	"confllvm/internal/asm"
-	"confllvm/internal/types"
 )
 
 // Division by a compile-time constant (Granlund & Montgomery, "Division
 // by Invariant Integers using Multiplication", PLDI 1994; Warren,
 // Hacker's Delight, ch. 10). Prepass rewrite 1 gives a div or mod the RI
-// form when planDiv has a plan for its constant divisor, and lowerIntBin
+// form when planDiv has a plan for its constant divisor, and lowerDiv
 // expands the plan into a branch-free multiply/shift sequence instead of
 // mov r, c; idiv. Branch-free matters beyond speed: the sequence never
 // branches on the (possibly private) dividend, so strict mode sees no
@@ -96,15 +95,6 @@ func planDiv(c int64, size int, signed bool) (divPlan, bool) {
 		return divPlan{}, false
 	}
 	return p, true
-}
-
-// divPlanFor is planDiv for a division whose result, and so whose
-// dividend, has type t; only integer types have plans.
-func divPlanFor(t *types.Type, c int64) (divPlan, bool) {
-	if t == nil || !t.IsInteger() {
-		return divPlan{}, false
-	}
-	return planDiv(c, t.SizeOf(), t.Signed)
 }
 
 // signedMagic returns the least multiplier m and shift s with

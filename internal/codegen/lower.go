@@ -221,6 +221,16 @@ func (c *ctx) emitMemChecks(m asm.Mem, bnd asm.Bnd) {
 
 // lower translates one IR instruction.
 func (c *ctx) lower(in *ir.Inst) error {
+	switch in.Op.Class() {
+	case ir.ClassIntBin:
+		c.lowerIntBin(in)
+		return nil
+	case ir.ClassFloatBin:
+		c.lowerFloatBin(in)
+		return nil
+	case ir.ClassCall:
+		return c.lowerCall(in)
+	}
 	switch in.Op {
 	case ir.OpConst:
 		d := c.destGPR(in.Res)
@@ -231,13 +241,6 @@ func (c *ctx) lower(in *ir.Inst) error {
 		c.emit(asm.Inst{Op: asm.OpFMovI, FDst: d, Imm: int64(math.Float64bits(in.FImm))})
 		c.flushFPR(in.Res, d)
 
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMod, ir.OpAnd, ir.OpOr,
-		ir.OpXor, ir.OpShl, ir.OpShr, ir.OpSar:
-		c.lowerIntBin(in)
-
-	case ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv:
-		c.lowerFloatBin(in)
-
 	case ir.OpICmp:
 		a := c.readGPR(in.Args[0], regalloc.ScratchA)
 		if len(in.Args) == 1 {
@@ -246,12 +249,12 @@ func (c *ctx) lower(in *ir.Inst) error {
 			b := c.readGPR(in.Args[1], regalloc.ScratchB)
 			c.emit(asm.Inst{Op: asm.OpCmpRR, Dst: a, Src: b})
 		}
-		c.setFlags(in.Res, icmpCond(in.Pred), false)
+		c.setFlags(in.Res, icmpConds[in.Pred], false)
 	case ir.OpFCmp:
 		a := c.readFPR(in.Args[0], regalloc.ScratchFA)
 		b := c.readFPR(in.Args[1], regalloc.ScratchFB)
 		c.emit(asm.Inst{Op: asm.OpFCmp, FDst: a, FSrc: b})
-		c.setFlags(in.Res, fcmpCond(in.Pred), true)
+		c.setFlags(in.Res, fcmpConds[in.Pred], true)
 
 	case ir.OpLoad:
 		a := c.readAddress(in, false)
@@ -321,9 +324,6 @@ func (c *ctx) lower(in *ir.Inst) error {
 		d := c.destGPR(in.Res)
 		c.emitRel(asm.Inst{Op: asm.OpMovRI, Dst: d}, RelFuncPtr, in.Global, 0)
 		c.flushGPR(in.Res, d)
-
-	case ir.OpCall, ir.OpICall:
-		return c.lowerCall(in)
 
 	case ir.OpTrunc:
 		// Canonicalize to Ty (see ir.OpTrunc) with one instruction: a
@@ -418,23 +418,15 @@ func (c *ctx) lower(in *ir.Inst) error {
 	return nil
 }
 
+// intBinOps are the register-register forms of the integer binops but
+// div and mod (see divOp).
 var intBinOps = map[ir.Op]asm.Op{
 	ir.OpAdd: asm.OpAddRR, ir.OpSub: asm.OpSubRR, ir.OpMul: asm.OpMulRR,
-	ir.OpDiv: asm.OpDivRR, ir.OpMod: asm.OpModRR,
 	ir.OpAnd: asm.OpAndRR, ir.OpOr: asm.OpOrRR, ir.OpXor: asm.OpXorRR,
 	ir.OpShl: asm.OpShlRR, ir.OpShr: asm.OpShrRR, ir.OpSar: asm.OpSarRR,
 }
 
-func commutative(op ir.Op) bool {
-	switch op {
-	case ir.OpAdd, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor:
-		return true
-	}
-	return false
-}
-
-// intImmOps are the register-immediate forms of the ops in intBinOps
-// that have one.
+// intImmOps are the register-immediate forms of the ops in intBinOps.
 var intImmOps = map[ir.Op]asm.Op{
 	ir.OpAdd: asm.OpAddRI, ir.OpSub: asm.OpSubRI, ir.OpMul: asm.OpMulRI,
 	ir.OpAnd: asm.OpAndRI, ir.OpOr: asm.OpOrRI, ir.OpXor: asm.OpXorRI,
@@ -456,8 +448,8 @@ func (c *ctx) setFlags(res ir.Value, cond asm.Cond, float bool) {
 
 func (c *ctx) lowerIntBin(in *ir.Inst) {
 	a := c.readGPR(in.Args[0], regalloc.ScratchA)
-	if len(in.Args) == 1 && (in.Op == ir.OpDiv || in.Op == ir.OpMod) {
-		c.lowerDivConst(in, a)
+	if in.Op == ir.OpDiv || in.Op == ir.OpMod {
+		c.lowerDiv(in, a)
 		return
 	}
 	if len(in.Args) == 1 {
@@ -485,11 +477,7 @@ func (c *ctx) lowerIntBin(in *ir.Inst) {
 	}
 	b := c.readGPR(in.Args[1], regalloc.ScratchB)
 	d := c.destGPR(in.Res)
-	op := intBinOps[in.Op]
-	if in.Op == ir.OpDiv || in.Op == ir.OpMod {
-		op = divOp(in.Op, c.f.ValueType(in.Res))
-	}
-	c.emitBinRR(op, commutative(in.Op), d, a, b)
+	c.emitBinRR(intBinOps[in.Op], in.Op.Commutative(), d, a, b)
 	c.flushGPR(in.Res, d)
 }
 
@@ -513,14 +501,20 @@ func (c *ctx) emitBinRR(op asm.Op, commut bool, d, a, b asm.Reg) {
 	}
 }
 
-// lowerDivConst expands a div or mod by the constant in.Imm (the RI
-// form prepass rewrite 1 gives it) by its divPlan. ScratchB is free here
-// (an RI form has no second operand), and so is ScratchA unless it holds
-// the dividend or the result; a plan that needs a second scratch it does
-// not get (or a result type with no plan) loads the constant into
-// ScratchB and divides with idiv/div after all.
-func (c *ctx) lowerDivConst(in *ir.Inst, a asm.Reg) {
-	rt := c.f.ValueType(in.Res)
+// lowerDiv lowers a div or mod, which divides by in.Ty's signedness and
+// width. The RI form prepass rewrite 1 gives a constant divisor expands
+// by its divPlan. ScratchB is free there (an RI form has no second
+// operand), and so is ScratchA unless it holds the dividend or the
+// result; a plan that needs a second scratch it does not get loads the
+// constant into ScratchB and divides with idiv/div after all.
+func (c *ctx) lowerDiv(in *ir.Inst, a asm.Reg) {
+	if len(in.Args) == 2 {
+		b := c.readGPR(in.Args[1], regalloc.ScratchB)
+		d := c.destGPR(in.Res)
+		c.emitBinRR(divOp(in), false, d, a, b)
+		c.flushGPR(in.Res, d)
+		return
+	}
 	d := c.destGPR(in.Res)
 	u := regalloc.ScratchA
 	if a == u || d == u {
@@ -528,7 +522,7 @@ func (c *ctx) lowerDivConst(in *ir.Inst, a asm.Reg) {
 	}
 	var buf [12]asm.Inst
 	seq := buf[:0]
-	p, ok := divPlanFor(rt, in.Imm)
+	p, ok := planDiv(in.Imm, in.Ty.SizeOf(), in.Ty.Signed)
 	if ok {
 		seq, ok = p.emit(seq, in.Op == ir.OpMod, d, a, regalloc.ScratchB, u)
 	}
@@ -538,7 +532,7 @@ func (c *ctx) lowerDivConst(in *ir.Inst, a asm.Reg) {
 		}
 	} else {
 		c.emit(asm.Inst{Op: asm.OpMovRI, Dst: regalloc.ScratchB, Imm: in.Imm})
-		c.emitBinRR(divOp(in.Op, rt), false, d, a, regalloc.ScratchB)
+		c.emitBinRR(divOp(in), false, d, a, regalloc.ScratchB)
 	}
 	c.invalidateChecks(regalloc.ScratchB)
 	if u != asm.NoReg {
@@ -547,16 +541,14 @@ func (c *ctx) lowerDivConst(in *ir.Inst, a asm.Reg) {
 	c.flushGPR(in.Res, d)
 }
 
-// divOp returns the divide instruction of a div or mod whose result has
-// type rt: div and mod divide by the signedness of the result type.
-func divOp(op ir.Op, rt *types.Type) asm.Op {
-	unsigned := rt.IsInteger() && !rt.Signed
+// divOp returns the divide instruction of a div or mod.
+func divOp(in *ir.Inst) asm.Op {
 	switch {
-	case op == ir.OpDiv && unsigned:
+	case in.Op == ir.OpDiv && !in.Ty.Signed:
 		return asm.OpUDivRR
-	case unsigned:
+	case !in.Ty.Signed:
 		return asm.OpUModRR
-	case op == ir.OpDiv:
+	case in.Op == ir.OpDiv:
 		return asm.OpDivRR
 	}
 	return asm.OpModRR
@@ -590,48 +582,19 @@ func (c *ctx) lowerFloatBin(in *ir.Inst) {
 	c.flushFPR(in.Res, d)
 }
 
-func icmpCond(p ir.Pred) asm.Cond {
-	switch p {
-	case ir.PredEQ:
-		return asm.CondE
-	case ir.PredNE:
-		return asm.CondNE
-	case ir.PredSLT:
-		return asm.CondL
-	case ir.PredSLE:
-		return asm.CondLE
-	case ir.PredSGT:
-		return asm.CondG
-	case ir.PredSGE:
-		return asm.CondGE
-	case ir.PredULT:
-		return asm.CondB
-	case ir.PredULE:
-		return asm.CondBE
-	case ir.PredUGT:
-		return asm.CondA
-	case ir.PredUGE:
-		return asm.CondAE
-	}
-	return asm.CondE
+// icmpConds and fcmpConds are the setcc/jcc condition of each predicate.
+// A float compare sets the flags as an unsigned one does, whatever the
+// predicate's sign.
+var icmpConds = [...]asm.Cond{
+	ir.PredEQ: asm.CondE, ir.PredNE: asm.CondNE, ir.PredSLT: asm.CondL, ir.PredSLE: asm.CondLE,
+	ir.PredSGT: asm.CondG, ir.PredSGE: asm.CondGE, ir.PredULT: asm.CondB, ir.PredULE: asm.CondBE,
+	ir.PredUGT: asm.CondA, ir.PredUGE: asm.CondAE,
 }
 
-func fcmpCond(p ir.Pred) asm.Cond {
-	switch p {
-	case ir.PredEQ:
-		return asm.CondE
-	case ir.PredNE:
-		return asm.CondNE
-	case ir.PredSLT, ir.PredULT:
-		return asm.CondB
-	case ir.PredSLE, ir.PredULE:
-		return asm.CondBE
-	case ir.PredSGT, ir.PredUGT:
-		return asm.CondA
-	case ir.PredSGE, ir.PredUGE:
-		return asm.CondAE
-	}
-	return asm.CondE
+var fcmpConds = [...]asm.Cond{
+	ir.PredEQ: asm.CondE, ir.PredNE: asm.CondNE, ir.PredSLT: asm.CondB, ir.PredSLE: asm.CondBE,
+	ir.PredSGT: asm.CondA, ir.PredSGE: asm.CondAE, ir.PredULT: asm.CondB, ir.PredULE: asm.CondBE,
+	ir.PredUGT: asm.CondA, ir.PredUGE: asm.CondAE,
 }
 
 func (c *ctx) lowerAddrOf(in *ir.Inst) {
@@ -775,11 +738,9 @@ func (c *ctx) lowerCall(in *ir.Inst) error {
 	if in.Res != ir.NoValue {
 		rt := c.f.ValueType(in.Res)
 		if rt != nil && rt.Kind == types.Float {
-			loc := c.ra.Locs[in.Res]
 			d := c.destFPR(in.Res)
 			c.emit(asm.Inst{Op: asm.OpMovQIF, FDst: d, Src: asm.RetReg})
 			c.flushFPR(in.Res, d)
-			_ = loc
 		} else {
 			c.storeLoc(c.ra.Locs[in.Res], asm.RetReg)
 		}

@@ -36,9 +36,8 @@ import (
 //     becomes the constant it canonicalizes to.
 //  2. Copy folding. t = op ...; d = copy t becomes d = op ... when t is
 //     defined once, its only use is that copy, and t and d have the same
-//     resolved privacy and float-ness (never across a taint mismatch),
-//     and for a div or mod the same signedness and width. A no-op
-//     integer/pointer bitcast counts as a copy.
+//     resolved privacy and float-ness (never across a taint mismatch). A
+//     no-op integer/pointer bitcast counts as a copy.
 //  3. Store folding. t = trunc x; store p, t, with the trunc's only use
 //     that store and the store no wider than the trunc, becomes
 //     store p, x: a store writes only the low bytes, which the trunc
@@ -199,7 +198,7 @@ func (p *prepassState) foldConsts(in *ir.Inst) *ir.Inst {
 		if !ok {
 			return in
 		}
-		if _, ok := divPlanFor(p.f.ValueType(in.Res), k); !ok {
+		if _, ok := planDiv(k, in.Ty.SizeOf(), in.Ty.Signed); !ok {
 			return in
 		}
 		p.uses[in.Args[1]]--
@@ -211,10 +210,10 @@ func (p *prepassState) foldConsts(in *ir.Inst) *ir.Inst {
 		reg, imm := in.Args[0], in.Args[1]
 		pred := in.Pred
 		k, ok := p.constant(imm)
-		if !ok && (commutative(in.Op) || in.Op == ir.OpICmp) {
+		if !ok && (in.Op.Commutative() || in.Op == ir.OpICmp) {
 			if k, ok = p.constant(reg); ok {
 				reg, imm = imm, reg
-				pred = mirror(pred)
+				pred = mirrored[pred]
 			}
 		}
 		if !ok {
@@ -249,27 +248,11 @@ func truncConst(t *types.Type, k int64) int64 {
 	return int64(uint64(k) << sh >> sh)
 }
 
-// mirror returns the predicate of an icmp with its operands swapped.
-func mirror(pr ir.Pred) ir.Pred {
-	switch pr {
-	case ir.PredSLT:
-		return ir.PredSGT
-	case ir.PredSLE:
-		return ir.PredSGE
-	case ir.PredSGT:
-		return ir.PredSLT
-	case ir.PredSGE:
-		return ir.PredSLE
-	case ir.PredULT:
-		return ir.PredUGT
-	case ir.PredULE:
-		return ir.PredUGE
-	case ir.PredUGT:
-		return ir.PredULT
-	case ir.PredUGE:
-		return ir.PredULE
-	}
-	return pr // eq, ne
+// mirrored[pr] is the predicate of an icmp pr with its operands swapped.
+var mirrored = [...]ir.Pred{
+	ir.PredEQ: ir.PredEQ, ir.PredNE: ir.PredNE,
+	ir.PredSLT: ir.PredSGT, ir.PredSLE: ir.PredSGE, ir.PredSGT: ir.PredSLT, ir.PredSGE: ir.PredSLE,
+	ir.PredULT: ir.PredUGT, ir.PredULE: ir.PredUGE, ir.PredUGT: ir.PredULT, ir.PredUGE: ir.PredULE,
 }
 
 // merge applies rewrites 2 and 3 to the adjacent pair prev; in, returning
@@ -290,16 +273,6 @@ func (p *prepassState) merge(prev, in *ir.Inst) *ir.Inst {
 	case in.Op == ir.OpCopy || (in.Op == ir.OpBitcast && !p.isFloat(t) && in.Ty.Kind != types.Float):
 		if p.isPrivate(t) != p.isPrivate(in.Res) || p.isFloat(t) != p.isFloat(in.Res) {
 			return nil
-		}
-		if prev.Op == ir.OpDiv || prev.Op == ir.OpMod {
-			// A div or mod divides by its result type's signedness and
-			// width, so it keeps a result of another type (a signed copy
-			// of an unsigned quotient, or a pointer cast of one) to
-			// itself.
-			rt, ct := p.f.ValueType(t), p.f.ValueType(in.Res)
-			if !ct.IsInteger() || rt.Signed != ct.Signed || rt.SizeOf() != ct.SizeOf() {
-				return nil
-			}
 		}
 		m = p.alloc(*prev)
 		m.Res = in.Res
@@ -394,7 +367,7 @@ func (p *prepassState) foldAddrs(insts []*ir.Inst) []*ir.Inst {
 				continue
 			}
 			c := &p.cands[p.candOf[a]-1]
-			addrUse := ai == 0 && (in.Op == ir.OpLoad || in.Op == ir.OpStore) &&
+			addrUse := ai == 0 && in.Op.Class() == ir.ClassMemory &&
 				(in.Op == ir.OpLoad || in.Args[1] != a)
 			if !addrUse || p.lastDef[c.base] != c.sb ||
 				(c.index != ir.NoValue && p.lastDef[c.index] != c.si) {
@@ -439,7 +412,7 @@ func (p *prepassState) foldAddrs(insts []*ir.Inst) []*ir.Inst {
 		if in == nil {
 			continue
 		}
-		if (in.Op == ir.OpLoad || in.Op == ir.OpStore) && p.candOf[in.Args[0]] != 0 {
+		if in.Op.Class() == ir.ClassMemory && p.candOf[in.Args[0]] != 0 {
 			c := &p.cands[p.candOf[in.Args[0]]-1]
 			ni := p.alloc(*in)
 			ni.Args = append(append(p.allocArgs(len(in.Args)+1), c.base), in.Args[1:]...)

@@ -3,6 +3,7 @@ package codegen
 import (
 	"testing"
 
+	"confllvm/internal/asm"
 	"confllvm/internal/ir"
 	"confllvm/internal/types"
 )
@@ -60,6 +61,45 @@ func TestPrepassCopyFolding(t *testing.T) {
 				t.Errorf("folded = %v, want %v: %v", folded, tc.fold, got)
 			}
 		})
+	}
+}
+
+// TestPrepassFoldsWidenedQuotient: long l = i / 3 with an int i. The
+// divisor folds into the div's RI form and the widening copy folds into
+// the div, which still divides as an int (its Ty, not l's type), so it
+// lowers by the signed 32-bit magic plan: an imul, no idiv or mulh.
+func TestPrepassFoldsWidenedQuotient(t *testing.T) {
+	f := &ir.Func{Name: "f", Ret: pubLong}
+	i := f.NewValue(pubInt)
+	f.ParamRegs = []ir.Value{i}
+	f.Params = []*types.Type{pubInt}
+	k, q, l := f.NewValue(pubInt), f.NewValue(pubInt), f.NewValue(pubLong)
+	f.NewBlock().Insts = []*ir.Inst{
+		{Op: ir.OpConst, Res: k, Imm: 3, Ty: pubInt},
+		{Op: ir.OpDiv, Res: q, Args: []ir.Value{i, k}, Ty: pubInt},
+		{Op: ir.OpCopy, Res: l, Args: []ir.Value{q}},
+		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{l}},
+	}
+	got := runPrepass(f).Blocks[0].Insts
+	if len(got) != 2 || got[0].Op != ir.OpDiv || got[0].Res != l || len(got[0].Args) != 1 ||
+		got[0].Imm != 3 || got[0].Ty != pubInt {
+		t.Fatalf("got %v, want v%d = div v%d, 3 : int; ret v%d", got, l, i, l)
+	}
+	if p, ok := planDiv(got[0].Imm, got[0].Ty.SizeOf(), got[0].Ty.Signed); !ok || p.kind != divMagic32S {
+		t.Fatalf("plan %+v, %v: want the signed 32-bit magic plan", p, ok)
+	}
+	fc := genFuncCode(t, f, Config{IgnoreTaint: true})
+	muls := 0
+	for _, op := range ops(fc) {
+		switch op {
+		case asm.OpMulRI:
+			muls++
+		case asm.OpDivRR, asm.OpModRR, asm.OpMulHiRI:
+			t.Fatalf("lowered with %v: %v", op, ops(fc))
+		}
+	}
+	if muls != 1 {
+		t.Errorf("lowered with %d imul, want 1: %v", muls, ops(fc))
 	}
 }
 

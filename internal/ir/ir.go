@@ -3,6 +3,27 @@
 // no SSA/phi nodes). Every virtual register carries a qualified type whose
 // confidentiality qualifier may still be an inference variable; the taint
 // package resolves those and the code generator consumes the result.
+//
+// Every per-op fact lives in one table, opTable: the mnemonic, the class
+// (which decides how opt folds, CSEs and keeps the op, which taint
+// constraint it adds and which lowering routine codegen runs) and the
+// flags has-result, may-fault and commutative. Adding an op takes:
+//
+//  1. the constant, in the section of its class;
+//  2. one opTable row;
+//  3. whatever Inst fields the op reads, documented at the constant (a
+//     div or mod reads its signedness and width from Ty, not from Res's
+//     type, so a pass may retype the result without changing the
+//     division);
+//  4. for an integer binop, an evaluation in opt's foldBin, and a case in
+//     irgen's needsNormalize if it can carry a narrow result out of its
+//     type's range (opt's truncElim treats an op it does not know as
+//     reading its operands' high bits, which is always safe);
+//  5. its ir-to-asm entries in codegen (intBinOps and intImmOps for an
+//     integer binop, fltBinOps for a float one), or a case in lower for
+//     the other classes;
+//  6. a case in taint's collectInst only if it is in a new class, which
+//     collectInst rejects until it has one.
 package ir
 
 import (
@@ -28,7 +49,8 @@ const (
 	OpConst  // Res = Imm (typed by Ty)
 	OpFConst // Res = FImm
 
-	// Integer arithmetic: Res = Args[0] op Args[1].
+	// Integer arithmetic: Res = Args[0] op Args[1]. Div and mod divide
+	// by Ty's signedness and width.
 	OpAdd
 	OpSub
 	OpMul
@@ -120,36 +142,111 @@ var predNames = [...]string{"eq", "ne", "slt", "sle", "sgt", "sge", "ult", "ule"
 
 func (p Pred) String() string { return predNames[p] }
 
-var mnemonics = [numOps]string{
-	OpConst: "const", OpFConst: "fconst",
-	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpMod: "mod",
-	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr", OpSar: "sar",
-	OpFAdd: "fadd", OpFSub: "fsub", OpFMul: "fmul", OpFDiv: "fdiv",
-	OpICmp: "icmp", OpFCmp: "fcmp",
-	OpLoad: "load", OpStore: "store",
-	OpAddrOf: "addrof", OpGlobalAddr: "gaddr", OpFuncAddr: "faddr",
-	OpCall: "call", OpICall: "icall",
-	OpTrunc: "trunc", OpBitcast: "bitcast",
-	OpIntToFP: "inttofp", OpFPToInt: "fptoint",
-	OpCopy: "copy", OpVaStart: "vastart",
-	OpBr: "br", OpCondBr: "condbr", OpRet: "ret",
+// Class groups the ops that the passes treat alike: a pass switches on an
+// op's class, and on the op itself only where ops of one class differ.
+type Class uint8
+
+const (
+	ClassInvalid    Class = iota
+	ClassConst            // const, fconst: no operands
+	ClassIntBin           // Res = Args[0] op Args[1] over integers
+	ClassFloatBin         // Res = Args[0] op Args[1] over doubles
+	ClassCompare          // icmp, fcmp: Res (int) = Args[0] pred Args[1]
+	ClassMemory           // load, store
+	ClassAddress          // addrof, gaddr, faddr, vastart: a pointer from no operand
+	ClassCall             // call, icall
+	ClassConversion       // trunc, bitcast, inttofp, fptoint: Res = Args[0] as Ty
+	ClassCopy             // copy
+	ClassTerminator       // br, condbr, ret: the last instruction of a block
+)
+
+// Per-op flags: the op defines a virtual register (a void call still
+// carries Res == NoValue); it may trap (#DE on a zero divisor or
+// INT64_MIN / -1), so it stays even when its result is unused; its
+// operands may be swapped.
+const (
+	hasResult uint8 = 1 << iota
+	mayFault
+	commutative
+)
+
+// opInfo is one row of the op table.
+type opInfo struct {
+	name  string // mnemonic
+	class Class
+	flags uint8
+}
+
+// opTable holds every per-op fact of the IR. The printer, opt's folding,
+// CSE and DCE, taint's constraint collection and codegen's lowering all
+// read it rather than listing ops.
+var opTable = [numOps]opInfo{
+	OpConst: {"const", ClassConst, hasResult}, OpFConst: {"fconst", ClassConst, hasResult},
+
+	OpAdd: {"add", ClassIntBin, hasResult | commutative}, OpSub: {"sub", ClassIntBin, hasResult},
+	OpMul: {"mul", ClassIntBin, hasResult | commutative},
+	OpDiv: {"div", ClassIntBin, hasResult | mayFault}, OpMod: {"mod", ClassIntBin, hasResult | mayFault},
+	OpAnd: {"and", ClassIntBin, hasResult | commutative}, OpOr: {"or", ClassIntBin, hasResult | commutative},
+	OpXor: {"xor", ClassIntBin, hasResult | commutative}, OpShl: {"shl", ClassIntBin, hasResult},
+	OpShr: {"shr", ClassIntBin, hasResult}, OpSar: {"sar", ClassIntBin, hasResult},
+
+	OpFAdd: {"fadd", ClassFloatBin, hasResult}, OpFSub: {"fsub", ClassFloatBin, hasResult},
+	OpFMul: {"fmul", ClassFloatBin, hasResult}, OpFDiv: {"fdiv", ClassFloatBin, hasResult},
+	OpICmp: {"icmp", ClassCompare, hasResult}, OpFCmp: {"fcmp", ClassCompare, hasResult},
+	OpLoad: {"load", ClassMemory, hasResult}, OpStore: {"store", ClassMemory, 0},
+
+	OpAddrOf: {"addrof", ClassAddress, hasResult}, OpGlobalAddr: {"gaddr", ClassAddress, hasResult},
+	OpFuncAddr: {"faddr", ClassAddress, hasResult}, OpVaStart: {"vastart", ClassAddress, hasResult},
+	OpCall: {"call", ClassCall, hasResult}, OpICall: {"icall", ClassCall, hasResult},
+
+	OpTrunc: {"trunc", ClassConversion, hasResult}, OpBitcast: {"bitcast", ClassConversion, hasResult},
+	OpIntToFP: {"inttofp", ClassConversion, hasResult}, OpFPToInt: {"fptoint", ClassConversion, hasResult},
+	OpCopy: {"copy", ClassCopy, hasResult},
+
+	OpBr: {"br", ClassTerminator, 0}, OpCondBr: {"condbr", ClassTerminator, 0}, OpRet: {"ret", ClassTerminator, 0},
+}
+
+// row returns o's table row, which is empty for an undefined op.
+func (o Op) row() opInfo {
+	if o < numOps {
+		return opTable[o]
+	}
+	return opInfo{}
 }
 
 func (o Op) String() string {
-	if int(o) < len(mnemonics) && mnemonics[o] != "" {
-		return mnemonics[o]
+	if name := o.row().name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("op?%d", uint8(o))
 }
 
+// Class returns o's class (ClassInvalid for an undefined op).
+func (o Op) Class() Class { return o.row().class }
+
+// HasResult reports whether the op defines a virtual register.
+func (o Op) HasResult() bool { return o.row().flags&hasResult != 0 }
+
+// IsTerminator reports whether the op ends a basic block.
+func (o Op) IsTerminator() bool { return o.Class() == ClassTerminator }
+
+// MayFault reports whether the op can trap: div and mod.
+func (o Op) MayFault() bool { return o.row().flags&mayFault != 0 }
+
+// Commutative reports whether the op's operands may be swapped.
+func (o Op) Commutative() bool { return o.row().flags&commutative != 0 }
+
 // Inst is one IR instruction.
 type Inst struct {
-	Op     Op
-	Res    Value
-	Args   []Value
-	Imm    int64
-	FImm   float64
-	Ty     *types.Type // element type (load/store), target type (casts/const)
+	Op   Op
+	Res  Value
+	Args []Value
+	Imm  int64
+	FImm float64
+	// Ty is the element type (load/store), the target type
+	// (casts/const) or the operation type (div/mod: the signedness and
+	// width the division divides by, whatever Res's type).
+	Ty     *types.Type
 	Pred   Pred
 	A      *Alloca
 	Global string // global or function symbol
@@ -157,21 +254,6 @@ type Inst struct {
 	Blk    int    // branch target
 	Blk2   int    // false branch target
 	Pos    minic.Pos
-}
-
-// IsTerminator reports whether the instruction ends a basic block.
-func (in *Inst) IsTerminator() bool {
-	return in.Op == OpBr || in.Op == OpCondBr || in.Op == OpRet
-}
-
-// HasResult reports whether the op defines a virtual register. (Calls may
-// still carry Res == NoValue for void calls.)
-func (o Op) HasResult() bool {
-	switch o {
-	case OpStore, OpBr, OpCondBr, OpRet:
-		return false
-	}
-	return true
 }
 
 // Alloca is a stack object.
@@ -295,7 +377,7 @@ func (m *Module) Func(name string) *Func { return m.funcsByName[name] }
 // Global looks up a global by name.
 func (m *Module) Global(name string) *Global { return m.globalsByName[name] }
 
-// ---- Printer (for tests and -emit-ir debugging) ----
+// ---- Printer (for tests and debugging) ----
 
 func (in *Inst) String() string {
 	var b strings.Builder
@@ -303,7 +385,7 @@ func (in *Inst) String() string {
 		fmt.Fprintf(&b, "v%d = ", in.Res)
 	}
 	b.WriteString(in.Op.String())
-	if in.Op == OpICmp || in.Op == OpFCmp {
+	if in.Op.Class() == ClassCompare {
 		fmt.Fprintf(&b, ".%s", in.Pred)
 	}
 	switch in.Op {

@@ -431,6 +431,8 @@ var binOpMap = map[string]ir.Op{
 	"&": ir.OpAnd, "|": ir.OpOr, "^": ir.OpXor, "<<": ir.OpShl,
 }
 
+var floatOpMap = map[string]ir.Op{"+": ir.OpFAdd, "-": ir.OpFSub, "*": ir.OpFMul, "/": ir.OpFDiv}
+
 var cmpPredMap = map[string][2]ir.Pred{ // [signed, unsigned]
 	"==": {ir.PredEQ, ir.PredEQ}, "!=": {ir.PredNE, ir.PredNE},
 	"<": {ir.PredSLT, ir.PredULT}, "<=": {ir.PredSLE, ir.PredULE},
@@ -471,22 +473,32 @@ func (g *generator) genBinary(x *minic.Binary) (ir.Value, *types.Type) {
 			Args: []ir.Value{lv, rv}, Res: g.fn.NewValue(res)}), res
 	}
 
+	return g.arith(x.Pos, x.Op, lv, lt, rv, rt)
+}
+
+// arith emits lv op rv for an arithmetic operator (not a compare, && or
+// ||), for a binary expression and for a compound assignment alike:
+// pointer offsets and differences, float ops, and integer ops under the
+// usual arithmetic conversions. A div or mod carries its operation type
+// in Ty, and an op that can leave a sub-64-bit type's range is
+// normalized.
+func (g *generator) arith(pos minic.Pos, op string, lv ir.Value, lt *types.Type, rv ir.Value, rt *types.Type) (ir.Value, *types.Type) {
 	// Pointer arithmetic.
-	if x.Op == "+" || x.Op == "-" {
+	if op == "+" || op == "-" {
 		if lt.Kind == types.Ptr && rt.IsInteger() {
-			return g.ptrOffset(lv, lt, rv, x.Op == "-")
+			return g.ptrOffset(lv, lt, rv, op == "-")
 		}
-		if rt.Kind == types.Ptr && lt.IsInteger() && x.Op == "+" {
+		if rt.Kind == types.Ptr && lt.IsInteger() && op == "+" {
 			return g.ptrOffset(rv, rt, lv, false)
 		}
-		if lt.Kind == types.Ptr && rt.Kind == types.Ptr && x.Op == "-" {
+		if lt.Kind == types.Ptr && rt.Kind == types.Ptr && op == "-" {
 			res := longType.WithQual(g.gen.Fresh())
 			d := g.emitV(&ir.Inst{Op: ir.OpSub, Args: []ir.Value{lv, rv},
 				Res: g.fn.NewValue(res)})
 			es := int64(lt.Elem.SizeOf())
 			if es > 1 {
 				c := g.constInt(es, longType)
-				d = g.emitV(&ir.Inst{Op: ir.OpDiv, Args: []ir.Value{d, c},
+				d = g.emitV(&ir.Inst{Op: ir.OpDiv, Args: []ir.Value{d, c}, Ty: longType,
 					Res: g.fn.NewValue(res.WithQual(g.gen.Fresh()))})
 			}
 			return d, res
@@ -494,18 +506,9 @@ func (g *generator) genBinary(x *minic.Binary) (ir.Value, *types.Type) {
 	}
 
 	if lt.Kind == types.Float || rt.Kind == types.Float {
-		var fop ir.Op
-		switch x.Op {
-		case "+":
-			fop = ir.OpFAdd
-		case "-":
-			fop = ir.OpFSub
-		case "*":
-			fop = ir.OpFMul
-		case "/":
-			fop = ir.OpFDiv
-		default:
-			g.errorf(x.Pos, "invalid float operator %q", x.Op)
+		fop, ok := floatOpMap[op]
+		if !ok {
+			g.errorf(pos, "invalid float operator %q", op)
 			return g.constInt(0, intType), intType
 		}
 		lv = g.toFloat(lv, lt)
@@ -515,31 +518,36 @@ func (g *generator) genBinary(x *minic.Binary) (ir.Value, *types.Type) {
 			Res: g.fn.NewValue(res)}), res
 	}
 
-	op, ok := binOpMap[x.Op]
-	if !ok {
-		if x.Op == ">>" {
-			op = ir.OpSar
-			if !lt.Signed {
-				op = ir.OpShr
-			}
-		} else {
-			g.errorf(x.Pos, "unsupported binary operator %q", x.Op)
-			return g.constInt(0, intType), intType
-		}
+	iop, ok := binOpMap[op]
+	switch {
+	case op == ">>" && lt.Signed:
+		iop = ir.OpSar
+	case op == ">>":
+		iop = ir.OpShr
+	case !ok:
+		g.errorf(pos, "unsupported binary operator %q", op)
+		return g.constInt(0, intType), intType
 	}
 	var res *types.Type
-	if isShift(op) {
+	if isShift(iop) {
 		// A shift has its promoted left operand's type and converts
 		// neither operand to the other's type.
 		res = g.commonType(lt, lt)
 	} else if res = g.commonType(lt, rt); lt.IsInteger() && rt.IsInteger() {
 		// The usual arithmetic conversions.
-		lv, rv = g.convert(lv, lt, res, x.Pos), g.convert(rv, rt, res, x.Pos)
+		lv, rv = g.convert(lv, lt, res, pos), g.convert(rv, rt, res, pos)
+	}
+	in := &ir.Inst{Op: iop, Args: []ir.Value{lv, rv}, Res: g.fn.NewValue(res)}
+	if iop == ir.OpDiv || iop == ir.OpMod {
+		if !res.IsInteger() {
+			g.errorf(pos, "invalid operands to binary %q", op)
+		}
+		in.Ty = res
 	}
 	// An op that can carry a sub-64-bit result out of its type's range
 	// re-canonicalizes it.
-	v := g.emitV(&ir.Inst{Op: op, Args: []ir.Value{lv, rv}, Res: g.fn.NewValue(res)})
-	if res.Size < 8 && needsNormalize(op) {
+	v := g.emitV(in)
+	if res.Size < 8 && needsNormalize(iop) {
 		v = g.normalize(v, res)
 	}
 	return v, res
@@ -684,7 +692,8 @@ func (g *generator) genAssign(x *minic.Assign) (ir.Value, *types.Type) {
 		} else {
 			old, _ = g.loadFrom(addr, elem)
 		}
-		rhs, rt = g.genBinaryOn(x.Pos, x.Op, old, elem, x.RHS)
+		rv, vt := g.genExpr(x.RHS)
+		rhs, rt = g.arith(x.Pos, x.Op, old, elem, rv, vt)
 	}
 	rhs = g.convert(rhs, rt, elem, x.Pos)
 	if promoted {
@@ -693,60 +702,6 @@ func (g *generator) genAssign(x *minic.Assign) (ir.Value, *types.Type) {
 		g.emit(&ir.Inst{Op: ir.OpStore, Args: []ir.Value{addr, rhs}, Ty: elem})
 	}
 	return rhs, elem
-}
-
-// genBinaryOn applies `old op rhsExpr` for compound assignment.
-func (g *generator) genBinaryOn(pos minic.Pos, op string, old ir.Value, oldTy *types.Type, rhsE minic.Expr) (ir.Value, *types.Type) {
-	rv, rt := g.genExpr(rhsE)
-	if oldTy.Kind == types.Ptr && (op == "+" || op == "-") {
-		return g.ptrOffset(old, oldTy, rv, op == "-")
-	}
-	if oldTy.Kind == types.Float || rt.Kind == types.Float {
-		var fop ir.Op
-		switch op {
-		case "+":
-			fop = ir.OpFAdd
-		case "-":
-			fop = ir.OpFSub
-		case "*":
-			fop = ir.OpFMul
-		case "/":
-			fop = ir.OpFDiv
-		default:
-			g.errorf(pos, "invalid float compound operator %q=", op)
-			return g.constInt(0, intType), intType
-		}
-		ov := g.toFloat(old, oldTy)
-		rv = g.toFloat(rv, rt)
-		res := types.MakeFloat(g.gen.Fresh())
-		return g.emitV(&ir.Inst{Op: fop, Args: []ir.Value{ov, rv},
-			Res: g.fn.NewValue(res)}), res
-	}
-	var iop ir.Op
-	if op == ">>" {
-		iop = ir.OpSar
-		if !oldTy.Signed {
-			iop = ir.OpShr
-		}
-	} else {
-		var ok bool
-		iop, ok = binOpMap[op]
-		if !ok {
-			g.errorf(pos, "unsupported compound operator %q=", op)
-			return g.constInt(0, intType), intType
-		}
-	}
-	var res *types.Type
-	if isShift(iop) {
-		res = g.commonType(oldTy, oldTy)
-	} else if res = g.commonType(oldTy, rt); oldTy.IsInteger() && rt.IsInteger() {
-		old, rv = g.convert(old, oldTy, res, pos), g.convert(rv, rt, res, pos)
-	}
-	v := g.emitV(&ir.Inst{Op: iop, Args: []ir.Value{old, rv}, Res: g.fn.NewValue(res)})
-	if res.Size < 8 && needsNormalize(iop) {
-		v = g.normalize(v, res)
-	}
-	return v, res
 }
 
 // lvalue resolves an assignable expression. It returns either a promoted

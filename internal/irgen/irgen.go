@@ -348,7 +348,7 @@ func (g *generator) emit(in *ir.Inst) {
 		g.blk = g.fn.NewBlock()
 	}
 	g.blk.Insts = append(g.blk.Insts, in)
-	if in.IsTerminator() {
+	if in.Op.IsTerminator() {
 		g.blk = nil
 	}
 }
@@ -361,7 +361,7 @@ func (g *generator) emitV(in *ir.Inst) ir.Value {
 
 func (g *generator) terminated() bool {
 	return g.blk == nil ||
-		(len(g.blk.Insts) > 0 && g.blk.Insts[len(g.blk.Insts)-1].IsTerminator())
+		(len(g.blk.Insts) > 0 && g.blk.Insts[len(g.blk.Insts)-1].Op.IsTerminator())
 }
 
 func (g *generator) startBlock(b *ir.Block) { g.blk = b }

@@ -1,9 +1,11 @@
 package irgen
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"confllvm/internal/ir"
 	"confllvm/internal/minic"
 	"confllvm/internal/opt"
 	"confllvm/internal/taint"
@@ -276,3 +278,48 @@ void f() {
 }
 
 var _ = types.Public
+
+// TestDivisionCarriesItsType: every div and mod carries its operation
+// type in Ty, the common type of its operands whatever its result is
+// assigned to (compound assignments and pointer differences too), and a
+// pointer operand is an error.
+func TestDivisionCarriesItsType(t *testing.T) {
+	gen := &minic.QualGen{}
+	src := `
+long f(int i, unsigned u, long *p, long *q) {
+	long a = i / 3;
+	int b = u % 7;
+	unsigned long c = 10;
+	c /= i;
+	return a + b + c + (p - q);
+}
+`
+	file, err := minic.Parse("div.c", src, nil, gen)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	mod, err := Gen([]*minic.File{file}, gen)
+	if err != nil {
+		t.Fatalf("irgen: %v", err)
+	}
+	var got []string
+	for _, b := range mod.Func("f").Blocks {
+		for _, in := range b.Insts {
+			if in.Op == ir.OpDiv || in.Op == ir.OpMod {
+				got = append(got, fmt.Sprintf("%v %d/%v", in.Op, in.Ty.Size, in.Ty.Signed))
+			}
+		}
+	}
+	want := []string{"div 4/true", "mod 4/false", "div 8/false", "div 8/true"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("div/mod types %v, want %v", got, want)
+	}
+
+	file, err = minic.Parse("pdiv.c", `long g(long *p) { return p / 2; }`, nil, gen)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if _, err := Gen([]*minic.File{file}, gen); err == nil || !strings.Contains(err.Error(), "invalid operands") {
+		t.Errorf("pointer division: err = %v, want invalid operands", err)
+	}
+}

@@ -9,10 +9,12 @@
 // across a loop than there are registers, so the allocator's eviction
 // runs; it emits occasional unguarded divisions so divide-fault
 // delivery is fuzzed too, and divisions by constants, which lower to
-// multiplies and shifts; it wraps subexpressions in narrowing casts,
-// so every variant's lowering of them is compared; and it runs int
-// arithmetic past 2^31 right before a compare, a division or an index,
-// which read the wrapped value's high bits. Every variant shares the IR
+// multiplies and shifts, assigned to locals of another width or
+// signedness than the dividend or cast through char * (copies the code
+// generator folds into the division); it wraps subexpressions in
+// narrowing casts, so every variant's lowering of them is compared; and
+// it runs int arithmetic past 2^31 right before a compare, a division or
+// an index, which read the wrapped value's high bits. Every variant shares the IR
 // optimizer, so TestFuzzDifferential also checks the outputs against an
 // unoptimized (NoOpt) Base build of the same program.
 package machine_test
@@ -58,6 +60,10 @@ var divLits = []int64{2, 4, 8, 1024, 1 << 40, 3, 5, 7, 10, 12, 17, 100, 255, 100
 // divCasts give a constant division its dividend's type: long, int,
 // unsigned int or unsigned long.
 var divCasts = []string{"", "(int)", "(unsigned int)", "(unsigned long)"}
+
+// quotLocals are the types of the locals q0.. that divCopy assigns to,
+// one of each integer width and signedness a division can have.
+var quotLocals = []string{"int", "unsigned int", "long", "unsigned long"}
 
 // constDiv divides or takes the remainder of x by a literal of divLits.
 func (g *progGen) constDiv(x string) string {
@@ -135,6 +141,20 @@ func (g *progGen) expr(depth, fn int) string {
 	}
 }
 
+// divCopy assigns a constant division of a long, int, unsigned int or
+// unsigned long dividend to a local of quotLocals, or casts it through
+// char * into a long local. A widening or same-width assignment or the
+// casts are copies that the code generator folds into the division,
+// which must still divide as its dividend's type.
+func (g *progGen) divCopy(b *strings.Builder, depth, fn int) {
+	x := g.constDiv(divCasts[g.r.Intn(len(divCasts))] + "(" + g.expr(depth-1, fn) + ")")
+	if g.r.Intn(3) == 0 {
+		fmt.Fprintf(b, "l%d = (long)(char *)%s;\n", g.r.Intn(fuzzLocals), x)
+		return
+	}
+	fmt.Fprintf(b, "q%d = %s;\n", g.r.Intn(len(quotLocals)), x)
+}
+
 // elem emits an element of arr picked by e, always in bounds. Two of
 // three go through a pointer into arr with a negative index, plain or
 // i - c, so folded memory operands get negative index and displacement
@@ -155,7 +175,7 @@ func (g *progGen) elem(e string) string {
 // is the loop-nesting level (used to pick distinct counter names).
 func (g *progGen) stmts(b *strings.Builder, n, depth, fn, lv int) {
 	for i := 0; i < n; i++ {
-		switch g.r.Intn(8) {
+		switch g.r.Intn(9) {
 		case 0, 1:
 			fmt.Fprintf(b, "l%d = %s;\n", g.r.Intn(fuzzLocals), g.expr(depth, fn))
 		case 2:
@@ -178,6 +198,8 @@ func (g *progGen) stmts(b *strings.Builder, n, depth, fn, lv int) {
 			g.loop(b, depth, fn, lv)
 		case 6:
 			g.wrap(b, depth, fn, lv)
+		case 7:
+			g.divCopy(b, depth, fn)
 		default:
 			fmt.Fprintf(b, "acc = acc + %s;\n", g.expr(depth, fn))
 		}
@@ -228,13 +250,21 @@ func (g *progGen) body(b *strings.Builder, n, depth, fn int) {
 	for i := 0; i < fuzzLocals; i++ {
 		fmt.Fprintf(b, " + l%d", i)
 	}
-	b.WriteString(" + (w0 >> 3) + w1;\n")
+	b.WriteString(" + (w0 >> 3) + w1")
+	for i := range quotLocals {
+		fmt.Fprintf(b, " + (short)q%d", i)
+	}
+	b.WriteString(";\n")
 }
 
-// wraps declares the int locals wrap drives, starting near INT_MAX.
+// wraps declares the int locals wrap drives, starting near INT_MAX, and
+// divCopy's quotient locals.
 func (g *progGen) wraps(b *strings.Builder) {
 	for i := 0; i < fuzzWraps; i++ {
 		fmt.Fprintf(b, "int w%d = %d;\n", i, 2147483647-g.r.Int63n(100))
+	}
+	for i, t := range quotLocals {
+		fmt.Fprintf(b, "%s q%d = %d;\n", t, i, i)
 	}
 }
 

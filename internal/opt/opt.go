@@ -181,36 +181,23 @@ func (s *scratch) constFold(f *ir.Func) bool {
 			if in.Op.HasResult() && in.Res != ir.NoValue {
 				ver = s.def(in.Res)
 			}
-			switch in.Op {
-			case ir.OpConst:
+			switch {
+			case in.Op == ir.OpConst:
 				s.consts[in.Res] = constFact{imm: in.Imm, ver: ver}
-			case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMod,
-				ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr, ir.OpSar:
+			case in.Op.Class() == ir.ClassIntBin || in.Op == ir.OpICmp:
 				a, okA := s.constOf(in.Args[0], start)
 				b, okB := s.constOf(in.Args[1], start)
 				if !okA || !okB {
 					continue
 				}
-				ty := f.ValueType(in.Res)
-				v, ok := foldBin(in.Op, a, b, ty.IsInteger() && !ty.Signed)
+				v, ok := foldBin(in, a, b)
 				if !ok {
 					continue
 				}
-				*in = ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: v, Ty: ty, Pos: in.Pos}
+				*in = ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: v, Ty: f.ValueType(in.Res), Pos: in.Pos}
 				s.consts[in.Res] = constFact{imm: v, ver: ver}
 				changed = true
-			case ir.OpICmp:
-				a, okA := s.constOf(in.Args[0], start)
-				b, okB := s.constOf(in.Args[1], start)
-				if !okA || !okB {
-					continue
-				}
-				v := foldICmp(in.Pred, a, b)
-				ty := f.ValueType(in.Res)
-				*in = ir.Inst{Op: ir.OpConst, Res: in.Res, Imm: v, Ty: ty, Pos: in.Pos}
-				s.consts[in.Res] = constFact{imm: v, ver: ver}
-				changed = true
-			case ir.OpCondBr:
+			case in.Op == ir.OpCondBr:
 				if v, ok := s.constOf(in.Args[0], start); ok {
 					target := in.Blk
 					if v == 0 {
@@ -225,10 +212,12 @@ func (s *scratch) constFold(f *ir.Func) bool {
 	return changed
 }
 
-// foldBin evaluates a op b as the lowering computes it in a register;
-// unsigned selects the unsigned divide.
-func foldBin(op ir.Op, a, b int64, unsigned bool) (int64, bool) {
-	switch op {
+// foldBin evaluates a in.Op b, an integer binop or icmp, as the lowering
+// computes it in a register; a div or mod divides by in.Ty's signedness.
+func foldBin(in *ir.Inst, a, b int64) (int64, bool) {
+	switch op := in.Op; op {
+	case ir.OpICmp:
+		return foldICmp(in.Pred, a, b), true
 	case ir.OpAdd:
 		return a + b, true
 	case ir.OpSub:
@@ -236,6 +225,7 @@ func foldBin(op ir.Op, a, b int64, unsigned bool) (int64, bool) {
 	case ir.OpMul:
 		return a * b, true
 	case ir.OpDiv, ir.OpMod:
+		unsigned := !in.Ty.Signed
 		if b == 0 || !unsigned && b == -1 && a == math.MinInt64 {
 			return 0, false // faults (#DE) at run time
 		}
@@ -395,15 +385,13 @@ func (s *scratch) localCSE(f *ir.Func) bool {
 		start := s.clock
 		for _, in := range blk.Insts {
 			var key cseKey
-			switch in.Op {
-			case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpAnd, ir.OpOr, ir.OpXor,
-				ir.OpShl, ir.OpShr, ir.OpSar:
-				a, b := in.Args[0], in.Args[1]
-				key = cseKey{op: in.Op, a: a, av: s.stampOf(a), b: b, bv: s.stampOf(b)}
-			case ir.OpICmp:
+			switch {
+			// A div or mod is never merged: the key has no operation
+			// type, which decides its value.
+			case in.Op.Class() == ir.ClassIntBin && !in.Op.MayFault(), in.Op == ir.OpICmp:
 				a, b := in.Args[0], in.Args[1]
 				key = cseKey{op: in.Op, pred: in.Pred, a: a, av: s.stampOf(a), b: b, bv: s.stampOf(b)}
-			case ir.OpConst:
+			case in.Op == ir.OpConst:
 				key = cseKey{op: in.Op, a: ir.NoValue, b: ir.NoValue, imm: in.Imm, ty: f.ValueType(in.Res)}
 			default:
 				if in.Res != ir.NoValue {
@@ -429,14 +417,10 @@ func (s *scratch) localCSE(f *ir.Func) bool {
 
 // ---- Dead code elimination ----
 
+// hasSideEffects reports whether in must stay although its result is
+// unused: it defines none, calls, or may fault.
 func hasSideEffects(in *ir.Inst) bool {
-	switch in.Op {
-	case ir.OpStore, ir.OpCall, ir.OpICall, ir.OpRet, ir.OpBr, ir.OpCondBr:
-		return true
-	case ir.OpDiv, ir.OpMod: // may fault
-		return true
-	}
-	return false
+	return !in.Op.HasResult() || in.Op.Class() == ir.ClassCall || in.Op.MayFault()
 }
 
 // dce removes pure instructions whose results are never used anywhere and

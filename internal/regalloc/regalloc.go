@@ -155,7 +155,7 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 		blockStart[blk.ID] = pos
 		for _, in := range blk.Insts {
 			insts = append(insts, in)
-			if in.Op == ir.OpCall || in.Op == ir.OpICall {
+			if in.Op.Class() == ir.ClassCall {
 				callPos = append(callPos, pos)
 				res.HasCall = true
 				na := len(in.Args)
@@ -382,7 +382,7 @@ func Allocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) 
 	// act, or -1.
 	hint := func(iv *interval) int {
 		in := insts[iv.start]
-		if in.Res != iv.v || in.Op == ir.OpCall || in.Op == ir.OpICall || len(in.Args) == 0 {
+		if in.Res != iv.v || in.Op.Class() == ir.ClassCall || len(in.Args) == 0 {
 			return -1
 		}
 		a := in.Args[0]

@@ -158,62 +158,59 @@ func (c *collector) subValue(from, to *types.Type, pos minic.Pos, reason string)
 	c.deepEq(from, to, pos, reason)
 }
 
-func (c *collector) collectFunc(f *ir.Func) {
+func (c *collector) collectFunc(f *ir.Func) error {
 	for _, blk := range f.Blocks {
 		for _, in := range blk.Insts {
-			c.collectInst(f, in)
+			if err := c.collectInst(f, in); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
-func (c *collector) collectInst(f *ir.Func, in *ir.Inst) {
+// collectInst adds in's constraints, by its op's class. It rejects an op
+// of a class it has no rule for, so a new class cannot slip through
+// inference unconstrained.
+func (c *collector) collectInst(f *ir.Func, in *ir.Inst) error {
 	ty := func(v ir.Value) *types.Type { return f.ValueType(v) }
-	switch in.Op {
-	case ir.OpConst, ir.OpFConst, ir.OpAddrOf, ir.OpGlobalAddr, ir.OpFuncAddr,
-		ir.OpVaStart, ir.OpBr:
+	switch in.Op.Class() {
+	case ir.ClassConst, ir.ClassAddress:
 		// Sources with fixed or shared qualifiers: nothing to do.
 
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpMod, ir.OpAnd, ir.OpOr,
-		ir.OpXor, ir.OpShl, ir.OpShr, ir.OpSar,
-		ir.OpFAdd, ir.OpFSub, ir.OpFMul, ir.OpFDiv,
-		ir.OpICmp, ir.OpFCmp:
+	case ir.ClassIntBin, ir.ClassFloatBin, ir.ClassCompare, ir.ClassConversion:
+		// Only the operands' own taint flows. Pointer arithmetic results
+		// share the pointee type term with the pointer operand
+		// (constructed that way in irgen); casts sever pointee linkage by
+		// design.
 		for _, a := range in.Args {
 			c.sub(ty(a).Qual, ty(in.Res).Qual, in.Pos, "operand flows into "+in.Op.String()+" result")
 		}
-		// Pointer arithmetic results share the pointee type term with the
-		// pointer operand (constructed that way in irgen).
 
-	case ir.OpCopy:
+	case ir.ClassCopy:
 		c.subValue(ty(in.Args[0]), ty(in.Res), in.Pos, "assignment")
 
-	case ir.OpTrunc, ir.OpIntToFP, ir.OpFPToInt:
-		c.sub(ty(in.Args[0]).Qual, ty(in.Res).Qual, in.Pos, "conversion")
-
-	case ir.OpBitcast:
-		// Casts sever pointee linkage by design; only the value's own
-		// taint flows.
-		c.sub(ty(in.Args[0]).Qual, ty(in.Res).Qual, in.Pos, "cast")
-
-	case ir.OpLoad:
+	case ir.ClassMemory:
+		// The declared pointee and the access type must agree; the
+		// runtime check enforces the region. The address's own taint
+		// flows into what the access reads or writes: a lookup by a
+		// private index is private, and a store through one makes the
+		// memory it writes private.
 		addrTy := ty(in.Args[0])
 		if addrTy.Kind == types.Ptr {
-			// The declared pointee and the access type must agree; the
-			// runtime check enforces the region.
-			c.eq(addrTy.Elem.Qual, in.Ty.Qual, in.Pos, "load pointee")
-			c.deepEq(addrTy.Elem, in.Ty, in.Pos, "load pointee")
+			c.eq(addrTy.Elem.Qual, in.Ty.Qual, in.Pos, in.Op.String()+" pointee")
+			c.deepEq(addrTy.Elem, in.Ty, in.Pos, in.Op.String()+" pointee")
 		}
+		if in.Op == ir.OpStore {
+			c.sub(addrTy.Qual, in.Ty.Qual, in.Pos, "store address")
+			c.subValue(ty(in.Args[1]), in.Ty, in.Pos, "stored value")
+			break
+		}
+		c.sub(addrTy.Qual, ty(in.Res).Qual, in.Pos, "load address")
 		c.sub(in.Ty.Qual, ty(in.Res).Qual, in.Pos, "loaded value")
 		c.deepEq(in.Ty, ty(in.Res), in.Pos, "loaded value")
 
-	case ir.OpStore:
-		addrTy := ty(in.Args[0])
-		if addrTy.Kind == types.Ptr {
-			c.eq(addrTy.Elem.Qual, in.Ty.Qual, in.Pos, "store pointee")
-			c.deepEq(addrTy.Elem, in.Ty, in.Pos, "store pointee")
-		}
-		c.subValue(ty(in.Args[1]), in.Ty, in.Pos, "stored value")
-
-	case ir.OpCall, ir.OpICall:
+	case ir.ClassCall:
 		var params []*types.Type
 		var ret *types.Type
 		var variadic bool
@@ -222,11 +219,15 @@ func (c *collector) collectInst(f *ir.Func, in *ir.Inst) {
 		if in.Op == ir.OpCall {
 			callee := c.mod.Func(in.Callee)
 			if callee == nil {
-				return
+				return nil
 			}
 			params, ret, variadic = callee.Params, callee.Ret, callee.Variadic
 		} else {
 			fnTy := ty(in.Args[0])
+			if in.Res != ir.NoValue {
+				// Which function runs decides the result.
+				c.sub(fnTy.Qual, ty(in.Res).Qual, in.Pos, "indirect call target")
+			}
 			args = in.Args[1:]
 			name = "indirect call"
 			var sig *types.FuncSig
@@ -235,7 +236,7 @@ func (c *collector) collectInst(f *ir.Func, in *ir.Inst) {
 			} else if fnTy.Kind == types.Func {
 				sig = fnTy.Sig
 			} else {
-				return
+				return nil
 			}
 			params, ret, variadic = sig.Params, sig.Ret, sig.Variadic
 		}
@@ -254,17 +255,23 @@ func (c *collector) collectInst(f *ir.Func, in *ir.Inst) {
 			c.deepEq(ret, ty(in.Res), in.Pos, "return value of "+name)
 		}
 
-	case ir.OpRet:
-		if len(in.Args) > 0 && f.Ret != nil && f.Ret.Kind != types.Void {
-			c.subValue(ty(in.Args[0]), f.Ret, in.Pos, "return from "+f.Name)
+	case ir.ClassTerminator:
+		switch in.Op {
+		case ir.OpRet:
+			if len(in.Args) > 0 && f.Ret != nil && f.Ret.Kind != types.Void {
+				c.subValue(ty(in.Args[0]), f.Ret, in.Pos, "return from "+f.Name)
+			}
+		case ir.OpCondBr:
+			// Branch on private data is an implicit flow: warning, or
+			// error in strict mode.
+			c.branches = append(c.branches, edge{ty(in.Args[0]).Qual, types.Public,
+				in.Pos, "branch condition in " + f.Name})
 		}
 
-	case ir.OpCondBr:
-		// Branch on private data is an implicit flow: warning, or error
-		// in strict mode.
-		c.branches = append(c.branches, edge{ty(in.Args[0]).Qual, types.Public,
-			in.Pos, "branch condition in " + f.Name})
+	default:
+		return fmt.Errorf("taint: %s: no constraint rule for op %s (class %d)", f.Name, in.Op, in.Op.Class())
 	}
+	return nil
 }
 
 // Options configures inference.
@@ -284,7 +291,9 @@ func Infer(mod *ir.Module, nvars int32, opts Options) (*Assignment, error) {
 	c := &collector{mod: mod}
 	for _, f := range mod.Funcs {
 		if f.Blocks != nil {
-			c.collectFunc(f)
+			if err := c.collectFunc(f); err != nil {
+				return nil, err
+			}
 		}
 	}
 

@@ -1,9 +1,11 @@
 package taint_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"confllvm/internal/ir"
 	"confllvm/internal/irgen"
 	"confllvm/internal/minic"
 	"confllvm/internal/taint"
@@ -163,5 +165,115 @@ void f(private char *s) {
 `, taint.Options{})
 	if err == nil {
 		t.Fatal("private pointee into public void * not caught")
+	}
+}
+
+// TestEveryOpPropagatesTaint: for every op with a result and register
+// operands, and each of those operands in turn, a private operand either
+// makes the result private (so returning it from a function with a
+// public return type is rejected) or is itself rejected where it flows
+// into a public position (a public parameter). A store through a private
+// address into public memory is rejected too.
+func TestEveryOpPropagatesTaint(t *testing.T) {
+	long := func(q types.Qual) *types.Type { return types.MakeInt(8, true, q) }
+	dbl := func(q types.Qual) *types.Type { return types.MakeFloat(q) }
+	pubLong := long(types.Public)
+	ptr := func(q types.Qual) *types.Type { return types.MakePtr(pubLong, q) }
+	sig := &types.FuncSig{Params: []*types.Type{pubLong}, Ret: pubLong}
+	fnPtr := func(q types.Qual) *types.Type { return types.MakePtr(types.MakeFunc(sig), q) }
+	callee := &ir.Func{Name: "g", Params: sig.Params, Ret: sig.Ret, Extern: true}
+
+	for op := ir.OpInvalid + 1; op.Class() != ir.ClassInvalid; op++ {
+		var operands []func(types.Qual) *types.Type
+		switch op.Class() {
+		case ir.ClassConst, ir.ClassAddress, ir.ClassTerminator:
+			continue // no result, or no register operands
+		case ir.ClassIntBin:
+			operands = []func(types.Qual) *types.Type{long, long}
+		case ir.ClassFloatBin:
+			operands = []func(types.Qual) *types.Type{dbl, dbl}
+		case ir.ClassCompare:
+			operands = []func(types.Qual) *types.Type{long, long}
+			if op == ir.OpFCmp {
+				operands = []func(types.Qual) *types.Type{dbl, dbl}
+			}
+		case ir.ClassMemory:
+			if !op.HasResult() {
+				continue // the store, below
+			}
+			operands = []func(types.Qual) *types.Type{ptr}
+		case ir.ClassCall:
+			operands = []func(types.Qual) *types.Type{long}
+			if op == ir.OpICall {
+				operands = []func(types.Qual) *types.Type{fnPtr, long}
+			}
+		case ir.ClassConversion:
+			operands = []func(types.Qual) *types.Type{long}
+			if op == ir.OpFPToInt {
+				operands = []func(types.Qual) *types.Type{dbl}
+			}
+		case ir.ClassCopy:
+			operands = []func(types.Qual) *types.Type{long}
+		default:
+			t.Fatalf("%v: class %d has no operand shapes here", op, op.Class())
+		}
+		for i := range operands {
+			gen := &minic.QualGen{}
+			f := &ir.Func{Name: "f", Ret: pubLong}
+			in := &ir.Inst{Op: op, Ty: pubLong, Callee: callee.Name}
+			for j, mk := range operands {
+				q := types.Public
+				if j == i {
+					q = types.Private
+				}
+				v := f.NewValue(mk(q))
+				f.Params, f.ParamRegs = append(f.Params, f.ValueType(v)), append(f.ParamRegs, v)
+				in.Args = append(in.Args, v)
+			}
+			in.Res = f.NewValue(long(gen.Fresh()))
+			f.NewBlock().Insts = []*ir.Inst{in, {Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{in.Res}}}
+			mod := ir.NewModule()
+			mod.AddFunc(callee)
+			mod.AddFunc(f)
+			var te *taint.TypeError
+			if _, err := taint.Infer(mod, gen.Count(), taint.Options{}); !errors.As(err, &te) {
+				t.Errorf("%v with private operand %d: err = %v, want a violation", op, i, err)
+			}
+		}
+	}
+
+	f := &ir.Func{Name: "f"}
+	p, v := f.NewValue(ptr(types.Private)), f.NewValue(pubLong)
+	f.Params, f.ParamRegs = []*types.Type{f.ValueType(p), pubLong}, []ir.Value{p, v}
+	f.NewBlock().Insts = []*ir.Inst{
+		{Op: ir.OpStore, Res: ir.NoValue, Args: []ir.Value{p, v}, Ty: pubLong},
+		{Op: ir.OpRet, Res: ir.NoValue},
+	}
+	mod := ir.NewModule()
+	mod.AddFunc(f)
+	var te *taint.TypeError
+	if _, err := taint.Infer(mod, 0, taint.Options{}); !errors.As(err, &te) {
+		t.Errorf("store through a private address into public memory: err = %v, want a violation", err)
+	}
+}
+
+// TestUnknownOpClassIsAnError: an op whose class collectInst has no rule
+// for makes inference fail instead of adding no constraint.
+func TestUnknownOpClassIsAnError(t *testing.T) {
+	long := types.MakeInt(8, true, types.Public)
+	f := &ir.Func{Name: "f", Ret: long}
+	a := f.NewValue(long)
+	f.Params, f.ParamRegs = []*types.Type{long}, []ir.Value{a}
+	r := f.NewValue(long)
+	f.NewBlock().Insts = []*ir.Inst{
+		{Op: ir.Op(255), Res: r, Args: []ir.Value{a}},
+		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{r}},
+	}
+	mod := ir.NewModule()
+	mod.AddFunc(f)
+	_, err := taint.Infer(mod, 0, taint.Options{})
+	var te *taint.TypeError
+	if err == nil || errors.As(err, &te) || !strings.Contains(err.Error(), "no constraint rule") {
+		t.Fatalf("err = %v, want an unhandled-class error", err)
 	}
 }
