@@ -315,6 +315,43 @@ int main() {
 	}
 }
 
+// TestE2EGlobalInitializersConvert: a constant initializer yields the same
+// value on a global as on a local: constant folding converts through casts
+// and C's arithmetic conversions as the generated code does, and the value
+// is converted to the slot's type, integer or double.
+func TestE2EGlobalInitializersConvert(t *testing.T) {
+	for _, tc := range []struct{ decl, out string }{
+		{"unsigned long a = (unsigned long)-1 >> 60;", "a"},
+		{"long b = (char)200;", "b"},
+		{"int c = (unsigned)-1 / 2;", "c"},
+		{"double d = 1;", "(long)(d * 4)"},
+		{"long e = 2.5;", "e"},
+		{"double f = -1.5;", "(long)(f * 4)"},
+		{"char g = 300 + 1;", "g"},
+		{"unsigned h = -1;", "h"},
+		{"short i = (short)40000 / 3;", "i"},
+		{"long j = (unsigned char)-1 << 4 | 3;", "j"},
+		{"double k = (unsigned)-1;", "(long)k"},
+		{"int l = 7 / 2 * 2.0 < 7;", "l"},
+		{"unsigned char m = ~0u >> 1;", "m"},
+		{"long n = -(unsigned)1 % 1000;", "n"},
+	} {
+		srcs := map[string]string{
+			"global": "extern void output(long v);\n" + tc.decl + "\nint main() { output(" + tc.out + "); return 0; }\n",
+			"local":  "extern void output(long v);\nint main() { " + tc.decl + " output(" + tc.out + "); return 0; }\n",
+		}
+		for _, v := range []Variant{VariantBase, VariantMPX} {
+			got := map[string][]int64{}
+			for where, src := range srcs {
+				got[where] = runSrc(t, v, nil, Source{"init.c", src}).Outputs
+			}
+			if !reflect.DeepEqual(got["global"], got["local"]) {
+				t.Errorf("[%v] %s: global outputs %v, local %v", v, tc.decl, got["global"], got["local"])
+			}
+		}
+	}
+}
+
 func TestE2EThreads(t *testing.T) {
 	src := Source{"thr.c", `
 extern void thread_spawn(void (*fn)(long), long arg);

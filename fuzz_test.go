@@ -30,7 +30,10 @@ import (
 // folds into displaced and indexed memory operands, and divisions and
 // remainders of public and private long, int, short and unsigned values
 // by constants of both signs (div-const), which lower to multiplies,
-// mulh and shifts.
+// mulh and shifts, and functions declared before their definitions,
+// called directly, through a function pointer and a table of them, with
+// varargs, an array parameter and a private parameter and return
+// (fn-sigs), whose CFI taint bits every call site must match.
 func FuzzCompile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		// Nested macro bodies can multiply the token count by 2^n; bound n

@@ -20,13 +20,21 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/compile_digests.
 
 const goldenDigests = "testdata/compile_digests.txt"
 
-// imageDigest is a SHA-256 over an image's code bytes and its layout
-// fields, in declaration order.
+// imageDigest is a SHA-256 over an image's code bytes, its layout fields
+// in declaration order, its public and private data, and each function's
+// CFI taint bits (which the loader also reads to pick a thread's exit
+// shim).
 func imageDigest(art *confllvm.Artifact) string {
+	img := art.Image
 	h := sha256.New()
-	h.Write(art.Image.Code)
-	if err := binary.Write(h, binary.LittleEndian, art.Image.Layout); err != nil {
+	h.Write(img.Code)
+	if err := binary.Write(h, binary.LittleEndian, img.Layout); err != nil {
 		panic(err) // Layout is all fixed-size fields
+	}
+	h.Write(img.PubData)
+	h.Write(img.PrivData)
+	for _, fs := range img.Funcs {
+		h.Write([]byte{fs.ArgBits, fs.RetBit})
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -81,7 +81,8 @@ type Config struct {
 	// U->T transition (false = the paper's Our1Mem ablation).
 	SeparateUT bool
 	// IgnoreTaint compiles like a vanilla compiler: one stack, no private
-	// placement (the Base/BaseOA configurations).
+	// placement (the Base/BaseOA configurations). Gen turns it into the
+	// compilation's valuation; nothing else reads it.
 	IgnoreTaint bool
 	// NoMPXOpt disables the paper's §5.1 MPX optimizations (rsp-check
 	// elision, guard-displacement elision and block-local check
@@ -158,14 +159,14 @@ type Module struct {
 
 // Gen generates code for the whole module under the given configuration.
 func Gen(mod *ir.Module, a *taint.Assignment, conf Config) (*Module, error) {
+	v := valuation{a: a, blind: conf.IgnoreTaint}
 	out := &Module{
 		Globals:      mod.Globals,
 		GlobalRegion: map[string]bool{},
 		Config:       conf,
 	}
 	for _, g := range mod.Globals {
-		private := !conf.IgnoreTaint && a.IsPrivate(g.Type.Qual)
-		out.GlobalRegion[g.Name] = private
+		out.GlobalRegion[g.Name] = v.private(g.Type.Qual)
 	}
 	extIndex := map[string]int{}
 	for _, f := range mod.Funcs {
@@ -176,13 +177,13 @@ func Gen(mod *ir.Module, a *taint.Assignment, conf Config) (*Module, error) {
 	}
 	for _, f := range mod.Funcs {
 		if f.Extern {
-			out.Funcs = append(out.Funcs, genStub(f, a, conf, extIndex[f.Name]))
+			out.Funcs = append(out.Funcs, genStub(f, v, conf, extIndex[f.Name]))
 			continue
 		}
 		if f.Blocks == nil {
 			return nil, fmt.Errorf("codegen: function %s declared but never defined", f.Name)
 		}
-		fc, err := genFunc(mod, f, a, conf)
+		fc, err := genFunc(mod, f, v, conf)
 		if err != nil {
 			return nil, err
 		}
@@ -191,45 +192,48 @@ func Gen(mod *ir.Module, a *taint.Assignment, conf Config) (*Module, error) {
 	return out, nil
 }
 
-// argBits computes the 5 CFI taint bits for a function signature:
-// bit i (i<4) = taint of argument register i, bit 4 = taint of the return
-// register. Unused argument registers are conservatively private (§4).
-func argBits(f *ir.Func, a *taint.Assignment, conf Config) uint8 {
-	if conf.IgnoreTaint {
-		return 0
-	}
-	var bits uint8
-	for i := 0; i < 4; i++ {
-		private := true // unused arg registers are conservatively private
-		if !f.Variadic && i < len(f.Params) {
-			private = a.IsPrivate(f.Params[i].Qual)
-		}
-		if private {
-			bits |= 1 << i
-		}
-	}
-	if retBit(f, a) == 1 {
-		bits |= 1 << 4
-	}
-	return bits
+// valuation decides what the emitted code treats as private: a global's
+// region, a value's register class and spill slots, an alloca's stack, a
+// stack argument's slot and a signature's CFI taint bits. Base compiles
+// taint-blind (Config.IgnoreTaint): nothing is private there, and the
+// frame has no private half.
+type valuation struct {
+	a     *taint.Assignment
+	blind bool
 }
 
-func retBit(f *ir.Func, a *taint.Assignment) uint8 {
-	if f.Ret == nil || f.Ret.Kind == types.Void {
-		return 1 // dead return register: conservatively private
+// private reports whether data of qualifier q lives in the private region.
+func (v valuation) private(q types.Qual) bool { return !v.blind && v.a.IsPrivate(q) }
+
+// cfiBits returns the CFI taint bits of a function with signature sig
+// (§4): bit i < 4 of args is the taint of argument register i, and bit 4
+// the taint of the return register, which ret repeats. An unused argument
+// register and a void function's return register are conservatively
+// private. A function's entry word and every call site's expected bits
+// come from here, so they agree by construction. Base emits no magic
+// words and its args are 0; its ret still picks the exit shim a thread
+// entry returns to (the loader reads link.FuncSym.RetBit), by the declared
+// return taint.
+func (v valuation) cfiBits(sig *types.FuncSig) (args, ret uint8) {
+	if sig.Ret == nil || sig.Ret.Kind == types.Void || v.a.IsPrivate(sig.Ret.Qual) {
+		ret = 1
 	}
-	if a.IsPrivate(f.Ret.Qual) {
-		return 1
+	if v.blind {
+		return 0, ret
 	}
-	return 0
+	for i := 0; i < 4; i++ {
+		if sig.Variadic || i >= len(sig.Params) || v.private(sig.Params[i].Qual) {
+			args |= 1 << i
+		}
+	}
+	return args | ret<<4, ret
 }
 
 // genStub generates the U-side stub for an extern T function: a magic-
 // prefixed entry that jumps through the externals table (§6).
-func genStub(f *ir.Func, a *taint.Assignment, conf Config, slot int) *FuncCode {
-	fc := &FuncCode{Name: f.Name, IsStub: true, Variadic: f.Variadic}
-	fc.ArgBits = argBits(f, a, conf)
-	fc.RetBit = retBit(f, a)
+func genStub(f *ir.Func, v valuation, conf Config, slot int) *FuncCode {
+	fc := &FuncCode{Name: f.Name, IsStub: true, Variadic: f.Sig.Variadic}
+	fc.ArgBits, fc.RetBit = v.cfiBits(f.Sig)
 	if conf.CFI {
 		fc.Items = append(fc.Items, Item{Magic: true, MagicCall: true, MagicBits: fc.ArgBits, Label: -1})
 	}
@@ -253,7 +257,7 @@ func (fc *FuncCode) emit(in asm.Inst, rel RelKind, sym string) {
 type ctx struct {
 	mod  *ir.Module
 	f    *ir.Func
-	a    *taint.Assignment
+	v    valuation
 	conf Config
 	ra   *regalloc.Result
 	fc   *FuncCode
@@ -287,16 +291,13 @@ type checkKey struct {
 	bnd         asm.Bnd
 }
 
-func genFunc(mod *ir.Module, f *ir.Func, a *taint.Assignment, conf Config) (*FuncCode, error) {
-	isPrivate := func(v ir.Value) bool {
-		if conf.IgnoreTaint {
-			return false
-		}
-		t := f.ValueType(v)
-		return t != nil && a.IsPrivate(t.Qual)
+func genFunc(mod *ir.Module, f *ir.Func, v valuation, conf Config) (*FuncCode, error) {
+	isPrivate := func(x ir.Value) bool {
+		t := f.ValueType(x)
+		return t != nil && v.private(t.Qual)
 	}
-	isFloat := func(v ir.Value) bool {
-		t := f.ValueType(v)
+	isFloat := func(x ir.Value) bool {
+		t := f.ValueType(x)
 		return t != nil && t.Kind == types.Float
 	}
 	f = prepass(f, isPrivate, isFloat, conf.Bounds == BoundsMPX)
@@ -309,18 +310,17 @@ func genFunc(mod *ir.Module, f *ir.Func, a *taint.Assignment, conf Config) (*Fun
 		irInsts += len(blk.Insts)
 	}
 	c := &ctx{
-		mod: mod, f: f, a: a, conf: conf, ra: ra,
-		fc: &FuncCode{Name: f.Name, Variadic: f.Variadic,
+		mod: mod, f: f, v: v, conf: conf, ra: ra,
+		fc: &FuncCode{Name: f.Name, Variadic: f.Sig.Variadic,
 			Items: make([]Item, 0, 2*irInsts+16)},
 		pubAllocaOff: map[*ir.Alloca]int{},
 		checked:      map[checkKey]int32{},
 	}
-	c.fc.ArgBits = argBits(f, a, conf)
-	c.fc.RetBit = retBit(f, a)
+	c.fc.ArgBits, c.fc.RetBit = v.cfiBits(f.Sig)
 	c.numSaved = len(ra.UsedCalleeSaved)
 
 	c.layoutFrame()
-	if conf.Bounds == BoundsMPX && !GuardCovers(c.incomingArgDisp(len(f.Params))) {
+	if conf.Bounds == BoundsMPX && !GuardCovers(c.incomingArgDisp(len(f.Sig.Params))) {
 		// rsp-relative operands go unchecked only within the guard (and
 		// such a frame would overflow its thread stack anyway).
 		return nil, fmt.Errorf("codegen %s: a %d-byte frame exceeds the %d-byte stack guard",
@@ -537,7 +537,7 @@ func (c *ctx) layoutFrame() {
 		if alg < 1 {
 			alg = 1
 		}
-		if c.allocaPrivate(al) {
+		if c.v.private(al.Type.Qual) {
 			priv = alignUp(priv, alg)
 			al.FrameOff = priv
 			priv += sz
@@ -550,7 +550,7 @@ func (c *ctx) layoutFrame() {
 	pub = alignUp(pub, 8)
 	priv = alignUp(priv, 8)
 
-	if c.conf.IgnoreTaint {
+	if c.v.blind {
 		c.frameSize = pub
 		c.privBase = 0
 		return
@@ -570,14 +570,6 @@ func (c *ctx) layoutFrame() {
 }
 
 func alignUp(n, a int) int { return (n + a - 1) / a * a }
-
-// allocaPrivate reports whether an alloca lives on the private stack.
-func (c *ctx) allocaPrivate(al *ir.Alloca) bool {
-	if c.conf.IgnoreTaint {
-		return false
-	}
-	return c.a.IsPrivate(al.Type.Qual)
-}
 
 func (c *ctx) emit(in asm.Inst) {
 	c.fc.Items = append(c.fc.Items, Item{Inst: in, Label: -1})
@@ -612,7 +604,7 @@ func (c *ctx) incomingArgDisp(slot int) int64 {
 // moveParamsIn transfers incoming arguments to their allocated locations.
 func (c *ctx) moveParamsIn() {
 	f := c.f
-	if f.Variadic {
+	if f.Sig.Variadic {
 		// All parameters arrive on the public stack.
 		for i, pv := range f.ParamRegs {
 			loc := c.ra.Locs[pv]
@@ -643,7 +635,7 @@ func (c *ctx) moveParamsIn() {
 		if loc.Kind == regalloc.LocNone {
 			continue
 		}
-		private := !c.conf.IgnoreTaint && c.a.IsPrivate(f.Params[i].Qual)
+		private := c.v.private(f.Sig.Params[i].Qual)
 		disp := c.incomingArgDisp(i - 4)
 		c.loadStackSlotTo(loc, disp, private)
 	}
@@ -668,7 +660,7 @@ func (c *ctx) loadStackSlotTo(loc regalloc.Loc, disp int64, private bool) {
 // selected by private, applying the active scheme's addressing.
 func (c *ctx) stackOperand(disp int64, size uint8, private bool) asm.Mem {
 	m := asm.Mem{Base: asm.RSP, Index: asm.NoReg, Size: size}
-	if private && !c.conf.IgnoreTaint {
+	if private {
 		if c.conf.Bounds == BoundsSeg && c.conf.SeparateStacks {
 			// gs:[esp+disp]: the private stack sits at the same offset
 			// within the private segment.

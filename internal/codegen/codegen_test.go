@@ -97,7 +97,7 @@ int main() {
 // b2 returning retVal(c, a) and b respectively.
 func branchFunc(thenID, elseID int, retVal func(c, a ir.Value) ir.Value) *ir.Func {
 	long := types.MakeInt(8, true, types.Public)
-	f := &ir.Func{Name: "f", Params: []*types.Type{long, long}, Ret: long}
+	f := &ir.Func{Name: "f", Sig: &types.FuncSig{Params: []*types.Type{long, long}, Ret: long}}
 	a, b := f.NewValue(long), f.NewValue(long)
 	f.ParamRegs = []ir.Value{a, b}
 	c := f.NewValue(types.MakeInt(4, true, types.Public))
@@ -504,7 +504,7 @@ func TestLeaThreeAddress(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			long := types.MakeInt(8, true, types.Public)
-			f := &ir.Func{Name: "f", Params: []*types.Type{long}, Ret: long}
+			f := &ir.Func{Name: "f", Sig: &types.FuncSig{Params: []*types.Type{long}, Ret: long}}
 			a, k, d, r := f.NewValue(long), f.NewValue(long), f.NewValue(long), f.NewValue(long)
 			f.ParamRegs = []ir.Value{a}
 			f.NewBlock().Insts = []*ir.Inst{

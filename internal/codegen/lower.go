@@ -10,14 +10,6 @@ import (
 	"confllvm/internal/types"
 )
 
-// qualPrivate resolves a qualifier under the active configuration.
-func (c *ctx) qualPrivate(q types.Qual) bool {
-	if c.conf.IgnoreTaint {
-		return false
-	}
-	return c.a.IsPrivate(q)
-}
-
 // readGPR materializes v into a general-purpose register, using scratch
 // when v lives in memory or an FP register.
 func (c *ctx) readGPR(v ir.Value, scratch asm.Reg) asm.Reg {
@@ -258,7 +250,7 @@ func (c *ctx) lower(in *ir.Inst) error {
 
 	case ir.OpLoad:
 		a := c.readAddress(in, false)
-		private := c.qualPrivate(in.Ty.Qual)
+		private := c.v.private(in.Ty.Qual)
 		if in.Ty.Kind == types.Float {
 			m := c.memOperand(a, 8, false, private)
 			d := c.destFPR(in.Res)
@@ -275,7 +267,7 @@ func (c *ctx) lower(in *ir.Inst) error {
 		c.emit(asm.Inst{Op: asm.OpLoad, Dst: d, M: m})
 		c.flushGPR(in.Res, d)
 	case ir.OpStore:
-		private := c.qualPrivate(in.Ty.Qual)
+		private := c.v.private(in.Ty.Qual)
 		if in.Ty.Kind == types.Float {
 			a := c.readAddress(in, false)
 			v := c.readFPR(in.Args[1], regalloc.ScratchFA)
@@ -375,7 +367,7 @@ func (c *ctx) lower(in *ir.Inst) error {
 
 	case ir.OpVaStart:
 		d := c.destGPR(in.Res)
-		disp := c.incomingArgDisp(len(c.f.Params))
+		disp := c.incomingArgDisp(len(c.f.Sig.Params))
 		c.emit(asm.Inst{Op: asm.OpLea, Dst: d,
 			M: asm.Mem{Base: asm.RSP, Index: asm.NoReg, Disp: int32(disp), Size: 8}})
 		c.flushGPR(in.Res, d)
@@ -392,7 +384,7 @@ func (c *ctx) lower(in *ir.Inst) error {
 					c.emit(asm.Inst{Op: asm.OpMovRR, Dst: asm.RetReg, Src: v})
 				}
 			}
-		} else if c.f.Ret != nil && c.f.Ret.Kind != types.Void {
+		} else if rt := c.f.Sig.Ret; rt != nil && rt.Kind != types.Void {
 			// A bare return from a non-void function: the caller still
 			// reads rax, so return a public zero rather than whatever the
 			// body left there (ConfVerify rejects a possibly-private rax at
@@ -600,7 +592,7 @@ var fcmpConds = [...]asm.Cond{
 func (c *ctx) lowerAddrOf(in *ir.Inst) {
 	al := in.A
 	d := c.destGPR(in.Res)
-	if !c.allocaPrivate(al) {
+	if !c.v.private(al.Type.Qual) {
 		c.emit(asm.Inst{Op: asm.OpLea, Dst: d,
 			M: asm.Mem{Base: asm.RSP, Index: asm.NoReg, Disp: int32(al.FrameOff), Size: 8}})
 		c.flushGPR(in.Res, d)
@@ -629,34 +621,20 @@ func (c *ctx) lowerCall(in *ir.Inst) error {
 	args := in.Args
 	indirect := in.Op == ir.OpICall
 	var sig *types.FuncSig
-	var calleeVariadic bool
-	var calleeRetBit uint8
-	var expectBits uint8
 	if indirect {
-		fnTy := c.f.ValueType(in.Args[0])
 		args = in.Args[1:]
-		if fnTy.Kind == types.Ptr && fnTy.Elem.Kind == types.Func {
-			sig = fnTy.Elem.Sig
-		} else if fnTy.Kind == types.Func {
-			sig = fnTy.Sig
-		} else {
+		fnTy := c.f.ValueType(in.Args[0])
+		if sig = types.SigOf(fnTy); sig == nil {
 			return fmt.Errorf("indirect call through non-function type %s", fnTy)
 		}
-		calleeVariadic = sig.Variadic
-		calleeRetBit = c.sigRetBit(sig)
-		expectBits = c.sigArgBits(sig)
 	} else {
 		callee := c.mod.Func(in.Callee)
 		if callee == nil {
 			return fmt.Errorf("call to unknown function %s", in.Callee)
 		}
-		sig = &types.FuncSig{Params: callee.Params, Ret: callee.Ret, Variadic: callee.Variadic}
-		calleeVariadic = callee.Variadic
-		calleeRetBit = retBit(callee, c.a)
-		if c.conf.IgnoreTaint {
-			calleeRetBit = 0
-		}
+		sig = callee.Sig
 	}
+	expectBits, retBit := c.v.cfiBits(sig)
 
 	// 1. Indirect target into R10 before any argument staging.
 	if indirect {
@@ -667,7 +645,7 @@ func (c *ctx) lowerCall(in *ir.Inst) error {
 	}
 
 	// 2. Stack arguments.
-	if calleeVariadic {
+	if sig.Variadic {
 		// All arguments travel on the public stack (our varargs ABI).
 		for i, av := range args {
 			v := c.readGPR(av, regalloc.ScratchB)
@@ -678,7 +656,7 @@ func (c *ctx) lowerCall(in *ir.Inst) error {
 		for i := 4; i < len(args); i++ {
 			private := false
 			if i < len(sig.Params) {
-				private = c.qualPrivate(sig.Params[i].Qual)
+				private = c.v.private(sig.Params[i].Qual)
 			}
 			v := c.readGPR(args[i], regalloc.ScratchB)
 			m := c.stackOperand(int64(8*(i-4)), 8, private)
@@ -728,7 +706,7 @@ func (c *ctx) lowerCall(in *ir.Inst) error {
 	}
 	if c.conf.CFI {
 		c.fc.Items = append(c.fc.Items, Item{Magic: true, MagicCall: false,
-			MagicBits: calleeRetBit, Label: -1})
+			MagicBits: retBit, Label: -1})
 	}
 	// The callee clobbered caller-saved registers and any coalesced
 	// check state.
@@ -746,38 +724,4 @@ func (c *ctx) lowerCall(in *ir.Inst) error {
 		}
 	}
 	return nil
-}
-
-// sigArgBits computes callsite-expected CFI taint bits from a signature.
-func (c *ctx) sigArgBits(sig *types.FuncSig) uint8 {
-	if c.conf.IgnoreTaint {
-		return 0
-	}
-	var bits uint8
-	for i := 0; i < 4; i++ {
-		private := true
-		if !sig.Variadic && i < len(sig.Params) {
-			private = c.qualPrivate(sig.Params[i].Qual)
-		}
-		if private {
-			bits |= 1 << i
-		}
-	}
-	if c.sigRetBit(sig) == 1 {
-		bits |= 1 << 4
-	}
-	return bits
-}
-
-func (c *ctx) sigRetBit(sig *types.FuncSig) uint8 {
-	if c.conf.IgnoreTaint {
-		return 0
-	}
-	if sig.Ret == nil || sig.Ret.Kind == types.Void {
-		return 1
-	}
-	if c.qualPrivate(sig.Ret.Qual) {
-		return 1
-	}
-	return 0
 }

@@ -40,10 +40,10 @@ func TestPrepassCopyFolding(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := &ir.Func{Name: "f", Ret: tc.dt}
+			f := &ir.Func{Name: "f", Sig: &types.FuncSig{Ret: tc.dt}}
 			a := f.NewValue(tc.tt)
 			f.ParamRegs = []ir.Value{a}
-			f.Params = []*types.Type{tc.tt}
+			f.Sig.Params = []*types.Type{tc.tt}
 			tmp := f.NewValue(tc.tt)
 			d := f.NewValue(tc.dt)
 			op := ir.OpAdd
@@ -69,10 +69,10 @@ func TestPrepassCopyFolding(t *testing.T) {
 // the div, which still divides as an int (its Ty, not l's type), so it
 // lowers by the signed 32-bit magic plan: an imul, no idiv or mulh.
 func TestPrepassFoldsWidenedQuotient(t *testing.T) {
-	f := &ir.Func{Name: "f", Ret: pubLong}
+	f := &ir.Func{Name: "f", Sig: &types.FuncSig{Ret: pubLong}}
 	i := f.NewValue(pubInt)
 	f.ParamRegs = []ir.Value{i}
-	f.Params = []*types.Type{pubInt}
+	f.Sig.Params = []*types.Type{pubInt}
 	k, q, l := f.NewValue(pubInt), f.NewValue(pubInt), f.NewValue(pubLong)
 	f.NewBlock().Insts = []*ir.Inst{
 		{Op: ir.OpConst, Res: k, Imm: 3, Ty: pubInt},
@@ -107,10 +107,10 @@ func TestPrepassFoldsWidenedQuotient(t *testing.T) {
 // is defined once, earlier in the same block. A constant left without
 // uses is dropped; one still used elsewhere stays.
 func TestPrepassImmediates(t *testing.T) {
-	f := &ir.Func{Name: "f", Ret: pubLong}
+	f := &ir.Func{Name: "f", Sig: &types.FuncSig{Ret: pubLong}}
 	x := f.NewValue(pubLong)
 	f.ParamRegs = []ir.Value{x}
-	f.Params = []*types.Type{pubLong}
+	f.Sig.Params = []*types.Type{pubLong}
 	local := f.NewValue(pubLong)  // defined once, in b1 before its use
 	outer := f.NewValue(pubLong)  // defined once, in b0
 	twice := f.NewValue(pubLong)  // defined in b0 and b1
@@ -181,11 +181,11 @@ func TestPrepassImmediates(t *testing.T) {
 func TestPrepassCastOfConstant(t *testing.T) {
 	pubChar := types.MakeInt(1, true, types.Public)
 	pubUint := types.MakeInt(4, false, types.Public)
-	f := &ir.Func{Name: "f", Ret: pubLong}
+	f := &ir.Func{Name: "f", Sig: &types.FuncSig{Ret: pubLong}}
 	x := f.NewValue(pubLong)
 	p := f.NewValue(types.MakePtr(pubChar, types.Public))
 	f.ParamRegs = []ir.Value{x, p}
-	f.Params = []*types.Type{pubLong, f.ValueType(p)}
+	f.Sig.Params = []*types.Type{pubLong, f.ValueType(p)}
 	k := f.NewValue(pubLong)
 	v := f.NewValue(pubInt) // defined twice
 	u := f.NewValue(pubUint)
@@ -331,10 +331,10 @@ func TestPrepassAddressFolding(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			f := &ir.Func{Name: "f", Ret: pubLong}
+			f := &ir.Func{Name: "f", Sig: &types.FuncSig{Ret: pubLong}}
 			b, i := f.NewValue(ptr), f.NewValue(pubLong)
 			f.ParamRegs = []ir.Value{b, i}
-			f.Params = []*types.Type{ptr, pubLong}
+			f.Sig.Params = []*types.Type{ptr, pubLong}
 			insts := tc.build(b, i, f.NewValue)
 			addr := insts[len(insts)-1].Res
 			if addr == ir.NoValue || insts[len(insts)-1].Op == ir.OpCopy {

@@ -287,12 +287,15 @@ func (b *Block) Succs() []int {
 
 // Func is an IR function.
 type Func struct {
-	Name      string
-	Params    []*types.Type
+	Name string
+	// Sig is the function's one signature, its array parameters already
+	// decayed to pointers. Irgen types calls and the function's address
+	// by it, taint constrains arguments and returns by it, and codegen
+	// derives the CFI taint bits of the entry word and of every call
+	// site, and the argument-passing convention, from it.
+	Sig       *types.FuncSig
 	ParamRegs []Value // vreg holding each incoming parameter
-	Ret       *types.Type
-	Variadic  bool
-	Extern    bool // trusted-runtime function (no body, called via stubs)
+	Extern    bool    // trusted-runtime function (no body, called via stubs)
 	Blocks    []*Block
 	Allocas   []*Alloca
 
@@ -418,13 +421,13 @@ func (in *Inst) String() string {
 func (f *Func) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "func %s(", f.Name)
-	for i, p := range f.Params {
+	for i, p := range f.Sig.Params {
 		if i > 0 {
 			b.WriteString(", ")
 		}
 		fmt.Fprintf(&b, "v%d %s", f.ParamRegs[i], p)
 	}
-	fmt.Fprintf(&b, ") %s {\n", f.Ret)
+	fmt.Fprintf(&b, ") %s {\n", f.Sig.Ret)
 	for _, blk := range f.Blocks {
 		fmt.Fprintf(&b, "b%d:\n", blk.ID)
 		for _, in := range blk.Insts {

@@ -120,7 +120,7 @@ func (g *generator) genStmt(s minic.Stmt) {
 			return
 		}
 		v, t := g.genExpr(x.X)
-		v = g.convert(v, t, g.fn.Ret, x.Pos)
+		v = g.convert(v, t, g.fn.Sig.Ret, x.Pos)
 		g.emit(&ir.Inst{Op: ir.OpRet, Args: []ir.Value{v}})
 	case *minic.Break:
 		if len(g.breakBlk) == 0 {
@@ -293,9 +293,7 @@ func (g *generator) genIdent(x *minic.Ident) (ir.Value, *types.Type) {
 		return g.decayOrLoad(addr, glob.Type)
 	}
 	if fn := g.mod.Func(x.Name); fn != nil {
-		sig := &types.FuncSig{Params: fn.Params, Ret: fn.Ret, Variadic: fn.Variadic}
-		ft := types.MakeFunc(sig)
-		pt := types.MakePtr(ft, types.Public)
+		pt := types.MakePtr(types.MakeFunc(fn.Sig), types.Public)
 		return g.emitV(&ir.Inst{Op: ir.OpFuncAddr, Global: x.Name,
 			Res: g.fn.NewValue(pt)}), pt
 	}
@@ -478,10 +476,10 @@ func (g *generator) genBinary(x *minic.Binary) (ir.Value, *types.Type) {
 
 // arith emits lv op rv for an arithmetic operator (not a compare, && or
 // ||), for a binary expression and for a compound assignment alike:
-// pointer offsets and differences, float ops, and integer ops under the
-// usual arithmetic conversions. A div or mod carries its operation type
-// in Ty, and an op that can leave a sub-64-bit type's range is
-// normalized.
+// pointer offsets and differences (any other operation on a pointer is an
+// error), float ops, and integer ops under the usual arithmetic
+// conversions. A div or mod carries its operation type in Ty, and an op
+// that can leave a sub-64-bit type's range is normalized.
 func (g *generator) arith(pos minic.Pos, op string, lv ir.Value, lt *types.Type, rv ir.Value, rt *types.Type) (ir.Value, *types.Type) {
 	// Pointer arithmetic.
 	if op == "+" || op == "-" {
@@ -503,6 +501,10 @@ func (g *generator) arith(pos minic.Pos, op string, lv ir.Value, lt *types.Type,
 			}
 			return d, res
 		}
+	}
+	if lt.Kind == types.Ptr || rt.Kind == types.Ptr {
+		g.errorf(pos, "invalid operands to binary %q", op)
+		return g.constInt(0, intType), intType
 	}
 
 	if lt.Kind == types.Float || rt.Kind == types.Float {
@@ -539,9 +541,6 @@ func (g *generator) arith(pos minic.Pos, op string, lv ir.Value, lt *types.Type,
 	}
 	in := &ir.Inst{Op: iop, Args: []ir.Value{lv, rv}, Res: g.fn.NewValue(res)}
 	if iop == ir.OpDiv || iop == ir.OpMod {
-		if !res.IsInteger() {
-			g.errorf(pos, "invalid operands to binary %q", op)
-		}
 		in.Ty = res
 	}
 	// An op that can carry a sub-64-bit result out of its type's range
@@ -607,18 +606,7 @@ func (g *generator) commonType(a, b *types.Type) *types.Type {
 	if b.Kind == types.Ptr {
 		return b.Clone().WithQual(g.gen.Fresh())
 	}
-	size := a.Size
-	if b.Size > size {
-		size = b.Size
-	}
-	if size < 4 {
-		size = 4
-	}
-	signed := true
-	if (a.Size == size && !a.Signed) || (b.Size == size && !b.Signed) {
-		signed = false
-	}
-	return types.MakeInt(size, signed, g.gen.Fresh())
+	return types.Promote(a, b, g.gen.Fresh())
 }
 
 func (g *generator) genShortCircuit(x *minic.Binary) (ir.Value, *types.Type) {
@@ -694,6 +682,10 @@ func (g *generator) genAssign(x *minic.Assign) (ir.Value, *types.Type) {
 		}
 		rv, vt := g.genExpr(x.RHS)
 		rhs, rt = g.arith(x.Pos, x.Op, old, elem, rv, vt)
+		if (elem.Kind == types.Ptr) != (rt.Kind == types.Ptr) {
+			// int += ptr, ptr -= ptr
+			g.errorf(x.Pos, "invalid operands to %s=", x.Op)
+		}
 	}
 	rhs = g.convert(rhs, rt, elem, x.Pos)
 	if promoted {
@@ -730,18 +722,14 @@ func (g *generator) genCall(x *minic.Call) (ir.Value, *types.Type) {
 	var sig *types.FuncSig
 	var fnVal ir.Value
 	if callee != nil {
-		sig = &types.FuncSig{Params: callee.Params, Ret: callee.Ret, Variadic: callee.Variadic}
+		sig = callee.Sig
 	} else {
-		v, t := g.genExpr(x.Fn)
-		if t.Kind == types.Ptr && t.Elem.Kind == types.Func {
-			sig = t.Elem.Sig
-		} else if t.Kind == types.Func {
-			sig = t.Sig
-		} else {
+		var t *types.Type
+		fnVal, t = g.genExpr(x.Fn)
+		if sig = types.SigOf(t); sig == nil {
 			g.errorf(x.Pos, "called object is not a function")
 			return g.constInt(0, intType), intType
 		}
-		fnVal = v
 	}
 	nfixed := len(sig.Params)
 	if len(x.Args) < nfixed || (!sig.Variadic && len(x.Args) > nfixed) {

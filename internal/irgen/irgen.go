@@ -37,7 +37,6 @@ type generator struct {
 	breakBlk  []int
 	contBlk   []int
 	strCount  int
-	curDecl   *minic.FuncDecl
 }
 
 // Gen lowers the parsed files into a single IR module. gen must be the
@@ -46,29 +45,26 @@ func Gen(files []*minic.File, gen *minic.QualGen) (*ir.Module, error) {
 	g := &generator{mod: ir.NewModule(), gen: gen}
 
 	// Pass 1: register all function signatures (including extern T
-	// functions) and globals, so forward references resolve.
+	// functions) and globals, so forward references resolve. A function
+	// keeps the signature of its first declaration; every later one must
+	// agree with it.
+	var bodies []*minic.FuncDecl
+	defined := map[string]bool{}
 	for _, f := range files {
 		for _, fd := range f.Funcs {
-			if g.mod.Func(fd.Name) != nil {
-				if fd.Body == nil {
-					continue // repeated prototype
-				}
-				if g.mod.Func(fd.Name).Blocks != nil {
-					g.errorf(fd.Pos, "function %s redefined", fd.Name)
-					continue
-				}
+			if prev := g.mod.Func(fd.Name); prev == nil {
+				g.mod.AddFunc(&ir.Func{Name: fd.Name, Sig: fd.Sig, Extern: fd.Extern, Pos: fd.Pos})
+			} else if !types.SameDecl(prev.Sig, fd.Sig) || prev.Extern != fd.Extern {
+				g.errorf(fd.Pos, "conflicting types for %s", fd.Name)
+				continue
 			}
-			irf := &ir.Func{
-				Name: fd.Name, Ret: fd.Ret, Variadic: fd.Variadic,
-				Extern: fd.Extern, Pos: fd.Pos,
-			}
-			for _, p := range fd.Params {
-				irf.Params = append(irf.Params, types.Decay(p.Type))
-			}
-			if prev := g.mod.Func(fd.Name); prev != nil {
-				*prev = *irf
-			} else {
-				g.mod.AddFunc(irf)
+			switch {
+			case fd.Body == nil:
+			case defined[fd.Name]:
+				g.errorf(fd.Pos, "function %s redefined", fd.Name)
+			default:
+				defined[fd.Name] = true
+				bodies = append(bodies, fd)
 			}
 		}
 		for _, vd := range f.Globals {
@@ -77,12 +73,8 @@ func Gen(files []*minic.File, gen *minic.QualGen) (*ir.Module, error) {
 	}
 
 	// Pass 2: function bodies.
-	for _, f := range files {
-		for _, fd := range f.Funcs {
-			if fd.Body != nil {
-				g.genFunc(fd)
-			}
-		}
+	for _, fd := range bodies {
+		g.genFunc(fd)
 	}
 	if len(g.errs) > 0 {
 		return nil, g.errs[0]
@@ -171,17 +163,21 @@ func (g *generator) initScalar(glob *ir.Global, off int, t *types.Type, e minic.
 		glob.Relocs = append(glob.Relocs, ir.Reloc{Off: off, Symbol: name})
 		return
 	}
-	if f, ok := e.(*minic.FloatLit); ok {
-		binary.LittleEndian.PutUint64(glob.Data[off:], math.Float64bits(f.Val))
-		return
-	}
-	v, ok := minic.FoldConst(e)
+	c, ok := minic.FoldConst(e)
 	if !ok {
 		g.errorf(pos, "global initializer must be a constant expression")
 		return
 	}
+	if t == nil {
+		t = longType
+	}
+	c = c.To(t)
+	bits := uint64(c.Int)
+	if t.Kind == types.Float {
+		bits = math.Float64bits(c.Float)
+	}
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
+	binary.LittleEndian.PutUint64(buf[:], bits)
 	copy(glob.Data[off:off+size], buf[:size])
 }
 
@@ -203,7 +199,6 @@ func (g *generator) internString(s string, qual types.Qual) string {
 func (g *generator) genFunc(fd *minic.FuncDecl) {
 	irf := g.mod.Func(fd.Name)
 	g.fn = irf
-	g.curDecl = fd
 	g.scopes = []map[string]*local{{}}
 	g.addrTaken = map[string]bool{}
 	markAddrTaken(fd.Body, g.addrTaken)
@@ -212,7 +207,7 @@ func (g *generator) genFunc(fd *minic.FuncDecl) {
 	g.blk = entry
 
 	for i, p := range fd.Params {
-		pt := types.Decay(p.Type)
+		pt := irf.Sig.Params[i]
 		v := irf.NewValue(pt)
 		irf.ParamRegs = append(irf.ParamRegs, v)
 		if p.Name == "" {
@@ -227,18 +222,17 @@ func (g *generator) genFunc(fd *minic.FuncDecl) {
 		} else {
 			g.define(p.Name, &local{vreg: v, ty: pt})
 		}
-		_ = i
 	}
 
 	g.genBlock(fd.Body)
 
 	// Implicit return at fall-off.
 	if g.blk != nil && !g.terminated() {
-		if fd.Ret.Kind == types.Void {
+		if rt := irf.Sig.Ret; rt.Kind == types.Void {
 			g.emit(&ir.Inst{Op: ir.OpRet})
 		} else {
-			z := g.emitV(&ir.Inst{Op: ir.OpConst, Imm: 0, Ty: fd.Ret,
-				Res: irf.NewValue(fd.Ret)})
+			z := g.emitV(&ir.Inst{Op: ir.OpConst, Imm: 0, Ty: rt,
+				Res: irf.NewValue(rt)})
 			g.emit(&ir.Inst{Op: ir.OpRet, Args: []ir.Value{z}})
 		}
 	}

@@ -242,7 +242,7 @@ int main() { return sum(3, 1, 2, 3); }
 	if err != nil {
 		t.Fatalf("irgen: %v", err)
 	}
-	if !mod.Func("sum").Variadic {
+	if !mod.Func("sum").Sig.Variadic {
 		t.Fatal("sum should be variadic")
 	}
 	if _, err := taint.Infer(mod, gen.Count(), taint.Options{Strict: true}); err != nil {
@@ -281,8 +281,7 @@ var _ = types.Public
 
 // TestDivisionCarriesItsType: every div and mod carries its operation
 // type in Ty, the common type of its operands whatever its result is
-// assigned to (compound assignments and pointer differences too), and a
-// pointer operand is an error.
+// assigned to (compound assignments and pointer differences too).
 func TestDivisionCarriesItsType(t *testing.T) {
 	gen := &minic.QualGen{}
 	src := `
@@ -314,12 +313,85 @@ long f(int i, unsigned u, long *p, long *q) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("div/mod types %v, want %v", got, want)
 	}
+}
 
-	file, err = minic.Parse("pdiv.c", `long g(long *p) { return p / 2; }`, nil, gen)
+// genErr lowers src and returns irgen's error.
+func genErr(t *testing.T, src string) error {
+	t.Helper()
+	gen := &minic.QualGen{}
+	f, err := minic.Parse("t.c", src, nil, gen)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if _, err := Gen([]*minic.File{file}, gen); err == nil || !strings.Contains(err.Error(), "invalid operands") {
-		t.Errorf("pointer division: err = %v, want invalid operands", err)
+	_, err = Gen([]*minic.File{f}, gen)
+	return err
+}
+
+// TestRedeclarations: a function has one signature. A redeclaration must
+// agree with the first declaration in shape and in where `private` is
+// written; an array parameter agrees with a pointer one, as in C.
+func TestRedeclarations(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"fewer params than the prototype", `
+long f(long a, long b);
+long g() { return f(40, 2); }
+long f(long a) { return a; }`, "conflicting types for f"},
+		{"private dropped from a parameter", `
+long f(private long a);
+long f(long a) { return 1; }`, "conflicting types for f"},
+		{"private added to a pointee", `
+long f(long *p);
+long f(private long *p) { return 1; }`, "conflicting types for f"},
+		{"private dropped from the return", `
+private long f(long a);
+long f(long a) { return a; }`, "conflicting types for f"},
+		{"a defined trusted function", `
+extern long f(long a);
+long f(long a) { return a; }`, "conflicting types for f"},
+		{"defined twice", `
+long f(long a) { return a; }
+long f(long a) { return a + 1; }`, "function f redefined"},
+		{"prototype, then definition", `
+long f(private long a, long *p);
+long g(private long s, long *q) { return f(s, q); }
+long f(private long b, long *r) { return r[0]; }`, ""},
+		{"array parameter is a pointer", `
+long f(long *a);
+long f(long a[]) { return a[0]; }`, ""},
+	} {
+		err := genErr(t, tc.src)
+		if tc.want == "" && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestPointerArithmeticTypes: a pointer takes part only in ptr ± int,
+// int + ptr and ptr - ptr; every other arithmetic operator on a pointer,
+// and a compound assignment whose result changes pointer-ness, is an
+// error.
+func TestPointerArithmeticTypes(t *testing.T) {
+	for _, body := range []string{
+		"return p / 2;", "return p % 2;", "return p * 2;", "return p & 7;", "return p | q;", "return p ^ q;",
+		"return p << 1;", "return p >> 1;", "return 1 << p;", "return 3 - p;",
+		"return p + q;", "long i = 3; i += p; return i;", "p -= q; return 0;",
+		"p *= 2; return 0;", "long i = 3; i &= p; return i;",
+	} {
+		err := genErr(t, "long f(long *p, long *q) { "+body+" }")
+		if err == nil || !strings.Contains(err.Error(), "invalid operands") {
+			t.Errorf("%s: err = %v, want invalid operands", body, err)
+		}
+	}
+	for _, body := range []string{
+		"return *(p + 1);", "return *(1 + p);", "return *(p - 1);", "return p - q;",
+		"p += 2; return *p;", "p -= 2; return *p;", "long i = p - q; i += 1; return i;",
+		"return (long)p & 7;",
+	} {
+		if err := genErr(t, "long f(long *p, long *q) { "+body+" }"); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
 	}
 }

@@ -94,7 +94,8 @@ type Handler func(m *Machine, t *Thread) *Fault
 
 // The calibrated cost model's fixed parameters.
 const (
-	MissPenalty  = 14 // cycles per L1D miss (when Config.CacheModel is set)
+	MissPenalty  = 14 // cycles per L1D miss
+	Cores        = 4  // hardware cores for wall-clock estimation
 	FPMaskDepth  = 2  // bound checks maskable behind each FP op window
 	TrustedCost  = 40 // cycles charged for a U->T->U transition (wrapper)
 	TrustedCost1 = 8  // same, when U and T share memory (Our1Mem)
@@ -102,8 +103,6 @@ const (
 
 // Config tunes the cost model.
 type Config struct {
-	Cores       int    // hardware cores for wall-clock estimation
-	CacheModel  bool   // model L1D hit/miss
 	DefaultFuel uint64 // instruction budget per Run call (0 = no limit)
 
 	// Superblocks makes Run dispatch once per basic block instead of once
@@ -130,8 +129,6 @@ type Config struct {
 // DefaultConfig returns the calibrated default cost model.
 func DefaultConfig() Config {
 	return Config{
-		Cores:       4,
-		CacheModel:  true,
 		DefaultFuel: 2_000_000_000,
 		Superblocks: true,
 	}
@@ -162,9 +159,6 @@ func (m *Machine) Profile() *Profile { return m.prof }
 
 // New creates a machine with the given configuration.
 func New(conf Config) *Machine {
-	if conf.Cores <= 0 {
-		conf.Cores = 1
-	}
 	m := &Machine{
 		Mem:      NewMemory(),
 		Handlers: make(map[uint64]Handler),
@@ -180,11 +174,8 @@ func New(conf Config) *Machine {
 // NewThread creates a thread starting at pc with the given stack pointer
 // and stack bounds.
 func (m *Machine) NewThread(pc, rsp, stackLo, stackHi uint64) *Thread {
-	t := &Thread{ID: len(m.Threads), PC: pc, StackLo: stackLo, StackHi: stackHi, m: m}
+	t := &Thread{ID: len(m.Threads), PC: pc, StackLo: stackLo, StackHi: stackHi, m: m, l1: newCache()}
 	t.Regs[asm.RSP] = rsp
-	if m.Conf.CacheModel {
-		t.l1 = newCache()
-	}
 	m.Threads = append(m.Threads, t)
 	return t
 }
@@ -192,7 +183,7 @@ func (m *Machine) NewThread(pc, rsp, stackLo, stackHi uint64) *Thread {
 // fault halts the thread with a fault at the current pc, stamping the
 // fault with the thread's simulated cycle count. Every fault delivery in
 // every dispatch mode funnels through here (execRun, stepBlocks and the
-// fuel discipline in Run/runBlocks), and the callers all write back their
+// fuel discipline in runBlocks), and the callers all write back their
 // cycle accounting before calling, so the stamp is bit-identical across
 // stepping, superblock and chained dispatch.
 func (t *Thread) fault(f *Fault) *Fault {
@@ -279,9 +270,6 @@ func (t *Thread) ea(m *asm.Mem, useSeg bool) uint64 {
 }
 
 func (t *Thread) memCost(addr uint64) uint64 {
-	if t.l1 == nil {
-		return 0
-	}
 	if t.l1.access(addr) {
 		return 0
 	}
@@ -850,40 +838,19 @@ func (m *Machine) Run() *Fault {
 	}
 	m.fuel = m.Conf.DefaultFuel
 	if m.Conf.Superblocks {
-		return m.runBlocks()
+		return m.runBlocks(quantum)
 	}
-	for {
-		live := false
-		for _, t := range m.Threads {
-			if t.Halted {
-				continue
-			}
-			live = true
-			for i := 0; i < quantum && !t.Halted; i++ {
-				if m.fuel > 0 {
-					m.fuel--
-					if m.fuel == 0 {
-						return t.fault(&Fault{Kind: FaultFuel})
-					}
-				}
-				if f := t.Step(); f != nil {
-					return f
-				}
-			}
-		}
-		if !live {
-			return nil
-		}
-	}
+	return m.runBlocks(1)
 }
 
-// runBlocks is Run's superblock mode: each thread's quantum is spent in
-// block-sized bites. The per-instruction fuel discipline is preserved
-// exactly: stepping mode charges one fuel unit per Step and faults
-// *before* the instruction that would consume the last unit, so with F
-// units exactly F-1 instructions execute. Here the bite is capped at
-// fuel-1 and the FaultFuel is raised when the tank is down to one unit.
-func (m *Machine) runBlocks() *Fault {
+// runBlocks is Run's round-robin loop: each thread's quantum is spent in
+// bites of at most bite instructions, a whole quantum under superblock
+// dispatch and one instruction (a Thread.Step) otherwise. Fuel is charged
+// per instruction and the FaultFuel is raised *before* the instruction
+// that would consume the last unit, so with F units exactly F-1
+// instructions execute: the bite is capped at fuel-1, and the fault comes
+// when the tank is down to one unit.
+func (m *Machine) runBlocks(bite int) *Fault {
 	for {
 		live := false
 		for _, t := range m.Threads {
@@ -892,7 +859,7 @@ func (m *Machine) runBlocks() *Fault {
 			}
 			live = true
 			for i := 0; i < quantum && !t.Halted; {
-				budget := quantum - i
+				budget := min(quantum-i, bite)
 				if m.fuel > 0 {
 					if m.fuel == 1 {
 						m.fuel = 0
@@ -932,7 +899,7 @@ func (m *Machine) TotalStats() Stats {
 // and the makespan is returned. With one thread this is just its cycle
 // count; with more threads than cores the load is shared.
 func (m *Machine) WallCycles() uint64 {
-	loads := make([]uint64, m.Conf.Cores)
+	loads := make([]uint64, Cores)
 	// LPT: sort thread cycle counts descending, assign to least-loaded core.
 	cycles := make([]uint64, 0, len(m.Threads))
 	for _, t := range m.Threads {

@@ -255,13 +255,13 @@ func TestFPMaskingCredits(t *testing.T) {
 }
 
 func TestWallCyclesScheduling(t *testing.T) {
-	m := New(Config{Cores: 2})
-	for i := 0; i < 4; i++ {
+	m := New(DefaultConfig())
+	for i := 0; i < 2*Cores; i++ {
 		th := m.NewThread(0, 0, 0, 0)
 		th.Stats.Cycles = 100
 		th.Halted = true
 	}
-	// 4 threads x 100 cycles on 2 cores = 200 wall cycles.
+	// 8 threads x 100 cycles on 4 cores = 200 wall cycles.
 	if w := m.WallCycles(); w != 200 {
 		t.Fatalf("wall = %d, want 200", w)
 	}

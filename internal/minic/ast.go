@@ -12,16 +12,17 @@ type File struct {
 
 // FuncDecl is a function prototype or definition.
 type FuncDecl struct {
-	Pos      Pos
-	Name     string
-	Params   []Param
-	Ret      *types.Type
-	Variadic bool
-	Extern   bool   // trusted-runtime (T) function: declared `extern`
-	Body     *Block // nil for prototypes
+	Pos  Pos
+	Name string
+	// Sig is the function's type, its array parameters adjusted to
+	// pointers (C11 6.7.6.3p7).
+	Sig    *types.FuncSig
+	Params []Param
+	Extern bool   // trusted-runtime (T) function: declared `extern`
+	Body   *Block // nil for prototypes
 }
 
-// Param is a function parameter.
+// Param is a function parameter as written: its Type is not adjusted.
 type Param struct {
 	Name string
 	Type *types.Type

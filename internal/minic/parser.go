@@ -208,8 +208,8 @@ func (p *parser) topDecl(f *File) error {
 		}
 		if ty.Kind == types.Func {
 			fd := &FuncDecl{
-				Pos: pos, Name: name, Ret: ty.Sig.Ret,
-				Variadic: ty.Sig.Variadic, Extern: isExtern,
+				Pos: pos, Name: name, Extern: isExtern,
+				Sig: &types.FuncSig{Ret: ty.Sig.Ret, Variadic: ty.Sig.Variadic},
 			}
 			for i, pt := range ty.Sig.Params {
 				pname := ""
@@ -217,6 +217,7 @@ func (p *parser) topDecl(f *File) error {
 					pname = p.paramNames[i]
 				}
 				fd.Params = append(fd.Params, Param{Name: pname, Type: pt, Pos: pos})
+				fd.Sig.Params = append(fd.Sig.Params, types.Decay(pt))
 			}
 			if first && p.isPunct("{") {
 				if isExtern {
@@ -459,11 +460,11 @@ func (p *parser) directDeclarator(base *types.Type) (string, *types.Type, error)
 				if err != nil {
 					return "", nil, err
 				}
-				v, ok := foldConst(e)
-				if !ok {
+				c, ok := FoldConst(e)
+				if !ok || c.Type.Kind != types.Int {
 					return "", nil, p.errf("array length must be a constant expression")
 				}
-				n = int(v)
+				n = int(c.Int)
 			}
 			if err := p.expectPunct("]"); err != nil {
 				return "", nil, err
@@ -1072,94 +1073,3 @@ func (p *parser) primaryExpr() (Expr, error) {
 	}
 	return nil, p.errf("expression expected, found %s", t)
 }
-
-// foldConst evaluates constant integer expressions (for array lengths and
-// global initializers).
-func foldConst(e Expr) (int64, bool) {
-	switch x := e.(type) {
-	case *IntLit:
-		return x.Val, true
-	case *SizeofType:
-		return int64(x.Type.SizeOf()), true
-	case *Unary:
-		v, ok := foldConst(x.X)
-		if !ok {
-			return 0, false
-		}
-		switch x.Op {
-		case "-":
-			return -v, true
-		case "~":
-			return ^v, true
-		case "!":
-			if v == 0 {
-				return 1, true
-			}
-			return 0, true
-		}
-	case *Binary:
-		a, ok1 := foldConst(x.X)
-		b, ok2 := foldConst(x.Y)
-		if !ok1 || !ok2 {
-			return 0, false
-		}
-		switch x.Op {
-		case "+":
-			return a + b, true
-		case "-":
-			return a - b, true
-		case "*":
-			return a * b, true
-		case "/":
-			if b == 0 {
-				return 0, false
-			}
-			return a / b, true
-		case "%":
-			if b == 0 {
-				return 0, false
-			}
-			return a % b, true
-		case "<<":
-			return a << uint(b&63), true
-		case ">>":
-			return a >> uint(b&63), true
-		case "&":
-			return a & b, true
-		case "|":
-			return a | b, true
-		case "^":
-			return a ^ b, true
-		case "==", "!=", "<", "<=", ">", ">=", "&&", "||":
-			var r bool
-			switch x.Op {
-			case "==":
-				r = a == b
-			case "!=":
-				r = a != b
-			case "<":
-				r = a < b
-			case "<=":
-				r = a <= b
-			case ">":
-				r = a > b
-			case ">=":
-				r = a >= b
-			case "&&":
-				r = a != 0 && b != 0
-			case "||":
-				r = a != 0 || b != 0
-			}
-			if r {
-				return 1, true
-			}
-			return 0, true
-		}
-	case *Cast:
-		return foldConst(x.X)
-	}
-	return 0, false
-}
-
-// FoldConst exposes constant folding for other packages (irgen).
-func FoldConst(e Expr) (int64, bool) { return foldConst(e) }

@@ -138,7 +138,8 @@ func TestOperatorPrecedence(t *testing.T) {
 	}
 	for expr, want := range cases {
 		f := parse(t, "long x = "+expr+";")
-		got, ok := FoldConst(f.Globals[0].Init)
+		c, ok := FoldConst(f.Globals[0].Init)
+		got := c.Int
 		if f.Globals[0].Init == nil {
 			// folded into Inits? scalar init is Init
 			t.Fatalf("%s: no init", expr)
@@ -154,8 +155,8 @@ func TestStringAndCharEscapes(t *testing.T) {
 	if *f.Globals[0].StrVal != "a\nA" {
 		t.Errorf("string escape: %q", *f.Globals[0].StrVal)
 	}
-	v, _ := FoldConst(f.Globals[1].Init)
-	if v != '\t' {
+	c, _ := FoldConst(f.Globals[1].Init)
+	if v := c.Int; v != '\t' {
 		t.Errorf("char escape: %d", v)
 	}
 }
@@ -181,7 +182,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestVarargsParse(t *testing.T) {
 	f := parse(t, `int p(char *fmt, ...) { return 0; }`)
-	if !f.Funcs[0].Variadic {
+	if !f.Funcs[0].Sig.Variadic {
 		t.Error("variadic flag lost")
 	}
 }
@@ -211,8 +212,8 @@ func TestIntegerLiterals(t *testing.T) {
 	}
 	for lit, want := range values {
 		f := parse(t, "long x = "+lit+";")
-		got, ok := FoldConst(f.Globals[0].Init)
-		if !ok || got != want {
+		c, ok := FoldConst(f.Globals[0].Init)
+		if got := c.Int; !ok || got != want {
 			t.Errorf("%s = %d (ok=%v), want %d", lit, got, ok, want)
 		}
 	}

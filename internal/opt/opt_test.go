@@ -12,7 +12,7 @@ var i64 = types.MakeInt(8, true, types.Public)
 // buildFunc makes a one-block function computing (2+3)*4 and returning it,
 // with a dead extra instruction.
 func buildFunc() *ir.Func {
-	f := &ir.Func{Name: "t", Ret: i64}
+	f := &ir.Func{Name: "t", Sig: &types.FuncSig{Ret: i64}}
 	b := f.NewBlock()
 	v1 := f.NewValue(i64)
 	v2 := f.NewValue(i64)
@@ -59,7 +59,7 @@ func TestConstFoldAndDCE(t *testing.T) {
 }
 
 func TestCondBrFolding(t *testing.T) {
-	f := &ir.Func{Name: "t", Ret: i64}
+	f := &ir.Func{Name: "t", Sig: &types.FuncSig{Ret: i64}}
 	b0 := f.NewBlock()
 	b1 := f.NewBlock()
 	b2 := f.NewBlock()
@@ -92,7 +92,7 @@ func TestCondBrFolding(t *testing.T) {
 func TestCopyPropRespectsMutation(t *testing.T) {
 	// v2 = copy v1; v1 = const 9; use v2  -- must NOT propagate v1 into
 	// the use (mutable vregs).
-	f := &ir.Func{Name: "t", Ret: i64}
+	f := &ir.Func{Name: "t", Sig: &types.FuncSig{Ret: i64}}
 	b := f.NewBlock()
 	v1 := f.NewValue(i64)
 	v2 := f.NewValue(i64)
@@ -112,7 +112,7 @@ func TestCopyPropRespectsMutation(t *testing.T) {
 }
 
 func TestLocalCSE(t *testing.T) {
-	f := &ir.Func{Name: "t", Ret: i64}
+	f := &ir.Func{Name: "t", Sig: &types.FuncSig{Ret: i64}}
 	b := f.NewBlock()
 	a := f.NewValue(i64)
 	c := f.NewValue(i64)
@@ -186,7 +186,7 @@ func TestLocalCSEStaleFacts(t *testing.T) {
 		}, false},
 	}
 	for _, tc := range cases {
-		f := &ir.Func{Name: "t", Ret: i64}
+		f := &ir.Func{Name: "t", Sig: &types.FuncSig{Ret: i64}}
 		b := f.NewBlock()
 		a, c, d := f.NewValue(i64), f.NewValue(i64), f.NewValue(i64)
 		s1, s2 := f.NewValue(i64), f.NewValue(i64)
@@ -222,7 +222,7 @@ func TestCopyPropAliasLifetime(t *testing.T) {
 		}, false},
 	}
 	for _, tc := range cases {
-		f := &ir.Func{Name: "t", Ret: i64}
+		f := &ir.Func{Name: "t", Sig: &types.FuncSig{Ret: i64}}
 		b := f.NewBlock()
 		s := f.NewValue(i64)
 		d := f.NewValue(i64)
@@ -246,7 +246,7 @@ func TestFactsStayInBlock(t *testing.T) {
 	// b1: s2 = add a, c; r = add d, s2; q = add k, k; ret r
 	// b1 may be entered from elsewhere, so neither the constant, the copy
 	// nor the add of b0 may be used there.
-	f := &ir.Func{Name: "t", Ret: i64}
+	f := &ir.Func{Name: "t", Sig: &types.FuncSig{Ret: i64}}
 	b0, b1 := f.NewBlock(), f.NewBlock()
 	a, c, d, k := f.NewValue(i64), f.NewValue(i64), f.NewValue(i64), f.NewValue(i64)
 	s1, s2, r, q := f.NewValue(i64), f.NewValue(i64), f.NewValue(i64), f.NewValue(i64)
@@ -280,7 +280,7 @@ func TestFactsStayInBlock(t *testing.T) {
 
 func TestConstFoldRespectsRedefinition(t *testing.T) {
 	// k = const 5; k = call src; q = add k, k -- k is no longer 5.
-	f := &ir.Func{Name: "t", Ret: i64}
+	f := &ir.Func{Name: "t", Sig: &types.FuncSig{Ret: i64}}
 	b := f.NewBlock()
 	k := f.NewValue(i64)
 	q := f.NewValue(i64)
@@ -301,7 +301,7 @@ func TestLocalCSEConstantsKeyedByType(t *testing.T) {
 	// may resolve differently), while two 0s of one type merge even when
 	// vreg 0 is redefined between them: a constant's key names no operand.
 	priv := types.MakeInt(8, true, types.Private)
-	f := &ir.Func{Name: "t", Ret: i64}
+	f := &ir.Func{Name: "t", Sig: &types.FuncSig{Ret: i64}}
 	b := f.NewBlock()
 	v0 := f.NewValue(i64)
 	pub0 := f.NewValue(i64)
@@ -330,7 +330,7 @@ func TestLocalCSEConstantsKeyedByType(t *testing.T) {
 func TestNoValueOperands(t *testing.T) {
 	// irgen leaves NoValue where a void call's result is used. No pass may
 	// index by it; it is never defined, so facts naming it stay live.
-	f := &ir.Func{Name: "t", Ret: i64}
+	f := &ir.Func{Name: "t", Sig: &types.FuncSig{Ret: i64}}
 	b := f.NewBlock()
 	c, d, s1, s2 := f.NewValue(i64), f.NewValue(i64), f.NewValue(i64), f.NewValue(i64)
 	b.Insts = []*ir.Inst{

@@ -211,17 +211,15 @@ func (c *collector) collectInst(f *ir.Func, in *ir.Inst) error {
 		c.deepEq(in.Ty, ty(in.Res), in.Pos, "loaded value")
 
 	case ir.ClassCall:
-		var params []*types.Type
-		var ret *types.Type
-		var variadic bool
 		args := in.Args
 		name := in.Callee
+		var sig *types.FuncSig
 		if in.Op == ir.OpCall {
 			callee := c.mod.Func(in.Callee)
 			if callee == nil {
 				return nil
 			}
-			params, ret, variadic = callee.Params, callee.Ret, callee.Variadic
+			sig = callee.Sig
 		} else {
 			fnTy := ty(in.Args[0])
 			if in.Res != ir.NoValue {
@@ -230,36 +228,30 @@ func (c *collector) collectInst(f *ir.Func, in *ir.Inst) error {
 			}
 			args = in.Args[1:]
 			name = "indirect call"
-			var sig *types.FuncSig
-			if fnTy.Kind == types.Ptr && fnTy.Elem.Kind == types.Func {
-				sig = fnTy.Elem.Sig
-			} else if fnTy.Kind == types.Func {
-				sig = fnTy.Sig
-			} else {
+			if sig = types.SigOf(fnTy); sig == nil {
 				return nil
 			}
-			params, ret, variadic = sig.Params, sig.Ret, sig.Variadic
 		}
 		for i, a := range args {
-			if i < len(params) {
-				c.subValue(ty(a), params[i], in.Pos,
+			if i < len(sig.Params) {
+				c.subValue(ty(a), sig.Params[i], in.Pos,
 					fmt.Sprintf("argument %d of %s", i+1, name))
-			} else if variadic {
+			} else if sig.Variadic {
 				// Variadic arguments travel on the public stack.
 				c.sub(ty(a).Qual, types.Public, in.Pos,
 					fmt.Sprintf("variadic argument %d of %s (varargs are public)", i+1, name))
 			}
 		}
-		if in.Res != ir.NoValue && ret != nil {
-			c.sub(ret.Qual, ty(in.Res).Qual, in.Pos, "return value of "+name)
-			c.deepEq(ret, ty(in.Res), in.Pos, "return value of "+name)
+		if in.Res != ir.NoValue && sig.Ret != nil {
+			c.sub(sig.Ret.Qual, ty(in.Res).Qual, in.Pos, "return value of "+name)
+			c.deepEq(sig.Ret, ty(in.Res), in.Pos, "return value of "+name)
 		}
 
 	case ir.ClassTerminator:
 		switch in.Op {
 		case ir.OpRet:
-			if len(in.Args) > 0 && f.Ret != nil && f.Ret.Kind != types.Void {
-				c.subValue(ty(in.Args[0]), f.Ret, in.Pos, "return from "+f.Name)
+			if rt := f.Sig.Ret; len(in.Args) > 0 && rt != nil && rt.Kind != types.Void {
+				c.subValue(ty(in.Args[0]), rt, in.Pos, "return from "+f.Name)
 			}
 		case ir.OpCondBr:
 			// Branch on private data is an implicit flow: warning, or

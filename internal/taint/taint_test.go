@@ -181,7 +181,7 @@ func TestEveryOpPropagatesTaint(t *testing.T) {
 	ptr := func(q types.Qual) *types.Type { return types.MakePtr(pubLong, q) }
 	sig := &types.FuncSig{Params: []*types.Type{pubLong}, Ret: pubLong}
 	fnPtr := func(q types.Qual) *types.Type { return types.MakePtr(types.MakeFunc(sig), q) }
-	callee := &ir.Func{Name: "g", Params: sig.Params, Ret: sig.Ret, Extern: true}
+	callee := &ir.Func{Name: "g", Sig: sig, Extern: true}
 
 	for op := ir.OpInvalid + 1; op.Class() != ir.ClassInvalid; op++ {
 		var operands []func(types.Qual) *types.Type
@@ -219,7 +219,7 @@ func TestEveryOpPropagatesTaint(t *testing.T) {
 		}
 		for i := range operands {
 			gen := &minic.QualGen{}
-			f := &ir.Func{Name: "f", Ret: pubLong}
+			f := &ir.Func{Name: "f", Sig: &types.FuncSig{Ret: pubLong}}
 			in := &ir.Inst{Op: op, Ty: pubLong, Callee: callee.Name}
 			for j, mk := range operands {
 				q := types.Public
@@ -227,7 +227,7 @@ func TestEveryOpPropagatesTaint(t *testing.T) {
 					q = types.Private
 				}
 				v := f.NewValue(mk(q))
-				f.Params, f.ParamRegs = append(f.Params, f.ValueType(v)), append(f.ParamRegs, v)
+				f.Sig.Params, f.ParamRegs = append(f.Sig.Params, f.ValueType(v)), append(f.ParamRegs, v)
 				in.Args = append(in.Args, v)
 			}
 			in.Res = f.NewValue(long(gen.Fresh()))
@@ -242,9 +242,9 @@ func TestEveryOpPropagatesTaint(t *testing.T) {
 		}
 	}
 
-	f := &ir.Func{Name: "f"}
+	f := &ir.Func{Name: "f", Sig: &types.FuncSig{}}
 	p, v := f.NewValue(ptr(types.Private)), f.NewValue(pubLong)
-	f.Params, f.ParamRegs = []*types.Type{f.ValueType(p), pubLong}, []ir.Value{p, v}
+	f.Sig.Params, f.ParamRegs = []*types.Type{f.ValueType(p), pubLong}, []ir.Value{p, v}
 	f.NewBlock().Insts = []*ir.Inst{
 		{Op: ir.OpStore, Res: ir.NoValue, Args: []ir.Value{p, v}, Ty: pubLong},
 		{Op: ir.OpRet, Res: ir.NoValue},
@@ -261,9 +261,9 @@ func TestEveryOpPropagatesTaint(t *testing.T) {
 // for makes inference fail instead of adding no constraint.
 func TestUnknownOpClassIsAnError(t *testing.T) {
 	long := types.MakeInt(8, true, types.Public)
-	f := &ir.Func{Name: "f", Ret: long}
+	f := &ir.Func{Name: "f", Sig: &types.FuncSig{Ret: long}}
 	a := f.NewValue(long)
-	f.Params, f.ParamRegs = []*types.Type{long}, []ir.Value{a}
+	f.Sig.Params, f.ParamRegs = []*types.Type{long}, []ir.Value{a}
 	r := f.NewValue(long)
 	f.NewBlock().Insts = []*ir.Inst{
 		{Op: ir.Op(255), Res: r, Args: []ir.Value{a}},

@@ -278,6 +278,15 @@ func (t *Type) String() string {
 	return b.String()
 }
 
+// Promote returns the usual arithmetic conversions' common type of two
+// integer types, qualified q: at least int, and unsigned when an operand
+// of the common width is.
+func Promote(a, b *Type, q Qual) *Type {
+	size := max(a.Size, b.Size, 4)
+	signed := !(a.Size == size && !a.Signed || b.Size == size && !b.Signed)
+	return MakeInt(size, signed, q)
+}
+
 // Decay converts array types to pointers to their element (C decay).
 func Decay(t *Type) *Type {
 	if t != nil && t.Kind == Array {
@@ -286,33 +295,58 @@ func Decay(t *Type) *Type {
 	return t
 }
 
+// SigOf returns the signature of a function type or of a pointer to one,
+// and nil for any other type.
+func SigOf(t *Type) *FuncSig {
+	if t != nil && t.Kind == Ptr {
+		t = t.Elem
+	}
+	if t == nil || t.Kind != Func {
+		return nil
+	}
+	return t.Sig
+}
+
 // SameShape reports whether two types have identical shapes ignoring
 // qualifiers (used for cast classification and diagnostics, not for
 // enforcement — enforcement is via constraints and runtime checks).
-func SameShape(a, b *Type) bool {
+func SameShape(a, b *Type) bool { return same(a, b, false) }
+
+// SameDecl reports whether two declarations of one function agree, as C
+// requires of a redeclaration: the same shape, with `private` written at
+// the same levels.
+func SameDecl(a, b *FuncSig) bool { return sameSig(a, b, true) }
+
+// same compares the shapes of a and b and, if quals is set, where each
+// says `private`.
+func same(a, b *Type, quals bool) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	if a.Kind != b.Kind {
+	if a.Kind != b.Kind || quals && (a.Qual == Private) != (b.Qual == Private) {
 		return false
 	}
 	switch a.Kind {
 	case Int:
 		return a.Size == b.Size && a.Signed == b.Signed
 	case Ptr, Array:
-		return SameShape(a.Elem, b.Elem) && a.Len == b.Len
+		return same(a.Elem, b.Elem, quals) && a.Len == b.Len
 	case Struct, Union:
 		return a.Name == b.Name
 	case Func:
-		if len(a.Sig.Params) != len(b.Sig.Params) || a.Sig.Variadic != b.Sig.Variadic {
-			return false
-		}
-		for i := range a.Sig.Params {
-			if !SameShape(a.Sig.Params[i], b.Sig.Params[i]) {
-				return false
-			}
-		}
-		return SameShape(a.Sig.Ret, b.Sig.Ret)
+		return sameSig(a.Sig, b.Sig, quals)
 	}
 	return true
+}
+
+func sameSig(a, b *FuncSig, quals bool) bool {
+	if len(a.Params) != len(b.Params) || a.Variadic != b.Variadic {
+		return false
+	}
+	for i := range a.Params {
+		if !same(a.Params[i], b.Params[i], quals) {
+			return false
+		}
+	}
+	return same(a.Ret, b.Ret, quals)
 }

@@ -360,6 +360,14 @@ func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 		return false, &Error{in.off, "memory operand without MPX bound checks"}
 	}
 
+	// addrPrivate reports whether a memory operand's address depends on
+	// private data: a load through it reads private data whatever the
+	// region, and a store through it may not write the public region
+	// (Appendix A's H-dependent address rule).
+	addrPrivate := func(m asm.Mem) bool {
+		return m.Base != asm.NoReg && s.g[m.Base] || m.Index != asm.NoReg && s.g[m.Index]
+	}
+
 	for _, in := range b.insts {
 		switch in.Op {
 		case asm.OpNop, asm.OpChkSP, asm.OpTrap:
@@ -381,7 +389,7 @@ func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 			if err != nil {
 				return err
 			}
-			s.g[in.Dst] = lvl
+			s.g[in.Dst] = lvl || addrPrivate(in.M)
 		case asm.OpStore:
 			lvl, err := operandLevel(in)
 			if err != nil {
@@ -390,12 +398,15 @@ func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 			if s.g[in.Src] && !lvl {
 				return &Error{in.off, "private register stored to public memory"}
 			}
+			if addrPrivate(in.M) && !lvl {
+				return &Error{in.off, "store to public memory through a private address"}
+			}
 		case asm.OpFLoad:
 			lvl, err := operandLevel(in)
 			if err != nil {
 				return err
 			}
-			s.f[in.FDst] = lvl
+			s.f[in.FDst] = lvl || addrPrivate(in.M)
 		case asm.OpFStore:
 			lvl, err := operandLevel(in)
 			if err != nil {
@@ -403,6 +414,9 @@ func (v *verifier) transferBlock(p *proc, b *block, s *state) error {
 			}
 			if s.f[in.FSrc] && !lvl {
 				return &Error{in.off, "private FP register stored to public memory"}
+			}
+			if addrPrivate(in.M) && !lvl {
+				return &Error{in.off, "store to public memory through a private address"}
 			}
 		case asm.OpPush:
 			if s.g[in.Src] {

@@ -2,6 +2,7 @@ package verify_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -88,14 +89,15 @@ func TestVerifyErrorPaths(t *testing.T) {
 		return asm.Mem{Seg: seg, Base: base, Index: asm.NoReg, Size: 8, Use32: use32}
 	}
 
-	cases := []struct {
+	type errCase struct {
 		name    string
 		variant confllvm.Variant
 		strict  bool
 		// build emits one image and returns the wanted error offset and
 		// message (substring match for errors that embed decode details).
 		build func(b *ib) (int, string)
-	}{
+	}
+	cases := []errCase{
 		{"plain-ret", confllvm.VariantSeg, false, func(b *ib) (int, string) {
 			b.mcall(0)
 			off := b.emit(asm.Inst{Op: asm.OpRet})
@@ -383,6 +385,42 @@ func TestVerifyErrorPaths(t *testing.T) {
 			b.emit(asm.Inst{Op: asm.OpNop})
 			return off, "stray MRet magic word"
 		}},
+	}
+	// Address taint (Appendix A), under both schemes: rdx is private on
+	// entry and indexes a public operand.
+	for _, v := range []confllvm.Variant{confllvm.VariantMPX, confllvm.VariantSeg} {
+		// pubIndexed returns [rax + rdx*8] in the public region, with its
+		// bound checks under MPX.
+		pubIndexed := func(b *ib) asm.Mem {
+			m := mem8(asm.RAX, asm.SegFS, true)
+			if v == confllvm.VariantMPX {
+				m = mem8(asm.RAX, asm.SegNone, false)
+			}
+			m.Index, m.Scale = asm.RDX, 8
+			if v == confllvm.VariantMPX {
+				b.emit(asm.Inst{Op: asm.OpBndCLMem, M: m, Bnd: asm.BND0})
+				b.emit(asm.Inst{Op: asm.OpBndCUMem, M: m, Bnd: asm.BND0})
+			}
+			return m
+		}
+		cases = append(cases,
+			errCase{fmt.Sprintf("private-index-load-to-public-arg/%v", v), v, false, func(b *ib) (int, string) {
+				fEntry := b.mcall(0) + 8 // callee F: every argument public
+				b.emit(asm.Inst{Op: asm.OpTrap})
+				b.mcall(0b0010) // caller: rdx private on entry
+				b.emit(asm.Inst{Op: asm.OpLoad, Dst: asm.RCX, M: pubIndexed(b)})
+				off := b.emit(asm.Inst{Op: asm.OpCall, Imm: int64(b.at(fEntry))})
+				b.mret(0)
+				b.emit(asm.Inst{Op: asm.OpTrap})
+				return off, "private argument register rcx at a public-argument call site"
+			}},
+			errCase{fmt.Sprintf("public-store-through-private-index/%v", v), v, false, func(b *ib) (int, string) {
+				b.mcall(0b0010) // rdx private, rcx public
+				off := b.emit(asm.Inst{Op: asm.OpStore, M: pubIndexed(b), Src: asm.RCX})
+				b.emit(asm.Inst{Op: asm.OpTrap})
+				return off, "store to public memory through a private address"
+			}},
+		)
 	}
 
 	for _, tc := range cases {
