@@ -74,12 +74,20 @@ func TestNoJmpToNext(t *testing.T) {
 // magic words.
 func funcInsts(t *testing.T, img *link.Image, name string) []asm.Inst {
 	t.Helper()
+	insts, _ := funcInstAddrs(t, img, name)
+	return insts
+}
+
+// funcInstAddrs is funcInsts with each instruction's address.
+func funcInstAddrs(t *testing.T, img *link.Image, name string) ([]asm.Inst, []uint64) {
+	t.Helper()
 	fs := img.Func(name)
 	if fs == nil {
 		t.Fatalf("no function %s", name)
 	}
 	magic := img.MagicOffsets()
 	var out []asm.Inst
+	var addrs []uint64
 	off := int(fs.Base - img.Layout.CodeBase)
 	for end := off + int(fs.Size); off < end; {
 		if magic[off] {
@@ -91,9 +99,10 @@ func funcInsts(t *testing.T, img *link.Image, name string) []asm.Inst {
 			t.Fatalf("%s: decode at %#x: %v", name, off, err)
 		}
 		out = append(out, inst)
+		addrs = append(addrs, img.Layout.CodeBase+uint64(off))
 		off += n
 	}
-	return out
+	return out, addrs
 }
 
 // TestAddressFolding pins the memory operands the prepass folds address
@@ -118,17 +127,14 @@ int main() { long x[2]; x[1] = 5; return (int)get(x, 1); }
 		return art.Image
 	}
 
-	// Base: after the moves that place the incoming arguments, one load.
+	// Base: one load straight from the argument registers into the
+	// return register.
 	get := funcInsts(t, compile(confllvm.VariantBase), "get")
-	body := get
-	for len(body) > 0 && body[0].Op == asm.OpMovRR {
-		body = body[1:]
+	if len(get) != 2 || get[0].Op != asm.OpLoad || get[1].Op != asm.OpRet {
+		t.Fatalf("Base get = %v, want load; ret", get)
 	}
-	if len(body) != 2 || body[0].Op != asm.OpLoad || body[1].Op != asm.OpRet {
-		t.Fatalf("Base get = %v, want argument moves, then load; ret", get)
-	}
-	if m := body[0].M; m.Index == asm.NoReg || m.Scale != 8 || m.Disp != 0 {
-		t.Errorf("Base get loads from %v, want [a+i*8]", m)
+	if in := get[0]; in.Dst != asm.RAX || in.M.Base != asm.RCX || in.M.Index != asm.RDX || in.M.Scale != 8 || in.M.Disp != 0 {
+		t.Errorf("Base get = %v, want load rax, [rcx+rdx*8]", in)
 	}
 
 	img := compile(confllvm.VariantMPX)
@@ -155,13 +161,118 @@ int main() { long x[2]; x[1] = 5; return (int)get(x, 1); }
 		t.Errorf("OurMPX fields: %d check pairs for %d loads at %v, want 1 for [r], [r+4], [r+8]", pairs, loads, disps)
 	}
 	get = funcInsts(t, img, "get")
-	body = get[1:] // after chksp
-	for len(body) > 0 && body[0].Op == asm.OpMovRR {
-		body = body[1:]
+	if len(get) < 4 || get[0].Op != asm.OpChkSP || get[1].Op != asm.OpBndCLMem || get[2].Op != asm.OpBndCUMem ||
+		get[3].Op != asm.OpLoad || get[1].M != get[2].M || get[1].M.Index == asm.NoReg ||
+		get[1].M.Scale != 8 || get[1].M.Base != get[3].M.Base || get[1].M.Index != get[3].M.Index {
+		t.Errorf("OurMPX get = %v, want chksp, then bndcl/bndcu [a+i*8]; load [a+i*8]", get)
 	}
-	if len(body) < 3 || body[0].Op != asm.OpBndCLMem || body[1].Op != asm.OpBndCUMem ||
-		body[2].Op != asm.OpLoad || body[0].M != body[1].M || body[0].M.Index == asm.NoReg ||
-		body[0].M.Scale != 8 || body[0].M.Base != body[2].M.Base || body[0].M.Index != body[2].M.Index {
-		t.Errorf("OurMPX get = %v, want chksp, argument moves, then bndcl/bndcu [a+i*8]; load [a+i*8]", get)
+}
+
+// kernelImage compiles SPEC-like kernel name under v.
+func kernelImage(t *testing.T, name string, v confllvm.Variant) *link.Image {
+	t.Helper()
+	for _, k := range bench.SPECKernels() {
+		if k.Name == name {
+			art, err := confllvm.Compile(bench.SPECWorkload(k, k.ShortParams).Prog(v), v)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", name, v, err)
+			}
+			return art.Image
+		}
+	}
+	t.Fatalf("no kernel %s", name)
+	return nil
+}
+
+// TestAccumulatorInPlace pins copy coalescing on h264's dct8: in its
+// innermost loop, acc += in[k*8+j] * c is one add into acc's register and
+// the trunc back to int, with no reg-reg mov in or out of that register.
+func TestAccumulatorInPlace(t *testing.T) {
+	insts, addrs := funcInstAddrs(t, kernelImage(t, "h264", confllvm.VariantBase), "dct8")
+	// accIn returns the register X of an add X, _; movsx X, 4 pair in
+	// code (acc's update and its trunc to int) that nothing in code writes
+	// before it, so X carries acc from one iteration to the next; or NoReg.
+	accIn := func(code []asm.Inst) asm.Reg {
+		for i := 1; i < len(code); i++ {
+			x := code[i].Dst
+			if code[i].Op != asm.OpMovsx || code[i-1].Op != asm.OpAddRR || code[i-1].Dst != x {
+				continue
+			}
+			carried := true
+			for _, in := range code[:i-1] {
+				if in.WrittenGPR() == x {
+					carried = false
+				}
+			}
+			if carried {
+				return x
+			}
+		}
+		return asm.NoReg
+	}
+	// The inner loop is the shortest range from the target of a backward
+	// jcc to the jcc that holds acc's update.
+	var loop []asm.Inst
+	for i, in := range insts {
+		if in.Op != asm.OpJcc || uint64(in.Imm) > addrs[i] {
+			continue
+		}
+		for j := range insts {
+			if addrs[j] == uint64(in.Imm) && accIn(insts[j:i+1]) != asm.NoReg && (loop == nil || i+1-j < len(loop)) {
+				loop = insts[j : i+1]
+			}
+		}
+	}
+	if loop == nil {
+		t.Fatalf("dct8 has no loop with an add; movsx pair: %v", insts)
+	}
+	acc := accIn(loop)
+	for _, in := range loop {
+		if in.Op == asm.OpMovRR && (in.Dst == acc || in.Src == acc) {
+			t.Errorf("dct8's inner loop moves the accumulator %v: %v in %v", acc, in, loop)
+		}
+	}
+}
+
+// TestCallResultInRegister pins the call result's register on mcf's
+// OurMPX main: after each call to u_rand, the result is used from rax or
+// moved to another register, never stored to a spill slot.
+func TestCallResultInRegister(t *testing.T) {
+	img := kernelImage(t, "mcf", confllvm.VariantMPX)
+	target := int64(img.Func("u_rand").Entry)
+	insts := funcInsts(t, img, "main")
+	calls := 0
+	for i, in := range insts {
+		if in.Op != asm.OpCall || in.Imm != target {
+			continue
+		}
+		calls++
+		if i+1 < len(insts) && insts[i+1].Op == asm.OpStore && insts[i+1].M.Base == asm.RSP && insts[i+1].Src == asm.RAX {
+			t.Errorf("mcf main spills u_rand's result: %v", insts[i+1])
+		}
+	}
+	if calls == 0 {
+		t.Fatal("mcf main calls u_rand nowhere")
+	}
+}
+
+// TestPowerOfTwoMultiplyIsShift: a multiply by a power of two greater
+// than 1 lowers to a shift, so libquantum's Base image, whose hot loop
+// scales an index by 8 for two loads, has no imul by a power of two.
+func TestPowerOfTwoMultiplyIsShift(t *testing.T) {
+	img := kernelImage(t, "libquantum", confllvm.VariantBase)
+	shifts := 0
+	for _, fs := range img.Funcs {
+		for _, in := range funcInsts(t, img, fs.Name) {
+			switch {
+			case in.Op == asm.OpMulRI && in.Imm > 1 && in.Imm&(in.Imm-1) == 0:
+				t.Errorf("%s: %v", fs.Name, in)
+			case in.Op == asm.OpShlRI:
+				shifts++
+			}
+		}
+	}
+	if shifts == 0 {
+		t.Error("libquantum has no shift by an immediate")
 	}
 }

@@ -20,7 +20,7 @@ import (
 // nested compares, && and ||, casts of literals, private/public copies,
 // empty loop bodies, register pressure (pressure: 15 public and
 // private locals live across a loop with a call inside it, where spill
-// eviction and the register pools' taint rules interact), narrow-integer
+// choice and the register masks' taint rules interact), narrow-integer
 // conversions and wraparound (int-narrow), int arithmetic wrapping past
 // 2^31 before a compare, a division, an index, a right shift and a
 // conversion to double, with unsigned 64-bit division beside it

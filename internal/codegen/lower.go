@@ -3,6 +3,7 @@ package codegen
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"confllvm/internal/asm"
 	"confllvm/internal/ir"
@@ -285,6 +286,9 @@ func (c *ctx) lower(in *ir.Inst) error {
 		c.emit(asm.Inst{Op: asm.OpStore, M: m, Src: v})
 
 	case ir.OpCopy:
+		if c.ra.Locs[in.Res] == c.ra.Locs[in.Args[0]] {
+			break // coalesced: the value is already in place
+		}
 		src := c.f.ValueType(in.Args[0])
 		if src != nil && src.Kind == types.Float {
 			v := c.readFPR(in.Args[0], regalloc.ScratchFA)
@@ -445,7 +449,12 @@ func (c *ctx) lowerIntBin(in *ir.Inst) {
 		return
 	}
 	if len(in.Args) == 1 {
-		// Register-immediate form (see prepass).
+		// Register-immediate form (see prepass). A multiply by 2^k is a
+		// shift by k: the same bits mod 2^64, in a third of the cycles.
+		op, imm := intImmOps[in.Op], in.Imm
+		if in.Op == ir.OpMul && imm > 1 && imm&(imm-1) == 0 {
+			op, imm = asm.OpShlRI, int64(bits.TrailingZeros64(uint64(imm)))
+		}
 		d := c.destGPR(in.Res)
 		if d != a {
 			// Three-address add/sub: lea d, [a + disp] replaces
@@ -463,7 +472,7 @@ func (c *ctx) lowerIntBin(in *ir.Inst) {
 			}
 			c.emit(asm.Inst{Op: asm.OpMovRR, Dst: d, Src: a})
 		}
-		c.emit(asm.Inst{Op: intImmOps[in.Op], Dst: d, Imm: in.Imm})
+		c.emit(asm.Inst{Op: op, Dst: d, Imm: imm})
 		c.flushGPR(in.Res, d)
 		return
 	}

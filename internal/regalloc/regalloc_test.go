@@ -1,11 +1,11 @@
-package regalloc
+package regalloc_test
 
 import (
-	"sort"
 	"testing"
 
 	"confllvm/internal/asm"
 	"confllvm/internal/ir"
+	"confllvm/internal/regalloc"
 	"confllvm/internal/types"
 )
 
@@ -14,10 +14,16 @@ var (
 	doubleTy = types.MakeFloat(types.Public)
 )
 
-func allocate(f *ir.Func, private map[ir.Value]bool) *Result {
-	return Allocate(f,
-		func(v ir.Value) bool { return private[v] },
-		func(v ir.Value) bool { return f.ValueType(v).Kind == types.Float })
+// allocate runs Allocate on f, whose Sig is nil, and check on the result.
+func allocate(t *testing.T, f *ir.Func, private map[ir.Value]bool) *regalloc.Result {
+	t.Helper()
+	isPrivate := func(v ir.Value) bool { return private[v] }
+	isFloat := func(v ir.Value) bool { return f.ValueType(v).Kind == types.Float }
+	res := regalloc.Allocate(f, isPrivate, isFloat)
+	if err := check(f, res, isPrivate, isFloat); err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // consts appends n constant definitions of type ty to blk.
@@ -26,7 +32,11 @@ func consts(f *ir.Func, blk *ir.Block, ty *types.Type, n int) []ir.Value {
 	for i := 0; i < n; i++ {
 		v := f.NewValue(ty)
 		vs = append(vs, v)
-		blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpConst, Res: v, Imm: int64(i)})
+		op := ir.OpConst
+		if ty.Kind == types.Float {
+			op = ir.OpFConst
+		}
+		blk.Insts = append(blk.Insts, &ir.Inst{Op: op, Res: v, Imm: int64(i)})
 	}
 	return vs
 }
@@ -55,49 +65,49 @@ func endLoop(entry, body, exit *ir.Block, cond ir.Value) {
 	exit.Insts = append(exit.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue})
 }
 
-func wantSlot(t *testing.T, res *Result, v ir.Value, private bool) {
+func call(blk *ir.Block, res ir.Value, args ...ir.Value) {
+	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpCall, Res: res, Callee: "ext", Args: args})
+}
+
+func wantSlot(t *testing.T, res *regalloc.Result, v ir.Value, private bool) {
 	t.Helper()
-	if l := res.Locs[v]; l.Kind != LocSlot || l.Private != private {
+	if l := res.Locs[v]; l.Kind != regalloc.LocSlot || l.Private != private {
 		t.Errorf("v%d: got %+v, want a spill slot with private=%v", v, l, private)
 	}
 }
 
-// TestIntervalRegisterReuse checks interval construction through its
-// observable effect: values that are live simultaneously get distinct
-// registers, and a value whose interval has expired frees its register for
-// the next one.
+func wantReg(t *testing.T, res *regalloc.Result, v ir.Value, r asm.Reg) {
+	t.Helper()
+	if l := res.Locs[v]; l.Kind != regalloc.LocReg || l.Reg != r {
+		t.Errorf("v%d: got %+v, want %v", v, l, r)
+	}
+}
+
+// TestIntervalRegisterReuse: values live at the same time get distinct
+// registers, and values whose lives do not overlap reuse them: with two
+// values live at once, nothing spills and nothing is saved.
 func TestIntervalRegisterReuse(t *testing.T) {
 	f := &ir.Func{Name: "t"}
 	blk := f.NewBlock()
-	v0 := f.NewValue(longTy)
-	v1 := f.NewValue(longTy)
-	v2 := f.NewValue(longTy)
-	v3 := f.NewValue(longTy)
+	v0, v1, v2, v3 := f.NewValue(longTy), f.NewValue(longTy), f.NewValue(longTy), f.NewValue(longTy)
 	blk.Insts = []*ir.Inst{
 		{Op: ir.OpConst, Res: v0, Imm: 1},
 		{Op: ir.OpConst, Res: v1, Imm: 2},
-		{Op: ir.OpAdd, Res: v2, Args: []ir.Value{v0, v1}}, // v0, v1 overlap
+		{Op: ir.OpSub, Res: v2, Args: []ir.Value{v0, v1}}, // v0, v1 overlap
 		{Op: ir.OpAdd, Res: v3, Args: []ir.Value{v2, v2}}, // v0, v1 now dead
 		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{v3}},
 	}
-	res := allocate(f, nil)
-
+	res := allocate(t, f, nil)
 	for _, v := range []ir.Value{v0, v1, v2, v3} {
-		if res.Locs[v].Kind != LocReg {
+		if res.Locs[v].Kind != regalloc.LocReg {
 			t.Fatalf("v%d not in a register: %+v", v, res.Locs[v])
 		}
 	}
 	if res.Locs[v0].Reg == res.Locs[v1].Reg {
 		t.Errorf("v0 and v1 are live simultaneously but share %v", res.Locs[v0].Reg)
 	}
-	if res.Locs[v1].Reg == res.Locs[v2].Reg {
-		t.Errorf("v1 and v2 overlap at the add but share %v", res.Locs[v1].Reg)
-	}
-	// v3 starts after v0's interval ends, so the allocator must have at
-	// least reused some register; with a 12-register pool and only two
-	// values live at once, nothing may spill.
-	if res.PubSlots != 0 || res.PrivSlots != 0 {
-		t.Errorf("unexpected spills: pub=%d priv=%d", res.PubSlots, res.PrivSlots)
+	if res.PubSlots != 0 || res.PrivSlots != 0 || len(res.UsedCalleeSaved) != 0 {
+		t.Errorf("unexpected spills or saves: pub=%d priv=%d saved %v", res.PubSlots, res.PrivSlots, res.UsedCalleeSaved)
 	}
 }
 
@@ -111,42 +121,31 @@ func TestPrivateNeverCalleeSaved(t *testing.T) {
 	private := map[ir.Value]bool{}
 	// 12 private values all live at once: more than the caller-saved pool,
 	// so the allocator is under pressure to cheat.
-	var vals []ir.Value
-	for i := 0; i < 12; i++ {
-		v := f.NewValue(longTy)
-		vals = append(vals, v)
+	vals := consts(f, blk, longTy, 12)
+	for _, v := range vals {
 		private[v] = true
-		blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpConst, Res: v, Imm: int64(i)})
 	}
 	sum := f.NewValue(longTy)
+	private[sum] = true
 	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpAdd, Res: sum, Args: vals})
 	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{sum}})
 
-	res := allocate(f, private)
+	res := allocate(t, f, private)
+	inRegs := 0
 	for _, v := range vals {
-		loc := res.Locs[v]
-		switch loc.Kind {
-		case LocReg:
-			if asm.IsCalleeSaved(loc.Reg) {
-				t.Errorf("private v%d assigned callee-saved %v", v, loc.Reg)
-			}
-			if loc.Reg == ScratchA || loc.Reg == ScratchB {
-				t.Errorf("v%d assigned reserved scratch %v", v, loc.Reg)
-			}
-		case LocSlot:
-			if !loc.Private {
-				t.Errorf("private v%d spilled to a public slot", v)
-			}
-		default:
-			t.Errorf("v%d has no location", v)
+		if res.Locs[v].Kind == regalloc.LocReg {
+			inRegs++
 		}
+	}
+	if inRegs != 5 {
+		t.Errorf("%d private values in registers, want the 5 caller-saved ones", inRegs)
 	}
 }
 
 // TestPrivateAcrossCallSpills checks that a private value live across a
 // call is never kept in any register at all: caller-saved registers die at
 // the call and callee-saved ones are forbidden, so it must live in a
-// private spill slot.
+// private spill slot. A public one survives in a callee-saved register.
 func TestPrivateAcrossCallSpills(t *testing.T) {
 	f := &ir.Func{Name: "t"}
 	blk := f.NewBlock()
@@ -160,60 +159,45 @@ func TestPrivateAcrossCallSpills(t *testing.T) {
 		{Op: ir.OpAdd, Res: use, Args: []ir.Value{priv, pub}},
 		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{use}},
 	}
-	res := allocate(f, map[ir.Value]bool{priv: true})
-
+	res := allocate(t, f, map[ir.Value]bool{priv: true, use: true})
 	if !res.HasCall {
 		t.Fatal("call not detected")
 	}
-	pl := res.Locs[priv]
-	if pl.Kind != LocSlot {
-		t.Fatalf("private value crossing a call must spill, got %+v", pl)
+	wantSlot(t, res, priv, true)
+	if res.PrivSlots != 1 || res.PubSlots != 0 {
+		t.Errorf("slots pub=%d priv=%d, want 0/1", res.PubSlots, res.PrivSlots)
 	}
-	if !pl.Private {
-		t.Error("private spill slot labeled public")
-	}
-	if res.PrivSlots != 1 {
-		t.Errorf("PrivSlots = %d, want 1", res.PrivSlots)
-	}
-	// The public value may stay in a register, but only a callee-saved one
-	// survives the call.
-	if gl := res.Locs[pub]; gl.Kind == LocReg && !asm.IsCalleeSaved(gl.Reg) {
-		t.Errorf("public value crossing the call landed in caller-saved %v", gl.Reg)
+	if gl := res.Locs[pub]; gl.Kind != regalloc.LocReg || !asm.IsCalleeSaved(gl.Reg) {
+		t.Errorf("public value across the call in %+v, want a callee-saved register", gl)
 	}
 }
 
 // TestSpillSlotTaintLabeling forces both pools to overflow and checks that
-// public and private values spill to disjoint, independently-numbered slot
+// public and private values spill to disjoint, independently numbered slot
 // sequences on their respective stacks.
 func TestSpillSlotTaintLabeling(t *testing.T) {
 	f := &ir.Func{Name: "t"}
 	blk := f.NewBlock()
 	private := map[ir.Value]bool{}
-	var vals []ir.Value
 	// 24 values live at once, alternating taint: overflows the 5-register
 	// caller-saved pool (privates) and the 12-register combined pool.
-	for i := 0; i < 24; i++ {
-		v := f.NewValue(longTy)
-		vals = append(vals, v)
+	vals := consts(f, blk, longTy, 24)
+	for i, v := range vals {
 		if i%2 == 1 {
 			private[v] = true
 		}
-		blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpConst, Res: v, Imm: int64(i)})
 	}
 	sum := f.NewValue(longTy)
 	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpAdd, Res: sum, Args: vals})
 	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{sum}})
 
-	res := allocate(f, private)
+	res := allocate(t, f, private)
 	seenPub := map[int]bool{}
 	seenPriv := map[int]bool{}
-	for _, v := range append(append([]ir.Value{}, vals...), sum) {
+	for _, v := range append(vals, sum) {
 		loc := res.Locs[v]
-		if loc.Kind != LocSlot {
+		if loc.Kind != regalloc.LocSlot {
 			continue
-		}
-		if loc.Private != private[v] {
-			t.Errorf("v%d spill slot taint = %v, want %v", v, loc.Private, private[v])
 		}
 		seen := seenPub
 		if loc.Private {
@@ -227,104 +211,159 @@ func TestSpillSlotTaintLabeling(t *testing.T) {
 	if len(seenPub) == 0 || len(seenPriv) == 0 {
 		t.Fatalf("expected spills in both pools: pub=%d priv=%d", len(seenPub), len(seenPriv))
 	}
+	// Slots are numbered densely from 0 within each stack.
 	if res.PubSlots != len(seenPub) || res.PrivSlots != len(seenPriv) {
 		t.Errorf("slot counts pub=%d priv=%d, want %d/%d",
 			res.PubSlots, res.PrivSlots, len(seenPub), len(seenPriv))
 	}
-	// Slots must be numbered densely from 0 within each stack.
-	for i := 0; i < res.PubSlots; i++ {
-		if !seenPub[i] {
-			t.Errorf("public slot %d skipped", i)
-		}
-	}
-	for i := 0; i < res.PrivSlots; i++ {
-		if !seenPriv[i] {
-			t.Errorf("private slot %d skipped", i)
-		}
-	}
 }
 
 // TestCalleeSavedReporting checks that UsedCalleeSaved reports exactly the
-// callee-saved registers handed out.
+// callee-saved registers handed out, and that a value live across two
+// calls takes the one the function already saves.
 func TestCalleeSavedReporting(t *testing.T) {
 	f := &ir.Func{Name: "t"}
 	blk := f.NewBlock()
-	v0 := f.NewValue(longTy)
+	v0, v1 := f.NewValue(longTy), f.NewValue(longTy)
 	use := f.NewValue(longTy)
-	blk.Insts = []*ir.Inst{
-		{Op: ir.OpConst, Res: v0, Imm: 7},
-		{Op: ir.OpCall, Res: ir.NoValue, Callee: "ext"},
-		{Op: ir.OpAdd, Res: use, Args: []ir.Value{v0, v0}},
-		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{use}},
+	blk.Insts = []*ir.Inst{{Op: ir.OpConst, Res: v0, Imm: 7}}
+	call(blk, ir.NoValue)
+	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpAdd, Res: v1, Args: []ir.Value{v0, v0}})
+	call(blk, ir.NoValue)
+	blk.Insts = append(blk.Insts,
+		&ir.Inst{Op: ir.OpAdd, Res: use, Args: []ir.Value{v1, v1}},
+		&ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{use}})
+	res := allocate(t, f, nil)
+	l0, l1 := res.Locs[v0], res.Locs[v1]
+	if l0.Kind != regalloc.LocReg || !asm.IsCalleeSaved(l0.Reg) || l1 != l0 {
+		t.Fatalf("values across calls in %+v and %+v, want one callee-saved register", l0, l1)
 	}
-	res := allocate(f, nil)
-	loc := res.Locs[v0]
-	if loc.Kind != LocReg || !asm.IsCalleeSaved(loc.Reg) {
-		t.Fatalf("public value across a call should get a callee-saved register, got %+v", loc)
-	}
-	found := false
-	for _, r := range res.UsedCalleeSaved {
-		if r == loc.Reg {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("%v missing from UsedCalleeSaved %v", loc.Reg, res.UsedCalleeSaved)
+	if len(res.UsedCalleeSaved) != 1 || res.UsedCalleeSaved[0] != l0.Reg {
+		t.Errorf("UsedCalleeSaved = %v, want [%v]", res.UsedCalleeSaved, l0.Reg)
 	}
 }
 
-// TestMoveHintTaken: a value defined by a non-call whose first operand
-// dies at the definition takes the operand's register, so codegen emits
-// the operation in place with no move.
+// TestMoveHintTaken: a copy and a loop-carried accumulator allocate to
+// one register, so codegen emits no move: acc = acc + x in a loop, written
+// t = add acc, x; acc = copy t, keeps acc and t together, and a copy
+// whose source stays live shares its register too, since both hold the
+// same value.
 func TestMoveHintTaken(t *testing.T) {
 	f := &ir.Func{Name: "t"}
-	blk := f.NewBlock()
-	a := f.NewValue(longTy)
-	b := f.NewValue(longTy)
-	sum := f.NewValue(longTy)
+	entry, body, exit := loop(f)
+	acc := consts(f, entry, longTy, 1)[0]
+	x := consts(f, entry, longTy, 1)[0]
+	tmp := f.NewValue(longTy)
 	cp := f.NewValue(longTy)
+	body.Insts = append(body.Insts,
+		&ir.Inst{Op: ir.OpAdd, Res: tmp, Args: []ir.Value{acc, x}},
+		&ir.Inst{Op: ir.OpCopy, Res: acc, Args: []ir.Value{tmp}},
+		&ir.Inst{Op: ir.OpCopy, Res: cp, Args: []ir.Value{x}})
+	uses(body, 1, cp, x)
+	endLoop(entry, body, exit, acc)
+	exit.Insts = append(exit.Insts[:0], &ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{acc}})
+
+	res := allocate(t, f, nil)
+	if res.Locs[tmp] != res.Locs[acc] {
+		t.Errorf("acc in %+v, its sum in %+v: the loop needs a move", res.Locs[acc], res.Locs[tmp])
+	}
+	if res.Locs[cp] != res.Locs[x] {
+		t.Errorf("copy in %+v, its live source in %+v", res.Locs[cp], res.Locs[x])
+	}
+	// acc is returned, so the coalesced pair prefers rax.
+	wantReg(t, res, acc, asm.RAX)
+}
+
+// TestTwoAddressInPlace: a two-address op whose first operand dies there
+// runs in place; a commutative one may use its second operand's register
+// instead; a non-commutative one never shares its second operand's.
+func TestTwoAddressInPlace(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	a, b, c := f.NewValue(longTy), f.NewValue(longTy), f.NewValue(longTy)
+	sum, prod, diff := f.NewValue(longTy), f.NewValue(longTy), f.NewValue(longTy)
 	blk.Insts = []*ir.Inst{
 		{Op: ir.OpConst, Res: a, Imm: 1},
 		{Op: ir.OpConst, Res: b, Imm: 2},
-		{Op: ir.OpAdd, Res: sum, Args: []ir.Value{a, b}}, // a and b die here
-		{Op: ir.OpCopy, Res: cp, Args: []ir.Value{sum}},  // sum dies here
-		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{cp, b}},
+		{Op: ir.OpConst, Res: c, Imm: 3},
+		{Op: ir.OpAdd, Res: sum, Args: []ir.Value{a, b}},     // a dies
+		{Op: ir.OpMul, Res: prod, Args: []ir.Value{b, sum}},  // sum dies, b lives
+		{Op: ir.OpSub, Res: diff, Args: []ir.Value{c, prod}}, // both die
 	}
-	res := allocate(f, nil)
+	uses(blk, 1, diff, b)
+	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue})
+	res := allocate(t, f, nil)
 	if res.Locs[sum] != res.Locs[a] {
-		t.Errorf("add result %+v did not take its dying first operand's %+v", res.Locs[sum], res.Locs[a])
+		t.Errorf("add in %+v, its dying first operand in %+v", res.Locs[sum], res.Locs[a])
 	}
-	if res.Locs[cp] != res.Locs[sum] {
-		t.Errorf("copy %+v did not take its dying source's %+v", res.Locs[cp], res.Locs[sum])
+	if res.Locs[prod] != res.Locs[sum] {
+		t.Errorf("mul in %+v, its dying second operand in %+v", res.Locs[prod], res.Locs[sum])
 	}
-	// b is live past the copy: no hint may hand its register out.
-	if res.Locs[cp].Reg == res.Locs[b].Reg {
-		t.Errorf("copy shares live b's register %v", res.Locs[b].Reg)
+	if res.Locs[diff] != res.Locs[c] {
+		t.Errorf("sub in %+v, its dying first operand in %+v", res.Locs[diff], res.Locs[c])
 	}
+	// check rejects diff in prod's register.
 }
 
-// TestMoveHintRespectsPools: the hint is refused when the operand's
-// register is outside the new value's pool, in both directions — a
-// private result never inherits a callee-saved register, and a public
-// result that crosses a call never inherits a caller-saved one.
+// TestArgumentRegisters: parameters stay in their argument registers, a
+// value passed to a call is computed in the argument register it is passed
+// in, and a call's result that is returned stays in rax.
+func TestArgumentRegisters(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	p0, p1 := f.NewValue(longTy), f.NewValue(longTy)
+	f.ParamRegs = []ir.Value{p0, p1}
+	arg0, arg1, r := f.NewValue(longTy), f.NewValue(longTy), f.NewValue(longTy)
+	blk.Insts = []*ir.Inst{
+		{Op: ir.OpAdd, Res: arg1, Args: []ir.Value{p0, p1}},
+		{Op: ir.OpConst, Res: arg0, Imm: 5},
+	}
+	call(blk, r, arg0, arg1)
+	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{r}})
+	res := allocate(t, f, nil)
+	wantReg(t, res, p0, asm.RCX)
+	wantReg(t, res, p1, asm.RDX) // coalesced with arg1, which agrees
+	wantReg(t, res, arg0, asm.RCX)
+	wantReg(t, res, arg1, asm.RDX)
+	wantReg(t, res, r, asm.RAX)
+
+	// Without the add, each parameter keeps its own register.
+	g := &ir.Func{Name: "g"}
+	gb := g.NewBlock()
+	q0, q1, s := g.NewValue(longTy), g.NewValue(longTy), g.NewValue(longTy)
+	g.ParamRegs = []ir.Value{q0, q1}
+	gb.Insts = []*ir.Inst{
+		{Op: ir.OpLoad, Res: s, Args: []ir.Value{q0, q1}, Ty: longTy, Blk: 8},
+		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{s}},
+	}
+	res = allocate(t, g, nil)
+	wantReg(t, res, q0, asm.RCX)
+	wantReg(t, res, q1, asm.RDX)
+	wantReg(t, res, s, asm.RAX)
+}
+
+// TestMoveHintRespectsPools: coalescing never carries a value into a
+// register its mask forbids. A private copy of a public value live across
+// a call stays out of callee-saved registers, and a public copy that
+// crosses a call stays out of the caller-saved register its short-lived
+// source takes.
 func TestMoveHintRespectsPools(t *testing.T) {
 	t.Run("private result, callee-saved operand", func(t *testing.T) {
 		f := &ir.Func{Name: "t"}
 		blk := f.NewBlock()
 		pub := f.NewValue(longTy)
 		priv := f.NewValue(longTy)
-		blk.Insts = []*ir.Inst{
-			{Op: ir.OpConst, Res: pub, Imm: 1},
-			{Op: ir.OpCall, Res: ir.NoValue, Callee: "ext"}, // pub crosses it
-			{Op: ir.OpAdd, Res: priv, Args: []ir.Value{pub, pub}},
-			{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{priv}},
+		blk.Insts = []*ir.Inst{{Op: ir.OpConst, Res: pub, Imm: 1}}
+		call(blk, ir.NoValue) // pub crosses it
+		blk.Insts = append(blk.Insts,
+			&ir.Inst{Op: ir.OpCopy, Res: priv, Args: []ir.Value{pub}},
+			&ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{priv, pub}})
+		res := allocate(t, f, map[ir.Value]bool{priv: true})
+		if l := res.Locs[pub]; l.Kind != regalloc.LocReg || !asm.IsCalleeSaved(l.Reg) {
+			t.Fatalf("public value across the call in %+v, want a callee-saved register", l)
 		}
-		res := allocate(f, map[ir.Value]bool{priv: true})
-		if l := res.Locs[pub]; l.Kind != LocReg || !asm.IsCalleeSaved(l.Reg) {
-			t.Fatalf("public value across the call should be callee-saved, got %+v", l)
-		}
-		if l := res.Locs[priv]; l.Kind == LocReg && asm.IsCalleeSaved(l.Reg) {
-			t.Errorf("private result took the hint into callee-saved %v", l.Reg)
+		if l := res.Locs[priv]; l.Kind != regalloc.LocReg || asm.IsCalleeSaved(l.Reg) {
+			t.Errorf("private copy in %+v, want a caller-saved register", l)
 		}
 	})
 	t.Run("public-across-call result, caller-saved operand", func(t *testing.T) {
@@ -332,126 +371,178 @@ func TestMoveHintRespectsPools(t *testing.T) {
 		blk := f.NewBlock()
 		tmp := f.NewValue(longTy)
 		keep := f.NewValue(longTy)
+		other := f.NewValue(longTy)
 		blk.Insts = []*ir.Inst{
 			{Op: ir.OpConst, Res: tmp, Imm: 1},
-			{Op: ir.OpAdd, Res: keep, Args: []ir.Value{tmp, tmp}}, // tmp dies here
-			{Op: ir.OpCall, Res: ir.NoValue, Callee: "ext"},       // keep crosses it
-			{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{keep}},
+			{Op: ir.OpCopy, Res: keep, Args: []ir.Value{tmp}},
+			{Op: ir.OpAdd, Res: other, Args: []ir.Value{tmp, tmp}}, // tmp dies here
 		}
-		res := allocate(f, nil)
-		if l := res.Locs[tmp]; l.Kind != LocReg || asm.IsCalleeSaved(l.Reg) {
-			t.Fatalf("short-lived public value should be caller-saved, got %+v", l)
+		call(blk, ir.NoValue, other) // keep crosses it
+		blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{keep}})
+		res := allocate(t, f, nil)
+		if l := res.Locs[tmp]; l.Kind != regalloc.LocReg || asm.IsCalleeSaved(l.Reg) {
+			t.Errorf("short-lived value in %+v, want a caller-saved register", l)
 		}
-		if l := res.Locs[keep]; l.Kind != LocReg || !asm.IsCalleeSaved(l.Reg) {
-			t.Errorf("public value across the call took %+v, want a callee-saved register", l)
+		if l := res.Locs[keep]; l.Kind != regalloc.LocReg || !asm.IsCalleeSaved(l.Reg) {
+			t.Errorf("public value across the call in %+v, want a callee-saved register", l)
 		}
+		wantReg(t, res, other, asm.RCX)
 	})
 }
 
-// TestMoveHintNotFromCall: a call's result never takes a hint, even when
-// an argument dies at the call in a register of the result's pool (its
-// value arrives in the return register, and the operands are argument
-// staging).
-func TestMoveHintNotFromCall(t *testing.T) {
-	f := &ir.Func{Name: "t"}
-	blk := f.NewBlock()
-	arg := f.NewValue(longTy)
-	r := f.NewValue(longTy)
-	blk.Insts = []*ir.Inst{
-		{Op: ir.OpConst, Res: arg, Imm: 1},
-		{Op: ir.OpCall, Res: ir.NoValue, Callee: "g"},               // arg crosses it: callee-saved
-		{Op: ir.OpCall, Res: r, Callee: "f", Args: []ir.Value{arg}}, // arg dies here
-		{Op: ir.OpCall, Res: ir.NoValue, Callee: "g"},               // r crosses it: callee-saved
-		{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{r}},
-	}
-	res := allocate(f, nil)
-	al, rl := res.Locs[arg], res.Locs[r]
-	if al.Kind != LocReg || !asm.IsCalleeSaved(al.Reg) || rl.Kind != LocReg || !asm.IsCalleeSaved(rl.Reg) {
-		t.Fatalf("both values should be callee-saved: arg %+v, r %+v", al, rl)
-	}
-	if al.Reg == rl.Reg {
-		t.Errorf("call result took its argument's register %v", rl.Reg)
-	}
-}
-
-// TestEvictOuterForInnerLoop: when every register holds a value used only
-// outside a loop, a temporary used inside the loop takes a register and
-// one outer value is spilled instead. Unweighted, the temporary (3 uses
-// and defs) would be cheaper than each outer value (4).
+// TestEvictOuterForInnerLoop: when every register holds a value used
+// only outside a loop, a temporary used inside the loop keeps a register
+// and one outer value is spilled instead; each use in the loop counts 8
+// times one outside it.
 func TestEvictOuterForInnerLoop(t *testing.T) {
 	f := &ir.Func{Name: "t"}
 	entry, body, exit := loop(f)
-	outer := consts(f, entry, longTy, len(defaultPool))
+	outer := consts(f, entry, longTy, 12)
 	tmp := consts(f, body, longTy, 1)[0]
 	uses(body, 1, tmp)
 	uses(exit, 3, outer...)
 	endLoop(entry, body, exit, tmp)
 
-	res := allocate(f, nil)
-	if l := res.Locs[tmp]; l.Kind != LocReg {
+	res := allocate(t, f, nil)
+	if l := res.Locs[tmp]; l.Kind != regalloc.LocReg {
 		t.Errorf("loop temporary not in a register: %+v", l)
 	}
 	if res.PubSlots != 1 {
-		t.Errorf("PubSlots = %d, want exactly one outer value evicted", res.PubSlots)
+		t.Errorf("PubSlots = %d, want exactly one outer value spilled", res.PubSlots)
 	}
 }
 
-// TestEvictRespectsPools: eviction hands over only a register of the
-// arriving value's own pool. A private value never takes a callee-saved
-// register from a cheaper holder, and a public value live across a call
-// never takes a caller-saved one; each spills itself instead.
+// TestShortRangeNotSpilled: a value used only by the instruction after its
+// definition costs infinitely to spill, however cheap its uses; under
+// pressure a long-lived value spills instead.
+func TestShortRangeNotSpilled(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	long := consts(f, blk, longTy, 12)
+	short := consts(f, blk, longTy, 1)[0]
+	uses(blk, 1, short)
+	uses(blk, 1, long...)
+	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue})
+	res := allocate(t, f, nil)
+	if l := res.Locs[short]; l.Kind != regalloc.LocReg {
+		t.Errorf("short range spilled: %+v", l)
+	}
+	if res.PubSlots != 1 {
+		t.Errorf("PubSlots = %d, want one long value spilled", res.PubSlots)
+	}
+}
+
+// TestEvictFloatOnlyFloat: float and integer values use separate
+// register files, so float pressure spills a float even when an integer
+// is cheaper; a float live across a call always spills, to its own
+// taint's stack.
+func TestEvictFloatOnlyFloat(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	entry, body, exit := loop(f)
+	ints := consts(f, entry, longTy, 12)
+	floats := consts(f, entry, doubleTy, 15)
+	ft := consts(f, body, doubleTy, 1)[0]
+	uses(body, 1, ft)
+	uses(exit, 1, ints...)
+	uses(exit, 2, floats...)
+	endLoop(entry, body, exit, ints[0])
+	across := consts(f, exit, doubleTy, 1)[0]
+	exit.Insts = exit.Insts[:len(exit.Insts)-2]
+	exit.Insts = append(exit.Insts, &ir.Inst{Op: ir.OpFConst, Res: across})
+	call(exit, ir.NoValue)
+	uses(exit, 1, across)
+	exit.Insts = append(exit.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue})
+
+	res := allocate(t, f, map[ir.Value]bool{across: true})
+	for _, v := range ints {
+		if res.Locs[v].Kind != regalloc.LocReg {
+			t.Errorf("integer v%d spilled for floats: %+v", v, res.Locs[v])
+		}
+	}
+	if l := res.Locs[ft]; l.Kind != regalloc.LocFReg {
+		t.Errorf("loop float not in an FP register: %+v", l)
+	}
+	wantSlot(t, res, across, true)
+	if res.PubSlots != 2 {
+		t.Errorf("PubSlots = %d, want the 2 floats beyond the 14 FP registers", res.PubSlots)
+	}
+}
+
+// TestMoveHintNotFromCall: a call's result is never merged with an
+// argument that dies at the call: the result prefers rax and the argument
+// the register it is passed in, so neither needs a move.
+func TestMoveHintNotFromCall(t *testing.T) {
+	f := &ir.Func{Name: "t"}
+	blk := f.NewBlock()
+	arg, r := f.NewValue(longTy), f.NewValue(longTy)
+	blk.Insts = []*ir.Inst{{Op: ir.OpConst, Res: arg, Imm: 1}}
+	call(blk, r, arg) // arg dies here
+	blk.Insts = append(blk.Insts, &ir.Inst{Op: ir.OpRet, Res: ir.NoValue, Args: []ir.Value{r}})
+	res := allocate(t, f, nil)
+	wantReg(t, res, arg, asm.RCX)
+	wantReg(t, res, r, asm.RAX)
+}
+
+// TestEvictRespectsPools: spill choice never trades a register mask for
+// a register. A private value under pressure gets a caller-saved register
+// or a private slot, never the callee-saved register of a cheaper value;
+// a public value live across a call gets a callee-saved register or a
+// slot, never the caller-saved register of a cheaper value that dies
+// before the call.
 func TestEvictRespectsPools(t *testing.T) {
 	t.Run("private current, callee-saved holders", func(t *testing.T) {
 		f := &ir.Func{Name: "t"}
 		entry, body, exit := loop(f)
-		cheap := consts(f, entry, longTy, len(calleeSavedPool)) // cross the call
-		entry.Insts = append(entry.Insts, &ir.Inst{Op: ir.OpCall, Res: ir.NoValue, Callee: "ext"})
-		heavy := consts(f, entry, longTy, len(callerSavedPool))
+		cheap := consts(f, entry, longTy, 7) // cross the call
+		call(entry, ir.NoValue)
+		heavy := consts(f, entry, longTy, 5)
 		p := consts(f, body, longTy, 1)[0]
 		uses(body, 2, heavy...)
 		uses(body, 1, p)
 		uses(exit, 1, append(cheap, heavy...)...)
 		endLoop(entry, body, exit, heavy[0])
 
-		res := allocate(f, map[ir.Value]bool{p: true})
+		res := allocate(t, f, map[ir.Value]bool{p: true})
 		for _, v := range cheap {
-			if l := res.Locs[v]; l.Kind != LocReg || !asm.IsCalleeSaved(l.Reg) {
-				t.Errorf("callee-saved holder v%d lost its register: %+v", v, l)
+			if l := res.Locs[v]; l.Kind == regalloc.LocReg && !asm.IsCalleeSaved(l.Reg) {
+				t.Errorf("value across the call v%d in %+v", v, l)
 			}
 		}
-		wantSlot(t, res, p, true)
+		if l := res.Locs[p]; l.Kind == regalloc.LocSlot && !l.Private || l.Kind == regalloc.LocReg && asm.IsCalleeSaved(l.Reg) {
+			t.Errorf("private value in %+v", l)
+		}
 	})
 	t.Run("public current across a call, caller-saved holders", func(t *testing.T) {
 		f := &ir.Func{Name: "t"}
 		entry, body, exit := loop(f)
-		heavy := consts(f, entry, longTy, len(calleeSavedPool))
-		cheap := consts(f, entry, longTy, len(callerSavedPool))
+		heavy := consts(f, entry, longTy, 7)
+		cheap := consts(f, entry, longTy, 5)
 		q := consts(f, entry, longTy, 1)[0]
 		uses(entry, 1, cheap...) // the cheap values die before the call
-		entry.Insts = append(entry.Insts, &ir.Inst{Op: ir.OpCall, Res: ir.NoValue, Callee: "ext"})
+		call(entry, ir.NoValue)
 		uses(body, 4, heavy...)
 		uses(body, 3, q)
 		endLoop(entry, body, exit, heavy[0])
 
-		res := allocate(f, nil)
+		res := allocate(t, f, nil)
 		for _, v := range cheap {
-			if l := res.Locs[v]; l.Kind != LocReg || asm.IsCalleeSaved(l.Reg) {
-				t.Errorf("caller-saved holder v%d lost its register: %+v", v, l)
+			if l := res.Locs[v]; l.Kind != regalloc.LocReg || asm.IsCalleeSaved(l.Reg) {
+				t.Errorf("short-lived v%d in %+v, want a caller-saved register", v, l)
 			}
 		}
 		wantSlot(t, res, q, false)
 	})
 }
 
-// TestEvictedSlotTaint: an evicted value keeps its own taint in memory: a
+// TestEvictedSlotTaint: a spilled value keeps its own taint in memory: a
 // private one lands in a private slot and a public one in a public slot,
-// whatever the taint of the value that took its register.
+// whatever the taint of the values that keep registers.
 func TestEvictedSlotTaint(t *testing.T) {
 	f := &ir.Func{Name: "t"}
 	entry, body, exit := loop(f)
-	priv := consts(f, entry, longTy, 1)[0] // weight 2: the first victim
-	pub := consts(f, entry, longTy, 1)[0]  // weight 3: the second
-	rest := consts(f, entry, longTy, len(defaultPool)-2)
+	priv := consts(f, entry, longTy, 1)[0] // cost 2: the first spilled
+	pub := consts(f, entry, longTy, 1)[0]  // cost 3: the second
+	rest := consts(f, entry, longTy, 10)
 	t1 := consts(f, body, longTy, 1)[0]
 	t2 := consts(f, body, longTy, 1)[0]
 	uses(body, 1, t1, t2)
@@ -460,430 +551,15 @@ func TestEvictedSlotTaint(t *testing.T) {
 	uses(exit, 4, rest...)
 	endLoop(entry, body, exit, t1)
 
-	res := allocate(f, map[ir.Value]bool{priv: true})
+	res := allocate(t, f, map[ir.Value]bool{priv: true})
 	wantSlot(t, res, priv, true)
 	wantSlot(t, res, pub, false)
 	if res.PrivSlots != 1 || res.PubSlots != 1 {
 		t.Errorf("slots pub=%d priv=%d, want 1/1", res.PubSlots, res.PrivSlots)
 	}
 	for _, v := range []ir.Value{t1, t2} {
-		if res.Locs[v].Kind != LocReg {
+		if res.Locs[v].Kind != regalloc.LocReg {
 			t.Errorf("loop value v%d not in a register: %+v", v, res.Locs[v])
 		}
 	}
-}
-
-// TestEvictFloatOnlyFloat: a float value only ever evicts a float value,
-// even when an integer value is cheaper.
-func TestEvictFloatOnlyFloat(t *testing.T) {
-	f := &ir.Func{Name: "t"}
-	entry, body, exit := loop(f)
-	ints := consts(f, entry, longTy, len(defaultPool)) // weight 2
-	cheapF := consts(f, entry, doubleTy, 1)[0]         // weight 3
-	floats := consts(f, entry, doubleTy, len(fregPool)-1)
-	ft := consts(f, body, doubleTy, 1)[0]
-	uses(body, 1, ft)
-	uses(exit, 1, ints...)
-	uses(exit, 2, cheapF)
-	uses(exit, 4, floats...)
-	endLoop(entry, body, exit, ft)
-
-	res := allocate(f, nil)
-	for _, v := range ints {
-		if res.Locs[v].Kind != LocReg {
-			t.Errorf("integer v%d evicted for a float: %+v", v, res.Locs[v])
-		}
-	}
-	wantSlot(t, res, cheapF, false)
-	if l := res.Locs[ft]; l.Kind != LocFReg {
-		t.Errorf("loop float not in an FP register: %+v", l)
-	}
-}
-
-// RefAllocate is the original map-based linear scan, kept as a test-only
-// oracle for Allocate: both must return identical Results on every
-// function (TestAllocateMatchesReference). Its block-ID maps and register
-// maps are the slow-but-obvious form of Allocate's slices; its loop depth
-// counts covering back edges position by position, and its eviction sorts
-// the candidates instead of scanning for the cheapest.
-func RefAllocate(f *ir.Func, isPrivate func(ir.Value) bool, isFloat func(ir.Value) bool) *Result {
-	n := f.NumValues()
-	res := &Result{Locs: make([]Loc, n)}
-
-	// Linearize instructions and record positions.
-	type placed struct {
-		in  *ir.Inst
-		pos int
-	}
-	var order []placed
-	blockStart := map[int]int{}
-	blockEnd := map[int]int{}
-	pos := 0
-	var callPos []int
-	for _, blk := range f.Blocks {
-		blockStart[blk.ID] = pos
-		for _, in := range blk.Insts {
-			order = append(order, placed{in, pos})
-			if in.Op == ir.OpCall || in.Op == ir.OpICall {
-				callPos = append(callPos, pos)
-				res.HasCall = true
-				na := len(in.Args)
-				if in.Op == ir.OpICall {
-					na--
-				}
-				if na > res.MaxCallArgs {
-					res.MaxCallArgs = na
-				}
-			}
-			pos++
-		}
-		blockEnd[blk.ID] = pos - 1
-	}
-	if n == 0 {
-		return res
-	}
-
-	// Liveness analysis (backwards dataflow over blocks).
-	words := (n + 63) / 64
-	newSet := func() []uint64 { return make([]uint64, words) }
-	set := func(s []uint64, v ir.Value) { s[v/64] |= 1 << (uint(v) % 64) }
-	get := func(s []uint64, v ir.Value) bool { return s[v/64]&(1<<(uint(v)%64)) != 0 }
-
-	use := map[int][]uint64{}
-	def := map[int][]uint64{}
-	liveIn := map[int][]uint64{}
-	liveOut := map[int][]uint64{}
-	for _, blk := range f.Blocks {
-		u, d := newSet(), newSet()
-		for _, in := range blk.Insts {
-			for _, a := range in.Args {
-				if a != ir.NoValue && !get(d, a) {
-					set(u, a)
-				}
-			}
-			if in.Res != ir.NoValue && !get(u, in.Res) {
-				set(d, in.Res)
-			}
-		}
-		use[blk.ID], def[blk.ID] = u, d
-		liveIn[blk.ID], liveOut[blk.ID] = newSet(), newSet()
-	}
-	// Parameters are defined at entry.
-	changed := true
-	for changed {
-		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			blk := f.Blocks[i]
-			out := liveOut[blk.ID]
-			for _, s := range blk.Succs() {
-				for w := 0; w < words; w++ {
-					nv := out[w] | liveIn[s][w]
-					if nv != out[w] {
-						out[w] = nv
-						changed = true
-					}
-				}
-			}
-			in := liveIn[blk.ID]
-			for w := 0; w < words; w++ {
-				nv := use[blk.ID][w] | (out[w] &^ def[blk.ID][w])
-				if nv != in[w] {
-					in[w] = nv
-					changed = true
-				}
-			}
-		}
-	}
-
-	// Loop depth of position p: the back edges (a branch from a block to
-	// one at or before it in layout order) whose range covers p.
-	layoutIdx := map[int]int{}
-	for i, blk := range f.Blocks {
-		layoutIdx[blk.ID] = i
-	}
-	depthAt := func(p int) int {
-		d := 0
-		for i, blk := range f.Blocks {
-			for _, s := range blk.Succs() {
-				if layoutIdx[s] <= i && blockStart[s] <= p && p <= blockEnd[blk.ID] {
-					d++
-				}
-			}
-		}
-		return min(d, maxLoopDepth)
-	}
-	// Spill weight: every use and def counts 8^depth.
-	weight := map[ir.Value]int64{}
-	cost := func(p int) int64 {
-		w := int64(1)
-		for i := 0; i < depthAt(p); i++ {
-			w *= 8
-		}
-		return w
-	}
-	for _, pl := range order {
-		for _, a := range pl.in.Args {
-			if a != ir.NoValue {
-				weight[a] += cost(pl.pos)
-			}
-		}
-		if pl.in.Res != ir.NoValue {
-			weight[pl.in.Res] += cost(pl.pos)
-		}
-	}
-	for _, pv := range f.ParamRegs {
-		weight[pv] += cost(0)
-	}
-
-	// Build single covering intervals.
-	starts := make([]int, n)
-	ends := make([]int, n)
-	for i := range starts {
-		starts[i] = -1
-	}
-	touch := func(v ir.Value, p int) {
-		if starts[v] == -1 || p < starts[v] {
-			starts[v] = p
-		}
-		if p > ends[v] {
-			ends[v] = p
-		}
-	}
-	for _, pl := range order {
-		for _, a := range pl.in.Args {
-			if a != ir.NoValue {
-				touch(a, pl.pos)
-			}
-		}
-		if pl.in.Res != ir.NoValue {
-			touch(pl.in.Res, pl.pos)
-		}
-	}
-	for _, blk := range f.Blocks {
-		for v := ir.Value(0); int(v) < n; v++ {
-			if get(liveIn[blk.ID], v) {
-				touch(v, blockStart[blk.ID])
-			}
-			if get(liveOut[blk.ID], v) {
-				touch(v, blockEnd[blk.ID])
-			}
-		}
-	}
-	for _, pv := range f.ParamRegs {
-		touch(pv, 0)
-	}
-
-	var ivs []*interval
-	for v := 0; v < n; v++ {
-		if starts[v] == -1 {
-			continue
-		}
-		iv := &interval{v: ir.Value(v), start: starts[v], end: ends[v],
-			private: isPrivate(ir.Value(v)), isFloat: isFloat(ir.Value(v)),
-			weight: weight[ir.Value(v)]}
-		for _, cp := range callPos {
-			if cp >= iv.start && cp < iv.end {
-				iv.crossesCall = true
-				break
-			}
-		}
-		ivs = append(ivs, iv)
-	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].start != ivs[j].start {
-			return ivs[i].start < ivs[j].start
-		}
-		return ivs[i].end < ivs[j].end
-	})
-
-	// Linear scan with three pools.
-	type active struct {
-		iv  *interval
-		reg asm.Reg
-		fr  asm.FReg
-	}
-	var act []active
-	freeGPR := map[asm.Reg]bool{}
-	for _, r := range calleeSavedPool {
-		freeGPR[r] = true
-	}
-	for _, r := range callerSavedPool {
-		freeGPR[r] = true
-	}
-	freeFP := map[asm.FReg]bool{}
-	for _, r := range fregPool {
-		freeFP[r] = true
-	}
-	usedCS := map[asm.Reg]bool{}
-
-	expire := func(p int) {
-		out := act[:0]
-		for _, a := range act {
-			if a.iv.end < p {
-				if a.iv.isFloat {
-					freeFP[a.fr] = true
-				} else {
-					freeGPR[a.reg] = true
-				}
-			} else {
-				out = append(out, a)
-			}
-		}
-		act = out
-	}
-
-	// Move hint: a value defined by a non-call whose first operand's
-	// interval ends at the definition takes that operand's register when
-	// the register is in the value's pool.
-	hint := func(iv *interval) (active, int) {
-		in := order[iv.start].in
-		if in.Res != iv.v || in.Op == ir.OpCall || in.Op == ir.OpICall || len(in.Args) == 0 {
-			return active{}, -1
-		}
-		a := in.Args[0]
-		if a == ir.NoValue || a == iv.v || ends[a] != iv.start {
-			return active{}, -1
-		}
-		for i, e := range act {
-			if e.iv.v == a && e.iv.isFloat == iv.isFloat {
-				return e, i
-			}
-		}
-		return active{}, -1
-	}
-
-	spill := func(iv *interval) {
-		var slot int
-		if iv.private {
-			slot = res.PrivSlots
-			res.PrivSlots++
-		} else {
-			slot = res.PubSlots
-			res.PubSlots++
-		}
-		res.Locs[iv.v] = Loc{Kind: LocSlot, Slot: slot, Private: iv.private, IsFloat: iv.isFloat}
-	}
-
-	// Eviction when iv's pool has no free register: line up iv and every
-	// active interval of its float-ness holding a register of its pool,
-	// order them by spill weight, then by end (latest first), and spill
-	// the first. Returns the index in act whose register iv takes, or -1.
-	evict := func(iv *interval, pool []asm.Reg) int {
-		type cand struct {
-			iv  *interval
-			idx int
-		}
-		cands := []cand{{iv, -1}}
-		for i, a := range act {
-			if a.iv.isFloat != iv.isFloat {
-				continue
-			}
-			if !iv.isFloat {
-				inPool := false
-				for _, r := range pool {
-					if r == a.reg {
-						inPool = true
-					}
-				}
-				if !inPool {
-					continue
-				}
-			}
-			cands = append(cands, cand{a.iv, i})
-		}
-		sort.SliceStable(cands, func(i, j int) bool {
-			if cands[i].iv.weight != cands[j].iv.weight {
-				return cands[i].iv.weight < cands[j].iv.weight
-			}
-			return cands[i].iv.end > cands[j].iv.end
-		})
-		spill(cands[0].iv)
-		return cands[0].idx
-	}
-
-	for _, iv := range ivs {
-		expire(iv.start)
-		if iv.isFloat {
-			if iv.crossesCall {
-				spill(iv) // no callee-saved FP registers in our model
-				continue
-			}
-			if e, i := hint(iv); i >= 0 {
-				res.Locs[iv.v] = Loc{Kind: LocFReg, FReg: e.fr, Private: iv.private, IsFloat: true}
-				act[i] = active{iv, 0, e.fr}
-				continue
-			}
-			assigned := false
-			for _, r := range fregPool {
-				if freeFP[r] {
-					freeFP[r] = false
-					res.Locs[iv.v] = Loc{Kind: LocFReg, FReg: r, Private: iv.private, IsFloat: true}
-					act = append(act, active{iv, 0, r})
-					assigned = true
-					break
-				}
-			}
-			if !assigned {
-				if i := evict(iv, nil); i >= 0 {
-					fr := act[i].fr
-					res.Locs[iv.v] = Loc{Kind: LocFReg, FReg: fr, Private: iv.private, IsFloat: true}
-					act[i] = active{iv, 0, fr}
-				}
-			}
-			continue
-		}
-		// Integer/pointer value: choose an allowed pool.
-		var pool []asm.Reg
-		switch {
-		case iv.private && iv.crossesCall:
-			pool = nil // private across a call: must be in private memory
-		case iv.private:
-			pool = callerSavedPool
-		case iv.crossesCall:
-			pool = calleeSavedPool
-		default:
-			// Prefer caller-saved to keep callee-saved pushes rare.
-			pool = append(append([]asm.Reg{}, callerSavedPool...), calleeSavedPool...)
-		}
-		if e, i := hint(iv); i >= 0 {
-			inPool := false
-			for _, r := range pool {
-				if r == e.reg {
-					inPool = true
-				}
-			}
-			if inPool {
-				res.Locs[iv.v] = Loc{Kind: LocReg, Reg: e.reg, Private: iv.private}
-				act[i] = active{iv, e.reg, 0}
-				continue
-			}
-		}
-		assigned := false
-		for _, r := range pool {
-			if freeGPR[r] {
-				freeGPR[r] = false
-				res.Locs[iv.v] = Loc{Kind: LocReg, Reg: r, Private: iv.private}
-				if asm.IsCalleeSaved(r) {
-					usedCS[r] = true
-				}
-				act = append(act, active{iv, r, 0})
-				assigned = true
-				break
-			}
-		}
-		if !assigned {
-			if i := evict(iv, pool); i >= 0 {
-				r := act[i].reg
-				res.Locs[iv.v] = Loc{Kind: LocReg, Reg: r, Private: iv.private}
-				act[i] = active{iv, r, 0}
-			}
-		}
-	}
-
-	for _, r := range calleeSavedPool {
-		if usedCS[r] {
-			res.UsedCalleeSaved = append(res.UsedCalleeSaved, r)
-		}
-	}
-	return res
 }
