@@ -1,6 +1,7 @@
 package confllvm_test
 
 import (
+	"slices"
 	"testing"
 
 	"confllvm"
@@ -274,5 +275,91 @@ func TestPowerOfTwoMultiplyIsShift(t *testing.T) {
 	}
 	if shifts == 0 {
 		t.Error("libquantum has no shift by an immediate")
+	}
+}
+
+// innermostLoops returns the bodies of fn's innermost loops in img: each
+// range from the target of a backward jmp or jcc to that jump, holding no
+// shorter such range.
+func innermostLoops(t *testing.T, img *link.Image, fn string) [][]asm.Inst {
+	t.Helper()
+	insts, addrs := funcInstAddrs(t, img, fn)
+	type span struct{ from, to int }
+	var spans []span
+	for i, in := range insts {
+		if (in.Op != asm.OpJcc && in.Op != asm.OpJmp) || uint64(in.Imm) > addrs[i] {
+			continue
+		}
+		for j := range insts[:i+1] {
+			if addrs[j] == uint64(in.Imm) {
+				spans = append(spans, span{j, i})
+			}
+		}
+	}
+	var loops [][]asm.Inst
+	for _, s := range spans {
+		inner := true
+		for _, o := range spans {
+			if o != s && o.from >= s.from && o.to <= s.to {
+				inner = false
+			}
+		}
+		if inner {
+			loops = append(loops, insts[s.from:s.to+1])
+		}
+	}
+	return loops
+}
+
+// TestLoopInvariantsHoisted pins the loop passes on Base images: dct8's
+// innermost loop steps i*k and k*8 + j, so its one register multiply is
+// in[...] * c; milc's stencil loops (the innermost loops that load
+// doubles and call nothing) compute neither r*dim nor dim - 1; and bzip2's move-to-front
+// loops take &mtf from a register instead of a lea from rsp.
+func TestLoopInvariantsHoisted(t *testing.T) {
+	dct8 := innermostLoops(t, kernelImage(t, "h264", confllvm.VariantBase), "dct8")
+	if len(dct8) == 0 {
+		t.Fatal("dct8 has no loop")
+	}
+	for _, loop := range dct8 {
+		muls := 0
+		for _, in := range loop {
+			if in.Op == asm.OpMulRR {
+				muls++
+			}
+		}
+		if muls > 1 {
+			t.Errorf("dct8's inner loop multiplies by a register %d times, want only in[...] * c: %v", muls, loop)
+		}
+	}
+	stencils := 0
+	for _, loop := range innermostLoops(t, kernelImage(t, "milc", confllvm.VariantBase), "main") {
+		if !slices.ContainsFunc(loop, func(in asm.Inst) bool { return in.Op == asm.OpFLoad }) ||
+			slices.ContainsFunc(loop, func(in asm.Inst) bool { return in.Op == asm.OpCall }) {
+			continue
+		}
+		stencils++
+		for _, in := range loop {
+			if in.Op == asm.OpMulRR || in.Op == asm.OpMulRI || in.Op == asm.OpLea {
+				t.Errorf("milc's stencil loop holds %v: %v", in, loop)
+			}
+		}
+	}
+	if stencils < 2 {
+		t.Errorf("milc has %d stencil loops, want 2", stencils)
+	}
+	mtf := 0
+	for _, loop := range innermostLoops(t, kernelImage(t, "bzip2", confllvm.VariantBase), "main") {
+		for _, in := range loop {
+			if in.Op == asm.OpLea && in.M.Base == asm.RSP {
+				t.Errorf("bzip2's loop recomputes a stack address: %v in %v", in, loop)
+			}
+			if in.Op == asm.OpLoad && in.M.Size == 1 {
+				mtf++
+			}
+		}
+	}
+	if mtf == 0 {
+		t.Error("bzip2 has no inner loop loading a byte")
 	}
 }

@@ -332,6 +332,7 @@ func TestE2EGlobalInitializersConvert(t *testing.T) {
 		{"short i = (short)40000 / 3;", "i"},
 		{"long j = (unsigned char)-1 << 4 | 3;", "j"},
 		{"double k = (unsigned)-1;", "(long)k"},
+		{"double k2 = (unsigned long)-1025;", "(long)(k2 / 4096)"},
 		{"int l = 7 / 2 * 2.0 < 7;", "l"},
 		{"unsigned char m = ~0u >> 1;", "m"},
 		{"long n = -(unsigned)1 % 1000;", "n"},
@@ -430,6 +431,16 @@ func TestE2EIntegerConversions(t *testing.T) {
 		{"wrapped int accumulator shifted after its loop", `int acc = 0; int i; for (i = 0; i < 3; i++) acc += 2000000000; r = acc >> 4;`, 106564544},
 		{"wrapped int widened", `int m = 65536; int w = m * m - 5; long l = w; r = l;`, -5},
 		{"wrapped int to double", `int m = 65536; int w = m * m - 5; double d = w; r = d < 0.0;`, 1},
+		// An unsigned long of 2^63 or more converts to a positive double,
+		// rounded to nearest (2^63 + 1025 rounds up to 2^63 + 2048), and
+		// as the global initializers gd64 and gdodd convert.
+		{"2^63 to double", `unsigned long x = 1; x = x << 63; double d = x; r = (long)(d / 4);`, 2305843009213693952},
+		{"2^64-1 to double", `unsigned long x = 0; x = x - 1; double d = x; r = (long)(d / 4);`, 4611686018427387904},
+		{"2^64-1 to double is positive", `unsigned long x = 0; x = x - 1; double d = x; r = d < 0.0;`, 0},
+		{"2^63+1 to double", `unsigned long x = 1; x = (x << 63) + 1; double d = x; r = (long)(d / 4);`, 2305843009213693952},
+		{"2^63+1025 to double rounds up", `unsigned long x = 1; x = (x << 63) + 1025; double d = x; r = (long)(d / 4);`, 2305843009213694464},
+		{"2^64-1 to double as a global initializer", `unsigned long x = 0; x = x - 1; double d = x; r = d == gd64;`, 1},
+		{"2^64-1025 to double as a global initializer", `unsigned long x = 0; x = x - 1025; double d = x; r = (d == gdodd) + (long)(gdodd / 4096);`, 4503599627370496},
 		// A shift has its promoted left operand's type, whatever the
 		// count's type.
 		{"unsigned shifted by a long stays unsigned", `unsigned a = 2147483648; long n = 1; long s = a << n; r = s;`, 0},
@@ -471,6 +482,8 @@ func TestE2EIntegerConversions(t *testing.T) {
 extern void output(long v);
 unsigned gu;
 long gl;
+double gd64 = (unsigned long)-1;
+double gdodd = (unsigned long)-1025;
 int main() {
 	long r = 0;
 	` + tc.body + `

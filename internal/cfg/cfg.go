@@ -1,7 +1,9 @@
 // Package cfg analyzes a control-flow graph over dense node IDs: the
 // immediate dominators (Cooper, Harvey & Kennedy, "A Simple, Fast
 // Dominance Algorithm", 2001) and the natural loops, their nesting and
-// each node's loop depth.
+// each node's loop depth; and InsertPreheaders, which gives every loop a
+// preheader: a node outside the loop whose one successor is the head and
+// which is the head's one predecessor outside the loop.
 //
 // A natural loop is the set of nodes of a back edge t -> h, an edge whose
 // head h dominates its tail t: h itself and every node that reaches t
@@ -29,8 +31,17 @@ type Loops struct {
 	Parent []int
 	// Depth is the number of loops containing each node.
 	Depth []int
+	// RPO lists the reachable nodes in reverse postorder: a node comes
+	// after its immediate dominator, and a loop head before the other
+	// nodes of its loop.
+	RPO []int
+	// Preheader is, after InsertPreheaders, each loop head's preheader,
+	// and -1 for every other node. Analyze sets it to -1 everywhere.
+	Preheader []int
 
-	buf []int // backing store of the results and scratch tables
+	buf   []int // backing store of the results and scratch tables
+	phBuf []int // InsertPreheaders' heads, the new nodes' successor lists
+	grown []int // InsertPreheaders' backing store of the grown results
 }
 
 // Analyze computes the dominators and the loop nest of the graph whose
@@ -44,7 +55,7 @@ func (l *Loops) Analyze(succs [][]int) {
 	// One array holds the four results and every scratch table: the
 	// postorder numbers, DFS states and stack, the reverse postorder, the
 	// retreating edges, the predecessors and the loop walk's worklist.
-	size := 4*n + n + n + 2*n + n + 2*e + (n + 1) + e + n + (e + n)
+	size := 6*n + n + n + 2*n + 2*e + (n + 1) + e + n + (e + n)
 	if cap(l.buf) < size {
 		l.buf = make([]int, size)
 	}
@@ -56,15 +67,16 @@ func (l *Loops) Analyze(succs [][]int) {
 		return s
 	}
 	l.Idom, l.Header, l.Parent, l.Depth = take(n), take(n), take(n), take(n)
+	l.Preheader, l.RPO = take(n), take(n)[:0]
+	for i := range l.Idom {
+		l.Idom[i], l.Header[i], l.Parent[i], l.Preheader[i] = -1, -1, -1, -1
+	}
 	if n == 0 {
 		return
 	}
 	po, state, stack := take(n), take(n), take(2 * n)[:0]
-	rpo, retreating := take(n)[:0], take(2 * e)[:0]
+	rpo, retreating := l.RPO, take(2 * e)[:0]
 	predOff, preds, fill, work := take(n+1), take(e), take(n), take(e + n)[:0]
-	for i := range l.Idom {
-		l.Idom[i], l.Header[i], l.Parent[i] = -1, -1, -1
-	}
 
 	// Iterative depth-first search from the entry: postorder numbers,
 	// the reverse postorder, and the retreating edges (to a node still on
@@ -100,6 +112,7 @@ func (l *Loops) Analyze(succs [][]int) {
 		stack = stack[:k]
 	}
 	slices.Reverse(rpo)
+	l.RPO = rpo
 
 	// Predecessors of the reachable nodes.
 	for v, ss := range succs {
@@ -169,7 +182,7 @@ func (l *Loops) Analyze(succs [][]int) {
 	}
 	const head = done + 1 // state of a loop head
 	for i := 0; i < len(retreating); i += 2 {
-		if !l.dominates(retreating[i+1], retreating[i]) {
+		if !l.Dominates(retreating[i+1], retreating[i]) {
 			panic("cfg: irreducible control flow")
 		}
 		state[retreating[i+1]] = head
@@ -219,8 +232,102 @@ func (l *Loops) Analyze(succs [][]int) {
 	}
 }
 
-// dominates reports whether a dominates b, both reachable.
-func (l *Loops) dominates(a, b int) bool {
+// InLoop reports whether node v is in the loop whose head is h.
+func (l *Loops) InLoop(v, h int) bool {
+	for hv := l.Header[v]; hv >= 0; hv = l.Parent[hv] {
+		if hv == h {
+			return true
+		}
+	}
+	return false
+}
+
+// InsertPreheaders gives every loop of succs, the graph l has analyzed,
+// a preheader, and returns the grown graph, which l then describes. A
+// head whose one edge from a reachable node outside its loop comes from
+// a node with no other successor keeps that node as its preheader. Any
+// other head h gets a new node p, numbered from len(succs) up, whose one
+// successor is h; every edge into h from a reachable node outside the
+// loop moves to p, rewriting those successor lists in place. The new
+// nodes' lists share storage that l reuses on the next call.
+//
+// The loops keep their nodes, and p joins the loops around h's: any loop
+// that contains h without being headed by it contains every predecessor
+// of h, so p as well. Every other node keeps its immediate dominator,
+// except that h's is now p, whose own is h's old one. A head with no
+// edge from outside its loop (only the entry can be one) gets no
+// preheader.
+func (l *Loops) InsertPreheaders(succs [][]int) [][]int {
+	n := len(succs)
+	outside := func(v, h int) bool { return l.Idom[v] >= 0 && !l.InLoop(v, h) }
+	// Preheader holds, per head, the one outside predecessor seen so far
+	// (-1 none) or -2 when the head needs a new node.
+	ph := l.Preheader
+	for _, v := range l.RPO {
+		for _, h := range succs[v] {
+			if l.Header[h] != h || !outside(v, h) {
+				continue
+			}
+			if ph[h] == -1 && len(succs[v]) == 1 {
+				ph[h] = v
+			} else {
+				ph[h] = -2
+			}
+		}
+	}
+	l.phBuf = l.phBuf[:0]
+	for _, h := range l.RPO {
+		if ph[h] == -2 {
+			ph[h] = n + len(l.phBuf)
+			l.phBuf = append(l.phBuf, h)
+		}
+	}
+	k := len(l.phBuf)
+	if k == 0 {
+		return succs
+	}
+	for _, v := range l.RPO {
+		for i, h := range succs[v] {
+			if l.Header[h] == h && ph[h] >= n && outside(v, h) {
+				succs[v][i] = ph[h]
+			}
+		}
+	}
+	heads := l.phBuf[:k:k]
+	for i := range heads {
+		succs = append(succs, heads[i:i+1:i+1])
+	}
+
+	// Grow the results in a second buffer, so that the heads above, now
+	// the new nodes' successor lists, stay as they are.
+	m := n + k
+	if cap(l.grown) < 6*m {
+		l.grown = make([]int, 6*m)
+	}
+	buf := l.grown[:6*m]
+	take := func(old []int) []int {
+		s := buf[:m:m]
+		buf = buf[m:]
+		copy(s, old)
+		return s
+	}
+	l.Idom, l.Header, l.Parent, l.Depth, l.Preheader = take(l.Idom), take(l.Header), take(l.Parent), take(l.Depth), take(ph)
+	rpo := buf[: 0 : len(l.RPO)+k]
+	for _, v := range l.RPO {
+		if p := l.Preheader[v]; p >= n {
+			h := v
+			l.Idom[p], l.Header[p], l.Parent[p], l.Depth[p], l.Preheader[p] = l.Idom[h], l.Parent[h], -1, l.Depth[h]-1, -1
+			l.Idom[h] = p
+			rpo = append(rpo, p)
+		}
+		rpo = append(rpo, v)
+	}
+	l.RPO = rpo
+	return succs
+}
+
+// Dominates reports whether node a dominates node b, both reachable.
+func (l *Loops) Dominates(a, b int) bool {
 	for b != a {
 		if b == 0 {
 			return false

@@ -242,6 +242,104 @@ func TestAnalyzeMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// threaded returns succs with every edge into a node whose one successor
+// is another node moved to that successor, the way opt's CFG
+// simplification threads branches through empty blocks. The entry stays.
+// A loop head of the result often has several predecessors outside its
+// loop, or one with other successors.
+func threaded(succs [][]int) [][]int {
+	out := make([][]int, len(succs))
+	for v, ss := range succs {
+		out[v] = slices.Clone(ss)
+		for i, s := range ss {
+			for hops := 0; s != 0 && len(succs[s]) == 1 && succs[s][0] != s && hops < len(succs); hops++ {
+				s = succs[s][0]
+			}
+			out[v][i] = s
+		}
+	}
+	return out
+}
+
+// TestInsertPreheaders grows the graphs of TestAnalyzeMatchesBruteForce,
+// as built and threaded, with preheaders and checks them against the
+// definition: each loop head
+// has exactly one predecessor outside its loop, its Preheader, whose only
+// successor is the head. The old nodes keep their loop membership and
+// depth, and their immediate dominators apart from the new nodes: a head
+// whose preheader is new is dominated by it, and it by the head's old
+// dominator. The grown graph's analysis must match brute force too.
+func TestInsertPreheaders(t *testing.T) {
+	added := 0
+	var l Loops
+	for seed := int64(0); seed < 800; seed++ {
+		succs := randomReducible(seed / 2)
+		if seed%2 == 1 {
+			succs = threaded(succs)
+		}
+		before := bruteForce(succs)
+		n := len(succs)
+		l.Analyze(succs)
+		succs = l.InsertPreheaders(succs)
+		added += len(succs) - n
+		if err := compare(&l, bruteForce(succs)); err != nil {
+			t.Fatalf("seed %d: grown graph: %v\nsuccs %v", seed, err, succs)
+		}
+		preds := make([][]int, len(succs))
+		for v, ss := range succs {
+			if l.Idom[v] >= 0 {
+				for _, s := range ss {
+					preds[s] = append(preds[s], v)
+				}
+			}
+		}
+		for v := 0; v < n; v++ {
+			if l.Header[v] != before.Header[v] || l.Depth[v] != before.Depth[v] ||
+				(l.Header[v] == v) != (before.Header[v] == v) || l.Parent[v] != before.Parent[v] {
+				t.Fatalf("seed %d: node %d changed loops", seed, v)
+			}
+			idom := l.Idom[v]
+			if idom >= n {
+				if l.Preheader[v] != idom {
+					t.Fatalf("seed %d: node %d is dominated by new node %d, not its preheader", seed, v, idom)
+				}
+				idom = l.Idom[idom]
+			}
+			if idom != before.Idom[v] {
+				t.Fatalf("seed %d: node %d idom %d, was %d", seed, v, idom, before.Idom[v])
+			}
+			if l.Header[v] != v {
+				if l.Preheader[v] != -1 {
+					t.Fatalf("seed %d: node %d is no head but has preheader %d", seed, v, l.Preheader[v])
+				}
+				continue
+			}
+			var out []int
+			for _, p := range preds[v] {
+				if !l.InLoop(p, v) {
+					out = append(out, p)
+				}
+			}
+			p := l.Preheader[v]
+			if len(out) != 1 || out[0] != p {
+				t.Fatalf("seed %d: head %d has outside predecessors %v, preheader %d", seed, v, out, p)
+			}
+			if !slices.Equal(succs[p], []int{v}) {
+				t.Fatalf("seed %d: preheader %d of %d has successors %v", seed, p, v, succs[p])
+			}
+		}
+		for p := n; p < len(succs); p++ {
+			if h := succs[p][0]; l.Preheader[h] != p {
+				t.Fatalf("seed %d: new node %d is not the preheader of %d", seed, p, h)
+			}
+		}
+	}
+	if added == 0 {
+		t.Error("no graph needed a new preheader: the generator is too tame")
+	}
+	t.Logf("%d preheaders added", added)
+}
+
 // TestAnalyzeNested pins a hand-built nest: a while loop (1) holding a
 // do-while (3, 4) and a self loop (5), after an unreachable node (7).
 func TestAnalyzeNested(t *testing.T) {

@@ -359,6 +359,10 @@ func (c *ctx) lower(in *ir.Inst) error {
 		}
 		c.flushGPR(in.Res, d)
 	case ir.OpIntToFP:
+		if in.Ty.IsInteger() && !in.Ty.Signed && in.Ty.SizeOf() == 8 {
+			c.lowerUnsignedToFP(in)
+			break
+		}
 		v := c.readGPR(in.Args[0], regalloc.ScratchA)
 		d := c.destFPR(in.Res)
 		c.emit(asm.Inst{Op: asm.OpCvtIF, FDst: d, Src: v})
@@ -733,4 +737,35 @@ func (c *ctx) lowerCall(in *ir.Inst) error {
 		}
 	}
 	return nil
+}
+
+// lowerUnsignedToFP converts an unsigned 64-bit integer x, which cvt
+// would read as signed, to the nearest double without a branch. With
+// h = x >> 63, y = (x >> h) | (x & h) is x below 2^63 and otherwise x
+// halved with the bit it loses or'ed back in (round to odd), so that
+// d = cvt(y) * (1 + cvt(h)) rounds as converting x would: the doubling is
+// exact. It computes y as (x | (x & h) << 1) >> h, which keeps x's top
+// bit for the second h, in the two scratch registers.
+func (c *ctx) lowerUnsignedToFP(in *ir.Inst) {
+	a, b, fb := regalloc.ScratchA, regalloc.ScratchB, regalloc.ScratchFB
+	if x := c.readGPR(in.Args[0], a); x != a {
+		c.emit(asm.Inst{Op: asm.OpMovRR, Dst: a, Src: x})
+	}
+	h := func() {
+		c.emit(asm.Inst{Op: asm.OpMovRR, Dst: b, Src: a})
+		c.emit(asm.Inst{Op: asm.OpShrRI, Dst: b, Imm: 63})
+	}
+	h()
+	c.emit(asm.Inst{Op: asm.OpAndRR, Dst: b, Src: a})
+	c.emit(asm.Inst{Op: asm.OpShlRI, Dst: b, Imm: 1})
+	c.emit(asm.Inst{Op: asm.OpOrRR, Dst: a, Src: b})
+	h()
+	c.emit(asm.Inst{Op: asm.OpShrRR, Dst: a, Src: b})
+	d := c.destFPR(in.Res)
+	c.emit(asm.Inst{Op: asm.OpCvtIF, FDst: fb, Src: b})
+	c.emit(asm.Inst{Op: asm.OpFMovI, FDst: d, Imm: int64(math.Float64bits(1))})
+	c.emit(asm.Inst{Op: asm.OpFAdd, FDst: fb, FSrc: d})
+	c.emit(asm.Inst{Op: asm.OpCvtIF, FDst: d, Src: a})
+	c.emit(asm.Inst{Op: asm.OpFMul, FDst: d, FSrc: fb})
+	c.flushFPR(in.Res, d)
 }

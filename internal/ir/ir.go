@@ -14,7 +14,7 @@
 //  3. whatever Inst fields the op reads, documented at the constant (a
 //     div or mod reads its signedness and width from Ty, not from Res's
 //     type, so a pass may retype the result without changing the
-//     division);
+//     division, and an inttofp its source's);
 //  4. for an integer binop, an evaluation in opt's foldBin, and a case in
 //     irgen's needsNormalize if it can carry a narrow result out of its
 //     type's range (opt's truncElim treats an op it does not know as
@@ -87,7 +87,10 @@ const (
 	OpCall  // Res = Callee(Args...); Res may be NoValue
 	OpICall // Res = (*Args[0])(Args[1:]...)
 
-	// Conversions. Res type is Ty.
+	// Conversions. Res type is Ty, except that inttofp converts Args[0]
+	// as an integer of type Ty (its width and signedness, whatever
+	// Args[0]'s type says: irgen reuses the vreg across a conversion
+	// between integer types of one width) to a double.
 	//
 	// An integer register holds its C type's canonical 64-bit value
 	// wherever its high bits (those above the type's width) are read: a
@@ -245,7 +248,8 @@ type Inst struct {
 	FImm float64
 	// Ty is the element type (load/store), the target type
 	// (casts/const) or the operation type (div/mod: the signedness and
-	// width the division divides by, whatever Res's type).
+	// width the division divides by, whatever Res's type; inttofp: the
+	// integer type it converts from, whatever Args[0]'s type).
 	Ty     *types.Type
 	Pred   Pred
 	A      *Alloca

@@ -593,7 +593,7 @@ func (g *generator) toFloat(v ir.Value, t *types.Type) ir.Value {
 		return v
 	}
 	ft := types.MakeFloat(g.gen.Fresh())
-	return g.emitV(&ir.Inst{Op: ir.OpIntToFP, Args: []ir.Value{v}, Ty: ft,
+	return g.emitV(&ir.Inst{Op: ir.OpIntToFP, Args: []ir.Value{v}, Ty: t,
 		Res: g.fn.NewValue(ft)})
 }
 

@@ -14,9 +14,13 @@
 // generator folds into the division); it wraps subexpressions in
 // narrowing casts, so every variant's lowering of them is compared; and
 // it runs int arithmetic past 2^31 right before a compare, a division or
-// an index, which read the wrapped value's high bits. Every variant shares the IR
-// optimizer, so TestFuzzDifferential also checks the outputs against an
-// unoptimized (NoOpt) Base build of the same program.
+// an index, which read the wrapped value's high bits. For the loop
+// optimizations it emits nested counted loops that index arrays by
+// affine functions of their counters (i*c + j, k*n + j), read invariant
+// subexpressions of the parameters, index a local array, may run zero
+// times, and multiply an int counter past 2^31. Every variant shares the
+// IR optimizer, so TestFuzzDifferential also checks the outputs against
+// an unoptimized (NoOpt) Base build of the same program.
 package machine_test
 
 import (
@@ -175,7 +179,7 @@ func (g *progGen) elem(e string) string {
 // is the loop-nesting level (used to pick distinct counter names).
 func (g *progGen) stmts(b *strings.Builder, n, depth, fn, lv int) {
 	for i := 0; i < n; i++ {
-		switch g.r.Intn(9) {
+		switch g.r.Intn(10) {
 		case 0, 1:
 			fmt.Fprintf(b, "l%d = %s;\n", g.r.Intn(fuzzLocals), g.expr(depth, fn))
 		case 2:
@@ -200,6 +204,12 @@ func (g *progGen) stmts(b *strings.Builder, n, depth, fn, lv int) {
 			g.wrap(b, depth, fn, lv)
 		case 7:
 			g.divCopy(b, depth, fn)
+		case 8:
+			if lv < 2 && g.r.Intn(2) == 0 {
+				g.affine(b, depth, fn)
+				continue
+			}
+			fallthrough
 		default:
 			fmt.Fprintf(b, "acc = acc + %s;\n", g.expr(depth, fn))
 		}
@@ -231,6 +241,49 @@ func (g *progGen) wrap(b *strings.Builder, depth, fn, lv int) {
 	}
 }
 
+// invariant returns an expression of function fn's parameters a and b,
+// which no statement assigns; main (fn == nFuncs) has none, and gets a
+// constant expression.
+func (g *progGen) invariant(fn int) string {
+	c := 1 + g.r.Intn(9)
+	if fn == g.nFuncs {
+		return fmt.Sprintf("(%d * %d + %d)", c, 3+g.r.Intn(5), g.r.Intn(100))
+	}
+	switch g.r.Intn(3) {
+	case 0:
+		return fmt.Sprintf("(a * %d + b)", c)
+	case 1:
+		return fmt.Sprintf("((a - b) * %d)", c)
+	}
+	return fmt.Sprintf("((a ^ %d) + (b >> %d))", c, g.r.Intn(8))
+}
+
+// affine emits counted loops for the loop optimizations: two nested
+// loops, either of which may run zero times (the inner one's bound is
+// an invariant, which the body cannot move), indexing arr by
+// ai * c + aj and the local array loc by ai * n + aj for an invariant n,
+// and reading invariant subexpressions of the parameters; then an int
+// counter multiplied past 2^31, read widened and in a compare. The
+// counters ai, aj and ak belong to affine alone, and its bodies hold no
+// random statements or calls, so it never nests in itself and stays
+// short.
+func (g *progGen) affine(b *strings.Builder, depth, fn int) {
+	c := 1 + g.r.Intn(12)
+	inv := g.invariant(fn)
+	n := fmt.Sprintf("(%s & 7)", g.invariant(fn))
+	fmt.Fprintf(b, "for (ai = 0; ai < %d; ai++) {\n", g.r.Intn(4))
+	fmt.Fprintf(b, "for (aj = %d; aj < (%s & 3) - 1; aj++) {\n", g.r.Intn(2), g.invariant(fn))
+	fmt.Fprintf(b, "arr[(ai * %d + aj) & 31] = arr[(ai * %d + aj) & 31] + %s;\n", c, c, inv)
+	fmt.Fprintf(b, "loc[(ai * %s + aj) & 7] += %s + aj;\n", n, inv)
+	fmt.Fprintf(b, "l%d = %s * %d;\n", g.r.Intn(fuzzLocals), inv, c)
+	b.WriteString("}\n")
+	fmt.Fprintf(b, "acc = acc + loc[ai & 7] + %s;\n}\n", g.expr(depth-1, 0))
+	k := 1000000000 + g.r.Int63n(1000000000)
+	fmt.Fprintf(b, "for (ak = %d; ak < %d; ak++) {\n", g.r.Intn(2), 2+g.r.Intn(3))
+	fmt.Fprintf(b, "l%d = l%d + ak * %d;\n", g.r.Intn(fuzzLocals), g.r.Intn(fuzzLocals), k)
+	fmt.Fprintf(b, "if (ak * %d < 0) acc = acc + 1;\n}\n", k)
+}
+
 // loop emits a bounded countdown loop with a dedicated counter.
 func (g *progGen) loop(b *strings.Builder, depth, fn, lv int) {
 	fmt.Fprintf(b, "i%d = (%s) & 15;\n", lv, g.expr(1, fn))
@@ -257,15 +310,18 @@ func (g *progGen) body(b *strings.Builder, n, depth, fn int) {
 	b.WriteString(";\n")
 }
 
-// wraps declares the int locals wrap drives, starting near INT_MAX, and
-// divCopy's quotient locals.
+// wraps declares the int locals wrap drives, starting near INT_MAX,
+// divCopy's quotient locals, and affine's counters and local array,
+// filled by a loop.
 func (g *progGen) wraps(b *strings.Builder) {
+	b.WriteString("long ai = 0;\nlong aj = 0;\nint ak = 0;\nlong loc[8];\n")
 	for i := 0; i < fuzzWraps; i++ {
 		fmt.Fprintf(b, "int w%d = %d;\n", i, 2147483647-g.r.Int63n(100))
 	}
 	for i, t := range quotLocals {
 		fmt.Fprintf(b, "%s q%d = %d;\n", t, i, i)
 	}
+	b.WriteString("for (ai = 0; ai < 8; ai++) loc[ai] = ai * 3;\n")
 }
 
 func (g *progGen) fn(b *strings.Builder, idx int) {

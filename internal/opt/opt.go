@@ -7,6 +7,22 @@
 // merges a constant only with one of the same qualified type, so it never
 // unifies a private 0 or NULL with a public one. None (-O0) remains for
 // the NoOpt build.
+//
+// O2 runs block-local passes (constant folding, copy propagation, CSE),
+// use-count DCE, branch threading and unreachable-block removal, and
+// truncElim, to a fixpoint; and once, on round 0's cleaned-up IR, the
+// passes of loops.go over internal/cfg's loop nest. Those delete every
+// pure def whose value is dead (strong liveness), give each natural loop
+// a preheader, and then, innermost loop first and only in loops without
+// a call (whose values would then live across calls): LICM hoists a
+// pure, non-faulting instruction whose operands are invariant or
+// constants (cloned: prepass folds a constant into an immediate only
+// within its block), whose result has one def in the loop and is not
+// live into the header; and operator strength reduction (Cooper, Simpson
+// & Vick, TOPLAS 2001) replaces k*x and k*x + y, for a basic induction
+// variable k, with a new value of the product's type stepped beside k's
+// update. Taint inference sees every new value typed like the one it
+// replaces.
 package opt
 
 import (
@@ -28,12 +44,16 @@ type Passes struct {
 	dce         bool
 	simplifyCFG bool
 	truncElim   bool // drop truncs whose high bits nothing reads
+	deadDefs    bool // drop pure defs whose value is dead, by liveness
+	loops       bool // preheaders, LICM and strength reduction
 }
 
-// O2 is the full pipeline, run by every variant.
+// O2 is the full pipeline, run by every variant: every pass above, with
+// the loop passes and liveness-based dead-def removal once per function
+// (see the package comment and loops.go for their legality rules).
 func O2() Passes {
 	return Passes{constFold: true, copyProp: true, localCSE: true, dce: true,
-		simplifyCFG: true, truncElim: true}
+		simplifyCFG: true, truncElim: true, deadDefs: true, loops: true}
 }
 
 // None disables all optimization (-O0).
@@ -74,6 +94,20 @@ func Run(mod *ir.Module, p Passes) {
 			if p.dce {
 				cleanup = s.dce(f) || cleanup
 			}
+			if (p.deadDefs || p.loops) && round == 0 {
+				// Once, on round 0's cleaned-up IR, whose truncElim has
+				// turned the truncs between products and adds into
+				// copies. The copies later rounds leave dead are temps,
+				// which dce's use counts catch.
+				ok, hasLoop := s.lp.analyze(f, p.loops)
+				if ok && p.deadDefs {
+					cleanup = s.lp.deadDefs() || cleanup
+				}
+				if p.loops && hasLoop && s.loopPasses(f) {
+					changed = true
+					s.fit(f)
+				}
+			}
 			// A round whose only work was removing the copies truncElim
 			// left (the copy propagation and DCE that follow it in the
 			// same round) needs no confirmation round: on the benchmark
@@ -102,8 +136,8 @@ type scratch struct {
 	stamp   []uint32 // per value: the stamp of its latest def; 0 before any
 	consts  []constFact
 	aliases []alias
-	avail   []cseSlot // open-addressing table; the length is a power of two
 	used    []bool
+	avail   []cseSlot   // open-addressing table; the length is a power of two
 	blocks  []*ir.Block // by block id
 	reached []bool      // by block id
 	work    []int
@@ -120,12 +154,14 @@ type scratch struct {
 	preds   []int32
 	drop    []bool
 	hbLive  []uint64
+	lp      loopState
 }
 
 // fit grows the per-value tables to f. Entries left by earlier functions
 // need no reset: their stamps are older than any block of f.
 func (s *scratch) fit(f *ir.Func) {
 	if n := f.NumValues(); len(s.stamp) < n {
+		n += n / 4 // room for the values the loop passes add
 		s.stamp = append(s.stamp, make([]uint32, n-len(s.stamp))...)
 		s.consts = append(s.consts, make([]constFact, n-len(s.consts))...)
 		s.aliases = append(s.aliases, make([]alias, n-len(s.aliases))...)
@@ -424,7 +460,8 @@ func hasSideEffects(in *ir.Inst) bool {
 }
 
 // dce removes pure instructions whose results are never used anywhere and
-// Copy instructions to dead vregs.
+// Copy instructions to dead vregs. (deadDefs, in loops.go, also removes
+// the defs no use reads.)
 func (s *scratch) dce(f *ir.Func) bool {
 	used := s.used[:f.NumValues()]
 	clear(used)
@@ -454,7 +491,11 @@ func (s *scratch) dce(f *ir.Func) bool {
 
 // ---- CFG simplification ----
 
-// simplifyCFG removes blocks unreachable from the entry.
+// simplifyCFG threads every branch into a block that holds only br X
+// straight to X, and removes the blocks the entry no longer reaches. The
+// loop passes run right after it, so a preheader they insert is never
+// threaded away before they fill it; one they leave empty goes in the
+// next round.
 func (s *scratch) simplifyCFG(f *ir.Func) bool {
 	if len(f.Blocks) == 0 {
 		return false
@@ -472,6 +513,38 @@ func (s *scratch) simplifyCFG(f *ir.Func) bool {
 	clear(reached)
 	for _, b := range f.Blocks {
 		blocks[b.ID] = b
+	}
+	// forward returns the block a branch to id reaches first that is not
+	// a lone br; a cycle of them ends the walk anywhere on it.
+	forward := func(id int) int {
+		for range f.Blocks {
+			if id < 0 || id >= n || blocks[id] == nil {
+				break
+			}
+			b := blocks[id]
+			if len(b.Insts) != 1 || b.Insts[0].Op != ir.OpBr || b.Insts[0].Blk == id {
+				break
+			}
+			id = b.Insts[0].Blk
+		}
+		return id
+	}
+	threaded := false
+	for _, b := range f.Blocks {
+		if len(b.Insts) == 0 {
+			continue
+		}
+		switch t := b.Insts[len(b.Insts)-1]; t.Op {
+		case ir.OpCondBr:
+			if x := forward(t.Blk2); x != t.Blk2 {
+				t.Blk2, threaded = x, true
+			}
+			fallthrough
+		case ir.OpBr:
+			if x := forward(t.Blk); x != t.Blk {
+				t.Blk, threaded = x, true
+			}
+		}
 	}
 	visit := func(id int) {
 		if id >= 0 && id < n && blocks[id] != nil && !reached[id] {
@@ -491,7 +564,7 @@ func (s *scratch) simplifyCFG(f *ir.Func) bool {
 		}
 	}
 	if count == len(f.Blocks) {
-		return false
+		return threaded
 	}
 	out := f.Blocks[:0]
 	for _, b := range f.Blocks {
