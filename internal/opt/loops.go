@@ -780,12 +780,19 @@ func (lp *loopState) srCandidate(f *ir.Func, p *ir.Inst, v, i int32, k, x ir.Val
 	// k*x + y: the add is p's one use, perhaps through copies, each
 	// defined once, later in the same block, with no def of k in between,
 	// so the add reads the product of the k it adds to.
-	u, q := p.Res, lp.user[p.Res]
-	for q.Op == ir.OpCopy && lp.uses[u] == 1 && lp.defsIn(q.Res) == 1 && lp.defInst[q.Res] == q {
-		u, q = q.Res, lp.user[q.Res]
+	// (A value the loop passes made has no use facts: uses is 0.)
+	var q *ir.Inst
+	u, last := p.Res, i
+	for lp.uses[u] == 1 {
+		q = lp.user[u]
+		if q.Res == ir.NoValue || lp.defsIn(q.Res) != 1 || lp.defInst[q.Res] != q ||
+			lp.defNode[q.Res] != v || lp.defIdx[q.Res] <= last || q.Op != ir.OpCopy {
+			break
+		}
+		u, last, q = q.Res, lp.defIdx[q.Res], nil
 	}
-	if lp.uses[u] == 1 && q.Op == ir.OpAdd && len(q.Args) == 2 && q.Res != ir.NoValue &&
-		lp.defsIn(q.Res) == 1 && lp.defInst[q.Res] == q && lp.defNode[q.Res] == v && lp.defIdx[q.Res] > i &&
+	if q != nil && q.Op == ir.OpAdd && len(q.Args) == 2 && q.Res != ir.NoValue &&
+		lp.defsIn(q.Res) == 1 && lp.defInst[q.Res] == q && lp.defNode[q.Res] == v && lp.defIdx[q.Res] > last &&
 		!(iv.node == v && lp.defIdx[k] > i && lp.defIdx[k] < lp.defIdx[q.Res]) {
 		y := q.Args[0]
 		if y == u {
