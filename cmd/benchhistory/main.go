@@ -9,8 +9,8 @@
 // `go test -bench BenchmarkRun` output and one `confbench -figure all
 // -json` report — and distills them into a single JSON line:
 //
-//	{"commit": ..., "date": ..., "benchrun_mips": ..., "cluster_reqs_per_sec": ...,
-//	 "faults_avail_geomean": ..., "interp_geomean": ..., ...}
+//	{"commit": ..., "date": ..., "benchrun_mips": ..., "faults_avail_geomean": ...,
+//	 "interp_geomean": ..., "latency_p99_cycles": ..., ...}
 //
 // benchrun_mips is the BenchmarkRun/superblock MIPS datapoint (raw
 // dispatch throughput on straight-line ALU blocks under the default

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	confbench [-figure all|5|ablation|6|ldap|7|8|throughput|scenarios|faults|verify|cluster|latency|interp]
+//	confbench [-figure all|5|ablation|6|ldap|7|8|throughput|scenarios|faults|verify|latency|interp]
 //	          [-superblocks=true|false]
 //	          [-parallel N] [-seed N] [-short] [-list]
 //	          [-json] [-out BENCH_interp.json] [-profile FILE]
@@ -41,15 +41,6 @@
 // marker so diffs can strip them. A mutation kill rate below 100% fails
 // the figure: a surviving mutant is a verifier soundness hole.
 //
-// The "cluster" figure lifts the single-machine assumption: a
-// deterministic router partitions the KV key space across 1/4/16 shard
-// machines (every shard serving through the same gate-verified binary),
-// client skew (uniform vs seeded zipf) stresses routing balance, and
-// cross-shard scans fan out into per-owner sub-requests. Shards run as
-// ordinary matrix cells; per-cluster rows merge their simulated clocks
-// with commutative folds (aggregate req/s = client requests over the
-// slowest shard), so the table inherits the full determinism contract.
-//
 // The "latency" figure is the observability plane's flagship table: the
 // KV scenario's per-request service times, measured at the trusted recv
 // boundary in simulated cycles, are replayed through a deterministic
@@ -82,8 +73,7 @@
 // column to read when a change removes cheap instructions and MIPS falls
 // while the work gets done sooner), faults_avail_geomean (faults'
 // availability %), verify_funcs_per_sec (verify's per-binary checking
-// throughput, host time), cluster_reqs_per_sec (cluster's aggregate
-// simulated req/s) and latency_p99_cycles (latency's p99 in simulated
+// throughput, host time) and latency_p99_cycles (latency's p99 in simulated
 // cycles). Each is the geometric mean over the figure's rows, skipping
 // values <= 0; a column whose figure did not run, or had no positive
 // value, is absent. cmd/benchhistory copies this object into
@@ -154,20 +144,6 @@ type benchRow struct {
 	VerifyInstsPerSec float64 `json:"verify_insts_per_sec,omitempty"`
 	MutantsTried      int     `json:"mutants_tried,omitempty"`
 	MutantsKilled     int     `json:"mutants_killed,omitempty"`
-
-	// Cluster columns, set only for cluster-figure rows. Each such row is
-	// one whole cluster (shard measurements merged by commutative clock
-	// folds); wall_cycles is the cluster wall clock (slowest shard) and
-	// instrs the cross-shard sum. All simulated quantities.
-	Shards         int    `json:"shards,omitempty"`
-	ClientReqs     int    `json:"client_reqs,omitempty"`
-	AggReqsPerSec  uint64 `json:"agg_reqs_per_sec,omitempty"`
-	ShardReqMin    int    `json:"shard_req_min,omitempty"`
-	ShardReqMax    int    `json:"shard_req_max,omitempty"`
-	ShardCyclesMin uint64 `json:"shard_cycles_min,omitempty"`
-	ShardCyclesMax uint64 `json:"shard_cycles_max,omitempty"`
-	ScanSplits     int    `json:"scan_splits,omitempty"`
-	CrossScans     int    `json:"cross_scans,omitempty"`
 
 	// Latency columns, set only for latency-figure rows: the open-loop
 	// queueing report of internal/bench.RunLatency. All simulated
@@ -277,17 +253,6 @@ func record(figure, workload, variant string, m *bench.Measurement) {
 		row.LatMaxCycles = rep.Max
 		row.MaxQueue = rep.MaxQueue
 	}
-	if rep := m.Cluster; rep != nil {
-		row.Shards = rep.Shards
-		row.ClientReqs = rep.ClientRequests
-		row.AggReqsPerSec = rep.AggReqsPerSec()
-		row.ShardReqMin = rep.MinShardReqs
-		row.ShardReqMax = rep.MaxShardReqs
-		row.ShardCyclesMin = rep.MinShardCycles
-		row.ShardCyclesMax = rep.MaxShardCycles
-		row.ScanSplits = rep.ScanSplits
-		row.CrossScans = rep.CrossScans
-	}
 	report.Rows = append(report.Rows, row)
 }
 
@@ -344,7 +309,7 @@ type figureSpec struct {
 var figureRegistry = []figureSpec{
 	{"5", fig5}, {"ablation", ablation}, {"6", fig6}, {"ldap", ldap}, {"7", fig7}, {"8", fig8},
 	{"throughput", throughput}, {"scenarios", scenarios}, {"faults", faults},
-	{"verify", verifyFigure}, {"cluster", cluster}, {"latency", latencyFigure},
+	{"verify", verifyFigure}, {"latency", latencyFigure},
 	{"interp", interp},
 }
 
@@ -799,69 +764,6 @@ func verifyFigure() ([]bench.Cell, renderFn) {
 	return cells, render
 }
 
-// cluster is the sharded-cluster figure: the confidential KV store's key
-// space partitioned across {1, 4, 16} machines, swept over request
-// multipliers (1x/10x/100x) and client key skews (uniform, zipf). The
-// deterministic router in internal/scenario splits one seeded client
-// stream into per-shard streams (cross-shard scans fan out into per-owner
-// sub-requests) and predicts each shard's output vector; every shard then
-// runs as an ordinary matrix cell on the shared verified artifact, and
-// the render merges each cluster's shard measurements with commutative
-// clock folds — aggregate req/s is client requests over the slowest
-// shard, and the min/max columns show routing balance. Every printed
-// value is a simulated quantity: the table is byte-identical across
-// -parallel and -superblocks settings.
-func cluster() ([]bench.Cell, renderFn) {
-	const v = confllvm.VariantMPX // the deployable, verifiable configuration
-	cts := bench.ClusterTraffics(scenario.ClusterGrid(shortGrid, scenarioSeed))
-	cells := bench.ClusterCells("cluster", cts, v, &mcfg)
-	render := func(results []bench.CellResult) error {
-		fmt.Printf("Cluster: sharded confidential KV store, aggregate req/s at a %.1f GHz simulated clock (%v, seed %d)\n",
-			float64(bench.SimClockHz)/1e9, v, scenarioSeed)
-		fmt.Printf("%-18s %3s %6s %10s %13s %23s %7s %7s\n",
-			"cluster", "sh", "reqs", "agg-req/s", "shard-reqs", "shard-cycles", "splits", "xscans")
-		idx := 0
-		var aggReqs []float64
-		for _, ct := range cts {
-			ms := make([]*bench.Measurement, ct.Spec.Shards)
-			var hostNS int64
-			for sh := range ms {
-				r := results[idx]
-				idx++
-				if r.Err != nil {
-					return r.Err
-				}
-				ms[sh] = r.M
-				hostNS += r.M.HostNS
-			}
-			rep, err := bench.MergeShardClocks(ct, ms)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%-18s %3d %6d %10d %5d/%-7d %11d/%-11d %7d %7d\n",
-				ct.Spec.Name, rep.Shards, rep.ClientRequests, rep.AggReqsPerSec(),
-				rep.MinShardReqs, rep.MaxShardReqs,
-				rep.MinShardCycles, rep.MaxShardCycles,
-				rep.ScanSplits, rep.CrossScans)
-			// One JSON row per cluster: wall = merged cluster clock, instrs
-			// = cross-shard sum, host time = summed shard run times.
-			m := &bench.Measurement{
-				Variant: v,
-				Wall:    rep.WallCycles,
-				HostNS:  hostNS,
-				Cluster: rep,
-			}
-			m.Stats.Instrs = rep.Instrs
-			record("cluster", ct.Spec.Name, v.String(), m)
-			aggReqs = append(aggReqs, float64(rep.AggReqsPerSec()))
-		}
-		recordHistory("cluster_reqs_per_sec", aggReqs)
-		fmt.Println()
-		return nil
-	}
-	return cells, render
-}
-
 // latencyFigure is the open-loop latency figure: the confidential KV
 // store's per-request service times (measured at the trusted recv
 // boundary in simulated cycles) replayed through a deterministic FIFO
@@ -870,8 +772,8 @@ func cluster() ([]bench.Cell, renderFn) {
 // the nightly byte-diffs across -parallel and -superblocks —
 // and the arrival streams derive from -seed, so the figure is one
 // deterministic function of the flag set. The aggregate line merges
-// every row's metric registry commutatively (internal/obs), the same
-// discipline the cluster figure uses for shard clocks.
+// every row's metric registry commutatively (internal/obs), so the line
+// does not depend on the order in which cells complete.
 func latencyFigure() ([]bench.Cell, renderFn) {
 	const v = confllvm.VariantMPX // the deployable, verifiable configuration
 	sweeps := bench.LatencyGrid(shortGrid, scenarioSeed)

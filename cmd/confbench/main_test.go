@@ -33,7 +33,7 @@ func TestFigureRegistryComplete(t *testing.T) {
 			t.Fatalf("figure %q missing from the derived usage string %q", f.name, names)
 		}
 	}
-	for _, required := range []string{"ablation", "scenarios", "faults", "verify", "cluster", "latency", "interp"} {
+	for _, required := range []string{"ablation", "scenarios", "faults", "verify", "latency", "interp"} {
 		if !seen[required] {
 			t.Fatalf("figure %q (driven by CI) is not registered", required)
 		}

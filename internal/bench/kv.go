@@ -142,8 +142,8 @@ int main() {
 }
 `
 
-// kvSources is the KV store program: every scenario and every cluster
-// shard shares one artifact per variant (Key "kv").
+// kvSources is the KV store program: every KV scenario shares one
+// artifact per variant (Key "kv").
 var kvSources = []confllvm.Source{
 	{Name: "kv.c", Code: KVStoreSrc},
 	{Name: "ulib.c", Code: ULib},

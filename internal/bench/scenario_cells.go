@@ -9,26 +9,32 @@ import (
 	"confllvm/internal/scenario"
 )
 
-// This file is the one serving path for wire traces. wireWorkload turns
-// a fixed packet stream and its predicted output counters into an
-// ordinary Workload; the scenario families (KV, TLS-ish, Merkle-FS), each
-// cluster shard, the latency figure and the faults figure all serve
-// their traffic through it.
-
-// wireWorkload serves a fixed wire trace: the program built from sources
-// receives wire through the trusted recv and must report exactly expect.
-// traffic returns the packets and the prediction; the first World or
-// Check calls it, so a caller that only reads Prog never generates the
-// trace. Every World shares the same packets — recv copies each one into
-// simulated memory and chaos.CorruptPacket returns a corrupted copy — so
-// no run mutates them and one trace serves every run of the Workload
-// (pinned by TestWireTraceReusable). Check compares the program's output
-// counters against the prediction, so a served trace is validated end to
-// end, not just fault-free.
-func wireWorkload(key, name string, sources []confllvm.Source, traffic func() ([][]byte, []int64)) Workload {
+// scenarioWorkload serves one spec's traffic: the program built from
+// sources receives the spec's wire trace through the trusted recv and
+// must report exactly the predicted output counters. The trace is
+// generated once, on first use by World or Check, so a caller that only
+// reads Prog never generates it; sync.OnceValues makes that safe for
+// concurrent matrix cells. Our grids never fail generation (it validates
+// the spec's family), hence the panic. Every World shares the same
+// packets — recv copies each one into simulated memory and
+// chaos.CorruptPacket returns a corrupted copy — so no run mutates them
+// and one trace serves every run of the Workload (pinned by
+// TestWireTraceReusable). Check compares the program's output counters
+// against the prediction, so a served trace is validated end to end, not
+// just fault-free. The scenario families (KV, TLS-ish, Merkle-FS), the
+// latency figure and the faults figure all serve their traffic through
+// it.
+func scenarioWorkload(key string, sources []confllvm.Source, spec scenario.Spec) Workload {
+	traffic := sync.OnceValues(func() ([][]byte, []int64) {
+		wire, expect, err := scenario.Traffic(spec)
+		if err != nil {
+			panic(err)
+		}
+		return wire, expect
+	})
 	return Workload{
 		Key:  key,
-		Name: name,
+		Name: spec.Name,
 		Prog: func(confllvm.Variant) confllvm.Program {
 			return confllvm.Program{Sources: sources}
 		},
@@ -43,31 +49,17 @@ func wireWorkload(key, name string, sources []confllvm.Source, traffic func() ([
 			_, expect := traffic()
 			if len(res.Outputs) != len(expect) {
 				return fmt.Errorf("%s: got %d outputs %v, want %d %v",
-					name, len(res.Outputs), res.Outputs, len(expect), expect)
+					spec.Name, len(res.Outputs), res.Outputs, len(expect), expect)
 			}
 			for i := range expect {
 				if res.Outputs[i] != expect[i] {
 					return fmt.Errorf("%s: output[%d] = %d, predicted %d (%v vs %v)",
-						name, i, res.Outputs[i], expect[i], res.Outputs, expect)
+						spec.Name, i, res.Outputs[i], expect[i], res.Outputs, expect)
 				}
 			}
 			return nil
 		},
 	}
-}
-
-// scenarioWorkload serves one spec's traffic with wireWorkload,
-// generating it once, on first use; sync.OnceValues makes that safe for
-// concurrent matrix cells. Our grids never fail generation (it validates
-// the spec's family), hence the panic.
-func scenarioWorkload(key string, sources []confllvm.Source, spec scenario.Spec) Workload {
-	return wireWorkload(key, spec.Name, sources, sync.OnceValues(func() ([][]byte, []int64) {
-		wire, expect, err := scenario.Traffic(spec)
-		if err != nil {
-			panic(err)
-		}
-		return wire, expect
-	}))
 }
 
 // ScenarioWorkload maps a spec to its workload family.

@@ -161,10 +161,10 @@ func TestScenarioCellsShareArtifacts(t *testing.T) {
 	}
 }
 
-// TestWireTraceReusable pins what wireWorkload relies on: every World of
-// one Workload shares the same packets, and serving them never mutates
-// them, so two runs produce the same outputs and leave the trace
-// byte-identical.
+// TestWireTraceReusable pins what scenarioWorkload relies on: every
+// World of one Workload shares the same generated packets, and serving
+// them never mutates them, so two runs produce the same outputs and
+// leave the trace byte-identical.
 func TestWireTraceReusable(t *testing.T) {
 	wl := KVWorkload(scenario.DefaultKV(true))
 	if a, b := wl.World().NetIn, wl.World().NetIn; &a[0][0] != &b[0][0] {

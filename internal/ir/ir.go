@@ -276,17 +276,24 @@ type Block struct {
 
 // Succs returns the successor block ids.
 func (b *Block) Succs() []int {
+	return b.AppendSuccs(nil)
+}
+
+// AppendSuccs appends the successor block ids of b's terminator to buf:
+// one for a br, two for a condbr, none otherwise. The ids are whatever
+// the branch names; a caller that may see a branch to a missing block
+// checks each id itself.
+func (b *Block) AppendSuccs(buf []int) []int {
 	if len(b.Insts) == 0 {
-		return nil
+		return buf
 	}
-	t := b.Insts[len(b.Insts)-1]
-	switch t.Op {
+	switch t := b.Insts[len(b.Insts)-1]; t.Op {
 	case OpBr:
-		return []int{t.Blk}
+		return append(buf, t.Blk)
 	case OpCondBr:
-		return []int{t.Blk, t.Blk2}
+		return append(buf, t.Blk, t.Blk2)
 	}
-	return nil
+	return buf
 }
 
 // Func is an IR function.

@@ -6,10 +6,9 @@
 // The package deliberately has no clock and no randomness of its own:
 // callers pass in simulated-cycle timestamps (machine Stats.Cycles) and
 // every aggregate here — counters, gauges, histograms, span trees,
-// flattened profiles — merges commutatively, the same discipline the
-// cluster layer uses for shard clocks (bench.MergeShardClocks). That is
-// what lets the bench matrix observe cells on worker goroutines in any
-// completion order and still render one canonical table.
+// flattened profiles — merges commutatively. That is what lets the
+// bench matrix observe cells on worker goroutines in any completion
+// order and still render one canonical table.
 package obs
 
 import (

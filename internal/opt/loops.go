@@ -87,20 +87,6 @@ func (lp *loopState) fitValues(f *ir.Func) {
 	lp.clone, lp.cloneMark = growTo(lp.clone, n), growTo(lp.cloneMark, n)
 }
 
-// termSuccs appends the successor block ids of b's terminator to buf.
-func termSuccs(b *ir.Block, buf []int) []int {
-	if len(b.Insts) == 0 {
-		return buf
-	}
-	switch t := b.Insts[len(b.Insts)-1]; t.Op {
-	case ir.OpBr:
-		return append(buf, t.Blk)
-	case ir.OpCondBr:
-		return append(buf, t.Blk, t.Blk2)
-	}
-	return buf
-}
-
 // buildCFG numbers f's blocks by layout and fills node, nodeOf and succs.
 // It reports false, leaving f alone, on a branch to a block f lacks.
 func (lp *loopState) buildCFG(f *ir.Func) bool {
@@ -118,7 +104,7 @@ func (lp *loopState) buildCFG(f *ir.Func) bool {
 	}
 	lp.succBuf = lp.succBuf[:0]
 	for _, b := range f.Blocks {
-		lp.succBuf = termSuccs(b, lp.succBuf)
+		lp.succBuf = b.AppendSuccs(lp.succBuf)
 	}
 	for i, id := range lp.succBuf {
 		if id < 0 || id > maxID || lp.nodeOf[id] < 0 {
@@ -134,7 +120,7 @@ func (lp *loopState) buildCFG(f *ir.Func) bool {
 	lp.predOff = growTo(lp.predOff[:0], n+1)
 	off := 0
 	for _, b := range f.Blocks {
-		k := off + len(termSuccs(b, lp.pair[:0]))
+		k := off + len(b.AppendSuccs(lp.pair[:0]))
 		lp.succs = append(lp.succs, lp.succBuf[off:k:k])
 		for _, x := range lp.succBuf[off:k] {
 			lp.predOff[x+1]++

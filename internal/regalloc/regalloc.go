@@ -471,25 +471,21 @@ func (a *allocator) blockSuccs(f *ir.Func) [][]int {
 	for i, blk := range f.Blocks {
 		a.blkIdx[blk.ID] = int32(i)
 	}
-	add := func(id int) {
-		if id >= 0 && id <= maxID && a.blkIdx[id] >= 0 {
-			a.succBk = append(a.succBk, int(a.blkIdx[id]))
-		}
-	}
 	nb := len(f.Blocks)
 	a.succOff = resize(a.succOff, nb+1)
 	a.succBk = a.succBk[:0]
 	for i, blk := range f.Blocks {
-		if k := len(blk.Insts); k > 0 {
-			switch t := blk.Insts[k-1]; t.Op {
-			case ir.OpBr:
-				add(t.Blk)
-			case ir.OpCondBr:
-				add(t.Blk)
-				add(t.Blk2)
+		start := len(a.succBk)
+		a.succBk = blk.AppendSuccs(a.succBk)
+		k := start
+		for _, id := range a.succBk[start:] {
+			if id >= 0 && id <= maxID && a.blkIdx[id] >= 0 {
+				a.succBk[k] = int(a.blkIdx[id])
+				k++
 			}
 		}
-		a.succOff[i+1] = len(a.succBk)
+		a.succBk = a.succBk[:k]
+		a.succOff[i+1] = k
 	}
 	a.succs = resize(a.succs, nb)
 	for i := range a.succs {

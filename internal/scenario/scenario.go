@@ -52,22 +52,11 @@ const (
 	// floats, so streams cannot drift across hosts) halves the candidate
 	// prefix, concentrating traffic on low keys.
 	SkewZipf = "zipf"
-	// SkewHot sends hotTrafficPct percent of draws to the first
-	// hotSetSize keys and the rest uniform — the cache-adversarial
-	// hot-key shape.
-	SkewHot = "hot"
 )
 
-const (
-	// hotSetSize is the number of distinct keys in the SkewHot hot set
-	// (the lowest keys of the space).
-	hotSetSize = 8
-	// hotTrafficPct is the share of SkewHot draws aimed at the hot set.
-	hotTrafficPct = 90
-	// zipfMaxLevel caps the geometric level of SkewZipf draws so the
-	// candidate prefix never collapses below a single key.
-	zipfMaxLevel = 16
-)
+// zipfMaxLevel caps the geometric level of SkewZipf draws so the
+// candidate prefix never collapses below a single key.
+const zipfMaxLevel = 16
 
 // MaxValueLen is the largest value a KV request may carry; it must match
 // the MAXV capacity of the miniC store's private value buffers.
@@ -111,16 +100,10 @@ type Spec struct {
 	ScanSpan uint64
 
 	// Skew selects the key-popularity distribution for the KV-family
-	// generators: SkewUniform (also the "" default), SkewZipf or SkewHot.
+	// generators: SkewUniform (also the "" default) or SkewZipf.
 	// Uniform consumes exactly one RNG draw per key, so the default
 	// streams are byte-identical to the pre-skew engine.
 	Skew string
-	// Shards is the simulated cluster width consumed by Cluster: the
-	// router partitions the key space into Shards contiguous blocks, one
-	// per machine. 0 and 1 both mean a single machine; Traffic ignores
-	// the field entirely (a spec's single-machine stream never depends on
-	// how a cluster would split it).
-	Shards int
 }
 
 // normalized fills defaulted fields and clamps the ones with hard limits.
@@ -142,9 +125,6 @@ func (s Spec) normalized() Spec {
 	}
 	if s.Skew == "" {
 		s.Skew = SkewUniform
-	}
-	if s.Shards < 1 {
-		s.Shards = 1
 	}
 	if s.Workload == WorkloadMerkleFS {
 		if s.KeySpace == 0 || s.KeySpace > MFSBlocks {
@@ -257,11 +237,11 @@ func Traffic(s Spec) (wire [][]byte, expect []int64, err error) {
 // cell measures.
 func (s Spec) validSkew() error {
 	switch s.Skew {
-	case "", SkewUniform, SkewZipf, SkewHot:
+	case "", SkewUniform, SkewZipf:
 		return nil
 	}
-	return fmt.Errorf("scenario: unknown key skew %q (want %q, %q or %q)",
-		s.Skew, SkewUniform, SkewZipf, SkewHot)
+	return fmt.Errorf("scenario: unknown key skew %q (want %q or %q)",
+		s.Skew, SkewUniform, SkewZipf)
 }
 
 // drawKey draws one key from [0, KeySpace) under the spec's skew. The
@@ -280,15 +260,6 @@ func (s Spec) drawKey(r *rng.Stream) uint64 {
 			space = 1
 		}
 		return r.Intn(space)
-	case SkewHot:
-		hot := uint64(hotSetSize)
-		if hot > s.KeySpace {
-			hot = s.KeySpace
-		}
-		if r.Intn(100) < hotTrafficPct {
-			return r.Intn(hot)
-		}
-		return r.Intn(s.KeySpace)
 	default:
 		return r.Intn(s.KeySpace)
 	}

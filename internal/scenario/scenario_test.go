@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -204,10 +205,34 @@ func TestHitRatioTargeting(t *testing.T) {
 	}
 }
 
-// TestTrafficUnknownWorkload: the engine rejects unknown families.
+// TestTrafficUnknownWorkload: the engine rejects unknown families and
+// unknown key skews before it emits any stream.
 func TestTrafficUnknownWorkload(t *testing.T) {
-	if _, _, err := Traffic(Spec{Workload: "smtp"}); err == nil {
-		t.Fatal("unknown workload family must error")
+	badSkew := DefaultKV(true)
+	badSkew.Skew = "pareto"
+	for _, spec := range []Spec{{Workload: "smtp"}, badSkew} {
+		if _, _, err := Traffic(spec); err == nil {
+			t.Fatalf("Traffic(workload %q, skew %q) must error", spec.Workload, spec.Skew)
+		}
+	}
+}
+
+// TestSkewShapesStream: the skew is part of the stream's identity — a
+// zipf stream differs from the uniform one with the same seed.
+func TestSkewShapesStream(t *testing.T) {
+	uni := DefaultKV(false)
+	zipf := uni
+	zipf.Skew = SkewZipf
+	wu, _, err := Traffic(uni)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wz, _, err := Traffic(zipf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.EqualFunc(wu, wz, bytes.Equal) {
+		t.Fatal("zipf skew left the stream byte-identical to uniform")
 	}
 }
 
